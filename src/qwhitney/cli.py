@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -25,10 +26,31 @@ def _params(args) -> WhitneyParams:
 
 
 def _parse_q(text: str) -> Fraction:
-    q = Fraction(text)
+    try:
+        q = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("q has a zero denominator") from None
     if q == 0:
         raise ValueError("q must be nonzero")
     return q
+
+
+_NEGATIVE = re.compile(r"-[0-9.]")
+
+
+def _bind_negative_q(argv):
+    """Join `--q -3/5` into `--q=-3/5`.
+
+    argparse only recognises integers and decimals as negative numbers, so it
+    would read a negative fraction after --q or --q-eval as an option.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--q", "--q-eval") and _NEGATIVE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _render(value: LaurentPoly, qval):
@@ -179,7 +201,8 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _bind_negative_q(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

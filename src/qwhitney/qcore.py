@@ -5,12 +5,20 @@ Every value in the library is either a :class:`LaurentPoly`, a
 :class:`PolyFraction` (an unreduced quotient of two Laurent polynomials),
 or an exact rational (``fractions.Fraction``).  Nothing here ever touches
 floating point.
+
+A LaurentPoly is dense: an exponent offset plus a tuple of int coefficients.
+Its product is a sliding-window sum when one factor is a q-integer (or any
+run of equal coefficients), a schoolbook product when one factor is short,
+and Kronecker substitution (pack both sides into one int, multiply, unpack)
+otherwise.  Rational evaluation is a single integer Horner pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from math import comb
+from operator import add, mul, neg, sub
 
 
 class NonExactDivision(ArithmeticError):
@@ -30,22 +38,38 @@ class DenominatorVanishes(ZeroDivisionError):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in q with arbitrary-precision integer
+    """Dense Laurent polynomial in q with arbitrary-precision integer
     coefficients.
 
-    Terms map exponent (possibly negative) to a nonzero coefficient; zero
-    coefficients are pruned on construction, so equality and hashing are
-    plain structural operations on the term dict.  Instances are immutable;
-    all operations return new values.
+    The value is q^_lo * (c_0 + c_1 q + ... + c_d q^d), stored as the offset
+    ``_lo`` and the tuple ``_c = (c_0, ..., c_d)`` of ints.  ``_c`` never has
+    a zero at either end and the zero polynomial is ``_lo = 0, _c = ()``, so
+    equality and hashing are plain comparisons of the pair.  Instances are
+    immutable; all operations return new values.
+
+    Multiplication picks its algorithm from the shorter operand: a run of
+    equal coefficients (every [a]_q) is applied as a sliding-window sum over
+    prefix sums; an operand of at most ``_SCHOOLBOOK_MAX`` coefficients uses
+    a row-by-row schoolbook product; anything longer goes through Kronecker
+    substitution into one big-int product.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_lo", "_c")
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        object.__setattr__(self, "_terms",
-                           {int(e): int(c) for e, c in dict(terms).items() if c != 0})
+        items = {}
+        for e, c in dict(terms or {}).items():
+            c = int(c)
+            if c:
+                items[int(e)] = c
+        if not items:
+            self._lo, self._c = 0, ()
+            return
+        lo = min(items)
+        dense = [0] * (max(items) - lo + 1)
+        for e, c in items.items():
+            dense[e - lo] = c
+        self._lo, self._c = lo, tuple(dense)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -53,61 +77,74 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _poly(0, (1,))
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
+        return _poly(0, (c,)) if c else cls()
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
+        return _poly(exponent, (coefficient,)) if coefficient else cls()
 
     @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        return {e: c for e, c in enumerate(self._c, self._lo) if c}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._c
 
     def min_exp(self) -> int:
-        if not self._terms:
+        if not self._c:
             raise ValueError("zero polynomial has no exponents")
-        return min(self._terms)
+        return self._lo
 
     def max_exp(self) -> int:
-        if not self._terms:
+        if not self._c:
             raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
+        return self._lo + len(self._c) - 1
 
     def coeff(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        i = exponent - self._lo
+        return self._c[i] if 0 <= i < len(self._c) else 0
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._c)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._lo == other._lo and self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._lo, self._c))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return _poly(self._lo, tuple(map(neg, self._c)))
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        if not other._c:
+            return self
+        if not self._c:
+            return other
+        a, b = (self, other) if self._lo <= other._lo else (other, self)
+        ac, bc = a._c, b._c
+        off, la = b._lo - a._lo, len(a._c)
+        if off >= la:  # disjoint supports: nothing can cancel
+            return _poly(a._lo, ac + (0,) * (off - la) + bc)
+        # One working list, so that no short-lived tuples pile up in the
+        # interpreter's tuple free lists.
+        c = list(ac)
+        c.extend(islice(bc, la - off, None))
+        end = min(off + len(bc), la)  # end of the overlap
+        c[off:end] = map(add, c[off:end], bc)
+        return _trimmed(a._lo, c)
 
     __radd__ = __add__
 
@@ -119,15 +156,22 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
+            if not other:
+                return ZERO
+            return _poly(self._lo, tuple(map(mul, self._c, repeat(other))))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        a, b = self._c, other._c
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return ZERO
+        lo = self._lo + other._lo
+        if b.count(b[0]) == len(b):
+            return _poly(lo, _mul_run(a, b[0], len(b)))
+        if len(b) <= _SCHOOLBOOK_MAX:
+            return _poly(lo, _mul_schoolbook(a, b))
+        return _poly(lo, _mul_kronecker(a, b))
 
     __rmul__ = __mul__
 
@@ -139,40 +183,67 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the square after the top bit would go unused
+                base = base * base
         return result
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by the monomial q^e."""
-        return LaurentPoly({k + e: c for k, c in self._terms.items()})
+        return _poly(self._lo + e, self._c) if self._c else self
 
     def stretch(self, b: int) -> "LaurentPoly":
         """Substitute q -> q^b (b >= 1)."""
         if b < 1:
             raise ValueError("stretch factor must be positive")
-        return LaurentPoly({k * b: c for k, c in self._terms.items()})
+        if b == 1 or not self._c:
+            return self
+        out = [0] * ((len(self._c) - 1) * b + 1)
+        out[::b] = self._c
+        return _poly(self._lo * b, tuple(out))
 
     def eval(self, a: Fraction) -> Fraction:
+        """Exact value at the rational q = a = p/s.
+
+        One integer Horner pass forms sum_i c_i p^i s^(d-i); the powers of p
+        and s from the offset and the degree d enter one final Fraction.
+        """
         a = Fraction(a)
         if a == 0:
             raise EvalAtZero("cannot evaluate a Laurent polynomial at q=0")
-        return sum((c * a ** e for e, c in self._terms.items()), Fraction(0))
+        c = self._c
+        if not c:
+            return Fraction(0)
+        p, s = a.numerator, a.denominator
+        acc = 0
+        if s == 1:
+            for x in reversed(c):
+                acc = acc * p + x
+        else:
+            spow = 1
+            for x in reversed(c):
+                acc = acc * p + x * spow
+                spow *= s
+        d, lo = len(c) - 1, self._lo
+        if lo >= 0:
+            return Fraction(acc * p ** lo, s ** (d + lo))
+        return Fraction(acc * s ** -lo, s ** d * p ** -lo)
 
     def to_pairs(self) -> list:
         """JSON form: sorted [exponent, coefficient-as-decimal-string] pairs."""
-        return [[e, str(self._terms[e])] for e in sorted(self._terms)]
+        return [[e, str(c)] for e, c in enumerate(self._c, self._lo) if c]
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
         return cls({int(e): int(c) for e, c in pairs})
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._c:
             return "0"
         parts = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
+        for e, c in enumerate(self._c, self._lo):
+            if not c:
+                continue
             if e == 0:
                 term = str(abs(c))
             else:
@@ -185,7 +256,91 @@ class LaurentPoly:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self._terms!r})"
+        return f"LaurentPoly({self.terms!r})"
+
+
+# Shorter operands than this (unless a run of equal coefficients) are
+# multiplied row by row; longer ones by Kronecker substitution.
+_SCHOOLBOOK_MAX = 24
+
+
+def _poly(lo: int, c: tuple) -> LaurentPoly:
+    """q^lo * sum_i c[i] q^i for a tuple c with nonzero ends (or empty)."""
+    p = object.__new__(LaurentPoly)
+    p._lo = lo if c else 0
+    p._c = c
+    return p
+
+
+def _trimmed(lo: int, c: list) -> LaurentPoly:
+    """Like _poly, for a list that may have zeros at either end."""
+    hi = len(c)
+    while hi and not c[hi - 1]:
+        hi -= 1
+    start = 0
+    while start < hi and not c[start]:
+        start += 1
+    if start or hi < len(c):
+        c = c[start:hi]
+    return _poly(lo + start, tuple(c))
+
+
+def _mul_run(a: tuple, y: int, n: int) -> tuple:
+    """a times y*(1 + q + ... + q^(n-1)).
+
+    Output k is y times the sum of a over the window max(0, k-n+1)..k, a
+    difference of two prefix sums, so the cost is O(len(a)) for any n.
+    """
+    if n > 1:
+        s = list(accumulate(a, initial=0))
+        a = map(sub, s[1:] + [s[-1]] * (n - 1), [0] * (n - 1) + s[:-1])
+    return tuple(a) if y == 1 else tuple(map(mul, a, repeat(y)))
+
+
+def _mul_schoolbook(a: tuple, b: tuple) -> tuple:
+    """a times a short b: one scaled pass over a per coefficient of b."""
+    la = len(a)
+    out = [0] * (la + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + la] = map(add, out[j:j + la], map(mul, a, repeat(y)))
+    return tuple(out)
+
+
+def _coeff_bits(c: tuple) -> int:
+    return max(max(c), -min(c)).bit_length()
+
+
+def _pack(c: tuple, width: int) -> int:
+    """sum_i c[i] 2^(8*width*i) as one int.  Positive and negative
+    coefficients are packed apart, each as unsigned width-byte slots."""
+    blank = bytes(width)
+    pos = int.from_bytes(b"".join(x.to_bytes(width, "little") if x > 0 else blank
+                                  for x in c), "little")
+    if min(c) >= 0:
+        return pos
+    return pos - int.from_bytes(b"".join((-x).to_bytes(width, "little") if x < 0
+                                         else blank for x in c), "little")
+
+
+def _mul_kronecker(a: tuple, b: tuple) -> tuple:
+    """a*b by Kronecker substitution q -> 2^(8*width).
+
+    A product coefficient is a sum of min(len) terms, so it is smaller in
+    absolute value than 2^(bits(a) + bits(b) + bitlen(min(len))); one more
+    sign bit makes every slot a balanced digit in [-2^(w-1), 2^(w-1)).
+    Adding 2^(w-1) to every slot turns the signed product into plain
+    unsigned slots, which are read back and re-centred.
+    """
+    bits = (_coeff_bits(a) + _coeff_bits(b)
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) // 8
+    n = len(a) + len(b) - 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    buf = (_pack(a, width) * _pack(b, width) + bias).to_bytes(n * width, "little")
+    return tuple(int.from_bytes(buf[i:i + width], "little") - half
+                 for i in range(0, n * width, width))
 
 
 Q = LaurentPoly.monomial(1)
@@ -290,13 +445,8 @@ def q_int(n: int) -> LaurentPoly:
     -q^n - q^(n+1) - ... - q^(-1), the unique Laurent extension.
     """
     if n >= 0:
-        return LaurentPoly({e: 1 for e in range(n)})
-    return LaurentPoly({e: -1 for e in range(n, 0)})
-
-
-def q_int_base(n: int, b: int) -> LaurentPoly:
-    """[n]_{q^b}."""
-    return q_int(n).stretch(b)
+        return _poly(0, (1,) * n)
+    return _poly(n, (-1,) * -n)
 
 
 def q_factorial(n: int) -> LaurentPoly:
@@ -317,35 +467,31 @@ def q_factorial_base(n: int, b: int) -> LaurentPoly:
 def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact division in the Laurent ring: the c with a = b*c.
 
-    Both operands are shifted down to ordinary polynomials, then eliminated
-    coefficient by coefficient from the lowest exponent upward.  Raises
-    NonExactDivision if no exact quotient exists, DivisionByZero if b = 0.
+    The coefficient tuples are eliminated from the lowest exponent upward,
+    one scaled row of b per quotient coefficient.  Raises NonExactDivision
+    if no exact quotient exists, DivisionByZero if b = 0.
     """
     if b.is_zero():
         raise DivisionByZero("division by zero polynomial")
     if a.is_zero():
         return ZERO
-    offset = a.min_exp() - b.min_exp()
-    da = a.max_exp() - a.min_exp()
-    db = b.max_exp() - b.min_exp()
-    if da < db:
+    bc = b._c
+    lb, lead = len(bc), bc[0]
+    nq = len(a._c) - lb + 1
+    if nq < 1:
         raise NonExactDivision("divisor support exceeds dividend support")
-    rem = [a.coeff(a.min_exp() + i) for i in range(da + 1)]
-    bb = [b.coeff(b.min_exp() + i) for i in range(db + 1)]
-    lead = bb[0]
-    quot = [0] * (da - db + 1)
-    for i in range(len(quot)):
-        if rem[i] == 0:
-            continue
-        q_, r_ = divmod(rem[i], lead)
-        if r_ != 0:
-            raise NonExactDivision("remainder in coefficient elimination")
-        quot[i] = q_
-        for j, bc in enumerate(bb):
-            rem[i + j] -= q_ * bc
+    rem = list(a._c)
+    quot = [0] * nq
+    for i in range(nq):
+        if rem[i]:
+            q_, r_ = divmod(rem[i], lead)
+            if r_:
+                raise NonExactDivision("remainder in coefficient elimination")
+            quot[i] = q_
+            rem[i:i + lb] = map(sub, rem[i:i + lb], map(mul, bc, repeat(q_)))
     if any(rem):
         raise NonExactDivision("nonzero remainder")
-    return LaurentPoly({offset + i: c for i, c in enumerate(quot)})
+    return _poly(a._lo - b._lo, tuple(quot))
 
 
 def q_binomial(n: int, k: int, base_exponent: int = 1) -> LaurentPoly:

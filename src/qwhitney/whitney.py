@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .qcore import LaurentPoly, ONE, ZERO, q_int
@@ -165,7 +164,6 @@ def r_dowling(params: WhitneyParams, n: int) -> LaurentPoly:
 
 
 def classical_w(params: WhitneyParams, n: int, k: int) -> int:
-    """The classical r-Whitney number W_{m,r}(n,k): the q=1 value."""
-    v = w(params, n, k).eval(Fraction(1))
-    assert v.denominator == 1
-    return int(v)
+    """The classical r-Whitney number W_{m,r}(n,k): the q=1 value, which is
+    the sum of the integer coefficients."""
+    return sum(w(params, n, k).terms.values())

@@ -80,9 +80,31 @@ class TestSingleValues:
         assert rc == 0
         assert out.strip() == "5/4"
 
+    @pytest.mark.parametrize("qarg", [["--q", "-3/5"], ["--q=-3/5"]])
+    def test_eval_negative_rational(self, qarg):
+        rc, out = run(["eval", "--m", "1", "--r", "1", "--n", "2", "--k", "1",
+                       *qarg])
+        assert rc == 0
+        # W[2,1] = 2q + q^2
+        assert out.strip() == "-21/25"
+
+    @pytest.mark.parametrize("qarg", [["--q-eval", "-3/5"], ["--q-eval=-3/5"]])
+    def test_dowling_negative_rational(self, qarg):
+        rc, out = run(["dowling", "--m", "1", "--r", "1", "--n", "2", *qarg])
+        assert rc == 0
+        # W[2,0] + W[2,1] + W[2,2] = 1 + 2q + q^2 + q^3
+        assert out.strip() == '"-7/125"'
+
     def test_eval_rejects_q_zero(self):
         rc, _ = run(["eval", "--m", "1", "--r", "1", "--n", "2", "--k", "1",
                      "--q", "0"])
+        assert rc == 2
+
+    @pytest.mark.parametrize("qarg", [["--q", "1/0"], ["--q", "-1/0"],
+                                      ["--q=-1/0"]])
+    def test_eval_rejects_zero_denominator(self, qarg):
+        rc, _ = run(["eval", "--m", "1", "--r", "1", "--n", "2", "--k", "1",
+                     *qarg])
         assert rc == 2
 
 

@@ -1,0 +1,123 @@
+"""Differential tests of the Laurent ring against sympy.
+
+sympy is an independent implementation of Z[q] arithmetic: every product,
+exact quotient and rational value computed here is recomputed by sympy.
+The inputs carry negative exponents, interior zeros, negative coefficients
+and coefficients of up to 300 bits, at lengths that reach each product
+algorithm: a run of equal coefficients (q-integers and their multiples),
+a short operand (schoolbook) and two long operands (Kronecker).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qwhitney import LaurentPoly, NonExactDivision, laurent_exact_div, q_int
+from qwhitney.qcore import _SCHOOLBOOK_MAX
+
+sympy = pytest.importorskip("sympy")
+Q = sympy.Symbol("q")
+BIG = 2 ** 300
+
+coefficients = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-BIG, BIG))
+offsets = st.integers(-30, 30)
+
+
+def _dense(cs, lo):
+    """Coefficients cs from q^lo up, with nonzero, unequal ends so the
+    polynomial keeps its length and is not a run of equal coefficients."""
+    cs = list(cs)
+    cs[0] = cs[0] or 1
+    cs[-1] = cs[-1] or 2
+    if cs[-1] == cs[0]:
+        cs[-1] *= 2
+    return LaurentPoly(dict(enumerate(cs, lo)))
+
+
+def dense(min_size, max_size):
+    return st.builds(_dense, st.lists(coefficients, min_size=min_size,
+                                      max_size=max_size), offsets)
+
+
+runs = st.builds(lambda n, k, lo: (q_int(n) * k).shift(lo),
+                 st.integers(-60, 60).filter(bool),
+                 st.one_of(st.sampled_from([1, -1, 7]),
+                           st.integers(-BIG, BIG).filter(bool)),
+                 offsets)
+short = dense(2, _SCHOOLBOOK_MAX)
+long = dense(_SCHOOLBOOK_MAX + 1, 3 * _SCHOOLBOOK_MAX)
+anything = st.one_of(runs, short, long, st.just(LaurentPoly()))
+
+# The shorter operand of each pair selects the product algorithm.
+PATHS = {"run": (anything, runs), "schoolbook": (long, short),
+         "kronecker": (long, long)}
+rationals = st.builds(Fraction, st.integers(-60, 60).filter(bool),
+                      st.integers(1, 60))
+
+
+def to_sympy(p):
+    """(lo, P) with p = q^lo P(q) and P a sympy polynomial over ZZ."""
+    if p.is_zero():
+        return 0, sympy.Poly(0, Q, domain="ZZ")
+    lo = p.min_exp()
+    return lo, sympy.Poly.from_dict({(e - lo,): c for e, c in p.terms.items()},
+                                    Q, domain="ZZ")
+
+
+def from_sympy(lo, poly):
+    return LaurentPoly({lo + i: int(c) for (i,), c in poly.terms()})
+
+
+def oracle_product(a, b):
+    (la, pa), (lb, pb) = to_sympy(a), to_sympy(b)
+    return from_sympy(la + lb, pa * pb)
+
+
+def oracle_divides(a, b):
+    """Does b divide a in Z[q, 1/q]?  Both are shifted to polynomials with a
+    nonzero constant term; then b | a iff the rational quotient has integer
+    coefficients and no remainder."""
+    (_, pa), (_, pb) = to_sympy(a), to_sympy(b)
+    quot, rem = pa.div(pb)
+    return rem.is_zero and all(c.is_integer for c in quot.coeffs())
+
+
+@pytest.mark.parametrize("path", PATHS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_product(path, data):
+    left, right = PATHS[path]
+    a, b = data.draw(left), data.draw(right)
+    assert a * b == oracle_product(a, b)
+    assert b * a == oracle_product(a, b)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_exact_division_of_product(path, data):
+    left, right = PATHS[path]
+    a, b = data.draw(left), data.draw(right)
+    assume(not b.is_zero())
+    assert laurent_exact_div(oracle_product(a, b), b) == a
+
+
+@given(anything, st.one_of(runs, short, long), st.integers(-40, 120))
+@settings(max_examples=60, deadline=None)
+def test_inexact_division_raises(a, b, e):
+    # b | a*b + q^e only if b is a unit, that is, a monomial +-q^k
+    assume(len(b.terms) > 1 or abs(b.coeff(b.min_exp())) > 1)
+    dividend = oracle_product(a, b) + LaurentPoly.monomial(e)
+    assert not oracle_divides(dividend, b)
+    with pytest.raises(NonExactDivision):
+        laurent_exact_div(dividend, b)
+
+
+@given(anything, rationals)
+@settings(max_examples=60, deadline=None)
+def test_eval(p, x):
+    sx = sympy.Rational(x.numerator, x.denominator)
+    value = sympy.Add(*[sympy.Integer(c) * sx ** e for e, c in p.terms.items()])
+    assert p.eval(x) == Fraction(int(value.p), int(value.q))
