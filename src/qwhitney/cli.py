@@ -2,8 +2,11 @@
 
 Subcommands: table, value, star, dowling, hankel, verify, eval.  Laurent
 polynomial values are emitted as sorted [exponent, coefficient-string]
-pairs, so output is bit-identical across runs.  Exit codes: 0 success or
-all identities pass, 1 identity failure, 2 usage error.
+pairs, so output is bit-identical across runs.  Each value is rendered
+straight to JSON text (``LaurentPoly.to_json``) and every document is
+composed from those texts; the bytes are those of ``json.dumps`` on the
+pair lists.  Exit codes: 0 success or all identities pass, 1 identity
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -53,30 +56,40 @@ def _bind_negative_q(argv):
     return out
 
 
-def _render(value: LaurentPoly, qval):
+def _render(value: LaurentPoly, qval) -> str:
+    """JSON text of a value: its pairs, or its exact value at qval as a string."""
     if qval is None:
-        return value.to_pairs()
-    return str(eval_q(value, qval))
+        return value.to_json()
+    return json.dumps(str(eval_q(value, qval)))
+
+
+def _json_list(texts) -> str:
+    """JSON text of a list whose items are already JSON texts."""
+    return "[" + ", ".join(texts) + "]"
 
 
 def _emit_value(out, value: LaurentPoly, qval):
-    print(json.dumps(_render(value, qval)), file=out)
+    print(_render(value, qval), file=out)
 
 
 def cmd_table(args, out) -> int:
     table = w_table(_params(args), args.nmax)
     qval = args.q_eval
     if args.format == "json":
-        doc = {"params": {"m": args.m, "r": args.r},
-               "rows": [[_render(v, qval) for v in row]
-                        for row in table.entries]}
-        print(json.dumps(doc), file=out)
+        # Written one row at a time, so no whole-table document is built.
+        params = json.dumps({"m": args.m, "r": args.r})
+        out.write(f'{{"params": {params}, "rows": [')
+        sep = ""
+        for row in table.entries:
+            out.write(sep + _json_list([_render(v, qval) for v in row]))
+            sep = ", "
+        out.write("]}\n")
     else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "k", "value"])
         for n, row in enumerate(table.entries):
             for k, v in enumerate(row):
-                cell = json.dumps(_render(v, qval)) if qval is None else _render(v, qval)
+                cell = v.to_json() if qval is None else str(eval_q(v, qval))
                 writer.writerow([n, k, cell])
     return 0
 
@@ -109,14 +122,14 @@ def cmd_hankel(args, out) -> int:
     det = det_exact(mat)
     closed = hankel_closed_form(spec)
     qval = args.q_eval
-    doc = {
-        "params": {"m": args.m, "r": args.r, "s": args.s, "n": args.n},
-        "matrix": [[_render(v, qval) for v in row] for row in mat.entries],
-        "determinant": _render(det, qval),
-        "closed_form": _render(closed, qval),
-        "status": "PASS" if det == closed else "FAIL",
-    }
-    print(json.dumps(doc), file=out)
+    params = json.dumps({"m": args.m, "r": args.r, "s": args.s, "n": args.n})
+    matrix = _json_list([_json_list([_render(v, qval) for v in row])
+                         for row in mat.entries])
+    status = "PASS" if det == closed else "FAIL"
+    print(f'{{"params": {params}, "matrix": {matrix}, '
+          f'"determinant": {_render(det, qval)}, '
+          f'"closed_form": {_render(closed, qval)}, "status": "{status}"}}',
+          file=out)
     return 0 if det == closed else 1
 
 

@@ -106,9 +106,14 @@ def hankel_closed_form(spec: HankelSpec) -> LaurentPoly:
     return out
 
 
-def hankel_transform_check(spec: HankelSpec) -> bool:
-    """Does the exact determinant equal the closed-form product?"""
-    return det_exact(hankel_matrix(spec)) == hankel_closed_form(spec)
+def hankel_transform_check(spec: HankelSpec, det: LaurentPoly = None) -> bool:
+    """Does the exact determinant equal the closed-form product?
+
+    ``det`` is ``det_exact(hankel_matrix(spec))``, computed here when not
+    given."""
+    if det is None:
+        det = det_exact(hankel_matrix(spec))
+    return det == hankel_closed_form(spec)
 
 
 def lu_factors(spec: HankelSpec):
@@ -138,16 +143,24 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         for i in range(n)))
 
 
-def lu_check(spec: HankelSpec) -> bool:
+def lu_check(spec: HankelSpec, mat: ExactMatrix = None,
+             det: LaurentPoly = None) -> bool:
     """Does L*U reproduce the Hankel matrix entrywise, with the determinant
-    equal to the product of the diagonals?"""
+    equal to the product of the diagonals?
+
+    ``mat`` is ``hankel_matrix(spec)`` and ``det`` is ``det_exact(mat)``;
+    each is computed here when not given."""
+    if mat is None:
+        mat = hankel_matrix(spec)
     lower, upper = lu_factors(spec)
-    if matmul(lower, upper).entries != hankel_matrix(spec).entries:
+    if matmul(lower, upper).entries != mat.entries:
         return False
     diag = ONE
     for k in range(spec.n + 1):
         diag = diag * lower[k, k] * upper[k, k]
-    return det_exact(hankel_matrix(spec)) == diag
+    if det is None:
+        det = det_exact(mat)
+    return det == diag
 
 
 def _int_det(rows) -> int:

@@ -11,6 +11,8 @@ Its product is a sliding-window sum when one factor is a q-integer (or any
 run of equal coefficients), a schoolbook product when one factor is short,
 and Kronecker substitution (pack both sides into one int, multiply, unpack)
 otherwise.  Rational evaluation is a single integer Horner pass.
+``to_json`` renders a polynomial straight to the JSON text of its
+``to_pairs`` form.
 """
 
 from __future__ import annotations
@@ -232,6 +234,12 @@ class LaurentPoly:
     def to_pairs(self) -> list:
         """JSON form: sorted [exponent, coefficient-as-decimal-string] pairs."""
         return [[e, str(c)] for e, c in enumerate(self._c, self._lo) if c]
+
+    def to_json(self) -> str:
+        """The text of ``json.dumps(self.to_pairs())``, built in one pass
+        without the intermediate pair lists."""
+        return "[" + ", ".join([f'[{e}, "{c}"]' for e, c
+                                in enumerate(self._c, self._lo) if c]) + "]"
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":

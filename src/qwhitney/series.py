@@ -163,20 +163,30 @@ def egf(params: WhitneyParams, k: int, N: int) -> PowerSeries:
     return PowerSeries(N, tuple(coeffs))
 
 
+def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> list:
+    """The values W[n,k]_q at q = qval for k = 0..n."""
+    qval = Fraction(qval)
+    return [w(params, n, k).eval(qval) for k in range(n + 1)]
+
+
 def horizontal_gf_check(params: WhitneyParams, n: int, t: int,
-                        qval: Fraction) -> bool:
+                        qval: Fraction, row: list = None) -> bool:
     """Does sum_k W[n,k]_q [t-r|m]_{k,q} = [t]_q^n hold at q = qval?
 
     Checked as exact rationals; the falling factors may involve q-integers
-    of negative arguments.
+    of negative arguments.  ``row`` is ``horizontal_row(params, n, qval)``,
+    computed here when not given; a caller checking many t at one q passes
+    it in so the row is evaluated once.
     """
     qval = Fraction(qval)
+    if row is None:
+        row = horizontal_row(params, n, qval)
     m, r = params.m, params.r
     lhs = Fraction(0)
     falling = Fraction(1)
     for k in range(n + 1):
         if k >= 1:
             falling *= eval_q(q_int(t - r - (k - 1) * m), qval)
-        lhs += w(params, n, k).eval(qval) * falling
+        lhs += row[k] * falling
     rhs = eval_q(q_int(t), qval) ** n
     return lhs == rhs

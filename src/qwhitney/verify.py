@@ -70,9 +70,51 @@ class SuiteResult:
                 "failures": [f.to_json() for f in self.failures]}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _nonzero_rational(x) -> bool:
+    try:
+        return isinstance(x, str) and Fraction(x) != 0
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+def _list_of(ok):
+    return lambda value: isinstance(value, list) and all(map(ok, value))
+
+
+# Grid key -> (check on its value, what the check asks for).  Keys not
+# listed here take a non-negative int.
+_GRID_CHECKS = {
+    "m": (_list_of(lambda x: _is_int(x) and x >= 1), "a list of ints >= 1"),
+    "r": (_list_of(lambda x: _is_int(x) and x >= 0), "a list of ints >= 0"),
+    "t": (_list_of(_is_int), "a list of ints"),
+    "qvals": (_list_of(_nonzero_rational),
+              'a list of nonzero rational strings such as "3/5"'),
+}
+_COUNT_CHECK = (lambda x: _is_int(x) and x >= 0, "a non-negative int")
+
+
+def _check_grid(grid) -> None:
+    """Raise ValueError naming the first key of `grid` that is not a key of
+    DEFAULT_GRID or whose value has the wrong type or range."""
+    if not isinstance(grid, dict):
+        raise ValueError("grid must be a JSON object")
+    for key, value in grid.items():
+        if key not in DEFAULT_GRID:
+            raise ValueError(f"grid key {key!r} is unknown; known keys: "
+                             + ", ".join(DEFAULT_GRID))
+        ok, wanted = _GRID_CHECKS.get(key, _COUNT_CHECK)
+        if not ok(value):
+            raise ValueError(f"grid key {key!r} must be {wanted}")
+
+
 def _grid(overrides: dict = None) -> dict:
     g = dict(DEFAULT_GRID)
-    if overrides:
+    if overrides is not None:
+        _check_grid(overrides)
         g.update(overrides)
     return g
 
@@ -141,9 +183,10 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
                 res.check(e[n] == expected, {**base, "n": n, "k": k}, "egf",
                           e[n].num, expected.num)
         for n in range(g["nmax_horizontal"] + 1):
+            rows = [series.horizontal_row(p, n, qv) for qv in qvals]
             for t in g["t"]:
-                for qv in qvals:
-                    ok = series.horizontal_gf_check(p, n, t, qv)
+                for qv, row in zip(qvals, rows):
+                    ok = series.horizontal_gf_check(p, n, t, qv, row)
                     res.check(ok, {**base, "n": n, "t": t, "q": str(qv)},
                               "horizontal_gf")
     return res
@@ -199,9 +242,11 @@ def suite_hankel(grid: dict = None) -> SuiteResult:
         for s in range(g["smax_hankel"] + 1):
             for n in range(g["nmax_hankel"] + 1):
                 spec = hk.HankelSpec(p, s, n)
-                res.check(hk.hankel_transform_check(spec),
+                mat = hk.hankel_matrix(spec)
+                det = hk.det_exact(mat)
+                res.check(hk.hankel_transform_check(spec, det),
                           {**base, "s": s, "n": n}, "hankel_transform")
-                res.check(hk.lu_check(spec),
+                res.check(hk.lu_check(spec, mat, det),
                           {**base, "s": s, "n": n}, "lu_factorization")
                 res.check(hk.classical_hankel_check(p.m, p.r, s, n),
                           {**base, "s": s, "n": n}, "classical_hankel")

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -50,6 +51,26 @@ class TestTable:
     def test_invalid_m(self):
         rc, _ = run(["table", "--m", "0", "--r", "1", "--nmax", "2"])
         assert rc == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bytes_match_dumps_of_pairs(self, fmt):
+        entries = whitney.w_table(whitney.WhitneyParams(1, 3), 30).entries
+        if fmt == "json":
+            expected = json.dumps(
+                {"params": {"m": 1, "r": 3},
+                 "rows": [[v.to_pairs() for v in row] for row in entries]}) + "\n"
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["n", "k", "value"])
+            for n, row in enumerate(entries):
+                for k, v in enumerate(row):
+                    writer.writerow([n, k, json.dumps(v.to_pairs())])
+            expected = buf.getvalue()
+        rc, out = run(["table", "--m", "1", "--r", "3", "--nmax", "30",
+                       "--format", fmt])
+        assert rc == 0
+        assert out == expected
 
     def test_deterministic(self):
         a = run(["table", "--m", "2", "--r", "1", "--nmax", "5"])
@@ -141,6 +162,17 @@ class TestVerifyCommand:
     def test_missing_grid_file(self):
         rc, _ = run(["verify", "--suite", "hankel", "--grid", "/nonexistent.json"])
         assert rc == 2
+
+    @pytest.mark.parametrize("grid, key", [({"m": 1}, "'m'"),
+                                           ({"nmaxx": 3}, "'nmaxx'"),
+                                           ({"nmax": -1}, "'nmax'")])
+    def test_bad_grid(self, tmp_path, capsys, grid, key):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        rc, out = run(["verify", "--suite", "recurrences", "--grid", str(path)])
+        assert rc == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
 
     def test_report_schema(self, small_grid):
         rc, out = run(["verify", "--suite", "recurrences", "--grid", small_grid])

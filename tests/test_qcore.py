@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_laurent
@@ -19,6 +20,14 @@ laurent_strategy = st.dictionaries(
     max_size=6,
 ).map(LaurentPoly)
 
+# Negative exponents, interior zeros, negative and 400-bit coefficients; an
+# empty or all-zero list gives the zero polynomial.
+json_strategy = st.builds(
+    lambda cs, lo: LaurentPoly(dict(enumerate(cs, lo))),
+    st.lists(st.one_of(st.just(0), st.integers(-9, 9),
+                       st.integers(-2 ** 400, 2 ** 400)), max_size=12),
+    st.integers(-30, 30))
+
 
 class TestLaurentPoly:
     def test_canonical_form_prunes_zeros(self):
@@ -33,6 +42,13 @@ class TestLaurentPoly:
         p = LaurentPoly({2: 1, 0: 1})
         assert p.to_pairs() == [[0, "1"], [2, "1"]]
         assert LaurentPoly.from_pairs(p.to_pairs()) == p
+
+    @given(json_strategy)
+    @example(LaurentPoly())
+    @example(LaurentPoly({-7: -(2 ** 300 + 1), -6: 0, 0: 0, 3: 2 ** 310}))
+    @settings(max_examples=200, deadline=None)
+    def test_to_json_is_dumps_of_pairs(self, p):
+        assert p.to_json() == json.dumps(p.to_pairs())
 
     def test_shift_and_stretch(self):
         p = q_int(3)

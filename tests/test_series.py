@@ -5,12 +5,13 @@ from math import comb
 import pytest
 
 from conftest import classical_egf_coeffs, random_laurent
+from qwhitney import verify, whitney
 from qwhitney import (LaurentPoly, PolyFraction, PowerSeries,
                       NonInvertibleConstantTerm, WhitneyParams, egf,
                       horizontal_gf_check, q_exponential, q_factorial, q_int,
                       rational_gf, series_inverse, w)
 from qwhitney.qcore import ONE, ZERO
-from qwhitney.series import PF_ONE, PF_ZERO, geometric
+from qwhitney.series import PF_ONE, PF_ZERO, geometric, horizontal_row
 
 P11 = WhitneyParams(1, 1)
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
@@ -142,6 +143,24 @@ class TestHorizontalGF:
                 for t in (-3, -1, 0, 2, 7):
                     for qv in (Fraction(2), Fraction(1, 2), Fraction(-2)):
                         assert horizontal_gf_check(p, n, t, qv)
+
+    def test_given_row_matches_computed_row(self):
+        for qv in (Fraction(2), Fraction(-3, 5)):
+            row = horizontal_row(P11, 4, qv)
+            for t in (-3, 0, 7):
+                assert horizontal_gf_check(P11, 4, t, qv, row)
+                assert not horizontal_gf_check(P11, 4, t, qv,
+                                               [x + 1 for x in row])
+
+    def test_suite_cells_fail_under_perturbed_recurrence(self):
+        grid = {"m": [1], "r": [1], "nmax_genfun": 0, "nmax_egf": 0,
+                "kmax_genfun": 0, "nmax_horizontal": 3, "t": [2, 5],
+                "qvals": ["2", "-1/3"]}
+        assert verify.suite_genfun(grid).ok
+        with whitney.perturb_recurrence():
+            res = verify.suite_genfun(grid)
+        assert res.cells == 1 + 1 + 4 * 2 * 2  # rational_gf, egf, horizontal_gf
+        assert any(f.identity == "horizontal_gf" for f in res.failures)
 
     def test_polynomial_identity_cell(self):
         # enough distinct points to pin the underlying polynomial identity
