@@ -7,12 +7,18 @@ straight to JSON text (``LaurentPoly.to_json``) and every document is
 composed from those texts; the bytes are those of ``json.dumps`` on the
 pair lists.  Exit codes: 0 success or all identities pass, 1 identity
 failure, 2 usage error.
+
+``main(argv, out=...)`` may be called many times in one process: the
+argparse parser is built on the first call and reused, since a parse keeps
+no state in it.  A request whose polynomials could reach a degree above
+``MAX_DEGREE`` is refused with exit 2 before any ring work.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -22,6 +28,13 @@ from . import verify
 from .hankel import HankelSpec, det_exact, hankel_closed_form, hankel_matrix
 from .qcore import LaurentPoly, eval_q
 from .whitney import WhitneyParams, r_dowling, w, w_star, w_table
+
+
+# The largest degree a request's polynomials may reach.  Row n of the
+# triangle has top degree m*C(n,2) + r*n; a Hankel determinant of order n+1
+# (and every Bareiss minor) has at most n+1 times the top degree of the
+# largest row it reads, s+2n.  table --m 1 --r 1 --nmax 80 (3240) passes.
+MAX_DEGREE = 4096
 
 
 def _params(args) -> WhitneyParams:
@@ -210,11 +223,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main() call shares, built on the first call rather
+    than at import, so importing the module stays cheap."""
+    return build_parser()
+
+
+def _max_degree(args) -> int:
+    """The largest degree the polynomials of a request may reach."""
+    if args.command == "verify":
+        return 0
+    p = _params(args)
+    if args.command == "hankel":
+        row, order = args.s + 2 * args.n, args.n + 1
+    elif args.command == "table":
+        row, order = args.nmax, 1
+    else:
+        row, order = args.n, 1
+    # Negative sizes are refused later, by the command itself.
+    row, order = max(row, 0), max(order, 0)
+    return order * (p.m * row * (row - 1) // 2 + p.r * row)
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(
+        args = _parser().parse_args(
             _bind_negative_q(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
@@ -223,6 +258,11 @@ def main(argv=None, out=None) -> int:
             raise ValueError("n must be >= 0")
         if hasattr(args, "k") and args.k < 0:
             raise ValueError("k must be >= 0")
+        degree = _max_degree(args)
+        if degree > MAX_DEGREE:
+            raise ValueError(f"request too large: its polynomials may reach "
+                             f"degree {degree}, over the limit MAX_DEGREE = "
+                             f"{MAX_DEGREE}")
         return args.fn(args, out)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

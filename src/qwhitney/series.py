@@ -169,24 +169,34 @@ def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> list:
     return [w(params, n, k).eval(qval) for k in range(n + 1)]
 
 
+def horizontal_falling(params: WhitneyParams, t: int, qval: Fraction,
+                       kmax: int) -> list:
+    """The falling factors [t-r|m]_{k,q} = prod_{j<k} [t-r-jm]_q at q = qval
+    for k = 0..kmax; they do not depend on n."""
+    qval = Fraction(qval)
+    m, r = params.m, params.r
+    out = [Fraction(1)]
+    for k in range(1, kmax + 1):
+        out.append(out[-1] * eval_q(q_int(t - r - (k - 1) * m), qval))
+    return out
+
+
 def horizontal_gf_check(params: WhitneyParams, n: int, t: int,
-                        qval: Fraction, row: list = None) -> bool:
+                        qval: Fraction, row: list = None,
+                        falling: list = None) -> bool:
     """Does sum_k W[n,k]_q [t-r|m]_{k,q} = [t]_q^n hold at q = qval?
 
     Checked as exact rationals; the falling factors may involve q-integers
-    of negative arguments.  ``row`` is ``horizontal_row(params, n, qval)``,
-    computed here when not given; a caller checking many t at one q passes
-    it in so the row is evaluated once.
+    of negative arguments.  ``row`` is ``horizontal_row(params, n, qval)``
+    and ``falling`` is ``horizontal_falling(params, t, qval, kmax)`` for
+    some kmax >= n; each is computed here when not given, and a caller
+    checking many (n, t) at one q passes them in so each is evaluated once.
     """
     qval = Fraction(qval)
     if row is None:
         row = horizontal_row(params, n, qval)
-    m, r = params.m, params.r
-    lhs = Fraction(0)
-    falling = Fraction(1)
-    for k in range(n + 1):
-        if k >= 1:
-            falling *= eval_q(q_int(t - r - (k - 1) * m), qval)
-        lhs += row[k] * falling
+    if falling is None:
+        falling = horizontal_falling(params, t, qval, n)
+    lhs = sum((row[k] * falling[k] for k in range(n + 1)), Fraction(0))
     rhs = eval_q(q_int(t), qval) ** n
     return lhs == rhs

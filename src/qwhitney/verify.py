@@ -182,11 +182,15 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
                 expected = PolyFraction(w(p, n, k), q_factorial(n))
                 res.check(e[n] == expected, {**base, "n": n, "k": k}, "egf",
                           e[n].num, expected.num)
-        for n in range(g["nmax_horizontal"] + 1):
+        nh = g["nmax_horizontal"]
+        falling = {(t, qv): series.horizontal_falling(p, t, qv, nh)
+                   for t in g["t"] for qv in qvals}
+        for n in range(nh + 1):
             rows = [series.horizontal_row(p, n, qv) for qv in qvals]
             for t in g["t"]:
                 for qv, row in zip(qvals, rows):
-                    ok = series.horizontal_gf_check(p, n, t, qv, row)
+                    ok = series.horizontal_gf_check(p, n, t, qv, row,
+                                                    falling[t, qv])
                     res.check(ok, {**base, "n": n, "t": t, "q": str(qv)},
                               "horizontal_gf")
     return res

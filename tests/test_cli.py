@@ -190,3 +190,105 @@ class TestVerifyCommand:
         assert report["failures"]
         first = report["failures"][0]
         assert {"params", "identity", "lhs", "rhs"} <= set(first)
+
+
+class TestSizeLimit:
+    @pytest.fixture
+    def no_ring_work(self, monkeypatch):
+        """Make every command's first ring call fail the test."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("ring work started before the size check")
+        for name in ("w", "w_star", "r_dowling", "w_table", "hankel_matrix"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["value", "--m", "1", "--r", "1", "--n", "3000", "--k", "1"],
+        ["star", "--m", "1", "--r", "0", "--n", "92", "--k", "3"],
+        ["eval", "--m", "1", "--r", "1", "--n", "3000", "--k", "1", "--q", "2"],
+        ["dowling", "--m", "3", "--r", "2", "--n", "60"],
+        ["table", "--m", "1", "--r", "1", "--nmax", "3000"],
+        ["value", "--m", "1", "--r", "100000", "--n", "1", "--k", "1"],
+        ["hankel", "--m", "1", "--r", "0", "--s", "0", "--n", "20"],
+        ["hankel", "--m", "1", "--r", "1", "--s", "1000", "--n", "0"],
+    ])
+    def test_oversized_request_refused(self, no_ring_work, capsys, argv):
+        rc, out = run(argv)
+        assert rc == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"MAX_DEGREE = {cli.MAX_DEGREE}" in err
+
+    @pytest.mark.parametrize("argv, degree, allowed", [
+        (["table", "--m", "1", "--r", "5", "--nmax", "50"], 1475, True),
+        (["table", "--m", "1", "--r", "1", "--nmax", "80"], 3240, True),
+        (["value", "--m", "1", "--r", "0", "--n", "91", "--k", "0"], 4095, True),
+        (["value", "--m", "1", "--r", "0", "--n", "92", "--k", "0"], 4186, False),
+        (["hankel", "--m", "3", "--r", "5", "--s", "2", "--n", "5"], 6 * 258, True),
+        (["hankel", "--m", "1", "--r", "0", "--s", "0", "--n", "20"], 21 * 780, False),
+        (["verify", "--suite", "all"], 0, True),
+    ])
+    def test_max_degree(self, argv, degree, allowed):
+        assert cli._max_degree(cli._parser().parse_args(argv)) == degree
+        assert (degree <= cli.MAX_DEGREE) == allowed
+
+
+# Every subcommand, a negative rational, eval --star then eval without it
+# (a leaked default would show), help, and usage errors between good requests.
+MIXED_STREAM = [
+    ["table", "--m", "2", "--r", "1", "--nmax", "6", "--format", "csv"],
+    ["value", "--m", "1", "--r", "2", "--n", "5", "--k", "2", "--q-eval", "-3/5"],
+    ["eval", "--m", "1", "--r", "1", "--n", "4", "--k", "2", "--q", "-3/5", "--star"],
+    ["eval", "--m", "1", "--r", "1", "--n", "4", "--k", "2", "--q", "-3/5"],
+    ["eval", "--m", "1", "--r", "1", "--n", "4", "--k", "2", "--q", "1/0"],
+    ["star", "--m", "2", "--r", "2", "--n", "5", "--k", "3"],
+    ["bogus", "--m", "1"],
+    ["dowling", "--m", "3", "--r", "0", "--n", "6", "--q-eval=-3/5"],
+    ["table", "--m", "1", "--r", "0", "--nmax", "4", "--q-eval", "2"],
+    ["hankel", "--m", "1", "--r", "1", "--s", "1", "--n", "2"],
+    ["eval", "--help"],
+    ["hankel", "--m", "2", "--r", "0", "--s", "0", "--n", "2", "--q-eval", "-3/5"],
+    ["value", "--m", "1", "--r", "1", "--n", "3000", "--k", "1"],
+    ["verify", "--suite", "recurrences", "--grid", None],
+    ["eval", "--m", "1", "--r", "1", "--n", "4", "--k", "2", "--q", "3/5"],
+]
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for n in range(10):
+                assert run(["value", "--m", "1", "--r", "1", "--n", str(n),
+                            "--k", "0"])[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_reuse_is_invisible(self, monkeypatch, capsys, small_grid):
+        stream = [[small_grid if a is None else a for a in argv]
+                  for argv in MIXED_STREAM]
+
+        def results():
+            out = []
+            for argv in stream:
+                rc, text = run(argv)
+                captured = capsys.readouterr()
+                out.append((argv, rc, text, captured.out, captured.err))
+            return out
+
+        cli._parser.cache_clear()
+        shared = results()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = results()
+        assert shared == fresh
+        assert {argv[0] for argv, *_ in shared} >= {
+            "table", "value", "star", "dowling", "eval", "hankel", "verify"}
+        assert [rc for _, rc, *_ in shared] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0,
+                                                0, 0, 2, 0, 0]

@@ -1,4 +1,5 @@
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 from math import comb
 
@@ -11,7 +12,8 @@ from qwhitney import (LaurentPoly, PolyFraction, PowerSeries,
                       horizontal_gf_check, q_exponential, q_factorial, q_int,
                       rational_gf, series_inverse, w)
 from qwhitney.qcore import ONE, ZERO
-from qwhitney.series import PF_ONE, PF_ZERO, geometric, horizontal_row
+from qwhitney.series import (PF_ONE, PF_ZERO, geometric, horizontal_falling,
+                             horizontal_row)
 
 P11 = WhitneyParams(1, 1)
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
@@ -151,6 +153,45 @@ class TestHorizontalGF:
                 assert horizontal_gf_check(P11, 4, t, qv, row)
                 assert not horizontal_gf_check(P11, 4, t, qv,
                                                [x + 1 for x in row])
+
+    def test_falling_factors(self):
+        p = WhitneyParams(2, 1)
+        for qv in (Fraction(2), Fraction(-3, 5)):
+            for t in (-3, 0, 7):
+                falling = horizontal_falling(p, t, qv, 5)
+                assert len(falling) == 6 and falling[0] == 1
+                for k in range(1, 6):
+                    assert falling[k] == falling[k - 1] * q_int(t - 1 - 2 * (k - 1)).eval(qv)
+
+    def test_given_falling_matches_computed_falling(self):
+        for p in (P11, WhitneyParams(2, 1), WhitneyParams(3, 0)):
+            for qv in (Fraction(2), Fraction(-3, 5)):
+                for t in (-3, 0, 7):
+                    falling = horizontal_falling(p, t, qv, 6)
+                    for n in range(7):
+                        row = horizontal_row(p, n, qv)
+                        bad = [x + 1 for x in row]
+                        assert horizontal_gf_check(p, n, t, qv, row, falling)
+                        assert horizontal_gf_check(p, n, t, qv, None, falling)
+                        assert (horizontal_gf_check(p, n, t, qv, bad, falling)
+                                == horizontal_gf_check(p, n, t, qv, bad))
+                    assert not horizontal_gf_check(p, 6, t, qv, None,
+                                                   [f + 1 for f in falling])
+
+    def test_suite_verdicts_match_unshared_checks(self):
+        grid = {"m": [1], "r": [1], "nmax_genfun": 0, "nmax_egf": 0,
+                "kmax_genfun": 0, "nmax_horizontal": 3, "t": [-1, 2, 5],
+                "qvals": ["2", "-1/3"]}
+        for perturbed in (False, True):
+            with whitney.perturb_recurrence() if perturbed else nullcontext():
+                res = verify.suite_genfun(grid)
+                expected = [(n, t, q) for n in range(4) for t in grid["t"]
+                            for q in grid["qvals"]
+                            if not horizontal_gf_check(P11, n, t, Fraction(q))]
+            got = [(f.params["n"], f.params["t"], f.params["q"])
+                   for f in res.failures if f.identity == "horizontal_gf"]
+            assert got == expected
+            assert bool(expected) == perturbed
 
     def test_suite_cells_fail_under_perturbed_recurrence(self):
         grid = {"m": [1], "r": [1], "nmax_genfun": 0, "nmax_egf": 0,
