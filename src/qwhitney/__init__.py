@@ -6,22 +6,18 @@ functions, symmetric functions, tableau enumeration), and the Hankel
 transform of the normalized values.
 """
 
-from .qcore import (LaurentPoly, PolyFraction, DenominatorVanishes,
-                    DivisionByZero, EvalAtZero, NonExactDivision, eval_q,
-                    gauss_product_check, laurent_exact_div, q_binomial,
+from .qcore import (LaurentPoly, DivisionByZero, EvalAtZero, NonExactDivision,
+                    eval_q, gauss_product_check, laurent_exact_div, q_binomial,
                     q_binomial_inverse, q_binomial_transform, q_factorial,
-                    q_falling, q_int)
+                    q_int)
 from .whitney import (InternalNonLaurent, WhitneyParams, WhitneyTable,
                       classical_w, r_dowling, w, w_horizontal, w_star,
                       w_table, w_vertical)
 from .qcalculus import (QPowerFunction, newton_coefficients, q_diff_explicit,
                         q_diff_recursive, whitney_explicit)
-from .series import (NonInvertibleConstantTerm, PowerSeries, egf,
-                     horizontal_gf_check, q_exponential, rational_gf,
-                     series_inverse)
-from .symm import (ATableau, EnumerationTooLarge, convolution_first,
-                   convolution_second, h_complete, shifted_w_star,
-                   tableau_sum, w_star_symmetric)
+from .series import egf, horizontal_gf_check, rational_gf
+from .symm import (EnumerationTooLarge, convolution_first, convolution_second,
+                   h_complete, tableau_sum, w_star_symmetric)
 from .hankel import (ExactMatrix, HankelSpec, classical_hankel_check,
                      det_cofactor, det_exact, hankel_closed_form,
                      hankel_matrix, hankel_transform_check, lu_check)

@@ -10,13 +10,15 @@ failure, 2 usage error.
 
 ``main(argv, out=...)`` may be called many times in one process: the
 argparse parser is built on the first call and reused, since a parse keeps
-no state in it.  A request whose polynomials could reach a degree above
+no state in it.  Everything but error messages, ``--help`` text included,
+goes to ``out``.  A request whose polynomials could reach a degree above
 ``MAX_DEGREE`` is refused with exit 2 before any ring work.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -249,8 +251,10 @@ def _max_degree(args) -> int:
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = _parser().parse_args(
-            _bind_negative_q(sys.argv[1:] if argv is None else argv))
+        # argparse prints --help itself, to sys.stdout
+        with contextlib.redirect_stdout(out):
+            args = _parser().parse_args(
+                _bind_negative_q(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

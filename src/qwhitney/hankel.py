@@ -2,14 +2,17 @@
 LU-factorization / Hankel-transform identities.
 
 The determinant det(W*[s+i+j, s+j])_{0<=i,j<=n} factors as
-prod_{k=0}^{n} [m(s+k)+r]_q^k; the fraction-free elimination keeps every
-interior division exact, and a cofactor expansion doubles as the oracle.
+prod_{k=0}^{n} [m(s+k)+r]_q^k.  One fraction-free elimination,
+``bareiss_det``, computes both this determinant over the Laurent ring and
+its q=1 corollary over the ints; it keeps every interior division exact.
+``det_cofactor`` is the test oracle and is not called by the library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv
 
 from .qcore import LaurentPoly, ONE, ZERO, laurent_exact_div, q_int
 from .whitney import WhitneyParams, w_star
@@ -75,26 +78,39 @@ def det_cofactor(mat: ExactMatrix) -> LaurentPoly:
     return rec(rows)
 
 
-def det_exact(mat: ExactMatrix) -> LaurentPoly:
-    """Determinant via fraction-free (Bareiss) elimination in the Laurent ring.
+def bareiss_det(rows, exact_div):
+    """Determinant of a square matrix over an integral domain by
+    fraction-free (Bareiss) elimination.
 
-    No row exchanges: a zero pivot falls back to the cofactor expansion, since
-    the Hankel matrices of interest have nonvanishing leading minors.
+    ``exact_div(a, b)`` divides exactly: ``//`` for ints,
+    ``laurent_exact_div`` for Laurent polynomials.  A zero pivot is
+    replaced by swapping in a later row with a nonzero entry in its column
+    (flipping the sign); when the whole column is zero the determinant is
+    zero.
     """
-    n = mat.order
-    if n == 1:
-        return mat[0, 0]
-    a = [list(row) for row in mat.entries]
-    prev = ONE
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, None
     for p in range(n - 1):
-        if a[p][p].is_zero():
-            return det_cofactor(mat)
+        if not a[p][p]:
+            i = next((i for i in range(p + 1, n) if a[i][p]), None)
+            if i is None:
+                return a[p][p]  # the ring's zero
+            a[p], a[i] = a[i], a[p]
+            sign = -sign
+        pivot = a[p][p]
         for i in range(p + 1, n):
             for j in range(p + 1, n):
-                a[i][j] = laurent_exact_div(
-                    a[i][j] * a[p][p] - a[i][p] * a[p][j], prev)
-        prev = a[p][p]
-    return a[n - 1][n - 1]
+                x = a[i][j] * pivot - a[i][p] * a[p][j]
+                a[i][j] = x if prev is None else exact_div(x, prev)
+        prev = pivot
+    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+
+def det_exact(mat: ExactMatrix) -> LaurentPoly:
+    """Determinant via fraction-free (Bareiss) elimination in the Laurent
+    ring."""
+    return bareiss_det(mat.entries, laurent_exact_div)
 
 
 def hankel_closed_form(spec: HankelSpec) -> LaurentPoly:
@@ -163,31 +179,6 @@ def lu_check(spec: HankelSpec, mat: ExactMatrix = None,
     return det == diag
 
 
-def _int_det(rows) -> int:
-    """Bareiss determinant over the integers (classical q=1 matrices)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    prev = 1
-    for p in range(n - 1):
-        if a[p][p] == 0:
-            # single row swap with sign flip; repeated zeros mean det 0 blocks
-            for i in range(p + 1, n):
-                if a[i][p] != 0:
-                    a[p], a[i] = a[i], a[p]
-                    for j in range(n):
-                        a[p][j] = -a[p][j]
-                    break
-            else:
-                return 0
-        for i in range(p + 1, n):
-            for j in range(p + 1, n):
-                a[i][j] = (a[i][j] * a[p][p] - a[i][p] * a[p][j]) // prev
-        prev = a[p][p]
-    return a[n - 1][n - 1]
-
-
 def classical_hankel_check(m: int, r: int, s: int, n: int) -> bool:
     """q=1 corollary: det(W_{m,r}(s+i+j, s+j)) = prod_k (m(s+k)+r)^k."""
     params = WhitneyParams(m, r)
@@ -196,4 +187,4 @@ def classical_hankel_check(m: int, r: int, s: int, n: int) -> bool:
     expected = 1
     for k in range(n + 1):
         expected *= (m * (s + k) + r) ** k
-    return _int_det(rows) == expected
+    return bareiss_det(rows, floordiv) == expected

@@ -3,6 +3,13 @@
 The operator of order k with step h and base q^b is the product
 prod_{j=0}^{k-1} (E_h - q^(bj)), E_h the shift f(x) -> f(x+h).  Applied to
 f(x) = [x+c]_q^n at integer x everything stays inside the Laurent ring.
+
+The operator is computed two ways.  q_diff_recursive applies the factors
+one at a time to the values f(x), f(x+h), ..., f(x+kh); q_diff_explicit
+expands the product into the alternating q-binomial sum.  The explicit
+formula for W (and the numerators of the EGF in ``series``) takes the
+alternating sum and the Newton coefficients take the operator product, so
+a fault in one form cannot hide in both routes.
 """
 
 from __future__ import annotations
@@ -34,16 +41,18 @@ def q_diff_recursive(f: QPowerFunction, qbase_exp: int, h: int, k: int,
                      x: int) -> LaurentPoly:
     """Order-k q-difference of f at x via the operator product itself.
 
-    Peels one factor per recursion level:
-    D^k f(x) = D^(k-1) f(x+h) - q^(b(k-1)) D^(k-1) f(x); D^0 is the identity.
+    Starts from the values f(x), f(x+h), ..., f(x+kh) and applies one factor
+    (E_h - q^(bj)) per j = 0..k-1 (the factors commute), each pass turning
+    the list g into g(x+h) - q^(bj) g(x) one entry shorter: O(k^2)
+    subtractions and k+1 evaluations of f.
     """
     if k < 0:
         raise ValueError("operator order must be >= 0")
-    if k == 0:
-        return f.evaluate(x)
-    upper = q_diff_recursive(f, qbase_exp, h, k - 1, x + h)
-    lower = q_diff_recursive(f, qbase_exp, h, k - 1, x)
-    return upper - lower.shift(qbase_exp * (k - 1))
+    vals = [f.evaluate(x + i * h) for i in range(k + 1)]
+    for j in range(k):
+        vals = [upper - lower.shift(qbase_exp * j)
+                for lower, upper in zip(vals, vals[1:])]
+    return vals[0]
 
 
 def q_diff_explicit(f: QPowerFunction, qbase_exp: int, h: int, k: int,
@@ -62,43 +71,46 @@ def q_diff_explicit(f: QPowerFunction, qbase_exp: int, h: int, k: int,
     return acc
 
 
-def _normalizer(params: WhitneyParams, k: int) -> LaurentPoly:
+def normalizer(params: WhitneyParams, k: int) -> LaurentPoly:
     """[k]_{q^m}! * [m]_q^k, the exact divisor of the k-th difference."""
     return q_factorial_base(k, params.m) * q_int(params.m) ** k
+
+
+def whitney_numerator(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
+    """The alternating sum
+
+        sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} [jm+r]_q^n,
+
+    which is q_diff_explicit of [x+r]_q^n at x = 0 with step and base m."""
+    return q_diff_explicit(QPowerFunction(params.r, n), params.m, params.m,
+                           k, 0)
 
 
 def whitney_explicit(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
     """W_{m,r}[n,k]_q from the explicit formula
 
-        (1/([k]_{q^m}! [m]_q^k)) sum_j (-1)^(k-j) q^(m C(k-j,2))
-                                        [k j]_{q^m} [jm+r]_q^n.
+        whitney_numerator(params, n, k) / ([k]_{q^m}! [m]_q^k).
 
     The division is exact; a NonExactDivision here is a bug, not bad input.
     """
     if not 0 <= k <= n:
         raise ValueError("whitney_explicit requires 0 <= k <= n")
-    m, r = params.m, params.r
-    acc = ZERO
-    for j in range(k + 1):
-        sign = -1 if (k - j) % 2 else 1
-        term = q_binomial(k, j, m).shift(m * comb(k - j, 2))
-        acc = acc + term * q_int(j * m + r) ** n * sign
-    return laurent_exact_div(acc, _normalizer(params, k))
+    return laurent_exact_div(whitney_numerator(params, n, k),
+                             normalizer(params, k))
 
 
 def newton_coefficients(params: WhitneyParams, n: int, kmax: int = None) -> list:
     """Interpolation coefficients of f_q(x) = [x+r]_q^n on nodes 0, m, 2m, ...
 
     The k-th coefficient is D^k_{q^m,m} f_q(0) / ([k]_{q^m}! [m]_q^k) and
-    equals W_{m,r}[n,k]_q; this route goes through q_diff_explicit.
+    equals W_{m,r}[n,k]_q; this route goes through the operator product
+    q_diff_recursive, not the alternating sum of whitney_explicit.
     """
     if kmax is None:
         kmax = n
     if kmax > n:
         raise ValueError("kmax must be <= n")
     f = QPowerFunction(params.r, n)
-    out = []
-    for k in range(kmax + 1):
-        diff = q_diff_explicit(f, params.m, params.m, k, 0)
-        out.append(laurent_exact_div(diff, _normalizer(params, k)))
-    return out
+    return [laurent_exact_div(q_diff_recursive(f, params.m, params.m, k, 0),
+                              normalizer(params, k))
+            for k in range(kmax + 1)]

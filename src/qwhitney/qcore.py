@@ -1,10 +1,10 @@
 """Exact arithmetic foundation: Laurent polynomials in q, q-integers,
 q-factorials, Gaussian binomials, and q-binomial inversion.
 
-Every value in the library is either a :class:`LaurentPoly`, a
-:class:`PolyFraction` (an unreduced quotient of two Laurent polynomials),
-or an exact rational (``fractions.Fraction``).  Nothing here ever touches
-floating point.
+Every value in the library is either a :class:`LaurentPoly` or an exact
+rational (``fractions.Fraction``); a quotient that must be exact goes
+through :func:`laurent_exact_div`.  Nothing here ever touches floating
+point.
 
 A LaurentPoly is dense: an exponent offset plus a tuple of int coefficients.
 Its product is a sliding-window sum when one factor is a q-integer (or any
@@ -33,10 +33,6 @@ class DivisionByZero(ZeroDivisionError):
 
 class EvalAtZero(ValueError):
     """Evaluation at q=0 is not defined for Laurent polynomials."""
-
-
-class DenominatorVanishes(ZeroDivisionError):
-    """A PolyFraction denominator evaluated to zero."""
 
 
 class LaurentPoly:
@@ -356,96 +352,6 @@ ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
 
 
-class PolyFraction:
-    """Unreduced quotient num/den of Laurent polynomials.
-
-    Never reduced to lowest terms; equality is cross-multiplication
-    (a/b == c/d  iff  a*d == c*b).  The denominator is never zero.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = None):
-        if isinstance(num, int):
-            num = LaurentPoly.const(num)
-        if den is None:
-            den = ONE
-        elif isinstance(den, int):
-            den = LaurentPoly.const(den)
-        if den.is_zero():
-            raise DivisionByZero("PolyFraction denominator is zero")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PolyFraction is immutable")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        other = _as_fraction(other)
-        if other is None:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("PolyFraction is unhashable (equality is not structural)")
-
-    def __neg__(self) -> "PolyFraction":
-        return PolyFraction(-self.num, self.den)
-
-    def __add__(self, other) -> "PolyFraction":
-        other = _as_fraction(other)
-        if other is None:
-            return NotImplemented
-        return PolyFraction(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "PolyFraction":
-        other = _as_fraction(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "PolyFraction":
-        other = _as_fraction(other)
-        if other is None:
-            return NotImplemented
-        return PolyFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "PolyFraction":
-        if self.num.is_zero():
-            raise DivisionByZero("reciprocal of zero")
-        return PolyFraction(self.den, self.num)
-
-    def as_laurent(self) -> LaurentPoly:
-        """Collapse to a Laurent polynomial; raises NonExactDivision if the
-        denominator does not divide the numerator exactly."""
-        return laurent_exact_div(self.num, self.den)
-
-    def eval(self, a: Fraction) -> Fraction:
-        d = self.den.eval(a)
-        if d == 0:
-            raise DenominatorVanishes(f"denominator vanishes at q={a}")
-        return self.num.eval(a) / d
-
-    def __repr__(self) -> str:
-        return f"PolyFraction({self.num!r}, {self.den!r})"
-
-
-def _as_fraction(x):
-    if isinstance(x, PolyFraction):
-        return x
-    if isinstance(x, (LaurentPoly, int)):
-        return PolyFraction(x)
-    return None
-
-
 def q_int(n: int) -> LaurentPoly:
     """The q-integer [n]_q = (1-q^n)/(1-q) as a Laurent polynomial.
 
@@ -516,24 +422,10 @@ def q_binomial(n: int, k: int, base_exponent: int = 1) -> LaurentPoly:
     return laurent_exact_div(num, den).stretch(base_exponent)
 
 
-def q_falling(t: int, r: int, m: int, k: int) -> PolyFraction:
-    """The generalized falling factor [t-r|m]_{k,q} = prod_{i<k} [t-r-im]_q.
-
-    Arguments t-r-im may be negative; the result is a PolyFraction with
-    denominator 1 so it composes with series code.
-    """
-    out = ONE
-    for i in range(k):
-        out = out * q_int(t - r - i * m)
-        if out.is_zero():
-            break
-    return PolyFraction(out)
-
-
 def eval_q(p, a) -> Fraction:
-    """Exact evaluation of a LaurentPoly or PolyFraction at rational q=a."""
+    """Exact evaluation of a LaurentPoly at rational q=a."""
     a = Fraction(a)
-    if isinstance(p, (LaurentPoly, PolyFraction)):
+    if isinstance(p, LaurentPoly):
         return p.eval(a)
     raise TypeError(f"cannot evaluate {type(p).__name__}")
 

@@ -1,166 +1,67 @@
-"""Truncated formal power series in z with PolyFraction coefficients.
+"""Column generating functions as truncated power series in z, and the
+horizontal generating function checked at exact rational q.
 
 The paper-facing generating functions are written in powers of [t]_q; here
 that quantity is treated as the formal variable z, so every identity becomes
-a statement about truncated series coefficients.
+a statement about truncated series coefficients.  A series truncated at
+order N is the tuple of its N+1 coefficients, each a LaurentPoly: the
+column generating function needs no denominators, and the EGF is given by
+its numerators over a known common denominator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .qcore import (LaurentPoly, ONE, PolyFraction, ZERO, eval_q, q_binomial,
-                    q_factorial, q_factorial_base, q_int)
+from .qcalculus import whitney_numerator
+from .qcore import LaurentPoly, ONE, ZERO, eval_q, q_int
 from .whitney import WhitneyParams, w
 
-PF_ZERO = PolyFraction(ZERO)
-PF_ONE = PolyFraction(ONE)
+
+def _series_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two series truncated at the same order."""
+    return tuple(sum((a[i] * b[n - i] for i in range(n + 1)), ZERO)
+                 for n in range(len(a)))
 
 
-class NonInvertibleConstantTerm(ArithmeticError):
-    """Series inversion needs a nonzero constant coefficient."""
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Coefficients 0..order of a truncated series in z."""
-
-    order: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient count must be order+1")
-
-    @classmethod
-    def constant(cls, c: PolyFraction, order: int) -> "PowerSeries":
-        return cls(order, (c,) + (PF_ZERO,) * order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls.constant(PF_ONE, order)
-
-    def __getitem__(self, n: int) -> PolyFraction:
-        return self.coeffs[n]
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        return PowerSeries(order, tuple(self.coeffs[n] + other.coeffs[n]
-                                        for n in range(order + 1)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        return PowerSeries(order, tuple(self.coeffs[n] - other.coeffs[n]
-                                        for n in range(order + 1)))
-
-    def __mul__(self, other) -> "PowerSeries":
-        if isinstance(other, (PolyFraction, LaurentPoly, int)):
-            if not isinstance(other, PolyFraction):
-                other = PolyFraction(other)
-            return PowerSeries(self.order,
-                               tuple(c * other for c in self.coeffs))
-        order = min(self.order, other.order)
-        out = []
-        for n in range(order + 1):
-            acc = PF_ZERO
-            for i in range(n + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[n - i]
-            out.append(acc)
-        return PowerSeries(order, tuple(out))
-
-    __rmul__ = __mul__
-
-    def shift_z(self, k: int) -> "PowerSeries":
-        """Multiply by z^k (k >= 0), truncating at the same order."""
-        if k < 0:
-            raise ValueError("negative z-shift")
-        return PowerSeries(self.order,
-                           (PF_ZERO,) * min(k, self.order + 1)
-                           + self.coeffs[: self.order + 1 - k])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return (self.order == other.order
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
-
-
-def series_inverse(s: PowerSeries) -> PowerSeries:
-    """Multiplicative inverse up to the truncation order."""
-    a0 = s.coeffs[0]
-    if a0.is_zero():
-        raise NonInvertibleConstantTerm("constant coefficient is zero")
-    b0 = a0.reciprocal()
-    out = [b0]
-    for n in range(1, s.order + 1):
-        acc = PF_ZERO
-        for i in range(1, n + 1):
-            acc = acc + s.coeffs[i] * out[n - i]
-        out.append(-(b0 * acc))
-    return PowerSeries(s.order, tuple(out))
-
-
-def geometric(a: LaurentPoly, order: int) -> PowerSeries:
+def geometric(a: LaurentPoly, order: int) -> tuple:
     """1/(1 - a z) = sum_n a^n z^n."""
-    coeffs = [PF_ONE]
-    power = ONE
+    coeffs = [ONE]
     for _ in range(order):
-        power = power * a
-        coeffs.append(PolyFraction(power))
-    return PowerSeries(order, tuple(coeffs))
+        coeffs.append(coeffs[-1] * a)
+    return tuple(coeffs)
 
 
-def rational_gf(params: WhitneyParams, k: int, N: int) -> PowerSeries:
+def rational_gf(params: WhitneyParams, k: int, N: int) -> tuple:
     """The column generating function
 
         q^(m C(k,2) + kr) z^k / prod_{j=0}^{k} (1 - [mj+r]_q z),
 
-    whose z^n coefficient is W_{m,r}[n,k]_q.
+    whose z^n coefficient is W_{m,r}[n,k]_q, for n = 0..N.
     """
     if k > N:
         raise ValueError("k must be <= truncation order")
     m, r = params.m, params.r
-    s = PowerSeries.one(N)
+    s = (ONE,) + (ZERO,) * N
     for j in range(k + 1):
-        s = s * geometric(q_int(m * j + r), N)
+        s = _series_mul(s, geometric(q_int(m * j + r), N))
     prefactor = LaurentPoly.monomial(m * comb(k, 2) + k * r)
-    return (s * prefactor).shift_z(k)
+    return (ZERO,) * k + tuple(c * prefactor for c in s[:N + 1 - k])
 
 
-def q_exponential(a: LaurentPoly, N: int) -> PowerSeries:
-    """e_q(a z) = sum_n a^n z^n / [n]_q!."""
-    coeffs = []
-    power = ONE
-    for n in range(N + 1):
-        coeffs.append(PolyFraction(power, q_factorial(n)))
-        power = power * a
-    return PowerSeries(N, tuple(coeffs))
+def egf(params: WhitneyParams, k: int, N: int) -> tuple:
+    """Numerators N_0..N_N of the column EGF
 
+        sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} e_q([jm+r]_q z)
+        / ([k]_{q^m}! [m]_q^k),   e_q(a z) = sum_n a^n z^n / [n]_q!.
 
-def egf(params: WhitneyParams, k: int, N: int) -> PowerSeries:
-    """Column EGF: z^n coefficient equals W_{m,r}[n,k]_q / [n]_q!.
-
-    Built from the alternating combination of q-exponentials; the shared
-    [n]_q! denominators are summed as numerators to keep fractions small.
+    Its z^n coefficient is N_n / ([n]_q! [k]_{q^m}! [m]_q^k), which equals
+    W_{m,r}[n,k]_q / [n]_q!; N_n is qcalculus.whitney_numerator(params, n, k).
     """
     if k > N:
         raise ValueError("k must be <= truncation order")
-    m, r = params.m, params.r
-    norm = q_factorial_base(k, m) * q_int(m) ** k
-    weights = []
-    for j in range(k + 1):
-        sign = -1 if (k - j) % 2 else 1
-        weights.append((q_binomial(k, j, m).shift(m * comb(k - j, 2)) * sign,
-                        q_int(j * m + r)))
-    coeffs = []
-    for n in range(N + 1):
-        num = ZERO
-        for c, a in weights:
-            num = num + c * a ** n
-        coeffs.append(PolyFraction(num, q_factorial(n) * norm))
-    return PowerSeries(N, tuple(coeffs))
+    return tuple(whitney_numerator(params, n, k) for n in range(N + 1))
 
 
 def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> list:

@@ -9,7 +9,6 @@ exact polynomial equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -24,23 +23,10 @@ class EnumerationTooLarge(ValueError):
 DEFAULT_ENUMERATION_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
-class ATableau:
-    """Weakly increasing column lengths drawn from {0, ..., k}."""
-
-    column_lengths: tuple
-
-    def __post_init__(self):
-        if any(b < a for a, b in zip(self.column_lengths, self.column_lengths[1:])):
-            raise ValueError("column lengths must be weakly increasing")
-        if self.column_lengths and self.column_lengths[0] < 0:
-            raise ValueError("column lengths must be nonnegative")
-
-
 def a_tableaux(k: int, length: int):
-    """All tableaux with `length` columns of lengths in {0..k}."""
-    for lens in combinations_with_replacement(range(k + 1), length):
-        yield ATableau(lens)
+    """All tableaux with `length` columns of lengths in {0..k}, each given
+    by its weakly increasing tuple of column lengths."""
+    return combinations_with_replacement(range(k + 1), length)
 
 
 def h_complete(values, d: int) -> LaurentPoly:
@@ -86,19 +72,10 @@ def tableau_sum(params: WhitneyParams, n: int, k: int,
     acc = ZERO
     for phi in a_tableaux(k, n - k):
         prod = ONE
-        for c in phi.column_lengths:
+        for c in phi:
             prod = prod * weights[c]
         acc = acc + prod
     return acc
-
-
-def shifted_w_star(params: WhitneyParams, shift_k: int, s: int, t: int) -> LaurentPoly:
-    """W*_{m,r+m*shift_k}[s, t-shift_k]_q, the parameter-shifted value that
-    equals h_{s-t+shift_k} over the values indexed shift_k..t."""
-    if shift_k < 0 or t < shift_k:
-        raise ValueError("requires 0 <= shift_k <= t")
-    shifted = WhitneyParams(params.m, params.r + params.m * shift_k)
-    return w_star(shifted, s, t - shift_k)
 
 
 def convolution_first(params: WhitneyParams, n: int, l: int, j: int) -> bool:

@@ -149,6 +149,15 @@ class TestHankelCommand:
         assert json.loads(out)["determinant"] == "4"
 
 
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+    def test_help_goes_to_out(self, capsys, argv):
+        rc, out = run(argv)
+        assert rc == 0
+        assert out.startswith("usage:")
+        assert capsys.readouterr().out == ""
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, small_grid):
         rc, out = run(["verify", "--suite", "hankel", "--grid", small_grid])

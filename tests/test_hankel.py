@@ -1,4 +1,5 @@
 import random
+from operator import floordiv
 
 import pytest
 
@@ -7,7 +8,8 @@ from qwhitney import (ExactMatrix, HankelSpec, LaurentPoly, WhitneyParams,
                       classical_hankel_check, det_cofactor, det_exact,
                       hankel_closed_form, hankel_matrix,
                       hankel_transform_check, lu_check, q_int, w_star)
-from qwhitney.hankel import _int_det, lu_factors, matmul
+from qwhitney import hankel
+from qwhitney.hankel import bareiss_det, lu_factors, matmul
 from qwhitney.qcore import ONE, ZERO
 
 P11 = WhitneyParams(1, 1)
@@ -65,6 +67,39 @@ class TestDeterminant:
         mat = ExactMatrix(((ZERO, ONE), (ONE, ZERO)))
         assert det_exact(mat) == -ONE
 
+    def test_zero_pivots_need_no_cofactor(self, monkeypatch):
+        rng = random.Random(5)
+
+        def entry():
+            return random_laurent(rng, 3, (-1, 2), (-4, 4)) + ONE
+
+        rows = [[entry() for _ in range(4)] for _ in range(4)]
+        rows[0][0] = ZERO
+        lead_zero = ExactMatrix(tuple(map(tuple, rows)))
+        # rows 0 and 1 agree up to q in columns 0 and 1, so the second
+        # pivot vanishes after the first elimination step
+        rows = [[entry() for _ in range(4)] for _ in range(4)]
+        rows[1][:2] = [x.shift(1) for x in rows[0][:2]]
+        mid_zero = ExactMatrix(tuple(map(tuple, rows)))
+        singular = ExactMatrix(((ONE, ZERO, q_int(2)),
+                                (q_int(3), ZERO, ONE),
+                                (LaurentPoly({-1: 2}), ZERO, q_int(-2))))
+        mats = (lead_zero, mid_zero, singular)
+        expected = [det_cofactor(mat) for mat in mats]
+        assert expected[2] == ZERO
+        assert not any(x.is_zero() for x in expected[:2])
+
+        def refuse(mat):
+            raise AssertionError("det_exact fell back to det_cofactor")
+
+        monkeypatch.setattr(hankel, "det_cofactor", refuse)
+        assert [det_exact(mat) for mat in mats] == expected
+
+    def test_int_zero_pivots(self):
+        rows = [[0, 2, 1], [0, 0, 3], [4, 1, 1]]  # both pivots need a swap
+        assert bareiss_det(rows, floordiv) == 24
+        assert bareiss_det([[1, 0, 2], [3, 0, 1], [5, 0, 7]], floordiv) == 0
+
     def test_bareiss_matches_cofactor_on_grid(self):
         for p in PARAM_GRID[:4]:
             for s in range(3):
@@ -121,12 +156,12 @@ class TestClassical:
         # det [[S(1,1),S(2,2)],[S(2,1),S(3,2)]] = 2
         rows = [[stirling2_enum(1, 1), stirling2_enum(2, 2)],
                 [stirling2_enum(2, 1), stirling2_enum(3, 2)]]
-        assert _int_det(rows) == 2
+        assert bareiss_det(rows, floordiv) == 2
         assert classical_hankel_check(1, 0, 1, 1)
 
     def test_stirling_triangle_det(self):
         rows = [[1, 1, 1], [0, 1, 3], [0, 1, 7]]
-        assert _int_det(rows) == 4
+        assert bareiss_det(rows, floordiv) == 4
         assert classical_hankel_check(1, 0, 0, 2)
 
     def test_hand_value(self):

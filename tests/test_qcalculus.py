@@ -7,6 +7,7 @@ from conftest import classical_whitney_recurrence
 from qwhitney import (LaurentPoly, QPowerFunction, WhitneyParams,
                       newton_coefficients, q_diff_explicit, q_diff_recursive,
                       q_int, w, whitney_explicit)
+from qwhitney import qcalculus, verify
 from qwhitney.qcore import ONE, ZERO
 
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
@@ -110,3 +111,15 @@ class TestNewtonCoefficients:
         assert newton_coefficients(p, 4, kmax=2) == [w(p, 4, k) for k in range(3)]
         with pytest.raises(ValueError):
             newton_coefficients(p, 2, kmax=3)
+
+
+class TestRouteIndependence:
+    def test_newton_cell_survives_a_broken_alternating_sum(self, monkeypatch):
+        explicit = qcalculus.q_diff_explicit
+        monkeypatch.setattr(qcalculus, "q_diff_explicit",
+                            lambda *args: -explicit(*args))
+        # r >= 1 keeps every W[n,k] nonzero, so a flipped sign always shows
+        res = verify.suite_explicit({"m": [1, 2], "r": [1, 2], "nmax": 4})
+        cells = 4 * sum(n + 1 for n in range(5))
+        assert res.cells == 2 * cells
+        assert [f.identity for f in res.failures] == ["explicit"] * cells

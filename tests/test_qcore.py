@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_laurent
-from qwhitney import (LaurentPoly, PolyFraction, DivisionByZero, EvalAtZero,
+from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
                       NonExactDivision, eval_q, gauss_product_check,
                       laurent_exact_div, q_binomial, q_binomial_inverse,
-                      q_binomial_transform, q_factorial, q_falling, q_int)
+                      q_binomial_transform, q_factorial, q_int)
 from qwhitney.qcore import ONE, ZERO
 
 laurent_strategy = st.dictionaries(
@@ -136,17 +136,6 @@ class TestQBinomial:
                 assert lhs == rhs
 
 
-class TestQFalling:
-    def test_empty_product(self):
-        assert q_falling(3, 1, 1, 0) == PolyFraction(ONE)
-
-    def test_two_factors(self):
-        assert q_falling(3, 1, 1, 2) == PolyFraction(LaurentPoly({0: 1, 1: 1}))
-
-    def test_zero_factor(self):
-        assert q_falling(1, 1, 1, 2).is_zero()
-
-
 class TestExactDivision:
     def test_perfect_square(self):
         p = ONE + LaurentPoly.monomial(1)
@@ -186,25 +175,6 @@ class TestEval:
     def test_negative_exponent(self):
         p = LaurentPoly({0: 1, -1: 1})
         assert eval_q(p, Fraction(1, 2)) == 3
-
-    def test_poly_fraction(self):
-        f = PolyFraction(q_int(2), q_int(3))
-        assert eval_q(f, 2) == Fraction(3, 7)
-
-
-class TestPolyFraction:
-    def test_cross_multiplication_equality(self):
-        two_q = q_int(2)
-        assert PolyFraction(two_q * q_int(3), q_int(3)) == PolyFraction(two_q)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(DivisionByZero):
-            PolyFraction(ONE, ZERO)
-
-    def test_arithmetic(self):
-        half = PolyFraction(ONE, q_int(2))
-        assert half + half == PolyFraction(ONE + ONE, q_int(2))
-        assert half * q_int(2) == PolyFraction(ONE)
 
 
 class TestQBinomialInversion:

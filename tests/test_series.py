@@ -3,25 +3,22 @@ from contextlib import nullcontext
 from fractions import Fraction
 from math import comb
 
-import pytest
-
 from conftest import classical_egf_coeffs, random_laurent
 from qwhitney import verify, whitney
-from qwhitney import (LaurentPoly, PolyFraction, PowerSeries,
-                      NonInvertibleConstantTerm, WhitneyParams, egf,
-                      horizontal_gf_check, q_exponential, q_factorial, q_int,
-                      rational_gf, series_inverse, w)
+from qwhitney import (LaurentPoly, WhitneyParams, egf, horizontal_gf_check,
+                      q_factorial, q_int, rational_gf, w)
+from qwhitney.qcalculus import normalizer
 from qwhitney.qcore import ONE, ZERO
-from qwhitney.series import (PF_ONE, PF_ZERO, geometric, horizontal_falling,
+from qwhitney.series import (_series_mul, geometric, horizontal_falling,
                              horizontal_row)
 
 P11 = WhitneyParams(1, 1)
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
 
 
-def _series_from_laurent(coeffs, order):
+def _series(coeffs, order):
     coeffs = list(coeffs) + [ZERO] * (order + 1 - len(coeffs))
-    return PowerSeries(order, tuple(PolyFraction(c) for c in coeffs[: order + 1]))
+    return tuple(coeffs[: order + 1])
 
 
 class TestPowerSeries:
@@ -29,36 +26,29 @@ class TestPowerSeries:
         rng = random.Random(3)
         for _ in range(10):
             order = 5
-            a = _series_from_laurent([random_laurent(rng, 3, (0, 3)) for _ in range(6)], order)
-            b = _series_from_laurent([random_laurent(rng, 3, (0, 3)) for _ in range(6)], order)
-            c = _series_from_laurent([random_laurent(rng, 3, (0, 3)) for _ in range(6)], order)
-            assert (a * b) * c == a * (b * c)
-
-    def test_shift_z(self):
-        s = _series_from_laurent([ONE, q_int(2)], 3)
-        shifted = s.shift_z(2)
-        assert shifted[0] == PF_ZERO and shifted[2] == PF_ONE
-        assert shifted[3] == PolyFraction(q_int(2))
+            a = _series([random_laurent(rng, 3, (0, 3)) for _ in range(6)], order)
+            b = _series([random_laurent(rng, 3, (0, 3)) for _ in range(6)], order)
+            c = _series([random_laurent(rng, 3, (0, 3)) for _ in range(6)], order)
+            assert _series_mul(_series_mul(a, b), c) == _series_mul(a, _series_mul(b, c))
 
 
 class TestSeriesInverse:
+    """geometric(a) is the series inverse of 1 - a z."""
+
     def test_geometric(self):
         a = q_int(2)
-        inv = series_inverse(_series_from_laurent([ONE, -a], 5))
+        inv = geometric(a, 5)
         for n in range(6):
-            assert inv[n] == PolyFraction(a ** n)
+            assert inv[n] == a ** n
+        assert _series_mul(_series([ONE, -a], 5), inv) == _series([ONE], 5)
 
     def test_constant_one(self):
-        one = PowerSeries.one(4)
-        assert series_inverse(one) == one
+        assert geometric(ZERO, 4) == _series([ONE], 4)
 
     def test_roundtrip(self):
-        s = _series_from_laurent([ONE, -(ONE + ONE + ONE), ONE + ONE], 6)  # (1-z)(1-2z)
-        assert s * series_inverse(s) == PowerSeries.one(6)
-
-    def test_zero_constant_rejected(self):
-        with pytest.raises(NonInvertibleConstantTerm):
-            series_inverse(_series_from_laurent([ZERO, ONE], 3))
+        s = _series([ONE, -(ONE + ONE + ONE), ONE + ONE], 6)  # (1-z)(1-2z)
+        inv = _series_mul(geometric(ONE, 6), geometric(ONE + ONE, 6))
+        assert _series_mul(s, inv) == _series([ONE], 6)
 
 
 class TestRationalGF:
@@ -66,11 +56,11 @@ class TestRationalGF:
         for p in PARAM_GRID:
             s = rational_gf(p, 0, 6)
             for n in range(7):
-                assert s[n] == PolyFraction(q_int(p.r) ** n)
+                assert s[n] == q_int(p.r) ** n
 
     def test_hand_coefficient(self):
         s = rational_gf(P11, 1, 2)
-        assert s[2] == PolyFraction(LaurentPoly({1: 2, 2: 1}))
+        assert s[2] == LaurentPoly({1: 2, 2: 1})
 
     def test_low_coefficients_vanish(self):
         s = rational_gf(WhitneyParams(2, 1), 3, 8)
@@ -82,33 +72,22 @@ class TestRationalGF:
             for k in range(4):
                 s = rational_gf(p, k, 8)
                 for n in range(9):
-                    assert s[n] == PolyFraction(w(p, n, k))
-
-
-class TestQExponential:
-    def test_zero_argument(self):
-        s = q_exponential(ZERO, 4)
-        assert s[0] == PF_ONE and all(s[n].is_zero() for n in range(1, 5))
-
-    def test_unit_argument(self):
-        s = q_exponential(ONE, 3)
-        assert s[2] == PolyFraction(ONE, ONE + LaurentPoly.monomial(1))
-
-    def test_linear_coefficient(self):
-        s = q_exponential(q_int(2), 3)
-        assert s[1] == PolyFraction(q_int(2))
+                    assert s[n] == w(p, n, k)
 
 
 class TestEGF:
+    # egf returns the numerators N_n; the z^n coefficient of the column EGF
+    # is N_n / ([n]_q! normalizer(p, k)) and must equal W[n,k] / [n]_q!.
+
     def test_column_zero(self):
         for p in PARAM_GRID:
             s = egf(p, 0, 5)
             for n in range(6):
-                assert s[n] == PolyFraction(q_int(p.r) ** n, q_factorial(n))
+                assert s[n] == q_int(p.r) ** n * normalizer(p, 0)
 
     def test_hand_coefficient(self):
         s = egf(P11, 1, 3)
-        assert s[2] == PolyFraction(LaurentPoly({1: 2, 2: 1}), q_factorial(2))
+        assert s[2] == LaurentPoly({1: 2, 2: 1}) * normalizer(P11, 1)
 
     def test_low_coefficients_vanish(self):
         s = egf(WhitneyParams(2, 1), 2, 6)
@@ -120,7 +99,7 @@ class TestEGF:
             for k in range(4):
                 s = egf(p, k, 8)
                 for n in range(9):
-                    assert s[n] == PolyFraction(w(p, n, k), q_factorial(n))
+                    assert s[n] == w(p, n, k) * normalizer(p, k)
 
     def test_classical_limit_against_series_expansion(self):
         # at q=1 the column EGF is e^(rt)(e^(mt)-1)^k / (k! m^k)
@@ -129,7 +108,20 @@ class TestEGF:
                 expected = classical_egf_coeffs(p.m, p.r, k, 8)
                 s = egf(p, k, 8)
                 for n in range(9):
-                    assert s[n].eval(Fraction(1)) == expected[n]
+                    den = q_factorial(n) * normalizer(p, k)
+                    assert s[n].eval(Fraction(1)) / den.eval(Fraction(1)) == expected[n]
+
+    def test_suite_failure_texts(self):
+        grid = {"m": [2], "r": [1], "nmax_genfun": 0, "nmax_egf": 4,
+                "kmax_genfun": 2, "nmax_horizontal": 0, "t": [], "qvals": []}
+        with whitney.perturb_recurrence():
+            res = verify.suite_genfun(grid)
+            failures = [f for f in res.failures if f.identity == "egf"]
+            assert failures
+            for f in failures:
+                n, k = f.params["n"], f.params["k"]
+                assert f.lhs == str(egf(WhitneyParams(2, 1), k, 4)[n])
+                assert f.rhs == str(w(WhitneyParams(2, 1), n, k))
 
 
 class TestHorizontalGF:
