@@ -6,13 +6,16 @@ pairs, so output is bit-identical across runs.  Each value is rendered
 straight to JSON text (``LaurentPoly.to_json``) and every document is
 composed from those texts; the bytes are those of ``json.dumps`` on the
 pair lists.  Exit codes: 0 success or all identities pass, 1 identity
-failure, 2 usage error.
+failure, 2 usage error, 3 internal arithmetic error (an exact division
+that left a remainder or a value that left the Laurent ring: a bug in the
+library, reported in one line, never as an identity failure).
 
 ``main(argv, out=...)`` may be called many times in one process: the
 argparse parser is built on the first call and reused, since a parse keeps
 no state in it.  Everything but error messages, ``--help`` text included,
 goes to ``out``.  A request whose polynomials could reach a degree above
-``MAX_DEGREE`` is refused with exit 2 before any ring work.
+``MAX_DEGREE`` is refused with exit 2 before any ring work; for ``verify``
+the bound is taken over the suites the request runs, on its grid.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from fractions import Fraction
 
 from . import verify
 from .hankel import HankelSpec, det_exact, hankel_closed_form, hankel_matrix
-from .qcore import LaurentPoly, eval_q
-from .whitney import WhitneyParams, r_dowling, w, w_star, w_table
+from .qcore import DivisionByZero, LaurentPoly, NonExactDivision, eval_q
+from .whitney import (InternalNonLaurent, WhitneyParams, r_dowling, w,
+                      w_star, w_table)
 
 
 # The largest degree a request's polynomials may reach.  Row n of the
@@ -148,12 +152,17 @@ def cmd_hankel(args, out) -> int:
     return 0 if det == closed else 1
 
 
+def _read_grid(path):
+    """The document of a verify --grid file; None without one."""
+    if not path:
+        return None
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def cmd_verify(args, out) -> int:
-    grid = None
-    if args.grid:
-        with open(args.grid) as fh:
-            grid = json.load(fh)
-    results = verify.run_suite(args.suite, grid)
+    # main has replaced the --grid path by the document read from it
+    results = verify.run_suite(args.suite, args.grid)
     all_ok = True
     for res in results:
         status = "PASS" if res.ok else "FAIL"
@@ -232,20 +241,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _row_degree(m: int, r: int, row: int) -> int:
+    """The top degree m*C(row,2) + r*row of a row of the triangle."""
+    return m * row * (row - 1) // 2 + r * row
+
+
 def _max_degree(args) -> int:
-    """The largest degree the polynomials of a request may reach."""
+    """The largest degree the polynomials of a request may reach.
+
+    For verify this is the largest over the suites the request runs, at the
+    grid's largest m and r (``args.grid`` holds the grid document).
+    """
     if args.command == "verify":
-        return 0
-    p = _params(args)
-    if args.command == "hankel":
-        row, order = args.s + 2 * args.n, args.n + 1
-    elif args.command == "table":
-        row, order = args.nmax, 1
+        sizes = verify.largest_rows(args.suite, args.grid)
     else:
-        row, order = args.n, 1
+        p = _params(args)
+        if args.command == "hankel":
+            row, order = args.s + 2 * args.n, args.n + 1
+        elif args.command == "table":
+            row, order = args.nmax, 1
+        else:
+            row, order = args.n, 1
+        sizes = [(p.m, p.r, row, order)]
     # Negative sizes are refused later, by the command itself.
-    row, order = max(row, 0), max(order, 0)
-    return order * (p.m * row * (row - 1) // 2 + p.r * row)
+    return max((max(order, 0) * _row_degree(m, r, max(row, 0))
+                for m, r, row, order in sizes), default=0)
 
 
 def main(argv=None, out=None) -> int:
@@ -262,6 +282,8 @@ def main(argv=None, out=None) -> int:
             raise ValueError("n must be >= 0")
         if hasattr(args, "k") and args.k < 0:
             raise ValueError("k must be >= 0")
+        if args.command == "verify":
+            args.grid = _read_grid(args.grid)
         degree = _max_degree(args)
         if degree > MAX_DEGREE:
             raise ValueError(f"request too large: its polynomials may reach "
@@ -271,6 +293,11 @@ def main(argv=None, out=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NonExactDivision, InternalNonLaurent, DivisionByZero) as exc:
+        # a broken invariant of the library, not a failed identity
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 def entrypoint():

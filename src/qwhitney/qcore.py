@@ -1,6 +1,13 @@
 """Exact arithmetic foundation: Laurent polynomials in q, q-integers,
 q-factorials, Gaussian binomials, and q-binomial inversion.
 
+Gaussian binomials come a whole q-Pascal row at a time
+(:func:`q_binomial_row`, by the ratio of neighbouring entries);
+:func:`q_binomial` reads one entry of a row.  The alternating q-binomial
+sum (:func:`q_binomial_alternating_sum`) is the one copy behind both the
+q-binomial inversion and the expanded q-difference operator of
+``qcalculus``.
+
 Every value in the library is either a :class:`LaurentPoly` or an exact
 rational (``fractions.Fraction``); a quotient that must be exact goes
 through :func:`laurent_exact_div`.  Nothing here ever touches floating
@@ -408,18 +415,49 @@ def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _poly(a._lo - b._lo, tuple(quot))
 
 
+def q_binomial_row(n: int, b: int = 1) -> list:
+    """The row [n j]_{q^b}, j = 0..n, of the q-Pascal triangle.
+
+    Built from the ratio [n j] = [n j-1] [n-j+1]_q / [j]_q in base q, one
+    sliding-window product and one exact division per entry, then
+    stretched to base q^b.
+    """
+    if n < 0:
+        raise ValueError("q_binomial_row requires n >= 0")
+    row = [ONE]
+    for j in range(1, n + 1):
+        row.append(laurent_exact_div(row[-1] * q_int(n - j + 1), q_int(j)))
+    return [c.stretch(b) for c in row]
+
+
 def q_binomial(n: int, k: int, base_exponent: int = 1) -> LaurentPoly:
     """Gaussian binomial coefficient [n k] in the variable q^base_exponent.
 
-    Computed by exact division of q-factorials; zero for k < 0 or k > n.
+    Entry k of q_binomial_row(n, base_exponent); zero for k < 0 or k > n.
     """
     if n < 0:
         raise ValueError("q_binomial requires n >= 0")
     if k < 0 or k > n:
         return ZERO
-    num = q_factorial(n)
-    den = q_factorial(k) * q_factorial(n - k)
-    return laurent_exact_div(num, den).stretch(base_exponent)
+    return q_binomial_row(n, base_exponent)[k]
+
+
+def q_binomial_alternating_sum(values, b: int = 1, row=None) -> LaurentPoly:
+    """sum_{j=0}^{k} (-1)^(k-j) q^(b C(k-j,2)) [k j]_{q^b} values[j], where
+    k = len(values) - 1 and ``row`` is q_binomial_row(k, b), built here
+    when not given.
+
+    This is the expanded q-difference operator of order k and the
+    q-binomial inversion; both take their sums from here.
+    """
+    k = len(values) - 1
+    if row is None:
+        row = q_binomial_row(k, b)
+    acc = ZERO
+    for j, (binom, value) in enumerate(zip(row, values)):
+        term = binom.shift(b * comb(k - j, 2)) * value
+        acc = acc - term if (k - j) % 2 else acc + term
+    return acc
 
 
 def eval_q(p, a) -> Fraction:
@@ -433,21 +471,14 @@ def eval_q(p, a) -> Fraction:
 def q_binomial_transform(g, n: int):
     """Forward transform f_n = sum_k [n k]_q g_k, for n' = 0..n."""
     g = list(g)
-    return [sum((q_binomial(j, k) * g[k] for k in range(j + 1)), ZERO)
+    return [sum((c * x for c, x in zip(q_binomial_row(j), g)), ZERO)
             for j in range(n + 1)]
 
 
 def q_binomial_inverse(f, n: int):
     """Inverse transform g_n = sum_k (-1)^(n-k) q^C(n-k,2) [n k]_q f_k."""
     f = list(f)
-    out = []
-    for j in range(n + 1):
-        acc = ZERO
-        for k in range(j + 1):
-            sign = -1 if (j - k) % 2 else 1
-            acc = acc + q_binomial(j, k).shift(comb(j - k, 2)) * f[k] * sign
-        out.append(acc)
-    return out
+    return [q_binomial_alternating_sum(f[:j + 1]) for j in range(n + 1)]
 
 
 def gauss_product_check(n: int) -> bool:
@@ -455,7 +486,7 @@ def gauss_product_check(n: int) -> bool:
 
     Both sides are compared as coefficient lists in x.
     """
-    lhs = [q_binomial(n, k).shift(comb(k, 2)) for k in range(n + 1)]
+    lhs = [c.shift(comb(k, 2)) for k, c in enumerate(q_binomial_row(n))]
     rhs = [ONE]
     for i in range(n):
         qi = LaurentPoly.monomial(i)

@@ -7,6 +7,11 @@ a statement about truncated series coefficients.  A series truncated at
 order N is the tuple of its N+1 coefficients, each a LaurentPoly: the
 column generating function needs no denominators, and the EGF is given by
 its numerators over a known common denominator.
+
+The column generating functions of one (m, r) are built by prefix: column
+k's denominator product is column k-1's times one more geometric series
+(``rational_gf_columns``).  The EGF numerators read their powers and
+q-Pascal rows from the shared qcalculus.RouteValues.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .qcalculus import whitney_numerator
+from .qcalculus import RouteValues, whitney_numerator
 from .qcore import LaurentPoly, ONE, ZERO, eval_q, q_int
 from .whitney import WhitneyParams, w
 
@@ -33,24 +38,39 @@ def geometric(a: LaurentPoly, order: int) -> tuple:
     return tuple(coeffs)
 
 
+def rational_gf_columns(params: WhitneyParams, kmax: int, N: int) -> list:
+    """rational_gf(params, k, N) for k = 0..kmax, from one pass.
+
+    Column k's product prod_{j<=k} 1/(1 - [mj+r]_q z) is column k-1's
+    times geometric([mk+r]_q), a truncated series product.  Column k keeps
+    only its z^0..z^(N-k) coefficients, so the product is carried to that
+    order only.
+    """
+    if not 0 <= kmax <= N:
+        raise ValueError("k must be in 0..truncation order")
+    m, r = params.m, params.r
+    columns = []
+    s = (ONE,) + (ZERO,) * N
+    for k in range(kmax + 1):
+        s = _series_mul(s[:N + 1 - k], geometric(q_int(m * k + r), N - k))
+        shift = m * comb(k, 2) + k * r
+        columns.append((ZERO,) * k + tuple(c.shift(shift) for c in s))
+    return columns
+
+
 def rational_gf(params: WhitneyParams, k: int, N: int) -> tuple:
     """The column generating function
 
         q^(m C(k,2) + kr) z^k / prod_{j=0}^{k} (1 - [mj+r]_q z),
 
-    whose z^n coefficient is W_{m,r}[n,k]_q, for n = 0..N.
+    whose z^n coefficient is W_{m,r}[n,k]_q, for n = 0..N: the last column
+    of rational_gf_columns(params, k, N).
     """
-    if k > N:
-        raise ValueError("k must be <= truncation order")
-    m, r = params.m, params.r
-    s = (ONE,) + (ZERO,) * N
-    for j in range(k + 1):
-        s = _series_mul(s, geometric(q_int(m * j + r), N))
-    prefactor = LaurentPoly.monomial(m * comb(k, 2) + k * r)
-    return (ZERO,) * k + tuple(c * prefactor for c in s[:N + 1 - k])
+    return rational_gf_columns(params, k, N)[k]
 
 
-def egf(params: WhitneyParams, k: int, N: int) -> tuple:
+def egf(params: WhitneyParams, k: int, N: int,
+        shared: RouteValues = None) -> tuple:
     """Numerators N_0..N_N of the column EGF
 
         sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} e_q([jm+r]_q z)
@@ -58,10 +78,15 @@ def egf(params: WhitneyParams, k: int, N: int) -> tuple:
 
     Its z^n coefficient is N_n / ([n]_q! [k]_{q^m}! [m]_q^k), which equals
     W_{m,r}[n,k]_q / [n]_q!; N_n is qcalculus.whitney_numerator(params, n, k).
+    ``shared`` (qcalculus.RouteValues covering rows n <= N and column k)
+    gives every numerator its powers and q-Pascal row; built here when not
+    given.
     """
     if k > N:
         raise ValueError("k must be <= truncation order")
-    return tuple(whitney_numerator(params, n, k) for n in range(N + 1))
+    if shared is None:
+        shared = RouteValues.build(params, N, k)
+    return tuple(whitney_numerator(params, n, k, shared) for n in range(N + 1))
 
 
 def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> list:

@@ -4,6 +4,11 @@ Each suite sweeps a parameter grid and cross-checks two or more independent
 computation routes; a cell failure records the witnessing parameters and the
 two mismatched values.  Grids default to the ranges each identity is claimed
 to have been checked on, and can be overridden from a JSON config.
+
+A suite builds the inputs its routes share once per (m, r) and hands them
+to every cell: the power table, q-Pascal rows and normalizers of
+qcalculus.RouteValues, and every column generating function from one
+prefix pass.
 """
 
 from __future__ import annotations
@@ -147,11 +152,12 @@ def suite_explicit(grid: dict = None) -> SuiteResult:
     res = SuiteResult("explicit")
     for p in _param_cells(g):
         base = {"m": p.m, "r": p.r}
+        shared = qcalculus.RouteValues.build(p, g["nmax"])
         for n in range(g["nmax"] + 1):
-            newton = qcalculus.newton_coefficients(p, n)
+            newton = qcalculus.newton_coefficients(p, n, n, shared)
             for k in range(n + 1):
                 expected = w(p, n, k)
-                got = qcalculus.whitney_explicit(p, n, k)
+                got = qcalculus.whitney_explicit(p, n, k, shared)
                 res.check(got == expected, {**base, "n": n, "k": k},
                           "explicit", got, expected)
                 res.check(newton[k] == expected, {**base, "n": n, "k": k},
@@ -167,16 +173,19 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
     for p in _param_cells(g):
         base = {"m": p.m, "r": p.r}
         nmax = g["nmax_genfun"]
-        for k in range(min(g["kmax_genfun"], nmax) + 1):
-            psi = series.rational_gf(p, k, nmax)
+        columns = series.rational_gf_columns(p, min(g["kmax_genfun"], nmax),
+                                             nmax)
+        for k, psi in enumerate(columns):
             for n in range(nmax + 1):
                 expected = w(p, n, k)
                 res.check(psi[n] == expected, {**base, "n": n, "k": k},
                           "rational_gf", psi[n], expected)
         negf = g["nmax_egf"]
-        for k in range(min(g["kmax_genfun"], negf) + 1):
-            e = series.egf(p, k, negf)
-            norm = qcalculus.normalizer(p, k)
+        kmax = min(g["kmax_genfun"], negf)
+        shared = qcalculus.RouteValues.build(p, negf, kmax)
+        for k in range(kmax + 1):
+            e = series.egf(p, k, negf, shared)
+            norm = shared.norms[k]
             for n in range(negf + 1):
                 # the z^n coefficient e[n] / ([n]_q! norm) must equal
                 # W[n,k] / [n]_q!; [n]_q! is nonzero and cancels
@@ -266,6 +275,34 @@ _SUITE_FUNCS = {
     "convolution": suite_convolution,
     "hankel": suite_hankel,
 }
+
+
+# Suite -> the largest triangle row its polynomials come from and the order
+# of the determinants built from it (1 where there are none).  The
+# recurrences suite's horizontal route reads row n+1; the convolution suite
+# reads rows n+1 and s+p; a Hankel matrix of order n+1 reads row s+2n.
+_SUITE_ROWS = {
+    "recurrences": lambda g: (g["nmax"] + 1, 1),
+    "explicit": lambda g: (g["nmax"], 1),
+    "genfun": lambda g: (max(g["nmax_genfun"], g["nmax_egf"],
+                             g["nmax_horizontal"]), 1),
+    "symmetric": lambda g: (g["nmax_tableau"], 1),
+    "convolution": lambda g: (max(g["nmax_conv"] + 1, 2 * g["spmax_conv"]), 1),
+    "hankel": lambda g: (g["smax_hankel"] + 2 * g["nmax_hankel"],
+                         g["nmax_hankel"] + 1),
+}
+
+
+def largest_rows(name: str, grid: dict = None) -> list:
+    """(m, r, row, order) for each suite that run_suite(name, grid) runs:
+    the grid's largest m and r, the largest row the suite reads and the
+    order of its determinants.  Raises ValueError for a bad grid, like
+    run_suite; a grid with no (m, r) cell yields no sizes."""
+    g = _grid(grid)
+    if not (g["m"] and g["r"]):
+        return []
+    names = _SUITE_FUNCS if name == "all" else [name]
+    return [(max(g["m"]), max(g["r"])) + _SUITE_ROWS[s](g) for s in names]
 
 
 def run_suite(name: str, grid: dict = None) -> list:

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from qwhitney import cli
+from qwhitney import cli, qcalculus, verify
 from qwhitney import whitney
+from qwhitney.qcore import NonExactDivision
+from qwhitney.whitney import InternalNonLaurent
 
 
 def run(argv):
@@ -233,11 +235,88 @@ class TestSizeLimit:
         (["value", "--m", "1", "--r", "0", "--n", "92", "--k", "0"], 4186, False),
         (["hankel", "--m", "3", "--r", "5", "--s", "2", "--n", "5"], 6 * 258, True),
         (["hankel", "--m", "1", "--r", "0", "--s", "0", "--n", "20"], 21 * 780, False),
-        (["verify", "--suite", "all"], 0, True),
+        (["verify", "--suite", "all"], 935, True),
     ])
     def test_max_degree(self, argv, degree, allowed):
         assert cli._max_degree(cli._parser().parse_args(argv)) == degree
         assert (degree <= cli.MAX_DEGREE) == allowed
+
+    @pytest.fixture
+    def no_verify_work(self, monkeypatch):
+        """Make a verify request that starts its suites fail the test."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite started before the size check")
+        monkeypatch.setattr(verify, "run_suite", refuse)
+
+    @pytest.mark.parametrize("suite, grid", [
+        ("hankel", {"nmax_hankel": 40}),
+        ("all", {"nmax_hankel": 40}),
+        ("all", {"nmax_hankel": 8}),
+        ("explicit", {"nmax": 60}),
+        ("recurrences", {"m": [1], "r": [0], "nmax": 91}),
+        ("genfun", {"nmax_egf": 60}),
+        ("convolution", {"spmax_conv": 30}),
+    ])
+    def test_oversized_grid_refused(self, no_verify_work, tmp_path, capsys,
+                                    suite, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        rc, out = run(["verify", "--suite", suite, "--grid", str(path)])
+        assert rc == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: request too large: ")
+        assert f"MAX_DEGREE = {cli.MAX_DEGREE}" in err
+
+    # Row degree m*C(N,2) + r*N at m = 2, r = 1: each suite's largest row N.
+    GRID = {"m": [1, 2], "r": [0, 1], "nmax": 5, "nmax_genfun": 4,
+            "nmax_egf": 7, "nmax_horizontal": 3, "nmax_tableau": 6,
+            "nmax_conv": 3, "spmax_conv": 4, "smax_hankel": 1,
+            "nmax_hankel": 2}
+
+    @pytest.mark.parametrize("suite, grid, degree", [
+        ("recurrences", GRID, 36),  # row nmax+1 = 6
+        ("explicit", GRID, 25),  # row 5
+        ("genfun", GRID, 49),  # row nmax_egf = 7
+        ("symmetric", GRID, 36),  # row 6
+        ("convolution", GRID, 64),  # row 2 * spmax_conv = 8
+        ("hankel", GRID, 3 * 25),  # order 3, row s+2n = 5
+        ("all", GRID, 75),
+        ("hankel", {**GRID, "nmax_hankel": 40}, 41 * 6561),  # row 81
+        ("explicit", {**GRID, "nmax_hankel": 40}, 25),
+        ("all", {**GRID, "m": []}, 0),
+        ("explicit", {"nmax": 20}, 610),  # default m, r: 3 and 2
+        ("all", {"nmax_hankel": 7}, 8 * 442),
+    ])
+    def test_verify_max_degree(self, suite, grid, degree):
+        args = cli._parser().parse_args(["verify", "--suite", suite])
+        args.grid = grid
+        assert cli._max_degree(args) == degree
+
+    def test_grid_within_bound_runs(self, tmp_path):
+        # the bound covers only the suites a request runs
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"nmax": 3, "nmax_hankel": 40}))
+        rc, out = run(["verify", "--suite", "explicit", "--grid", str(path)])
+        assert rc == 0
+        assert json.loads(out.strip().splitlines()[-1])["cells"] == 9 * 2 * 10
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("module, name, error, suite", [
+        (qcalculus, "q_binomial_row", NonExactDivision, "explicit"),
+        (verify, "w_horizontal", InternalNonLaurent, "recurrences"),
+    ])
+    def test_exit_three_in_one_line(self, monkeypatch, capsys, small_grid,
+                                    module, name, error, suite):
+        def broken(*args, **kwargs):
+            raise error("planted")
+        monkeypatch.setattr(module, name, broken)
+        rc, out = run(["verify", "--suite", suite, "--grid", small_grid])
+        assert rc == 3 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal error: ")
+        assert "planted" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
 
 # Every subcommand, a negative rational, eval --star then eval without it

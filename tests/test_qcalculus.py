@@ -4,10 +4,12 @@ from math import comb
 import pytest
 
 from conftest import classical_whitney_recurrence
-from qwhitney import (LaurentPoly, QPowerFunction, WhitneyParams,
-                      newton_coefficients, q_diff_explicit, q_diff_recursive,
-                      q_int, w, whitney_explicit)
+from qwhitney import (LaurentPoly, QPowerFunction, RouteValues, WhitneyParams,
+                      newton_coefficients, q_binomial_row, q_diff_explicit,
+                      q_diff_heads, q_diff_recursive, q_int, q_power_table, w,
+                      whitney_explicit)
 from qwhitney import qcalculus, verify
+from qwhitney.qcalculus import normalizer
 from qwhitney.qcore import ONE, ZERO
 
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
@@ -25,6 +27,62 @@ class TestQPowerFunction:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             QPowerFunction(0, -1)
+
+
+class TestPowerTable:
+    def test_values_equal_powers(self):
+        for m in (1, 2, 3):
+            for r in (0, 1, 2):
+                table = q_power_table(r, m, 7, 9)
+                assert [f.power for f in table] == list(range(10))
+                for n, f in enumerate(table):
+                    for j in range(7):
+                        assert f.evaluate(j * m) == q_int(j * m + r) ** n
+
+    def test_untabulated_node_refused(self):
+        f = q_power_table(1, 2, 3, 2)[2]
+        for x in (1, -2, 6):
+            with pytest.raises(ValueError):
+                f.evaluate(x)
+
+    def test_route_values(self):
+        p = WhitneyParams(2, 1)
+        shared = RouteValues.build(p, 6, 3)
+        assert len(shared.powers) == 7
+        assert shared.powers[5].evaluate(6) == q_int(7) ** 5
+        assert shared.rows == [q_binomial_row(k, 2) for k in range(4)]
+        assert shared.norms == [normalizer(p, k) for k in range(4)]
+
+
+class TestOnePassHeads:
+    def test_heads_equal_each_order(self):
+        # every head of one pass of order 5 against the order-k difference
+        # by itself and by the alternating sum
+        for b in (1, 2, 3):
+            for h in (1, 2):
+                for c in (-2, 0, 3):
+                    for n in (0, 2, 4):
+                        f = QPowerFunction(c, n)
+                        for x in (-1, 0, 2):
+                            heads = q_diff_heads(f, b, h, 5, x)
+                            assert heads == [q_diff_recursive(f, b, h, k, x)
+                                             for k in range(6)]
+                            assert heads == [q_diff_explicit(f, b, h, k, x)
+                                             for k in range(6)]
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            q_diff_heads(QPowerFunction(0, 1), 1, 1, -1, 0)
+
+    def test_shared_values_give_the_same_cells(self):
+        for p in PARAM_GRID:
+            shared = RouteValues.build(p, 7)
+            for n in range(8):
+                newton = newton_coefficients(p, n, n, shared)
+                assert newton == newton_coefficients(p, n)
+                assert newton == [w(p, n, k) for k in range(n + 1)]
+                assert [whitney_explicit(p, n, k, shared)
+                        for k in range(n + 1)] == newton
 
 
 class TestQDifference:

@@ -11,7 +11,8 @@ from conftest import random_laurent
 from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
                       NonExactDivision, eval_q, gauss_product_check,
                       laurent_exact_div, q_binomial, q_binomial_inverse,
-                      q_binomial_transform, q_factorial, q_int)
+                      q_binomial_row, q_binomial_transform, q_factorial,
+                      q_int)
 from qwhitney.qcore import ONE, ZERO
 
 laurent_strategy = st.dictionaries(
@@ -134,6 +135,30 @@ class TestQBinomial:
                 lhs = q_binomial(n, k)
                 rhs = q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shift(k)
                 assert lhs == rhs
+
+
+class TestQBinomialRow:
+    def test_matches_factorial_quotient(self):
+        # the old formula: [n]! / ([j]! [n-j]!) in base q, then q -> q^b
+        for n in range(13):
+            for b in (1, 2, 3):
+                row = q_binomial_row(n, b)
+                assert len(row) == n + 1
+                for j, entry in enumerate(row):
+                    quotient = laurent_exact_div(
+                        q_factorial(n), q_factorial(j) * q_factorial(n - j))
+                    assert entry == quotient.stretch(b)
+                    assert entry.eval(Fraction(1)) == comb(n, j)
+
+    def test_q_binomial_reads_the_row(self):
+        for n in range(8):
+            for b in (1, 3):
+                assert [q_binomial(n, j, b) for j in range(n + 1)] == \
+                    q_binomial_row(n, b)
+
+    def test_negative_row_rejected(self):
+        with pytest.raises(ValueError):
+            q_binomial_row(-1)
 
 
 class TestExactDivision:

@@ -3,10 +3,13 @@ from contextlib import nullcontext
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from conftest import classical_egf_coeffs, random_laurent
 from qwhitney import verify, whitney
-from qwhitney import (LaurentPoly, WhitneyParams, egf, horizontal_gf_check,
-                      q_factorial, q_int, rational_gf, w)
+from qwhitney import (LaurentPoly, RouteValues, WhitneyParams, egf,
+                      horizontal_gf_check, q_factorial, q_int, rational_gf,
+                      rational_gf_columns, w)
 from qwhitney.qcalculus import normalizer
 from qwhitney.qcore import ONE, ZERO
 from qwhitney.series import (_series_mul, geometric, horizontal_falling,
@@ -75,6 +78,31 @@ class TestRationalGF:
                     assert s[n] == w(p, n, k)
 
 
+class TestColumnsByPrefix:
+    @staticmethod
+    def column_by_full_product(p, k, N):
+        # the whole product of column k, with no prefix shared
+        s = _series([ONE], N)
+        for j in range(k + 1):
+            s = _series_mul(s, geometric(q_int(p.m * j + p.r), N))
+        shift = p.m * comb(k, 2) + k * p.r
+        return (ZERO,) * k + tuple(c.shift(shift) for c in s[:N + 1 - k])
+
+    def test_every_column(self):
+        for p in PARAM_GRID:
+            columns = rational_gf_columns(p, 5, 9)
+            assert len(columns) == 6
+            for k, column in enumerate(columns):
+                assert column == rational_gf(p, k, 9)
+                assert column == self.column_by_full_product(p, k, 9)
+                assert list(column) == [w(p, n, k) for n in range(10)]
+
+    def test_order_checked(self):
+        for kmax in (-1, 4):
+            with pytest.raises(ValueError):
+                rational_gf_columns(P11, kmax, 3)
+
+
 class TestEGF:
     # egf returns the numerators N_n; the z^n coefficient of the column EGF
     # is N_n / ([n]_q! normalizer(p, k)) and must equal W[n,k] / [n]_q!.
@@ -100,6 +128,12 @@ class TestEGF:
                 s = egf(p, k, 8)
                 for n in range(9):
                     assert s[n] == w(p, n, k) * normalizer(p, k)
+
+    def test_shared_values_give_the_same_numerators(self):
+        for p in PARAM_GRID:
+            shared = RouteValues.build(p, 8, 4)
+            for k in range(5):
+                assert egf(p, k, 8, shared) == egf(p, k, 8)
 
     def test_classical_limit_against_series_expansion(self):
         # at q=1 the column EGF is e^(rt)(e^(mt)-1)^k / (k! m^k)
