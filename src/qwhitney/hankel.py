@@ -2,20 +2,23 @@
 LU-factorization / Hankel-transform identities.
 
 The determinant det(W*[s+i+j, s+j])_{0<=i,j<=n} factors as
-prod_{k=0}^{n} [m(s+k)+r]_q^k.  One fraction-free elimination,
-``bareiss_det``, computes both this determinant over the Laurent ring and
-its q=1 corollary over the ints; it keeps every interior division exact.
-``det_cofactor`` is the test oracle and is not called by the library.
+prod_{k=0}^{n} [m(s+k)+r]_q^k.  One fraction-free elimination loop,
+``bareiss``, computes both this determinant over the Laurent ring and its
+q=1 corollary over the ints; it keeps every interior division exact.  Its
+pivots are the leading minors (Sylvester's identity), so one elimination
+of the largest matrix of a family gives the determinant of every smaller
+order (``leading_dets``), and one L*U product (``lu_product``) gives every
+order's product as a leading block.  ``det_cofactor`` is the test oracle
+and is not called by the library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import floordiv
 
 from .qcore import LaurentPoly, ONE, ZERO, laurent_exact_div, q_int
-from .whitney import WhitneyParams, w_star
+from .whitney import WhitneyParams, classical_w, w_star
 
 
 @dataclass(frozen=True)
@@ -78,39 +81,68 @@ def det_cofactor(mat: ExactMatrix) -> LaurentPoly:
     return rec(rows)
 
 
-def bareiss_det(rows, exact_div):
-    """Determinant of a square matrix over an integral domain by
-    fraction-free (Bareiss) elimination.
+def bareiss(rows, exact_div) -> tuple:
+    """Fraction-free (Bareiss) elimination of a square matrix over an
+    integral domain: ``(det, minors)``.
 
     ``exact_div(a, b)`` divides exactly: ``//`` for ints,
     ``laurent_exact_div`` for Laurent polynomials.  A zero pivot is
     replaced by swapping in a later row with a nonzero entry in its column
     (flipping the sign); when the whole column is zero the determinant is
-    zero.
+    zero.  By Sylvester's identity the pivot of step p is the leading
+    minor of order p+1, until the first swap reorders the rows: ``minors``
+    lists the leading minors of orders 1, 2, ... up to and including the
+    first zero pivot.
     """
     a = [list(row) for row in rows]
     n = len(a)
     sign, prev = 1, None
+    minors, leading = [], True  # leading: no row swapped yet
     for p in range(n - 1):
+        if leading:
+            minors.append(a[p][p])
         if not a[p][p]:
             i = next((i for i in range(p + 1, n) if a[i][p]), None)
             if i is None:
-                return a[p][p]  # the ring's zero
+                return a[p][p], minors  # the ring's zero
             a[p], a[i] = a[i], a[p]
-            sign = -sign
+            sign, leading = -sign, False
         pivot = a[p][p]
         for i in range(p + 1, n):
             for j in range(p + 1, n):
                 x = a[i][j] * pivot - a[i][p] * a[p][j]
                 a[i][j] = x if prev is None else exact_div(x, prev)
         prev = pivot
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+    if leading:
+        minors.append(a[n - 1][n - 1])
+    return (a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]), minors
+
+
+def bareiss_det(rows, exact_div):
+    """Determinant of a square matrix over an integral domain: the first
+    part of ``bareiss``."""
+    return bareiss(rows, exact_div)[0]
 
 
 def det_exact(mat: ExactMatrix) -> LaurentPoly:
     """Determinant via fraction-free (Bareiss) elimination in the Laurent
     ring."""
     return bareiss_det(mat.entries, laurent_exact_div)
+
+
+def leading_block(mat: ExactMatrix, order: int) -> ExactMatrix:
+    """The top-left order x order block of mat."""
+    return ExactMatrix(tuple(row[:order] for row in mat.entries[:order]))
+
+
+def leading_dets(mat: ExactMatrix) -> list:
+    """det(leading_block(mat, k)) for k = 1..mat.order from one
+    elimination of mat: each order's determinant is a pivot (``bareiss``).
+    An order past the first zero pivot falls back to ``det_exact`` of its
+    leading block."""
+    _, minors = bareiss(mat.entries, laurent_exact_div)
+    return minors + [det_exact(leading_block(mat, k))
+                     for k in range(len(minors) + 1, mat.order + 1)]
 
 
 def hankel_closed_form(spec: HankelSpec) -> LaurentPoly:
@@ -159,31 +191,51 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         for i in range(n)))
 
 
+def lu_product(spec: HankelSpec) -> tuple:
+    """``(L*U, diagonal)`` for the factors of ``lu_factors(spec)``, where
+    diagonal[k] = prod_{i<=k} L[i,i] U[i,i].
+
+    L is lower and U upper triangular, so the leading (k+1)-block of L*U
+    is the product of their leading blocks and diagonal[k] is its
+    determinant: one product serves every order up to spec.n + 1."""
+    lower, upper = lu_factors(spec)
+    diagonal, acc = [], ONE
+    for k in range(spec.n + 1):
+        acc = acc * lower[k, k] * upper[k, k]
+        diagonal.append(acc)
+    return matmul(lower, upper), diagonal
+
+
 def lu_check(spec: HankelSpec, mat: ExactMatrix = None,
-             det: LaurentPoly = None) -> bool:
+             det: LaurentPoly = None, lu: tuple = None) -> bool:
     """Does L*U reproduce the Hankel matrix entrywise, with the determinant
     equal to the product of the diagonals?
 
-    ``mat`` is ``hankel_matrix(spec)`` and ``det`` is ``det_exact(mat)``;
-    each is computed here when not given."""
+    ``mat`` is ``hankel_matrix`` of (spec.params, spec.s) at order
+    spec.n + 1 or larger, ``det`` is the determinant of its leading
+    (spec.n + 1)-block and ``lu`` is ``lu_product`` of (spec.params,
+    spec.s) at order spec.n + 1 or larger; only leading blocks are
+    compared, and each is computed here when not given."""
+    order = spec.n + 1
     if mat is None:
         mat = hankel_matrix(spec)
-    lower, upper = lu_factors(spec)
-    if matmul(lower, upper).entries != mat.entries:
+    if lu is None:
+        lu = lu_product(spec)
+    product, diagonal = lu
+    if leading_block(product, order) != leading_block(mat, order):
         return False
-    diag = ONE
-    for k in range(spec.n + 1):
-        diag = diag * lower[k, k] * upper[k, k]
     if det is None:
-        det = det_exact(mat)
-    return det == diag
+        det = det_exact(leading_block(mat, order))
+    return det == diagonal[spec.n]
 
 
 def classical_hankel_check(m: int, r: int, s: int, n: int) -> bool:
-    """q=1 corollary: det(W_{m,r}(s+i+j, s+j)) = prod_k (m(s+k)+r)^k."""
+    """q=1 corollary: det(W_{m,r}(s+i+j, s+j)) = prod_k (m(s+k)+r)^k.
+
+    W* and W differ by a power of q, so their q=1 entries agree."""
     params = WhitneyParams(m, r)
-    rows = [[int(w_star(params, s + i + j, s + j).eval(Fraction(1)))
-             for j in range(n + 1)] for i in range(n + 1)]
+    rows = [[classical_w(params, s + i + j, s + j) for j in range(n + 1)]
+            for i in range(n + 1)]
     expected = 1
     for k in range(n + 1):
         expected *= (m * (s + k) + r) ** k

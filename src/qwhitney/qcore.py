@@ -17,7 +17,11 @@ A LaurentPoly is dense: an exponent offset plus a tuple of int coefficients.
 Its product is a sliding-window sum when one factor is a q-integer (or any
 run of equal coefficients), a schoolbook product when one factor is short,
 and Kronecker substitution (pack both sides into one int, multiply, unpack)
-otherwise.  Rational evaluation is a single integer Horner pass.
+otherwise.  Rational evaluation is a single integer Horner pass
+(``LaurentPoly.value_parts``), which gives the value at q = a/b as an
+integer numerator and denominator; ``eval`` puts them in one Fraction, and
+a caller summing many values at one q can cross-multiply the integers
+instead.
 ``to_json`` renders a polynomial straight to the JSON text of its
 ``to_pairs`` form.
 """
@@ -207,32 +211,44 @@ class LaurentPoly:
         out[::b] = self._c
         return _poly(self._lo * b, tuple(out))
 
-    def eval(self, a: Fraction) -> Fraction:
-        """Exact value at the rational q = a = p/s.
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients (c_0, ..., c_d) from the lowest exponent up."""
+        return self._c
 
-        One integer Horner pass forms sum_i c_i p^i s^(d-i); the powers of p
-        and s from the offset and the degree d enter one final Fraction.
+    def value_parts(self, a: int, b: int) -> tuple:
+        """Integers (num, den) with num / den the value at q = a/b, for
+        ints a != 0 and b >= 1, not reduced to lowest terms.
+
+        One integer Horner pass forms N = sum_i c_i a^i b^(d-i); the value
+        is N a^lo / b^hi for exponents lo..hi, and each power enters num
+        or den by its sign.  The zero polynomial gives (0, 1).
         """
+        c = self._c
+        if not c:
+            return 0, 1
+        acc = 0
+        if b == 1:
+            for x in reversed(c):
+                acc = acc * a + x
+        else:
+            bpow = 1
+            for x in reversed(c):
+                acc = acc * a + x * bpow
+                bpow *= b
+        lo = self._lo
+        hi = lo + len(c) - 1
+        num = acc * (a ** lo if lo > 0 else 1) * (b ** -hi if hi < 0 else 1)
+        den = (a ** -lo if lo < 0 else 1) * (b ** hi if hi > 0 else 1)
+        return num, den
+
+    def eval(self, a: Fraction) -> Fraction:
+        """Exact value at the rational q = a: ``value_parts`` at the
+        numerator and denominator of a, in one final Fraction."""
         a = Fraction(a)
         if a == 0:
             raise EvalAtZero("cannot evaluate a Laurent polynomial at q=0")
-        c = self._c
-        if not c:
-            return Fraction(0)
-        p, s = a.numerator, a.denominator
-        acc = 0
-        if s == 1:
-            for x in reversed(c):
-                acc = acc * p + x
-        else:
-            spow = 1
-            for x in reversed(c):
-                acc = acc * p + x * spow
-                spow *= s
-        d, lo = len(c) - 1, self._lo
-        if lo >= 0:
-            return Fraction(acc * p ** lo, s ** (d + lo))
-        return Fraction(acc * s ** -lo, s ** d * p ** -lo)
+        return Fraction(*self.value_parts(a.numerator, a.denominator))
 
     def to_pairs(self) -> list:
         """JSON form: sorted [exponent, coefficient-as-decimal-string] pairs."""

@@ -12,15 +12,21 @@ The column generating functions of one (m, r) are built by prefix: column
 k's denominator product is column k-1's times one more geometric series
 (``rational_gf_columns``).  The EGF numerators read their powers and
 q-Pascal rows from the shared qcalculus.RouteValues.
+
+The horizontal generating function is checked in integers: at q = a/b a
+row of values, the falling factors and [t]_q^n each become integer
+numerators over one denominator (``LaurentPoly.value_parts``), and the
+identity is compared cross-multiplied, with no Fraction per cell.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from .qcalculus import RouteValues, whitney_numerator
-from .qcore import LaurentPoly, ONE, ZERO, eval_q, q_int
+from .qcore import LaurentPoly, ONE, ZERO, q_int
 from .whitney import WhitneyParams, w
 
 
@@ -89,40 +95,77 @@ def egf(params: WhitneyParams, k: int, N: int,
     return tuple(whitney_numerator(params, n, k, shared) for n in range(N + 1))
 
 
-def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> list:
-    """The values W[n,k]_q at q = qval for k = 0..n."""
+def _rational_parts(qval) -> tuple:
+    """(a, b) with q = a/b in lowest terms and b >= 1."""
     qval = Fraction(qval)
-    return [w(params, n, k).eval(qval) for k in range(n + 1)]
+    return qval.numerator, qval.denominator
+
+
+def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> tuple:
+    """The values W[n,k]_q at q = qval for k = 0..n, as integer numerators
+    over one denominator: ``(nums, den)`` with W[n,k]_q = nums[k] / den.
+
+    With q = a/b, W[n,k] has exponents 0 <= lo..hi, so its value is
+    N a^lo / b^hi and den, the lcm of the entries' denominators, is b^H
+    for the row's top degree H.
+    """
+    a, b = _rational_parts(qval)
+    parts = [w(params, n, k).value_parts(a, b) for k in range(n + 1)]
+    den = lcm(*(d for _, d in parts))
+    return [num * (den // d) for num, d in parts], den
 
 
 def horizontal_falling(params: WhitneyParams, t: int, qval: Fraction,
-                       kmax: int) -> list:
+                       kmax: int) -> tuple:
     """The falling factors [t-r|m]_{k,q} = prod_{j<k} [t-r-jm]_q at q = qval
-    for k = 0..kmax; they do not depend on n."""
-    qval = Fraction(qval)
+    for k = 0..kmax, which do not depend on n, as integer numerators over
+    one denominator: ``(nums, den)`` with [t-r|m]_{k,q} = nums[k] / den.
+
+    den is the denominator a^A b^B of the last product; a factor [0]_q
+    makes every later numerator 0.
+    """
+    a, b = _rational_parts(qval)
     m, r = params.m, params.r
-    out = [Fraction(1)]
-    for k in range(1, kmax + 1):
-        out.append(out[-1] * eval_q(q_int(t - r - (k - 1) * m), qval))
-    return out
+    factors = [q_int(t - r - j * m).value_parts(a, b) for j in range(kmax)]
+    # nums[k] = (prod_{j<k} num_j) (prod_{j>=k} den_j)
+    nums = [1] * (kmax + 1)
+    for k in range(kmax - 1, -1, -1):
+        nums[k] = nums[k + 1] * factors[k][1]
+    den, head = nums[0], 1
+    for k, (num, _) in enumerate(factors, 1):
+        head *= num
+        nums[k] *= head
+    return nums, den
+
+
+def horizontal_powers(t: int, qval: Fraction, nmax: int) -> list:
+    """[t]_q^n at q = qval for n = 0..nmax as integer pairs: the n-th
+    powers of the two parts ``LaurentPoly.value_parts`` gives for [t]_q."""
+    tnum, tden = q_int(t).value_parts(*_rational_parts(qval))
+    return [(tnum ** n, tden ** n) for n in range(nmax + 1)]
 
 
 def horizontal_gf_check(params: WhitneyParams, n: int, t: int,
-                        qval: Fraction, row: list = None,
-                        falling: list = None) -> bool:
+                        qval: Fraction, row: tuple = None,
+                        falling: tuple = None, power: tuple = None) -> bool:
     """Does sum_k W[n,k]_q [t-r|m]_{k,q} = [t]_q^n hold at q = qval?
 
-    Checked as exact rationals; the falling factors may involve q-integers
-    of negative arguments.  ``row`` is ``horizontal_row(params, n, qval)``
-    and ``falling`` is ``horizontal_falling(params, t, qval, kmax)`` for
-    some kmax >= n; each is computed here when not given, and a caller
-    checking many (n, t) at one q passes them in so each is evaluated once.
+    Checked in integers: with W[n,k] = nums_k / D, the falling factors
+    fnums_k / F and [t]_q^n = P / E, the identity times the nonzero D F E
+    reads sum_k nums_k fnums_k E = P D F.  The falling factors may involve
+    q-integers of negative arguments.
+
+    ``row`` is ``horizontal_row(params, n, qval)``, ``falling`` is
+    ``horizontal_falling(params, t, qval, kmax)`` for some kmax >= n, and
+    ``power`` is entry n of ``horizontal_powers(t, qval, nmax)``; each is
+    computed here when not given, and a caller checking many (n, t) at one
+    q passes them in so each is evaluated once.
     """
-    qval = Fraction(qval)
     if row is None:
         row = horizontal_row(params, n, qval)
     if falling is None:
         falling = horizontal_falling(params, t, qval, n)
-    lhs = sum((row[k] * falling[k] for k in range(n + 1)), Fraction(0))
-    rhs = eval_q(q_int(t), qval) ** n
-    return lhs == rhs
+    if power is None:
+        power = horizontal_powers(t, qval, n)[n]
+    (nums, den), (fnums, fden), (pnum, pden) = row, falling, power
+    return sum(map(mul, nums, fnums)) * pden == pnum * den * fden

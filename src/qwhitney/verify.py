@@ -8,7 +8,11 @@ to have been checked on, and can be overridden from a JSON config.
 A suite builds the inputs its routes share once per (m, r) and hands them
 to every cell: the power table, q-Pascal rows and normalizers of
 qcalculus.RouteValues, and every column generating function from one
-prefix pass.
+prefix pass.  The horizontal generating function's row values, falling
+factors and powers of [t]_q enter as integer parts, each built once per
+(n, q) or (t, q).  The hankel suite builds each (m, r, s) family's largest
+matrix, its determinants of every order (one elimination) and its L*U
+product once, and each order reads its leading block.
 """
 
 from __future__ import annotations
@@ -195,12 +199,15 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
         nh = g["nmax_horizontal"]
         falling = {(t, qv): series.horizontal_falling(p, t, qv, nh)
                    for t in g["t"] for qv in qvals}
+        powers = {(t, qv): series.horizontal_powers(t, qv, nh)
+                  for t in g["t"] for qv in qvals}
         for n in range(nh + 1):
             rows = [series.horizontal_row(p, n, qv) for qv in qvals]
             for t in g["t"]:
                 for qv, row in zip(qvals, rows):
                     ok = series.horizontal_gf_check(p, n, t, qv, row,
-                                                    falling[t, qv])
+                                                    falling[t, qv],
+                                                    powers[t, qv][n])
                     res.check(ok, {**base, "n": n, "t": t, "q": str(qv)},
                               "horizontal_gf")
     return res
@@ -251,16 +258,21 @@ def suite_hankel(grid: dict = None) -> SuiteResult:
     """Hankel transform, LU factorization, and classical q=1 corollary."""
     g = _grid(grid)
     res = SuiteResult("hankel")
+    nmax = g["nmax_hankel"]
     for p in _param_cells(g):
         base = {"m": p.m, "r": p.r}
         for s in range(g["smax_hankel"] + 1):
-            for n in range(g["nmax_hankel"] + 1):
+            # every order's matrix, determinant and L*U product is a
+            # leading block of the largest one's
+            family = hk.HankelSpec(p, s, nmax)
+            mat = hk.hankel_matrix(family)
+            dets = hk.leading_dets(mat)
+            lu = hk.lu_product(family)
+            for n in range(nmax + 1):
                 spec = hk.HankelSpec(p, s, n)
-                mat = hk.hankel_matrix(spec)
-                det = hk.det_exact(mat)
-                res.check(hk.hankel_transform_check(spec, det),
+                res.check(hk.hankel_transform_check(spec, dets[n]),
                           {**base, "s": s, "n": n}, "hankel_transform")
-                res.check(hk.lu_check(spec, mat, det),
+                res.check(hk.lu_check(spec, mat, dets[n], lu),
                           {**base, "s": s, "n": n}, "lu_factorization")
                 res.check(hk.classical_hankel_check(p.m, p.r, s, n),
                           {**base, "s": s, "n": n}, "classical_hankel")

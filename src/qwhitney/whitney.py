@@ -166,4 +166,4 @@ def r_dowling(params: WhitneyParams, n: int) -> LaurentPoly:
 def classical_w(params: WhitneyParams, n: int, k: int) -> int:
     """The classical r-Whitney number W_{m,r}(n,k): the q=1 value, which is
     the sum of the integer coefficients."""
-    return sum(w(params, n, k).terms.values())
+    return sum(w(params, n, k).coeffs)

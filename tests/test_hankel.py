@@ -8,9 +8,10 @@ from qwhitney import (ExactMatrix, HankelSpec, LaurentPoly, WhitneyParams,
                       classical_hankel_check, det_cofactor, det_exact,
                       hankel_closed_form, hankel_matrix,
                       hankel_transform_check, lu_check, q_int, w_star)
-from qwhitney import hankel
-from qwhitney.hankel import bareiss_det, lu_factors, matmul
-from qwhitney.qcore import ONE, ZERO
+from qwhitney import hankel, verify
+from qwhitney.hankel import (bareiss, bareiss_det, leading_block,
+                             leading_dets, lu_factors, lu_product, matmul)
+from qwhitney.qcore import ONE, ZERO, laurent_exact_div
 
 P11 = WhitneyParams(1, 1)
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
@@ -108,6 +109,69 @@ class TestDeterminant:
                     assert det_exact(mat) == det_cofactor(mat)
 
 
+class TestLeadingDets:
+    FAMILIES = [(WhitneyParams(m, r), s) for m, r, s in
+                ((1, 1, 0), (1, 0, 2), (2, 1, 1), (3, 2, 0), (2, 0, 3))]
+
+    def test_pivots_are_leading_minors(self):
+        for p, s in self.FAMILIES:
+            mat = hankel_matrix(HankelSpec(p, s, 5))
+            det, minors = bareiss(mat.entries, laurent_exact_div)
+            dets = leading_dets(mat)
+            assert len(minors) == len(dets) == 6 and dets[5] == det
+            for order in range(1, 7):
+                block = leading_block(mat, order)
+                assert block == hankel_matrix(HankelSpec(p, s, order - 1))
+                assert dets[order - 1] == minors[order - 1] == det_exact(block)
+                if order <= 4:
+                    assert dets[order - 1] == det_cofactor(block)
+
+    def test_int_pivots_are_leading_minors(self):
+        rows = [[2, 1, 3, 0], [4, 5, 1, 2], [1, 0, 2, 7], [3, 3, 3, 1]]
+        det, minors = bareiss(rows, floordiv)
+        assert det == minors[-1] and len(minors) == 4
+        for order in range(1, 5):
+            block = [row[:order] for row in rows[:order]]
+            assert minors[order - 1] == bareiss_det(block, floordiv)
+
+    def test_zero_pivot_falls_back(self, monkeypatch):
+        rng = random.Random(7)
+
+        def entry():
+            return random_laurent(rng, 3, (-1, 2), (-4, 4)) + ONE
+
+        rows = [[entry() for _ in range(4)] for _ in range(4)]
+        rows[0][0] = ZERO
+        lead_zero = ExactMatrix(tuple(map(tuple, rows)))
+        rows = [[entry() for _ in range(4)] for _ in range(4)]
+        rows[1][:2] = [x.shift(1) for x in rows[0][:2]]
+        mid_zero = ExactMatrix(tuple(map(tuple, rows)))
+        fallbacks = []
+        det_exact_ = hankel.det_exact
+
+        def counted(mat):
+            fallbacks.append(mat.order)
+            return det_exact_(mat)
+
+        monkeypatch.setattr(hankel, "det_exact", counted)
+        for mat, pivots in ((lead_zero, 1), (mid_zero, 2)):
+            fallbacks.clear()
+            _, minors = bareiss(mat.entries, laurent_exact_div)
+            assert len(minors) == pivots and minors[-1] == ZERO
+            dets = leading_dets(mat)
+            assert fallbacks == list(range(pivots + 1, 5))
+            assert dets == [det_cofactor(leading_block(mat, k))
+                            for k in range(1, 5)]
+
+    def test_singular_column_stops_the_pivots(self):
+        mat = ExactMatrix(((ZERO, ONE, q_int(2)),
+                           (ZERO, q_int(3), ONE),
+                           (ZERO, ONE, ONE)))
+        det, minors = bareiss(mat.entries, laurent_exact_div)
+        assert det == ZERO and minors == [ZERO]
+        assert leading_dets(mat) == [ZERO, ZERO, ZERO]
+
+
 class TestHankelTransform:
     def test_order_zero(self):
         for p in PARAM_GRID:
@@ -149,6 +213,49 @@ class TestLU:
             for s in range(4):
                 for n in range(5):
                     assert lu_check(HankelSpec(p, s, n))
+
+
+class TestLUProduct:
+    def test_leading_blocks_of_one_product(self):
+        for p in PARAM_GRID[::2]:
+            for s in range(3):
+                mat = hankel_matrix(HankelSpec(p, s, 4))
+                lu = lu_product(HankelSpec(p, s, 4))
+                dets = leading_dets(mat)
+                for n in range(5):
+                    spec = HankelSpec(p, s, n)
+                    product, diagonal = lu_product(spec)
+                    assert leading_block(lu[0], n + 1) == product
+                    assert lu[1][:n + 1] == diagonal
+                    assert lu_check(spec, mat, dets[n], lu)
+                    assert lu_check(spec, mat, None, lu)
+                    assert not lu_check(spec, mat, dets[n] + ONE, lu)
+
+    def test_suite_lu_cells_fail_under_a_factor_fault(self, monkeypatch):
+        original = hankel.lu_factors
+
+        def shifted(spec):
+            # U read with the shift r + m(s+i+1) instead of r + m(s+i)
+            lower, _ = original(spec)
+            params, s, n = spec.params, spec.s, spec.n
+            upper = ExactMatrix(tuple(
+                tuple(w_star(WhitneyParams(params.m,
+                                           params.r + params.m * (s + i + 1)),
+                             j, j - i) if i <= j else ZERO
+                      for j in range(n + 1))
+                for i in range(n + 1)))
+            return lower, upper
+
+        grid = {"m": [1, 2], "r": [0, 1], "smax_hankel": 1, "nmax_hankel": 3}
+        assert verify.suite_hankel(grid).ok
+        monkeypatch.setattr(hankel, "lu_factors", shifted)
+        res = verify.suite_hankel(grid)
+        assert {f.identity for f in res.failures} == {"lu_factorization"}
+        # order 1 has U = (1) either way; every larger order fails
+        assert [(f.params["m"], f.params["r"], f.params["s"], f.params["n"])
+                for f in res.failures] == \
+            [(m, r, s, n) for m in (1, 2) for r in (0, 1) for s in (0, 1)
+             for n in range(1, 4)]
 
 
 class TestClassical:

@@ -2,6 +2,7 @@ import random
 from contextlib import nullcontext
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import pytest
 
@@ -175,19 +176,28 @@ class TestHorizontalGF:
     def test_given_row_matches_computed_row(self):
         for qv in (Fraction(2), Fraction(-3, 5)):
             row = horizontal_row(P11, 4, qv)
+            nums, den = row
+            assert [Fraction(x, den) for x in nums] == \
+                [w(P11, 4, k).eval(qv) for k in range(5)]
             for t in (-3, 0, 7):
                 assert horizontal_gf_check(P11, 4, t, qv, row)
+                # every value one too large, then one value at a time
                 assert not horizontal_gf_check(P11, 4, t, qv,
-                                               [x + 1 for x in row])
+                                               ([x + den for x in nums], den))
+                for k in range(5):
+                    bad = nums[:k] + [nums[k] + den] + nums[k + 1:]
+                    assert not horizontal_gf_check(P11, 4, t, qv, (bad, den))
 
     def test_falling_factors(self):
         p = WhitneyParams(2, 1)
         for qv in (Fraction(2), Fraction(-3, 5)):
-            for t in (-3, 0, 7):
-                falling = horizontal_falling(p, t, qv, 5)
-                assert len(falling) == 6 and falling[0] == 1
+            for t in (-3, 0, 7):  # t = 7 reaches [0]_q at k = 4
+                nums, den = horizontal_falling(p, t, qv, 5)
+                assert len(nums) == 6 and nums[0] == den
                 for k in range(1, 6):
-                    assert falling[k] == falling[k - 1] * q_int(t - 1 - 2 * (k - 1)).eval(qv)
+                    assert Fraction(nums[k], den) == Fraction(nums[k - 1], den) \
+                        * q_int(t - 1 - 2 * (k - 1)).eval(qv)
+                assert (t == 7) == (nums[4] == nums[5] == 0)
 
     def test_given_falling_matches_computed_falling(self):
         for p in (P11, WhitneyParams(2, 1), WhitneyParams(3, 0)):
@@ -196,13 +206,15 @@ class TestHorizontalGF:
                     falling = horizontal_falling(p, t, qv, 6)
                     for n in range(7):
                         row = horizontal_row(p, n, qv)
-                        bad = [x + 1 for x in row]
+                        nums, den = row
+                        bad = ([x + den for x in nums], den)
                         assert horizontal_gf_check(p, n, t, qv, row, falling)
                         assert horizontal_gf_check(p, n, t, qv, None, falling)
                         assert (horizontal_gf_check(p, n, t, qv, bad, falling)
                                 == horizontal_gf_check(p, n, t, qv, bad))
-                    assert not horizontal_gf_check(p, 6, t, qv, None,
-                                                   [f + 1 for f in falling])
+                    fnums, fden = falling
+                    assert not horizontal_gf_check(
+                        p, 6, t, qv, None, ([f + fden for f in fnums], fden))
 
     def test_suite_verdicts_match_unshared_checks(self):
         grid = {"m": [1], "r": [1], "nmax_genfun": 0, "nmax_egf": 0,
@@ -239,3 +251,89 @@ class TestHorizontalGF:
         assert len(set(points)) >= bound
         for qv in points:
             assert horizontal_gf_check(p, n, t, qv)
+
+
+class TestHorizontalAgainstFractions:
+    """The integer cross-multiplied check against sums of Fractions formed
+    here, with no use of the library's rational evaluation."""
+
+    QVALS = (Fraction(2), Fraction(1, 2), Fraction(-2), Fraction(3, 5),
+             Fraction(-3, 7))
+    # for every (m, r) of PARAM_GRID one of 3, 4, 5 is r + jm with j < 6,
+    # so some falling product reaches [0]_q; -4, -1 and 0 give negative
+    # arguments
+    TS = (-4, -1, 0, 3, 4, 5, 9)
+    NMAX = 6
+
+    @staticmethod
+    def value(poly, q):
+        return sum((c * q ** e for e, c in poly.terms.items()), Fraction(0))
+
+    @staticmethod
+    def q_integer(x, q):
+        return (1 - q ** x) / (1 - q)
+
+    def falling(self, p, t, q):
+        out = [Fraction(1)]
+        for k in range(self.NMAX):
+            out.append(out[-1] * self.q_integer(t - p.r - k * p.m, q))
+        return out
+
+    def oracle(self, p, q):
+        """(n, t) -> does the identity hold at q, from Fraction sums."""
+        falling = {t: self.falling(p, t, q) for t in self.TS}
+        verdicts = {}
+        for n in range(self.NMAX + 1):
+            row = [self.value(w(p, n, k), q) for k in range(n + 1)]
+            for t in self.TS:
+                lhs = sum(map(mul, row, falling[t]))
+                verdicts[n, t] = lhs == self.q_integer(t, q) ** n
+        return verdicts
+
+    def test_zero_factor_is_reached(self):
+        for p in PARAM_GRID:
+            assert any((t - p.r) % p.m == 0 and 0 <= (t - p.r) // p.m < self.NMAX
+                       for t in self.TS)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_rows_falling_and_verdicts(self, perturbed):
+        with whitney.perturb_recurrence() if perturbed else nullcontext():
+            failed = 0
+            for p in PARAM_GRID:
+                for q in self.QVALS:
+                    falling = {t: horizontal_falling(p, t, q, self.NMAX)
+                               for t in self.TS}
+                    for t, (fnums, fden) in falling.items():
+                        assert [Fraction(x, fden) for x in fnums] == \
+                            self.falling(p, t, q)
+                    verdicts = self.oracle(p, q)
+                    for n in range(self.NMAX + 1):
+                        nums, den = row = horizontal_row(p, n, q)
+                        assert [Fraction(x, den) for x in nums] == \
+                            [self.value(w(p, n, k), q) for k in range(n + 1)]
+                        for t in self.TS:
+                            ok = verdicts[n, t]
+                            assert horizontal_gf_check(p, n, t, q) == ok
+                            assert horizontal_gf_check(p, n, t, q, row,
+                                                       falling[t]) == ok
+                            failed += not ok
+        assert bool(failed) == perturbed
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_suite_against_oracle(self, perturbed):
+        grid = {"m": [1, 2, 3], "r": [0, 1, 2], "nmax_genfun": 0,
+                "nmax_egf": 0, "kmax_genfun": 0,
+                "nmax_horizontal": self.NMAX, "t": list(self.TS),
+                "qvals": [str(q) for q in self.QVALS]}
+        with whitney.perturb_recurrence() if perturbed else nullcontext():
+            res = verify.suite_genfun(grid)
+            verdicts = {(p, q): self.oracle(p, q)
+                        for p in PARAM_GRID for q in self.QVALS}
+        expected = [(p.m, p.r, n, t, str(q)) for p in PARAM_GRID
+                    for n in range(self.NMAX + 1) for t in self.TS
+                    for q in self.QVALS if not verdicts[p, q][n, t]]
+        got = [(f.params["m"], f.params["r"], f.params["n"], f.params["t"],
+                f.params["q"])
+               for f in res.failures if f.identity == "horizontal_gf"]
+        assert got == expected
+        assert bool(expected) == perturbed
