@@ -23,12 +23,19 @@ integer numerator and denominator; ``eval`` puts them in one Fraction, and
 a caller summing many values at one q can cross-multiply the integers
 instead.
 ``to_json`` renders a polynomial straight to the JSON text of its
-``to_pairs`` form.
+``to_pairs`` form, byte-identical to ``json.dumps`` of the pairs.  When the
+exponents lie in 0..8,191 and no interior coefficient is zero (as in the
+triangle entries), the text is one ``%`` of the coefficient tuple into a
+slice of a shared exponent template ``'[0, "%d"], [1, "%d"], ...'``, built
+on first use in power-of-two sizes up to that 8,192-exponent cap; anything
+else takes a per-coefficient fallback.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, islice, repeat
 from math import comb
 from operator import add, mul, neg, sub
@@ -255,10 +262,22 @@ class LaurentPoly:
         return [[e, str(c)] for e, c in enumerate(self._c, self._lo) if c]
 
     def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_pairs())``, built in one pass
-        without the intermediate pair lists."""
-        return "[" + ", ".join([f'[{e}, "{c}"]' for e, c
-                                in enumerate(self._c, self._lo) if c]) + "]"
+        """The text of ``json.dumps(self.to_pairs())``, without the
+        intermediate pair lists.
+
+        For exponents lo..hi with 0 <= lo and hi < ``_JSON_TEMPLATE_MAX`` and
+        no zero coefficient, the pairs are the template slice for lo..hi, so
+        one C-level ``%`` over the coefficient tuple writes the whole text.
+        Other polynomials are rendered one coefficient at a time.
+        """
+        c = self._c
+        lo = self._lo
+        hi = lo + len(c) - 1
+        if c and lo >= 0 and hi < _JSON_TEMPLATE_MAX and 0 not in c:
+            text, pos = _json_template(max(_JSON_TEMPLATE_MIN, 1 << hi.bit_length()))
+            return ("[" + text[pos[lo]:pos[hi + 1] - 2] + "]") % c
+        return "[" + ", ".join([f'[{e}, "{x}"]' for e, x
+                                in enumerate(c, lo) if x]) + "]"
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
@@ -284,6 +303,20 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.terms!r})"
+
+
+# Exponent templates for to_json come in power-of-two sizes from the first
+# to the second bound (the largest is about 120 KB of text).
+_JSON_TEMPLATE_MIN = 256
+_JSON_TEMPLATE_MAX = 8192
+
+
+@cache
+def _json_template(size: int) -> tuple:
+    """The text '[0, "%d"], [1, "%d"], ..., [size-1, "%d"], ' and the
+    offsets where each entry starts, with the end of the text last."""
+    entries = [f'[{e}, "%d"], ' for e in range(size)]
+    return "".join(entries), array("I", accumulate(map(len, entries), initial=0))
 
 
 # Shorter operands than this (unless a run of equal coefficients) are

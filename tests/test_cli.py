@@ -54,12 +54,17 @@ class TestTable:
         rc, _ = run(["table", "--m", "0", "--r", "1", "--nmax", "2"])
         assert rc == 2
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_bytes_match_dumps_of_pairs(self, fmt):
-        entries = whitney.w_table(whitney.WhitneyParams(1, 3), 30).entries
+    # (1, 5, 50) is the benchmark's largest table: top-row degree 1,475.
+    @pytest.mark.parametrize("fmt, m, r, nmax", [
+        pytest.param("json", 1, 3, 30, id="json"),
+        pytest.param("csv", 1, 3, 30, id="csv"),
+        pytest.param("json", 1, 5, 50, id="json-1-5-50"),
+        pytest.param("csv", 1, 5, 50, id="csv-1-5-50")])
+    def test_bytes_match_dumps_of_pairs(self, fmt, m, r, nmax):
+        entries = whitney.w_table(whitney.WhitneyParams(m, r), nmax).entries
         if fmt == "json":
             expected = json.dumps(
-                {"params": {"m": 1, "r": 3},
+                {"params": {"m": m, "r": r},
                  "rows": [[v.to_pairs() for v in row] for row in entries]}) + "\n"
         else:
             buf = io.StringIO()
@@ -69,7 +74,7 @@ class TestTable:
                 for k, v in enumerate(row):
                     writer.writerow([n, k, json.dumps(v.to_pairs())])
             expected = buf.getvalue()
-        rc, out = run(["table", "--m", "1", "--r", "3", "--nmax", "30",
+        rc, out = run(["table", "--m", str(m), "--r", str(r), "--nmax", str(nmax),
                        "--format", fmt])
         assert rc == 0
         assert out == expected

@@ -13,6 +13,7 @@ from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
                       laurent_exact_div, q_binomial, q_binomial_inverse,
                       q_binomial_row, q_binomial_transform, q_factorial,
                       q_int)
+from qwhitney import qcore
 from qwhitney.qcore import ONE, ZERO
 
 laurent_strategy = st.dictionaries(
@@ -50,6 +51,32 @@ class TestLaurentPoly:
     @settings(max_examples=200, deadline=None)
     def test_to_json_is_dumps_of_pairs(self, p):
         assert p.to_json() == json.dumps(p.to_pairs())
+
+    @pytest.mark.parametrize("lo, coeffs", [
+        # top exponent at the template's bucket and cap edges
+        (0, [1] * 256), (0, [1] * 257), (0, [2] * 258),
+        (255, [3]), (256, [3]), (257, [3]),
+        (8000, [1] * 192), (8000, [1] * 193), (8000, [1] * 194),
+        (8191, [4]), (8192, [4]), (8193, [4]),
+        # lowest exponent near 10^5, past the cap
+        (10 ** 5 - 1, [1, 2, 3]), (10 ** 5, [5]),
+        # a negative lowest exponent, interior zeros, a single term
+        (-3, [1, 2, 3, 4, 5, 6]), (-1, [7]), (0, [1, 0, 1]),
+        (250, [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]), (0, [9]),
+        # negative and 400-bit coefficients
+        (0, [-1, 2, -3]), (17, [2 ** 400 - 1, -(2 ** 400), 5]),
+        (0, [-(2 ** 399)] * 300),
+    ])
+    def test_to_json_template_edges(self, lo, coeffs):
+        p = LaurentPoly(dict(enumerate(coeffs, lo)))
+        assert p.to_json() == json.dumps(p.to_pairs())
+
+    def test_to_json_same_before_and_after_a_larger_template(self):
+        qcore._json_template.cache_clear()
+        small = LaurentPoly({0: 3, 1: -2 ** 200, 2: 1})
+        before = small.to_json()
+        LaurentPoly({8191: 1, 0: 1, **{e: e for e in range(1, 8191)}}).to_json()
+        assert small.to_json() == before == json.dumps(small.to_pairs())
 
     def test_shift_and_stretch(self):
         p = q_int(3)
