@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import verify
 from .hankel import HankelSpec, det_exact, hankel_closed_form, hankel_matrix
-from .qcore import DivisionByZero, LaurentPoly, NonExactDivision, eval_q
+from .qcore import DivisionByZero, LaurentPoly, NonExactDivision
 from .whitney import (InternalNonLaurent, WhitneyParams, r_dowling, w,
                       w_star, w_table)
 
@@ -79,7 +79,7 @@ def _render(value: LaurentPoly, qval) -> str:
     """JSON text of a value: its pairs, or its exact value at qval as a string."""
     if qval is None:
         return value.to_json()
-    return json.dumps(str(eval_q(value, qval)))
+    return json.dumps(str(value.eval(qval)))
 
 
 def _json_list(texts) -> str:
@@ -108,7 +108,7 @@ def cmd_table(args, out) -> int:
         writer.writerow(["n", "k", "value"])
         for n, row in enumerate(table.entries):
             for k, v in enumerate(row):
-                cell = v.to_json() if qval is None else str(eval_q(v, qval))
+                cell = v.to_json() if qval is None else str(v.eval(qval))
                 writer.writerow([n, k, cell])
     return 0
 
@@ -131,7 +131,7 @@ def cmd_dowling(args, out) -> int:
 def cmd_eval(args, out) -> int:
     value = w_star(_params(args), args.n, args.k) if args.star \
         else w(_params(args), args.n, args.k)
-    print(str(eval_q(value, args.q)), file=out)
+    print(str(value.eval(args.q)), file=out)
     return 0
 
 

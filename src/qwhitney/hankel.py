@@ -118,16 +118,10 @@ def bareiss(rows, exact_div) -> tuple:
     return (a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]), minors
 
 
-def bareiss_det(rows, exact_div):
-    """Determinant of a square matrix over an integral domain: the first
-    part of ``bareiss``."""
-    return bareiss(rows, exact_div)[0]
-
-
 def det_exact(mat: ExactMatrix) -> LaurentPoly:
     """Determinant via fraction-free (Bareiss) elimination in the Laurent
     ring."""
-    return bareiss_det(mat.entries, laurent_exact_div)
+    return bareiss(mat.entries, laurent_exact_div)[0]
 
 
 def leading_block(mat: ExactMatrix, order: int) -> ExactMatrix:
@@ -239,4 +233,4 @@ def classical_hankel_check(m: int, r: int, s: int, n: int) -> bool:
     expected = 1
     for k in range(n + 1):
         expected *= (m * (s + k) + r) ** k
-    return bareiss_det(rows, floordiv) == expected
+    return bareiss(rows, floordiv)[0] == expected

@@ -5,8 +5,9 @@ Gaussian binomials come a whole q-Pascal row at a time
 (:func:`q_binomial_row`, by the ratio of neighbouring entries);
 :func:`q_binomial` reads one entry of a row.  The alternating q-binomial
 sum (:func:`q_binomial_alternating_sum`) is the one copy behind both the
-q-binomial inversion and the expanded q-difference operator of
-``qcalculus``.
+q-binomial inversion and the expanded q-difference operator: applied to
+the values f(x), f(x+h), ..., f(x+kh) it is the order-k difference that
+``qcalculus`` also takes as an operator product.
 
 Every value in the library is either a :class:`LaurentPoly` or an exact
 rational (``fractions.Fraction``); a quotient that must be exact goes
@@ -496,8 +497,9 @@ def q_binomial_alternating_sum(values, b: int = 1, row=None) -> LaurentPoly:
     k = len(values) - 1 and ``row`` is q_binomial_row(k, b), built here
     when not given.
 
-    This is the expanded q-difference operator of order k and the
-    q-binomial inversion; both take their sums from here.
+    With values[j] = f(x + jh) this is the expanded q-difference operator
+    of order k at x; it is also the q-binomial inversion.  Both take their
+    sums from here.
     """
     k = len(values) - 1
     if row is None:
@@ -507,14 +509,6 @@ def q_binomial_alternating_sum(values, b: int = 1, row=None) -> LaurentPoly:
         term = binom.shift(b * comb(k - j, 2)) * value
         acc = acc - term if (k - j) % 2 else acc + term
     return acc
-
-
-def eval_q(p, a) -> Fraction:
-    """Exact evaluation of a LaurentPoly at rational q=a."""
-    a = Fraction(a)
-    if isinstance(p, LaurentPoly):
-        return p.eval(a)
-    raise TypeError(f"cannot evaluate {type(p).__name__}")
 
 
 def q_binomial_transform(g, n: int):

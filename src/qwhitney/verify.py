@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from . import hankel as hk
 from . import qcalculus, series, symm
@@ -158,7 +159,7 @@ def suite_explicit(grid: dict = None) -> SuiteResult:
         base = {"m": p.m, "r": p.r}
         shared = qcalculus.RouteValues.build(p, g["nmax"])
         for n in range(g["nmax"] + 1):
-            newton = qcalculus.newton_coefficients(p, n, n, shared)
+            newton = qcalculus.newton_coefficients(p, n, shared)
             for k in range(n + 1):
                 expected = w(p, n, k)
                 got = qcalculus.whitney_explicit(p, n, k, shared)
@@ -214,12 +215,21 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
 
 
 def suite_symmetric(grid: dict = None) -> SuiteResult:
-    """Symmetric-function and tableau routes against the normalized values."""
+    """Symmetric-function and tableau routes against the normalized values.
+
+    A grid whose largest tableau enumeration, C(N, N//2) at N =
+    nmax_tableau, is over symm.DEFAULT_ENUMERATION_CAP is refused before
+    the first cell, not after every smaller cell has run.
+    """
     g = _grid(grid)
     res = SuiteResult("symmetric")
+    nmax = g["nmax_tableau"]
+    count, cap = comb(nmax, nmax // 2), symm.DEFAULT_ENUMERATION_CAP
+    if _param_cells(g) and count > cap:
+        raise symm.EnumerationTooLarge(f"{count} tableaux exceeds cap {cap}")
     for p in _param_cells(g):
         base = {"m": p.m, "r": p.r}
-        for n in range(g["nmax_tableau"] + 1):
+        for n in range(nmax + 1):
             for k in range(n + 1):
                 expected = w_star(p, n, k)
                 got = symm.w_star_symmetric(p, n, k)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qwhitney import cli, qcalculus, verify
+from qwhitney import cli, qcalculus, symm, verify
 from qwhitney import whitney
 from qwhitney.qcore import NonExactDivision
 from qwhitney.whitney import InternalNonLaurent
@@ -296,6 +296,32 @@ class TestSizeLimit:
         args = cli._parser().parse_args(["verify", "--suite", suite])
         args.grid = grid
         assert cli._max_degree(args) == degree
+
+    @pytest.fixture
+    def no_tableau_work(self, monkeypatch):
+        """Make a symmetric suite that starts its cells fail the test."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a symmetric cell started before the "
+                                 "enumeration check")
+        monkeypatch.setattr(symm, "w_star_symmetric", refuse)
+        monkeypatch.setattr(symm, "tableau_sum", refuse)
+
+    # C(25, 12) = 5,200,300 tableaux is over the cap of 10^6.  The cells
+    # below n = 23 are under it, so a suite that checked each cell alone
+    # would run them all, for a long time, before refusing.
+    @pytest.mark.parametrize("suite, code", [("symmetric", 2), ("all", 2),
+                                             ("explicit", 0)])
+    def test_oversized_tableau_grid_refused_first(self, no_tableau_work,
+                                                  tmp_path, capsys, suite,
+                                                  code):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"nmax_tableau": 25}))
+        rc, out = run(["verify", "--suite", suite, "--grid", str(path)])
+        assert rc == code
+        if code == 2:
+            assert out == ""
+            assert capsys.readouterr().err == \
+                "error: 5200300 tableaux exceeds cap 1000000\n"
 
     def test_grid_within_bound_runs(self, tmp_path):
         # the bound covers only the suites a request runs

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_laurent
 from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
-                      NonExactDivision, eval_q, gauss_product_check,
+                      NonExactDivision, gauss_product_check,
                       laurent_exact_div, q_binomial, q_binomial_inverse,
                       q_binomial_row, q_binomial_transform, q_factorial,
                       q_int)
@@ -219,14 +219,14 @@ class TestExactDivision:
 
 class TestEval:
     def test_coefficient_sum(self):
-        assert eval_q(q_int(5), 1) == 5
+        assert q_int(5).eval(1) == 5
 
     def test_at_two(self):
-        assert eval_q(q_int(3), 2) == 7
+        assert q_int(3).eval(2) == 7
 
     def test_negative_exponent(self):
         p = LaurentPoly({0: 1, -1: 1})
-        assert eval_q(p, Fraction(1, 2)) == 3
+        assert p.eval(Fraction(1, 2)) == 3
 
 
 class TestQBinomialInversion:
