@@ -10,12 +10,11 @@ from .qcore import (LaurentPoly, DivisionByZero, EvalAtZero, NonExactDivision,
                     gauss_product_check, laurent_exact_div, q_binomial,
                     q_binomial_alternating_sum, q_binomial_inverse,
                     q_binomial_row, q_binomial_transform, q_factorial, q_int)
-from .whitney import (InternalNonLaurent, WhitneyParams, WhitneyTable,
-                      classical_w, r_dowling, w, w_horizontal, w_star,
-                      w_table, w_vertical)
+from .whitney import (InternalNonLaurent, WhitneyParams, classical_w,
+                      r_dowling, w, w_horizontal, w_star, w_table, w_vertical)
 from .qcalculus import (RouteValues, newton_coefficients, q_diff_heads,
                         q_power_table, whitney_explicit)
-from .series import egf, horizontal_gf_check, rational_gf, rational_gf_columns
+from .series import egf, horizontal_gf_check, rational_gf_columns
 from .symm import (EnumerationTooLarge, convolution_first, convolution_second,
                    h_complete, tableau_sum, w_star_symmetric)
 from .hankel import (ExactMatrix, HankelSpec, classical_hankel_check,

@@ -15,7 +15,9 @@ argparse parser is built on the first call and reused, since a parse keeps
 no state in it.  Everything but error messages, ``--help`` text included,
 goes to ``out``.  A request whose polynomials could reach a degree above
 ``MAX_DEGREE`` is refused with exit 2 before any ring work; for ``verify``
-the bound is taken over the suites the request runs, on its grid.
+the bound is taken over the suites the request runs, on its grid.  So is
+an exact value at q with more digits than the interpreter converts to
+text, before anything is written.
 """
 
 from __future__ import annotations
@@ -75,11 +77,22 @@ def _bind_negative_q(argv):
     return out
 
 
+def _value_at(value: LaurentPoly, q) -> str:
+    """The exact value at q as text, refused as too large when it has more
+    digits than the interpreter converts to text."""
+    exact = value.eval(q)
+    try:
+        return str(exact)
+    except ValueError:
+        raise ValueError(f"request too large: its value at q = {q} has more "
+                         f"than {sys.get_int_max_str_digits()} digits") from None
+
+
 def _render(value: LaurentPoly, qval) -> str:
     """JSON text of a value: its pairs, or its exact value at qval as a string."""
     if qval is None:
         return value.to_json()
-    return json.dumps(str(value.eval(qval)))
+    return json.dumps(_value_at(value, qval))
 
 
 def _json_list(texts) -> str:
@@ -87,51 +100,53 @@ def _json_list(texts) -> str:
     return "[" + ", ".join(texts) + "]"
 
 
-def _emit_value(out, value: LaurentPoly, qval):
-    print(_render(value, qval), file=out)
-
-
 def cmd_table(args, out) -> int:
     table = w_table(_params(args), args.nmax)
     qval = args.q_eval
+    if qval is not None:
+        # Every value is rendered before the first write, so a value
+        # refused as too large leaves stdout empty.
+        table = [[_value_at(v, qval) for v in row] for row in table]
     if args.format == "json":
-        # Written one row at a time, so no whole-table document is built.
+        # Otherwise written one row at a time, so no whole-table document
+        # is built.
         params = json.dumps({"m": args.m, "r": args.r})
         out.write(f'{{"params": {params}, "rows": [')
         sep = ""
-        for row in table.entries:
-            out.write(sep + _json_list([_render(v, qval) for v in row]))
+        for row in table:
+            out.write(sep + _json_list([v.to_json() if qval is None
+                                        else json.dumps(v) for v in row]))
             sep = ", "
         out.write("]}\n")
     else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "k", "value"])
-        for n, row in enumerate(table.entries):
+        for n, row in enumerate(table):
             for k, v in enumerate(row):
-                cell = v.to_json() if qval is None else str(v.eval(qval))
-                writer.writerow([n, k, cell])
+                writer.writerow([n, k, v.to_json() if qval is None else v])
     return 0
 
 
 def cmd_value(args, out) -> int:
-    _emit_value(out, w(_params(args), args.n, args.k), args.q_eval)
+    print(_render(w(_params(args), args.n, args.k), args.q_eval), file=out)
     return 0
 
 
 def cmd_star(args, out) -> int:
-    _emit_value(out, w_star(_params(args), args.n, args.k), args.q_eval)
+    print(_render(w_star(_params(args), args.n, args.k), args.q_eval),
+          file=out)
     return 0
 
 
 def cmd_dowling(args, out) -> int:
-    _emit_value(out, r_dowling(_params(args), args.n), args.q_eval)
+    print(_render(r_dowling(_params(args), args.n), args.q_eval), file=out)
     return 0
 
 
 def cmd_eval(args, out) -> int:
     value = w_star(_params(args), args.n, args.k) if args.star \
         else w(_params(args), args.n, args.k)
-    print(str(value.eval(args.q)), file=out)
+    print(_value_at(value, args.q), file=out)
     return 0
 
 
@@ -262,10 +277,10 @@ def _max_degree(args) -> int:
             row, order = args.nmax, 1
         else:
             row, order = args.n, 1
-        sizes = [(p.m, p.r, row, order)]
+        sizes = [(p.m, p.r, row, order, 0)]
     # Negative sizes are refused later, by the command itself.
-    return max((max(order, 0) * _row_degree(m, r, max(row, 0))
-                for m, r, row, order in sizes), default=0)
+    return max((max(max(order, 0) * _row_degree(m, r, max(row, 0)), factor)
+                for m, r, row, order, factor in sizes), default=0)
 
 
 def main(argv=None, out=None) -> int:

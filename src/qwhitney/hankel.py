@@ -8,8 +8,9 @@ q=1 corollary over the ints; it keeps every interior division exact.  Its
 pivots are the leading minors (Sylvester's identity), so one elimination
 of the largest matrix of a family gives the determinant of every smaller
 order (``leading_dets``), and one L*U product (``lu_product``) gives every
-order's product as a leading block.  ``det_cofactor`` is the test oracle
-and is not called by the library.
+order's product as a leading block.  The two checks take that matrix,
+determinant and product as arguments.  ``det_cofactor`` is the test
+oracle and is not called by the library.
 """
 
 from __future__ import annotations
@@ -148,13 +149,9 @@ def hankel_closed_form(spec: HankelSpec) -> LaurentPoly:
     return out
 
 
-def hankel_transform_check(spec: HankelSpec, det: LaurentPoly = None) -> bool:
-    """Does the exact determinant equal the closed-form product?
-
-    ``det`` is ``det_exact(hankel_matrix(spec))``, computed here when not
-    given."""
-    if det is None:
-        det = det_exact(hankel_matrix(spec))
+def hankel_transform_check(spec: HankelSpec, det: LaurentPoly) -> bool:
+    """Does ``det``, the exact determinant det_exact(hankel_matrix(spec)),
+    equal the closed-form product?"""
     return det == hankel_closed_form(spec)
 
 
@@ -200,8 +197,8 @@ def lu_product(spec: HankelSpec) -> tuple:
     return matmul(lower, upper), diagonal
 
 
-def lu_check(spec: HankelSpec, mat: ExactMatrix = None,
-             det: LaurentPoly = None, lu: tuple = None) -> bool:
+def lu_check(spec: HankelSpec, mat: ExactMatrix, det: LaurentPoly,
+             lu: tuple) -> bool:
     """Does L*U reproduce the Hankel matrix entrywise, with the determinant
     equal to the product of the diagonals?
 
@@ -209,18 +206,11 @@ def lu_check(spec: HankelSpec, mat: ExactMatrix = None,
     spec.n + 1 or larger, ``det`` is the determinant of its leading
     (spec.n + 1)-block and ``lu`` is ``lu_product`` of (spec.params,
     spec.s) at order spec.n + 1 or larger; only leading blocks are
-    compared, and each is computed here when not given."""
+    compared."""
     order = spec.n + 1
-    if mat is None:
-        mat = hankel_matrix(spec)
-    if lu is None:
-        lu = lu_product(spec)
     product, diagonal = lu
-    if leading_block(product, order) != leading_block(mat, order):
-        return False
-    if det is None:
-        det = det_exact(leading_block(mat, order))
-    return det == diagonal[spec.n]
+    return (leading_block(product, order) == leading_block(mat, order)
+            and det == diagonal[spec.n])
 
 
 def classical_hankel_check(m: int, r: int, s: int, n: int) -> bool:

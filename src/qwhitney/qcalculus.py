@@ -17,7 +17,8 @@ form cannot hide in both routes.
 The two routes share only the values of f.  RouteValues holds what they
 need for one (m, r): the power table [jm+r]_q^n (each n one sliding-window
 product per node from the n-1 values), the q-Pascal rows [k j]_{q^m} and
-the normalizers; a suite builds it once and hands it to every cell.
+the normalizers; a suite builds it once and hands it to every cell, and
+the routes read m and r from it alone.
 """
 
 from __future__ import annotations
@@ -86,55 +87,49 @@ class RouteValues:
 
     @classmethod
     def build(cls, params: WhitneyParams, nmax: int,
-              kmax: int = None) -> "RouteValues":
-        """Everything rows n <= nmax and columns k <= kmax (default nmax)
-        of the routes read."""
-        kmax = nmax if kmax is None else kmax
+              kmax: int) -> "RouteValues":
+        """Everything rows n <= nmax and columns k <= kmax of the routes
+        read."""
         m, r = params.m, params.r
         return cls(params, q_power_table(r, m, kmax + 1, nmax),
                    [q_binomial_row(k, m) for k in range(kmax + 1)],
                    [normalizer(params, k) for k in range(kmax + 1)])
 
 
-def whitney_numerator(params: WhitneyParams, n: int, k: int,
-                      shared: RouteValues) -> LaurentPoly:
+def whitney_numerator(shared: RouteValues, n: int, k: int) -> LaurentPoly:
     """The alternating sum
 
         sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} [jm+r]_q^n,
 
     the expanded operator of order k applied to [x+r]_q^n at x = 0 with
-    step and base m.  ``shared`` covers row n and column k.
+    step and base m, for the (m, r) of ``shared``, which covers row n and
+    column k.
     """
-    return q_binomial_alternating_sum(shared.powers[n][:k + 1], params.m,
-                                      shared.rows[k])
+    return q_binomial_alternating_sum(shared.powers[n][:k + 1],
+                                      shared.params.m, shared.rows[k])
 
 
-def whitney_explicit(params: WhitneyParams, n: int, k: int,
-                     shared: RouteValues = None) -> LaurentPoly:
+def whitney_explicit(shared: RouteValues, n: int, k: int) -> LaurentPoly:
     """W_{m,r}[n,k]_q from the explicit formula
 
-        whitney_numerator(params, n, k) / ([k]_{q^m}! [m]_q^k).
+        whitney_numerator(shared, n, k) / ([k]_{q^m}! [m]_q^k).
 
     The division is exact; a NonExactDivision here is a bug, not bad input.
     """
     if not 0 <= k <= n:
         raise ValueError("whitney_explicit requires 0 <= k <= n")
-    if shared is None:
-        shared = RouteValues.build(params, n, k)
-    return laurent_exact_div(whitney_numerator(params, n, k, shared),
+    return laurent_exact_div(whitney_numerator(shared, n, k),
                              shared.norms[k])
 
 
-def newton_coefficients(params: WhitneyParams, n: int,
-                        shared: RouteValues = None) -> list:
+def newton_coefficients(shared: RouteValues, n: int) -> list:
     """Interpolation coefficients of f_q(x) = [x+r]_q^n on nodes 0, m, 2m, ...
+    for the (m, r) of ``shared``, which covers row n and columns k <= n.
 
     The k-th coefficient is D^k_{q^m,m} f_q(0) / ([k]_{q^m}! [m]_q^k) and
     equals W_{m,r}[n,k]_q; this route reads every D^k f_q(0), k <= n, from
     one pass of the operator product (q_diff_heads), not from the
     alternating sum of whitney_explicit.
     """
-    if shared is None:
-        shared = RouteValues.build(params, n)
-    heads = q_diff_heads(shared.powers[n][:n + 1], params.m)
+    heads = q_diff_heads(shared.powers[n][:n + 1], shared.params.m)
     return [laurent_exact_div(d, norm) for d, norm in zip(heads, shared.norms)]

@@ -10,8 +10,8 @@ its numerators over a known common denominator.
 
 The column generating functions of one (m, r) are built by prefix: column
 k's denominator product is column k-1's times one more geometric series
-(``rational_gf_columns``).  The EGF numerators read their powers and
-q-Pascal rows from the shared qcalculus.RouteValues.
+(``rational_gf_columns``).  The EGF numerators read their parameters,
+powers and q-Pascal rows from the shared qcalculus.RouteValues.
 
 The horizontal generating function is checked in integers: at q = a/b a
 row of values, the falling factors and [t]_q^n each become integer
@@ -45,7 +45,12 @@ def geometric(a: LaurentPoly, order: int) -> tuple:
 
 
 def rational_gf_columns(params: WhitneyParams, kmax: int, N: int) -> list:
-    """rational_gf(params, k, N) for k = 0..kmax, from one pass.
+    """The column generating functions
+
+        q^(m C(k,2) + kr) z^k / prod_{j=0}^{k} (1 - [mj+r]_q z),
+
+    whose z^n coefficient is W_{m,r}[n,k]_q, for n = 0..N and k = 0..kmax,
+    from one pass.
 
     Column k's product prod_{j<=k} 1/(1 - [mj+r]_q z) is column k-1's
     times geometric([mk+r]_q), a truncated series product.  Column k keeps
@@ -64,41 +69,20 @@ def rational_gf_columns(params: WhitneyParams, kmax: int, N: int) -> list:
     return columns
 
 
-def rational_gf(params: WhitneyParams, k: int, N: int) -> tuple:
-    """The column generating function
-
-        q^(m C(k,2) + kr) z^k / prod_{j=0}^{k} (1 - [mj+r]_q z),
-
-    whose z^n coefficient is W_{m,r}[n,k]_q, for n = 0..N: the last column
-    of rational_gf_columns(params, k, N).
-    """
-    return rational_gf_columns(params, k, N)[k]
-
-
-def egf(params: WhitneyParams, k: int, N: int,
-        shared: RouteValues = None) -> tuple:
+def egf(shared: RouteValues, k: int, N: int) -> tuple:
     """Numerators N_0..N_N of the column EGF
 
         sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} e_q([jm+r]_q z)
-        / ([k]_{q^m}! [m]_q^k),   e_q(a z) = sum_n a^n z^n / [n]_q!.
+        / ([k]_{q^m}! [m]_q^k),   e_q(a z) = sum_n a^n z^n / [n]_q!,
 
-    Its z^n coefficient is N_n / ([n]_q! [k]_{q^m}! [m]_q^k), which equals
-    W_{m,r}[n,k]_q / [n]_q!; N_n is qcalculus.whitney_numerator(params, n, k).
-    ``shared`` (qcalculus.RouteValues covering rows n <= N and column k)
-    gives every numerator its powers and q-Pascal row; built here when not
-    given.
+    for the (m, r) of ``shared`` (qcalculus.RouteValues covering rows
+    n <= N and column k).  Its z^n coefficient is
+    N_n / ([n]_q! [k]_{q^m}! [m]_q^k), which equals W_{m,r}[n,k]_q / [n]_q!;
+    N_n is qcalculus.whitney_numerator(shared, n, k).
     """
     if k > N:
         raise ValueError("k must be <= truncation order")
-    if shared is None:
-        shared = RouteValues.build(params, N, k)
-    return tuple(whitney_numerator(params, n, k, shared) for n in range(N + 1))
-
-
-def _rational_parts(qval) -> tuple:
-    """(a, b) with q = a/b in lowest terms and b >= 1."""
-    qval = Fraction(qval)
-    return qval.numerator, qval.denominator
+    return tuple(whitney_numerator(shared, n, k) for n in range(N + 1))
 
 
 def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> tuple:
@@ -109,7 +93,7 @@ def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> tuple:
     N a^lo / b^hi and den, the lcm of the entries' denominators, is b^H
     for the row's top degree H.
     """
-    a, b = _rational_parts(qval)
+    a, b = qval.numerator, qval.denominator
     parts = [w(params, n, k).value_parts(a, b) for k in range(n + 1)]
     den = lcm(*(d for _, d in parts))
     return [num * (den // d) for num, d in parts], den
@@ -124,7 +108,7 @@ def horizontal_falling(params: WhitneyParams, t: int, qval: Fraction,
     den is the denominator a^A b^B of the last product; a factor [0]_q
     makes every later numerator 0.
     """
-    a, b = _rational_parts(qval)
+    a, b = qval.numerator, qval.denominator
     m, r = params.m, params.r
     factors = [q_int(t - r - j * m).value_parts(a, b) for j in range(kmax)]
     # nums[k] = (prod_{j<k} num_j) (prod_{j>=k} den_j)
@@ -141,31 +125,20 @@ def horizontal_falling(params: WhitneyParams, t: int, qval: Fraction,
 def horizontal_powers(t: int, qval: Fraction, nmax: int) -> list:
     """[t]_q^n at q = qval for n = 0..nmax as integer pairs: the n-th
     powers of the two parts ``LaurentPoly.value_parts`` gives for [t]_q."""
-    tnum, tden = q_int(t).value_parts(*_rational_parts(qval))
+    tnum, tden = q_int(t).value_parts(qval.numerator, qval.denominator)
     return [(tnum ** n, tden ** n) for n in range(nmax + 1)]
 
 
-def horizontal_gf_check(params: WhitneyParams, n: int, t: int,
-                        qval: Fraction, row: tuple = None,
-                        falling: tuple = None, power: tuple = None) -> bool:
+def horizontal_gf_check(row: tuple, falling: tuple, power: tuple) -> bool:
     """Does sum_k W[n,k]_q [t-r|m]_{k,q} = [t]_q^n hold at q = qval?
-
-    Checked in integers: with W[n,k] = nums_k / D, the falling factors
-    fnums_k / F and [t]_q^n = P / E, the identity times the nonzero D F E
-    reads sum_k nums_k fnums_k E = P D F.  The falling factors may involve
-    q-integers of negative arguments.
 
     ``row`` is ``horizontal_row(params, n, qval)``, ``falling`` is
     ``horizontal_falling(params, t, qval, kmax)`` for some kmax >= n, and
-    ``power`` is entry n of ``horizontal_powers(t, qval, nmax)``; each is
-    computed here when not given, and a caller checking many (n, t) at one
-    q passes them in so each is evaluated once.
+    ``power`` is entry n of ``horizontal_powers(t, qval, nmax)``.  Checked
+    in integers: with W[n,k] = nums_k / D, the falling factors fnums_k / F
+    and [t]_q^n = P / E, the identity times the nonzero D F E reads
+    sum_k nums_k fnums_k E = P D F.  The falling factors may involve
+    q-integers of negative arguments.
     """
-    if row is None:
-        row = horizontal_row(params, n, qval)
-    if falling is None:
-        falling = horizontal_falling(params, t, qval, n)
-    if power is None:
-        power = horizontal_powers(t, qval, n)[n]
     (nums, den), (fnums, fden), (pnum, pden) = row, falling, power
     return sum(map(mul, nums, fnums)) * pden == pnum * den * fden

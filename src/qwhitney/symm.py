@@ -59,13 +59,13 @@ def w_star_symmetric(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
     return h_complete(_whitney_values(params, 0, k), n - k)
 
 
-def tableau_sum(params: WhitneyParams, n: int, k: int,
-                cap: int = DEFAULT_ENUMERATION_CAP) -> LaurentPoly:
+def tableau_sum(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
     """Brute-force W*_{m,r}[n,k]_q: sum of column-weight products over all
-    A-tableaux with n-k columns of lengths in {0..k}."""
+    A-tableaux with n-k columns of lengths in {0..k}; refused when there
+    are more than DEFAULT_ENUMERATION_CAP of them."""
     if not 0 <= k <= n:
         raise ValueError("requires 0 <= k <= n")
-    count = comb(n, n - k)
+    count, cap = comb(n, n - k), DEFAULT_ENUMERATION_CAP
     if count > cap:
         raise EnumerationTooLarge(f"{count} tableaux exceeds cap {cap}")
     weights = _whitney_values(params, 0, k)

@@ -5,14 +5,15 @@ computation routes; a cell failure records the witnessing parameters and the
 two mismatched values.  Grids default to the ranges each identity is claimed
 to have been checked on, and can be overridden from a JSON config.
 
-A suite builds the inputs its routes share once per (m, r) and hands them
-to every cell: the power table, q-Pascal rows and normalizers of
-qcalculus.RouteValues, and every column generating function from one
-prefix pass.  The horizontal generating function's row values, falling
-factors and powers of [t]_q enter as integer parts, each built once per
-(n, q) or (t, q).  The hankel suite builds each (m, r, s) family's largest
-matrix, its determinants of every order (one elimination) and its L*U
-product once, and each order reads its leading block.
+A suite builds the inputs its routes and checks share, and no route or
+check builds them itself: per (m, r) the power table, q-Pascal rows and
+normalizers of qcalculus.RouteValues, and every column generating
+function from one prefix pass.  The horizontal generating function's row
+values, falling factors and powers of [t]_q enter as integer parts, each
+built once per (n, q) or (t, q).  The hankel suite builds each (m, r, s)
+family's largest matrix, its determinants of every order (one
+elimination) and its L*U product once, and each order reads its leading
+block.
 """
 
 from __future__ import annotations
@@ -157,12 +158,12 @@ def suite_explicit(grid: dict = None) -> SuiteResult:
     res = SuiteResult("explicit")
     for p in _param_cells(g):
         base = {"m": p.m, "r": p.r}
-        shared = qcalculus.RouteValues.build(p, g["nmax"])
+        shared = qcalculus.RouteValues.build(p, g["nmax"], g["nmax"])
         for n in range(g["nmax"] + 1):
-            newton = qcalculus.newton_coefficients(p, n, shared)
+            newton = qcalculus.newton_coefficients(shared, n)
             for k in range(n + 1):
                 expected = w(p, n, k)
-                got = qcalculus.whitney_explicit(p, n, k, shared)
+                got = qcalculus.whitney_explicit(shared, n, k)
                 res.check(got == expected, {**base, "n": n, "k": k},
                           "explicit", got, expected)
                 res.check(newton[k] == expected, {**base, "n": n, "k": k},
@@ -189,7 +190,7 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
         kmax = min(g["kmax_genfun"], negf)
         shared = qcalculus.RouteValues.build(p, negf, kmax)
         for k in range(kmax + 1):
-            e = series.egf(p, k, negf, shared)
+            e = series.egf(shared, k, negf)
             norm = shared.norms[k]
             for n in range(negf + 1):
                 # the z^n coefficient e[n] / ([n]_q! norm) must equal
@@ -206,8 +207,7 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
             rows = [series.horizontal_row(p, n, qv) for qv in qvals]
             for t in g["t"]:
                 for qv, row in zip(qvals, rows):
-                    ok = series.horizontal_gf_check(p, n, t, qv, row,
-                                                    falling[t, qv],
+                    ok = series.horizontal_gf_check(row, falling[t, qv],
                                                     powers[t, qv][n])
                     res.check(ok, {**base, "n": n, "t": t, "q": str(qv)},
                               "horizontal_gf")
@@ -316,15 +316,20 @@ _SUITE_ROWS = {
 
 
 def largest_rows(name: str, grid: dict = None) -> list:
-    """(m, r, row, order) for each suite that run_suite(name, grid) runs:
-    the grid's largest m and r, the largest row the suite reads and the
-    order of its determinants.  Raises ValueError for a bad grid, like
-    run_suite; a grid with no (m, r) cell yields no sizes."""
+    """(m, r, row, order, factor) for each suite that run_suite(name, grid)
+    runs: the grid's largest m and r, the largest row the suite reads, the
+    order of its determinants and the degree of its largest q-integer
+    apart from the rows (0 but for genfun's [t]_q and [t-r-jm]_q, j <
+    nmax_horizontal).  Raises ValueError for a bad grid, like run_suite;
+    a grid with no (m, r) cell yields no sizes."""
     g = _grid(grid)
     if not (g["m"] and g["r"]):
         return []
+    m, r = max(g["m"]), max(g["r"])
+    factor = max(map(abs, g["t"]), default=0) + r + m * g["nmax_horizontal"]
     names = _SUITE_FUNCS if name == "all" else [name]
-    return [(max(g["m"]), max(g["r"])) + _SUITE_ROWS[s](g) for s in names]
+    return [(m, r) + _SUITE_ROWS[s](g) + (factor if s == "genfun" else 0,)
+            for s in names]
 
 
 def run_suite(name: str, grid: dict = None) -> list:

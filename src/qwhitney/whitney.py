@@ -36,19 +36,6 @@ class WhitneyParams:
             raise ValueError("r must be >= 0")
 
 
-@dataclass(frozen=True)
-class WhitneyTable:
-    """Memoized triangle of W_{m,r}[n,k]_q for 0 <= k <= n <= nmax."""
-
-    params: WhitneyParams
-    nmax: int
-    entries: tuple  # entries[n][k]
-
-    def __getitem__(self, nk):
-        n, k = nk
-        return self.entries[n][k]
-
-
 # Triangle cache keyed by (m, r); rows grown on demand.
 _tables: dict = {}
 
@@ -57,25 +44,21 @@ _tables: dict = {}
 _mutation_offset = 0
 
 
-def _clear_cache():
-    _tables.clear()
-
-
 @contextmanager
-def perturb_recurrence(delta: int = 1):
+def perturb_recurrence():
     """Deliberately break the triangular recurrence (for mutation testing).
 
-    Inside the context, the recurrence weight [mk+r]_q becomes [mk+r+delta]_q,
+    Inside the context, the recurrence weight [mk+r]_q becomes [mk+r+1]_q,
     so every identity that is a theorem about the true recurrence must fail.
     """
     global _mutation_offset
-    _clear_cache()
-    _mutation_offset = delta
+    _tables.clear()
+    _mutation_offset = 1
     try:
         yield
     finally:
         _mutation_offset = 0
-        _clear_cache()
+        _tables.clear()
 
 
 def _rows(params: WhitneyParams, nmax: int) -> list:
@@ -103,13 +86,11 @@ def w(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
     return _rows(params, n)[n][k]
 
 
-def w_table(params: WhitneyParams, nmax: int) -> WhitneyTable:
-    """The full triangle up to row nmax."""
+def w_table(params: WhitneyParams, nmax: int) -> tuple:
+    """The full triangle up to row nmax: entry [n][k] is W_{m,r}[n,k]_q."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    rows = _rows(params, nmax)
-    return WhitneyTable(params, nmax,
-                        tuple(tuple(rows[n][: n + 1]) for n in range(nmax + 1)))
+    return tuple(map(tuple, _rows(params, nmax)[:nmax + 1]))
 
 
 def w_vertical(params: WhitneyParams, n: int, k: int) -> LaurentPoly:

@@ -10,7 +10,7 @@ import json
 from operator import floordiv
 
 from conftest import classical_whitney_recurrence, stirling2_enum
-from qwhitney import (WhitneyParams, cli, classical_hankel_check,
+from qwhitney import (RouteValues, WhitneyParams, cli, classical_hankel_check,
                       gauss_product_check, q_binomial_alternating_sum,
                       q_binomial_inverse, q_binomial_transform, q_diff_heads,
                       q_int, w, w_star, whitney_explicit, tableau_sum,
@@ -30,9 +30,10 @@ def report(num: int, name: str, ok: bool):
 def test_criterion_1_route_equivalence():
     ok = True
     for p in PARAM_GRID:
+        shared = RouteValues.build(p, 9, 9)
         for n in range(10):
             for k in range(n + 1):
-                ok = ok and whitney_explicit(p, n, k) == w(p, n, k)
+                ok = ok and whitney_explicit(shared, n, k) == w(p, n, k)
                 if n <= 8:
                     star = w_star(p, n, k)
                     ok = ok and w_star_symmetric(p, n, k) == star

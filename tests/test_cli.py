@@ -61,7 +61,7 @@ class TestTable:
         pytest.param("json", 1, 5, 50, id="json-1-5-50"),
         pytest.param("csv", 1, 5, 50, id="csv-1-5-50")])
     def test_bytes_match_dumps_of_pairs(self, fmt, m, r, nmax):
-        entries = whitney.w_table(whitney.WhitneyParams(m, r), nmax).entries
+        entries = whitney.w_table(whitney.WhitneyParams(m, r), nmax)
         if fmt == "json":
             expected = json.dumps(
                 {"params": {"m": m, "r": r},
@@ -261,6 +261,9 @@ class TestSizeLimit:
         ("recurrences", {"m": [1], "r": [0], "nmax": 91}),
         ("genfun", {"nmax_egf": 60}),
         ("convolution", {"spmax_conv": 30}),
+        # [t]_q alone: the rows stay small
+        ("genfun", {"t": [100000]}),
+        ("all", {"t": [100000]}),
     ])
     def test_oversized_grid_refused(self, no_verify_work, tmp_path, capsys,
                                     suite, grid):
@@ -291,6 +294,11 @@ class TestSizeLimit:
         ("all", {**GRID, "m": []}, 0),
         ("explicit", {"nmax": 20}, 610),  # default m, r: 3 and 2
         ("all", {"nmax_hankel": 7}, 8 * 442),
+        # [t]_q and [t-r-jm]_q, j < nmax_horizontal: |t| + r + m*3
+        ("genfun", {**GRID, "t": [-4000, 7]}, 4007),
+        ("genfun", {**GRID, "t": [100000]}, 100007),
+        ("recurrences", {**GRID, "t": [100000]}, 36),
+        ("genfun", {"t": [4000]}, 4026),  # default m, r, nmax_horizontal
     ])
     def test_verify_max_degree(self, suite, grid, degree):
         args = cli._parser().parse_args(["verify", "--suite", suite])
@@ -330,6 +338,36 @@ class TestSizeLimit:
         rc, out = run(["verify", "--suite", "explicit", "--grid", str(path)])
         assert rc == 0
         assert json.loads(out.strip().splitlines()[-1])["cells"] == 9 * 2 * 10
+
+
+class TestDigitLimit:
+    # W[80,40] at q = 100 and the row sum at q = 1/100 have numerators or
+    # denominators of more digits than str() of an int converts (4,300)
+    @pytest.mark.parametrize("argv", [
+        ["table", "--m", "1", "--r", "1", "--nmax", "80", "--q-eval", "100"],
+        ["table", "--m", "1", "--r", "1", "--nmax", "80", "--q-eval", "100",
+         "--format", "csv"],
+        ["value", "--m", "1", "--r", "1", "--n", "80", "--k", "40",
+         "--q-eval", "100"],
+        ["dowling", "--m", "1", "--r", "1", "--n", "80", "--q-eval", "1/100"],
+        ["eval", "--m", "1", "--r", "1", "--n", "80", "--k", "40", "--q", "100"],
+    ])
+    def test_refused_in_one_line(self, capsys, argv):
+        rc, out = run(argv)
+        assert rc == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: request too large: ")
+        assert len(err.splitlines()) == 1
+        assert "set_int_max_str_digits" not in err
+
+    def test_within_limit_unchanged(self):
+        rc, out = run(["table", "--m", "1", "--r", "1", "--nmax", "80",
+                       "--q-eval", "10"])
+        assert rc == 0
+        rows = whitney.w_table(whitney.WhitneyParams(1, 1), 80)
+        assert out == json.dumps(
+            {"params": {"m": 1, "r": 1},
+             "rows": [[str(v.eval(10)) for v in row] for row in rows]}) + "\n"
 
 
 class TestInternalError:

@@ -59,13 +59,13 @@ class TestOnePassHeads:
             q_diff_heads([], 1)
 
     def test_shared_values_give_the_same_cells(self):
+        # one RouteValues for rows 0..7 serves every row of both routes
         for p in PARAM_GRID:
-            shared = RouteValues.build(p, 7)
+            shared = RouteValues.build(p, 7, 7)
             for n in range(8):
-                newton = newton_coefficients(p, n, shared)
-                assert newton == newton_coefficients(p, n)
+                newton = newton_coefficients(shared, n)
                 assert newton == [w(p, n, k) for k in range(n + 1)]
-                assert [whitney_explicit(p, n, k, shared)
+                assert [whitney_explicit(shared, n, k)
                         for k in range(n + 1)] == newton
 
 
@@ -100,49 +100,58 @@ class TestQDifference:
 
 class TestExplicitFormula:
     def test_hand_value(self):
-        assert whitney_explicit(WhitneyParams(1, 1), 2, 1) == LaurentPoly({1: 2, 2: 1})
+        shared = RouteValues.build(WhitneyParams(1, 1), 2, 1)
+        assert whitney_explicit(shared, 2, 1) == LaurentPoly({1: 2, 2: 1})
 
     def test_column_zero(self):
         for p in PARAM_GRID:
+            shared = RouteValues.build(p, 4, 0)
             for n in range(5):
-                assert whitney_explicit(p, n, 0) == q_int(p.r) ** n
+                assert whitney_explicit(shared, n, 0) == q_int(p.r) ** n
 
     def test_diagonal(self):
         for p in PARAM_GRID:
+            shared = RouteValues.build(p, 4, 4)
             for n in range(5):
                 exp = p.m * comb(n, 2) + n * p.r
-                assert whitney_explicit(p, n, n) == LaurentPoly.monomial(exp)
+                assert whitney_explicit(shared, n, n) == LaurentPoly.monomial(exp)
 
     def test_matches_recurrence(self):
         for p in PARAM_GRID:
+            shared = RouteValues.build(p, 7, 7)
             for n in range(8):
                 for k in range(n + 1):
-                    assert whitney_explicit(p, n, k) == w(p, n, k)
+                    assert whitney_explicit(shared, n, k) == w(p, n, k)
 
     def test_classical_limit(self):
         # at q=1 this is the classical alternating-sum formula
         for p in PARAM_GRID:
+            shared = RouteValues.build(p, 7, 7)
             for n in range(8):
                 for k in range(n + 1):
-                    v = whitney_explicit(p, n, k).eval(Fraction(1))
+                    v = whitney_explicit(shared, n, k).eval(Fraction(1))
                     assert v == classical_whitney_recurrence(p.m, p.r, n, k)
 
     def test_invalid_range_rejected(self):
+        shared = RouteValues.build(WhitneyParams(1, 1), 2, 2)
         with pytest.raises(ValueError):
-            whitney_explicit(WhitneyParams(1, 1), 1, 2)
+            whitney_explicit(shared, 1, 2)
 
 
 class TestNewtonCoefficients:
     def test_degree_zero(self):
-        assert newton_coefficients(WhitneyParams(1, 1), 0) == [ONE]
+        shared = RouteValues.build(WhitneyParams(1, 1), 0, 0)
+        assert newton_coefficients(shared, 0) == [ONE]
 
     def test_row_two(self):
-        got = newton_coefficients(WhitneyParams(1, 1), 2)
+        got = newton_coefficients(RouteValues.build(WhitneyParams(1, 1), 2, 2),
+                                  2)
         assert got == [ONE, LaurentPoly({1: 2, 2: 1}), LaurentPoly.monomial(3)]
 
     def test_matches_recurrence(self):
         p = WhitneyParams(2, 0)
-        assert newton_coefficients(p, 3) == [w(p, 3, k) for k in range(4)]
+        assert newton_coefficients(RouteValues.build(p, 3, 3), 3) == \
+            [w(p, 3, k) for k in range(4)]
 
 
 class TestRouteIndependence:

@@ -9,15 +9,32 @@ import pytest
 from conftest import classical_egf_coeffs, random_laurent
 from qwhitney import verify, whitney
 from qwhitney import (LaurentPoly, RouteValues, WhitneyParams, egf,
-                      horizontal_gf_check, q_factorial, q_int, rational_gf,
+                      horizontal_gf_check, q_factorial, q_int,
                       rational_gf_columns, w)
 from qwhitney.qcalculus import normalizer
 from qwhitney.qcore import ONE, ZERO
 from qwhitney.series import (_series_mul, geometric, horizontal_falling,
-                             horizontal_row)
+                             horizontal_powers, horizontal_row)
 
 P11 = WhitneyParams(1, 1)
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
+
+
+def cell_parts(p, n, t, qv):
+    """The row, falling factors and power horizontal_gf_check reads for the
+    cell (n, t) at q = qv, built for that cell alone."""
+    return (horizontal_row(p, n, qv), horizontal_falling(p, t, qv, n),
+            horizontal_powers(t, qv, n)[n])
+
+
+def fraction_verdict(p, n, t, qv):
+    """Does the horizontal GF identity hold at q = qv?  From a sum of
+    Fractions of LaurentPoly.eval values, with no integer parts."""
+    lhs, falling = Fraction(0), Fraction(1)
+    for k in range(n + 1):
+        lhs += w(p, n, k).eval(qv) * falling
+        falling *= q_int(t - p.r - k * p.m).eval(qv)
+    return lhs == q_int(t).eval(qv) ** n
 
 
 def _series(coeffs, order):
@@ -58,23 +75,23 @@ class TestSeriesInverse:
 class TestRationalGF:
     def test_column_zero_powers(self):
         for p in PARAM_GRID:
-            s = rational_gf(p, 0, 6)
+            s = rational_gf_columns(p, 0, 6)[0]
             for n in range(7):
                 assert s[n] == q_int(p.r) ** n
 
     def test_hand_coefficient(self):
-        s = rational_gf(P11, 1, 2)
+        s = rational_gf_columns(P11, 1, 2)[1]
         assert s[2] == LaurentPoly({1: 2, 2: 1})
 
     def test_low_coefficients_vanish(self):
-        s = rational_gf(WhitneyParams(2, 1), 3, 8)
+        s = rational_gf_columns(WhitneyParams(2, 1), 3, 8)[3]
         for n in range(3):
             assert s[n].is_zero()
 
     def test_matches_recurrence(self):
         for p in PARAM_GRID:
             for k in range(4):
-                s = rational_gf(p, k, 8)
+                s = rational_gf_columns(p, k, 8)[k]
                 for n in range(9):
                     assert s[n] == w(p, n, k)
 
@@ -94,7 +111,7 @@ class TestColumnsByPrefix:
             columns = rational_gf_columns(p, 5, 9)
             assert len(columns) == 6
             for k, column in enumerate(columns):
-                assert column == rational_gf(p, k, 9)
+                assert column == rational_gf_columns(p, k, 9)[k]
                 assert column == self.column_by_full_product(p, k, 9)
                 assert list(column) == [w(p, n, k) for n in range(10)]
 
@@ -110,38 +127,35 @@ class TestEGF:
 
     def test_column_zero(self):
         for p in PARAM_GRID:
-            s = egf(p, 0, 5)
+            s = egf(RouteValues.build(p, 5, 0), 0, 5)
             for n in range(6):
                 assert s[n] == q_int(p.r) ** n * normalizer(p, 0)
 
     def test_hand_coefficient(self):
-        s = egf(P11, 1, 3)
+        s = egf(RouteValues.build(P11, 3, 1), 1, 3)
         assert s[2] == LaurentPoly({1: 2, 2: 1}) * normalizer(P11, 1)
 
     def test_low_coefficients_vanish(self):
-        s = egf(WhitneyParams(2, 1), 2, 6)
+        s = egf(RouteValues.build(WhitneyParams(2, 1), 6, 2), 2, 6)
         for n in range(2):
             assert s[n].is_zero()
 
     def test_matches_recurrence(self):
+        # one RouteValues per (m, r) serves every column
         for p in PARAM_GRID:
+            shared = RouteValues.build(p, 8, 3)
             for k in range(4):
-                s = egf(p, k, 8)
+                s = egf(shared, k, 8)
                 for n in range(9):
                     assert s[n] == w(p, n, k) * normalizer(p, k)
-
-    def test_shared_values_give_the_same_numerators(self):
-        for p in PARAM_GRID:
-            shared = RouteValues.build(p, 8, 4)
-            for k in range(5):
-                assert egf(p, k, 8, shared) == egf(p, k, 8)
 
     def test_classical_limit_against_series_expansion(self):
         # at q=1 the column EGF is e^(rt)(e^(mt)-1)^k / (k! m^k)
         for p in PARAM_GRID:
+            shared = RouteValues.build(p, 8, 3)
             for k in range(4):
                 expected = classical_egf_coeffs(p.m, p.r, k, 8)
-                s = egf(p, k, 8)
+                s = egf(shared, k, 8)
                 for n in range(9):
                     den = q_factorial(n) * normalizer(p, k)
                     assert s[n].eval(Fraction(1)) / den.eval(Fraction(1)) == expected[n]
@@ -155,23 +169,24 @@ class TestEGF:
             assert failures
             for f in failures:
                 n, k = f.params["n"], f.params["k"]
-                assert f.lhs == str(egf(WhitneyParams(2, 1), k, 4)[n])
+                shared = RouteValues.build(WhitneyParams(2, 1), 4, k)
+                assert f.lhs == str(egf(shared, k, 4)[n])
                 assert f.rhs == str(w(WhitneyParams(2, 1), n, k))
 
 
 class TestHorizontalGF:
     def test_trivial(self):
-        assert horizontal_gf_check(P11, 0, 5, Fraction(2))
+        assert horizontal_gf_check(*cell_parts(P11, 0, 5, Fraction(2)))
 
     def test_hand_cell(self):
-        assert horizontal_gf_check(P11, 2, 2, Fraction(2))
+        assert horizontal_gf_check(*cell_parts(P11, 2, 2, Fraction(2)))
 
     def test_negative_arguments_grid(self):
         for p in PARAM_GRID:
             for n in range(5):
                 for t in (-3, -1, 0, 2, 7):
                     for qv in (Fraction(2), Fraction(1, 2), Fraction(-2)):
-                        assert horizontal_gf_check(p, n, t, qv)
+                        assert horizontal_gf_check(*cell_parts(p, n, t, qv))
 
     def test_given_row_matches_computed_row(self):
         for qv in (Fraction(2), Fraction(-3, 5)):
@@ -180,13 +195,14 @@ class TestHorizontalGF:
             assert [Fraction(x, den) for x in nums] == \
                 [w(P11, 4, k).eval(qv) for k in range(5)]
             for t in (-3, 0, 7):
-                assert horizontal_gf_check(P11, 4, t, qv, row)
+                _, falling, power = cell_parts(P11, 4, t, qv)
+                assert horizontal_gf_check(row, falling, power)
                 # every value one too large, then one value at a time
-                assert not horizontal_gf_check(P11, 4, t, qv,
-                                               ([x + den for x in nums], den))
+                assert not horizontal_gf_check(([x + den for x in nums], den),
+                                               falling, power)
                 for k in range(5):
                     bad = nums[:k] + [nums[k] + den] + nums[k + 1:]
-                    assert not horizontal_gf_check(P11, 4, t, qv, (bad, den))
+                    assert not horizontal_gf_check((bad, den), falling, power)
 
     def test_falling_factors(self):
         p = WhitneyParams(2, 1)
@@ -203,18 +219,23 @@ class TestHorizontalGF:
         for p in (P11, WhitneyParams(2, 1), WhitneyParams(3, 0)):
             for qv in (Fraction(2), Fraction(-3, 5)):
                 for t in (-3, 0, 7):
+                    # falling factors up to k = 6 serve every row n <= 6
                     falling = horizontal_falling(p, t, qv, 6)
+                    fnums, fden = falling
+                    powers = horizontal_powers(t, qv, 6)
                     for n in range(7):
                         row = horizontal_row(p, n, qv)
                         nums, den = row
                         bad = ([x + den for x in nums], den)
-                        assert horizontal_gf_check(p, n, t, qv, row, falling)
-                        assert horizontal_gf_check(p, n, t, qv, None, falling)
-                        assert (horizontal_gf_check(p, n, t, qv, bad, falling)
-                                == horizontal_gf_check(p, n, t, qv, bad))
-                    fnums, fden = falling
+                        assert horizontal_gf_check(row, falling, powers[n])
+                        # the bad row's verdict from Fractions
+                        lhs = sum(Fraction(x, den) * Fraction(f, fden)
+                                  for x, f in zip(bad[0], fnums))
+                        assert (horizontal_gf_check(bad, falling, powers[n])
+                                == (lhs == q_int(t).eval(qv) ** n))
                     assert not horizontal_gf_check(
-                        p, 6, t, qv, None, ([f + fden for f in fnums], fden))
+                        horizontal_row(p, 6, qv),
+                        ([f + fden for f in fnums], fden), powers[6])
 
     def test_suite_verdicts_match_unshared_checks(self):
         grid = {"m": [1], "r": [1], "nmax_genfun": 0, "nmax_egf": 0,
@@ -225,7 +246,7 @@ class TestHorizontalGF:
                 res = verify.suite_genfun(grid)
                 expected = [(n, t, q) for n in range(4) for t in grid["t"]
                             for q in grid["qvals"]
-                            if not horizontal_gf_check(P11, n, t, Fraction(q))]
+                            if not fraction_verdict(P11, n, t, Fraction(q))]
             got = [(f.params["n"], f.params["t"], f.params["q"])
                    for f in res.failures if f.identity == "horizontal_gf"]
             assert got == expected
@@ -250,7 +271,7 @@ class TestHorizontalGF:
         points = [Fraction(i, 7) for i in range(1, bound + 1)]
         assert len(set(points)) >= bound
         for qv in points:
-            assert horizontal_gf_check(p, n, t, qv)
+            assert horizontal_gf_check(*cell_parts(p, n, t, qv))
 
 
 class TestHorizontalAgainstFractions:
@@ -303,6 +324,8 @@ class TestHorizontalAgainstFractions:
                 for q in self.QVALS:
                     falling = {t: horizontal_falling(p, t, q, self.NMAX)
                                for t in self.TS}
+                    powers = {t: horizontal_powers(t, q, self.NMAX)
+                              for t in self.TS}
                     for t, (fnums, fden) in falling.items():
                         assert [Fraction(x, fden) for x in fnums] == \
                             self.falling(p, t, q)
@@ -313,9 +336,10 @@ class TestHorizontalAgainstFractions:
                             [self.value(w(p, n, k), q) for k in range(n + 1)]
                         for t in self.TS:
                             ok = verdicts[n, t]
-                            assert horizontal_gf_check(p, n, t, q) == ok
-                            assert horizontal_gf_check(p, n, t, q, row,
-                                                       falling[t]) == ok
+                            assert horizontal_gf_check(
+                                *cell_parts(p, n, t, q)) == ok
+                            assert horizontal_gf_check(
+                                row, falling[t], powers[t][n]) == ok
                             failed += not ok
         assert bool(failed) == perturbed
 

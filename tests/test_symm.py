@@ -74,8 +74,10 @@ class TestRoutes:
                     assert tableau_sum(p, n, k) == expected
 
     def test_enumeration_cap(self):
+        # C(24, 12) = 2,704,156 tableaux is over DEFAULT_ENUMERATION_CAP;
+        # the count is checked before the first one is enumerated
         with pytest.raises(EnumerationTooLarge):
-            tableau_sum(WhitneyParams(1, 0), 8, 4, cap=10)
+            tableau_sum(WhitneyParams(1, 0), 24, 12)
 
 
 class TestShiftedValues:
