@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import re
@@ -100,6 +99,15 @@ def _json_list(texts) -> str:
     return "[" + ", ".join(texts) + "]"
 
 
+def _csv_cell(text: str) -> str:
+    """A cell as ``csv.writer`` writes it by default: quoted, with each
+    quote doubled, when it holds a comma or a quote (no cell here holds
+    a line break)."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def cmd_table(args, out) -> int:
     table = w_table(_params(args), args.nmax)
     qval = args.q_eval
@@ -119,11 +127,11 @@ def cmd_table(args, out) -> int:
             sep = ", "
         out.write("]}\n")
     else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "k", "value"])
+        out.write("n,k,value\n")
         for n, row in enumerate(table):
-            for k, v in enumerate(row):
-                writer.writerow([n, k, v.to_json() if qval is None else v])
+            cells = [v.to_json() for v in row] if qval is None else row
+            out.write("".join([f"{n},{k},{_csv_cell(cell)}\n"
+                               for k, cell in enumerate(cells)]))
     return 0
 
 
@@ -280,7 +288,7 @@ def _max_degree(args) -> int:
         sizes = [(p.m, p.r, row, order, 0)]
     # Negative sizes are refused later, by the command itself.
     return max((max(max(order, 0) * _row_degree(m, r, max(row, 0)), factor)
-                for m, r, row, order, factor in sizes), default=0)
+                for m, r, row, order, factor in sizes))
 
 
 def main(argv=None, out=None) -> int:

@@ -11,14 +11,25 @@ order (``leading_dets``), and one L*U product (``lu_product``) gives every
 order's product as a leading block.  The two checks take that matrix,
 determinant and product as arguments.  ``det_cofactor`` is the test
 oracle and is not called by the library.
+
+Each Bareiss division is by the previous pivot, a leading minor, which
+the theorem says is the product of [a]_q over ``hankel_factors`` of its
+order.  ``hankel_matrix`` records those factor lists, and the
+eliminations of ``det_exact`` and ``leading_dets`` divide by a pivot one
+q-integer at a time (``qcore.laurent_div_q_ints``) when, and only when,
+the pivot equals the product of its list; any other pivot goes to
+``qcore.laurent_exact_div``.  So the determinant is the same exact value
+whether the theorem holds or not, and the hankel_transform check can
+still fail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import floordiv
 
-from .qcore import LaurentPoly, ONE, ZERO, laurent_exact_div, q_int
+from .qcore import (LaurentPoly, ONE, ZERO, laurent_div_q_ints,
+                    laurent_exact_div, q_int)
 from .whitney import WhitneyParams, classical_w, w_star
 
 
@@ -37,9 +48,18 @@ class HankelSpec:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Square matrix of LaurentPoly entries."""
+    """Square matrix of LaurentPoly entries.
+
+    ``minor_factors[o-1]``, where given, lists the a whose product of
+    [a]_q is expected to be the leading minor of order o.  It only speeds
+    up the eliminations of ``det_exact`` and ``leading_dets``: a pivot
+    that equals that product is divided as the product of q-integers, any
+    other pivot by ``laurent_exact_div``.  It never changes a value, and
+    equality ignores it.
+    """
 
     entries: tuple
+    minor_factors: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         n = len(self.entries)
@@ -56,11 +76,13 @@ class ExactMatrix:
 
 
 def hankel_matrix(spec: HankelSpec) -> ExactMatrix:
-    """Entry (i,j) is W*_{m,r}[s+i+j, s+j]_q."""
-    s, n = spec.s, spec.n
+    """Entry (i,j) is W*_{m,r}[s+i+j, s+j]_q; each leading minor is
+    expected to be the closed form of its order (``hankel_factors``)."""
+    params, s, n = spec.params, spec.s, spec.n
     return ExactMatrix(tuple(
-        tuple(w_star(spec.params, s + i + j, s + j) for j in range(n + 1))
-        for i in range(n + 1)))
+        tuple(w_star(params, s + i + j, s + j) for j in range(n + 1))
+        for i in range(n + 1)), tuple(
+        hankel_factors(HankelSpec(params, s, o)) for o in range(n + 1)))
 
 
 def det_cofactor(mat: ExactMatrix) -> LaurentPoly:
@@ -119,33 +141,66 @@ def bareiss(rows, exact_div) -> tuple:
     return (a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]), minors
 
 
+def _pivot_divider(mat: ExactMatrix):
+    """``exact_div`` for the elimination of mat: a divisor equal to the
+    product of [a]_q over the factor list of a leading minor below
+    mat.order (the last pivot divides nothing) is divided by those
+    q-integers (``laurent_div_q_ints``), any other by
+    ``laurent_exact_div``.  The equality is checked first, so the quotient
+    is the same whether or not the lists are right."""
+    products = {}
+    for factors in mat.minor_factors[:mat.order - 1]:
+        product = ONE
+        for a in factors:
+            product = product * q_int(a)
+        products.setdefault(product, factors)
+
+    def divide(x: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        factors = products.get(b)
+        if factors is None:
+            return laurent_exact_div(x, b)
+        return laurent_div_q_ints(x, factors)
+
+    return divide
+
+
 def det_exact(mat: ExactMatrix) -> LaurentPoly:
     """Determinant via fraction-free (Bareiss) elimination in the Laurent
-    ring."""
-    return bareiss(mat.entries, laurent_exact_div)[0]
+    ring.  Every divisor is a pivot; those of orders below mat.order are
+    divided as products of q-integers where ``mat.minor_factors`` predicts
+    them."""
+    return bareiss(mat.entries, _pivot_divider(mat))[0]
 
 
 def leading_block(mat: ExactMatrix, order: int) -> ExactMatrix:
     """The top-left order x order block of mat."""
-    return ExactMatrix(tuple(row[:order] for row in mat.entries[:order]))
+    return ExactMatrix(tuple(row[:order] for row in mat.entries[:order]),
+                       mat.minor_factors[:order])
 
 
 def leading_dets(mat: ExactMatrix) -> list:
     """det(leading_block(mat, k)) for k = 1..mat.order from one
-    elimination of mat: each order's determinant is a pivot (``bareiss``).
-    An order past the first zero pivot falls back to ``det_exact`` of its
-    leading block."""
-    _, minors = bareiss(mat.entries, laurent_exact_div)
+    elimination of mat: each order's determinant is a pivot (``bareiss``),
+    divided as ``det_exact`` divides.  An order past the first zero pivot
+    falls back to ``det_exact`` of its leading block."""
+    _, minors = bareiss(mat.entries, _pivot_divider(mat))
     return minors + [det_exact(leading_block(mat, k))
                      for k in range(len(minors) + 1, mat.order + 1)]
 
 
+def hankel_factors(spec: HankelSpec) -> tuple:
+    """The a, each m(s+k)+r repeated k times for k = 0..n, whose product
+    of [a]_q is the closed form."""
+    m, r, s = spec.params.m, spec.params.r, spec.s
+    return tuple(m * (s + k) + r for k in range(spec.n + 1) for _ in range(k))
+
+
 def hankel_closed_form(spec: HankelSpec) -> LaurentPoly:
-    """prod_{k=0}^{n} [m(s+k)+r]_q^k."""
-    m, r = spec.params.m, spec.params.r
+    """prod_{k=0}^{n} [m(s+k)+r]_q^k, one sliding-window product per
+    q-integer."""
     out = ONE
-    for k in range(spec.n + 1):
-        out = out * q_int(m * (spec.s + k) + r) ** k
+    for a in hankel_factors(spec):
+        out = out * q_int(a)
     return out
 
 

@@ -16,14 +16,16 @@ form cannot hide in both routes.
 
 The two routes share only the values of f.  RouteValues holds what they
 need for one (m, r): the power table [jm+r]_q^n (each n one sliding-window
-product per node from the n-1 values), the q-Pascal rows [k j]_{q^m} and
-the normalizers; a suite builds it once and hands it to every cell, and
-the routes read m and r from it alone.
+product per node from the n-1 values) and the q-Pascal rows [k j]_{q^m};
+a suite builds it once and hands it to every cell, and the routes read m
+and r from it alone.  Both divide by the normalizer [k]_{q^m}! [m]_q^k as
+the product of the q-integers [jm]_q, j = 1..k, one linear pass each
+(``qcore.laurent_div_q_ints``).
 """
 
 from __future__ import annotations
 
-from .qcore import (LaurentPoly, ONE, laurent_exact_div,
+from .qcore import (LaurentPoly, ONE, laurent_div_q_ints,
                     q_binomial_alternating_sum, q_binomial_row,
                     q_factorial_base, q_int)
 from .whitney import WhitneyParams
@@ -69,21 +71,24 @@ def normalizer(params: WhitneyParams, k: int) -> LaurentPoly:
     return q_factorial_base(k, params.m) * q_int(params.m) ** k
 
 
+def normalizer_factors(params: WhitneyParams, k: int) -> range:
+    """m, 2m, ..., km: the normalizer is prod_{j=1..k} [jm]_q, since
+    [j]_{q^m} [m]_q = [jm]_q."""
+    return range(params.m, (k + 1) * params.m, params.m)
+
+
 class RouteValues:
     """What the explicit, Newton and EGF routes share for one (m, r):
 
     - ``powers[n]`` holds the values of [x+r]_q^n at x = 0, m, ..., kmax*m,
       for n = 0..nmax;
-    - ``rows[k]`` is the q-Pascal row q_binomial_row(k, m), k = 0..kmax;
-    - ``norms[k]`` is normalizer(params, k), k = 0..kmax.
+    - ``rows[k]`` is the q-Pascal row q_binomial_row(k, m), k = 0..kmax.
     """
 
-    __slots__ = ("params", "powers", "rows", "norms")
+    __slots__ = ("params", "powers", "rows")
 
-    def __init__(self, params: WhitneyParams, powers: list, rows: list,
-                 norms: list):
-        self.params, self.powers, self.rows, self.norms = (params, powers,
-                                                           rows, norms)
+    def __init__(self, params: WhitneyParams, powers: list, rows: list):
+        self.params, self.powers, self.rows = params, powers, rows
 
     @classmethod
     def build(cls, params: WhitneyParams, nmax: int,
@@ -92,8 +97,7 @@ class RouteValues:
         read."""
         m, r = params.m, params.r
         return cls(params, q_power_table(r, m, kmax + 1, nmax),
-                   [q_binomial_row(k, m) for k in range(kmax + 1)],
-                   [normalizer(params, k) for k in range(kmax + 1)])
+                   [q_binomial_row(k, m) for k in range(kmax + 1)])
 
 
 def whitney_numerator(shared: RouteValues, n: int, k: int) -> LaurentPoly:
@@ -114,12 +118,13 @@ def whitney_explicit(shared: RouteValues, n: int, k: int) -> LaurentPoly:
 
         whitney_numerator(shared, n, k) / ([k]_{q^m}! [m]_q^k).
 
-    The division is exact; a NonExactDivision here is a bug, not bad input.
+    The division, one q-integer [jm]_q at a time (``normalizer_factors``),
+    is exact; a NonExactDivision here is a bug, not bad input.
     """
     if not 0 <= k <= n:
         raise ValueError("whitney_explicit requires 0 <= k <= n")
-    return laurent_exact_div(whitney_numerator(shared, n, k),
-                             shared.norms[k])
+    return laurent_div_q_ints(whitney_numerator(shared, n, k),
+                              normalizer_factors(shared.params, k))
 
 
 def newton_coefficients(shared: RouteValues, n: int) -> list:
@@ -132,4 +137,5 @@ def newton_coefficients(shared: RouteValues, n: int) -> list:
     alternating sum of whitney_explicit.
     """
     heads = q_diff_heads(shared.powers[n][:n + 1], shared.params.m)
-    return [laurent_exact_div(d, norm) for d, norm in zip(heads, shared.norms)]
+    return [laurent_div_q_ints(d, normalizer_factors(shared.params, k))
+            for k, d in enumerate(heads)]

@@ -10,9 +10,20 @@ the values f(x), f(x+h), ..., f(x+kh) it is the order-k difference that
 ``qcalculus`` also takes as an operator product.
 
 Every value in the library is either a :class:`LaurentPoly` or an exact
-rational (``fractions.Fraction``); a quotient that must be exact goes
-through :func:`laurent_exact_div`.  Nothing here ever touches floating
+rational (``fractions.Fraction``).  Nothing here ever touches floating
 point.
+
+Two kernels do the q-integer arithmetic of the hot paths in C-level
+passes over one working list.  :func:`q_int_mul_add` is the triangle's
+step [a]_q p + q^e q: a sliding-window sum over prefix sums and one
+shifted addition.  :func:`laurent_div_q_ints` divides exactly by a product
+of q-integers: per factor [a]_q = (1-q^a)/(1-q), one difference pass for
+the 1-q and a prefix sum over each residue class mod a for the 1-q^a,
+with the top a entries of each pass as its remainder check.  Every
+divisor of the explicit and Newton routes and of ``q_binomial_row`` is
+such a product, and so, by the Hankel theorem, is every Bareiss pivot of
+a Hankel matrix.  :func:`laurent_exact_div` divides by anything else, one
+Python-level step per quotient coefficient.
 
 A LaurentPoly is dense: an exponent offset plus a tuple of int coefficients.
 Its product is a sliding-window sum when one factor is a q-integer (or any
@@ -37,7 +48,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import comb
 from operator import add, mul, neg, sub
 
@@ -346,15 +357,23 @@ def _trimmed(lo: int, c: list) -> LaurentPoly:
     return _poly(lo + start, tuple(c))
 
 
-def _mul_run(a: tuple, y: int, n: int) -> tuple:
-    """a times y*(1 + q + ... + q^(n-1)).
+def _window_sum(a: tuple, n: int) -> list:
+    """a times 1 + q + ... + q^(n-1), for n >= 1.
 
-    Output k is y times the sum of a over the window max(0, k-n+1)..k, a
+    Output k is the sum of a over the window max(0, k-n+1)..k, a
     difference of two prefix sums, so the cost is O(len(a)) for any n.
     """
+    if n == 1:
+        return list(a)
+    s = list(accumulate(a, initial=0))
+    s.extend(repeat(s[-1], n - 1))
+    return list(map(sub, islice(s, 1, None), chain(repeat(0, n - 1), s)))
+
+
+def _mul_run(a: tuple, y: int, n: int) -> tuple:
+    """a times y*(1 + q + ... + q^(n-1))."""
     if n > 1:
-        s = list(accumulate(a, initial=0))
-        a = map(sub, s[1:] + [s[-1]] * (n - 1), [0] * (n - 1) + s[:-1])
+        a = _window_sum(a, n)
     return tuple(a) if y == 1 else tuple(map(mul, a, repeat(y)))
 
 
@@ -420,6 +439,35 @@ def q_int(n: int) -> LaurentPoly:
     return _poly(n, (-1,) * -n)
 
 
+def q_int_mul_add(p: LaurentPoly, a: int, q: LaurentPoly,
+                  e: int) -> LaurentPoly:
+    """[a]_q * p + q^e * q, in one working list.
+
+    The product is the sliding-window sum of ``_window_sum`` (negated for
+    a < 0, where [a]_q = -q^a [-a]_q).  The shifted q is then added into
+    the same list by one ``map(add)``, after padding the list with zeros
+    where q reaches past it.  Ends that cancel are trimmed.
+    """
+    pc, qc = p._c, q._c
+    if not (a and pc):
+        return _poly(q._lo + e, qc)
+    c = _window_sum(pc, abs(a))
+    lo = p._lo
+    if a < 0:
+        c[:] = map(neg, c)
+        lo += a
+    if qc:
+        off = q._lo + e - lo
+        if off < 0:
+            c[:0] = repeat(0, -off)
+            lo, off = lo + off, 0
+        end = off + len(qc)
+        if end > len(c):
+            c.extend(repeat(0, end - len(c)))
+        c[off:end] = map(add, c[off:end], qc)
+    return _trimmed(lo, c)
+
+
 def q_factorial(n: int) -> LaurentPoly:
     """[n]_q! = [n]_q [n-1]_q ... [1]_q; empty product 1 for n=0."""
     if n < 0:
@@ -465,18 +513,49 @@ def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _poly(a._lo - b._lo, tuple(quot))
 
 
+def laurent_div_q_ints(x: LaurentPoly, a_list) -> LaurentPoly:
+    """Exact division by a product of q-integers: the c with
+    x = c * prod_{a in a_list} [a]_q, for a sequence a_list.
+
+    Dividing by [a]_q = (1-q^a)/(1-q) takes two C-level passes over the
+    coefficient list: one ``map(sub)`` multiplies by 1-q, and a prefix sum
+    (``accumulate``) over each residue class ``c[s::a]`` divides by 1-q^a
+    as a power series.  That series is the exact quotient if and only if
+    its top a entries are zero, which is the remainder check.  A negative
+    a divides by [-a]_q and then by -q^a.  Raises NonExactDivision if a
+    factor does not divide, DivisionByZero if some a is 0.
+    """
+    if 0 in a_list:
+        raise DivisionByZero("division by [0]_q = 0")
+    c, lo, sign = x._c, x._lo, 1
+    if not c:
+        return ZERO
+    for a in a_list:
+        if a < 0:
+            a, lo, sign = -a, lo - a, -sign
+        if a == 1:
+            continue
+        c = list(map(sub, chain(c, (0,)), chain((0,), c)))
+        for s in range(min(a, len(c))):
+            c[s::a] = accumulate(c[s::a])
+        if any(c[-a:]):
+            raise NonExactDivision(f"[{a}]_q does not divide")
+        del c[-a:]
+    return _poly(lo, tuple(c) if sign > 0 else tuple(map(neg, c)))
+
+
 def q_binomial_row(n: int, b: int = 1) -> list:
     """The row [n j]_{q^b}, j = 0..n, of the q-Pascal triangle.
 
     Built from the ratio [n j] = [n j-1] [n-j+1]_q / [j]_q in base q, one
-    sliding-window product and one exact division per entry, then
+    sliding-window product and one division by a q-integer per entry, then
     stretched to base q^b.
     """
     if n < 0:
         raise ValueError("q_binomial_row requires n >= 0")
     row = [ONE]
     for j in range(1, n + 1):
-        row.append(laurent_exact_div(row[-1] * q_int(n - j + 1), q_int(j)))
+        row.append(laurent_div_q_ints(row[-1] * q_int(n - j + 1), (j,)))
     return [c.stretch(b) for c in row]
 
 
@@ -492,18 +571,15 @@ def q_binomial(n: int, k: int, base_exponent: int = 1) -> LaurentPoly:
     return q_binomial_row(n, base_exponent)[k]
 
 
-def q_binomial_alternating_sum(values, b: int = 1, row=None) -> LaurentPoly:
+def q_binomial_alternating_sum(values, b: int, row) -> LaurentPoly:
     """sum_{j=0}^{k} (-1)^(k-j) q^(b C(k-j,2)) [k j]_{q^b} values[j], where
-    k = len(values) - 1 and ``row`` is q_binomial_row(k, b), built here
-    when not given.
+    k = len(values) - 1 and ``row`` is q_binomial_row(k, b).
 
     With values[j] = f(x + jh) this is the expanded q-difference operator
     of order k at x; it is also the q-binomial inversion.  Both take their
     sums from here.
     """
     k = len(values) - 1
-    if row is None:
-        row = q_binomial_row(k, b)
     acc = ZERO
     for j, (binom, value) in enumerate(zip(row, values)):
         term = binom.shift(b * comb(k - j, 2)) * value
@@ -521,7 +597,8 @@ def q_binomial_transform(g, n: int):
 def q_binomial_inverse(f, n: int):
     """Inverse transform g_n = sum_k (-1)^(n-k) q^C(n-k,2) [n k]_q f_k."""
     f = list(f)
-    return [q_binomial_alternating_sum(f[:j + 1]) for j in range(n + 1)]
+    return [q_binomial_alternating_sum(f[:j + 1], 1, q_binomial_row(j))
+            for j in range(n + 1)]
 
 
 def gauss_product_check(n: int) -> bool:

@@ -91,15 +91,19 @@ def _nonzero_rational(x) -> bool:
         return False
 
 
-def _list_of(ok):
-    return lambda value: isinstance(value, list) and all(map(ok, value))
+def _list_of(ok, nonempty=False):
+    return lambda value: (isinstance(value, list) and all(map(ok, value))
+                          and (bool(value) or not nonempty))
 
 
 # Grid key -> (check on its value, what the check asks for).  Keys not
-# listed here take a non-negative int.
+# listed here take a non-negative int.  An empty m or r list would run no
+# cell and pass every suite; empty t and qvals only narrow the genfun grid.
 _GRID_CHECKS = {
-    "m": (_list_of(lambda x: _is_int(x) and x >= 1), "a list of ints >= 1"),
-    "r": (_list_of(lambda x: _is_int(x) and x >= 0), "a list of ints >= 0"),
+    "m": (_list_of(lambda x: _is_int(x) and x >= 1, nonempty=True),
+          "a non-empty list of ints >= 1"),
+    "r": (_list_of(lambda x: _is_int(x) and x >= 0, nonempty=True),
+          "a non-empty list of ints >= 0"),
     "t": (_list_of(_is_int), "a list of ints"),
     "qvals": (_list_of(_nonzero_rational),
               'a list of nonzero rational strings such as "3/5"'),
@@ -191,7 +195,7 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
         shared = qcalculus.RouteValues.build(p, negf, kmax)
         for k in range(kmax + 1):
             e = series.egf(shared, k, negf)
-            norm = shared.norms[k]
+            norm = qcalculus.normalizer(p, k)
             for n in range(negf + 1):
                 # the z^n coefficient e[n] / ([n]_q! norm) must equal
                 # W[n,k] / [n]_q!; [n]_q! is nonzero and cancels
@@ -320,11 +324,8 @@ def largest_rows(name: str, grid: dict = None) -> list:
     runs: the grid's largest m and r, the largest row the suite reads, the
     order of its determinants and the degree of its largest q-integer
     apart from the rows (0 but for genfun's [t]_q and [t-r-jm]_q, j <
-    nmax_horizontal).  Raises ValueError for a bad grid, like run_suite;
-    a grid with no (m, r) cell yields no sizes."""
+    nmax_horizontal).  Raises ValueError for a bad grid, like run_suite."""
     g = _grid(grid)
-    if not (g["m"] and g["r"]):
-        return []
     m, r = max(g["m"]), max(g["r"])
     factor = max(map(abs, g["t"]), default=0) + r + m * g["nmax_horizontal"]
     names = _SUITE_FUNCS if name == "all" else [name]

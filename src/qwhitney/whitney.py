@@ -4,9 +4,11 @@ The triangular recurrence
 
     W[n,k] = q^(m(k-1)+r) W[n-1,k-1] + [mk+r]_q W[n-1,k]
 
-is the single authority; a per-(m,r) table memoizes it.  The vertical and
-horizontal recurrences recompute values without consulting the memo for the
-row/column they reconstruct, so cross-route equality tests are meaningful.
+is the single authority; a per-(m,r) table memoizes it, and each entry is
+one ``qcore.q_int_mul_add`` pass over its two neighbours in the row above.
+The vertical and horizontal recurrences recompute values without
+consulting the memo for the row/column they reconstruct, so cross-route
+equality tests are meaningful.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb
 
-from .qcore import LaurentPoly, ONE, ZERO, q_int
+from .qcore import LaurentPoly, ONE, ZERO, q_int, q_int_mul_add
 
 
 class InternalNonLaurent(ArithmeticError):
@@ -65,17 +67,11 @@ def _rows(params: WhitneyParams, nmax: int) -> list:
     rows = _tables.setdefault((params.m, params.r), [[ONE]])
     m, r = params.m, params.r
     while len(rows) <= nmax:
-        n = len(rows)
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            val = ZERO
-            if k >= 1:
-                val = val + prev[k - 1].shift(m * (k - 1) + r)
-            if k <= n - 1:
-                val = val + q_int(m * k + r + _mutation_offset) * prev[k]
-            row.append(val)
-        rows.append(row)
+        # padded so that W[n-1,-1] and W[n-1,n] read as zero
+        prev = [ZERO, *rows[-1], ZERO]
+        rows.append([q_int_mul_add(prev[k + 1], m * k + r + _mutation_offset,
+                                   prev[k], m * (k - 1) + r)
+                     for k in range(len(prev) - 1)])
     return rows
 
 

@@ -12,9 +12,9 @@ from operator import floordiv
 from conftest import classical_whitney_recurrence, stirling2_enum
 from qwhitney import (RouteValues, WhitneyParams, cli, classical_hankel_check,
                       gauss_product_check, q_binomial_alternating_sum,
-                      q_binomial_inverse, q_binomial_transform, q_diff_heads,
-                      q_int, w, w_star, whitney_explicit, tableau_sum,
-                      w_star_symmetric)
+                      q_binomial_inverse, q_binomial_row,
+                      q_binomial_transform, q_diff_heads, q_int, w, w_star,
+                      whitney_explicit, tableau_sum, w_star_symmetric)
 from qwhitney import verify, whitney
 from qwhitney.hankel import bareiss
 from qwhitney.qcore import LaurentPoly
@@ -64,7 +64,8 @@ def test_criterion_4_q_difference_operator():
                                       for i in range(k + 1)]
                             heads = q_diff_heads(values, b)
                             ok = ok and heads[k] == \
-                                q_binomial_alternating_sum(values, b)
+                                q_binomial_alternating_sum(
+                                    values, b, q_binomial_row(k, b))
     report(4, "q-difference operator: recursive vs explicit", ok)
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,25 @@ class TestTable:
                        "--format", fmt])
         assert rc == 0
         assert out == expected
+
+    # The csv text is written without the csv module; csv.writer is the
+    # reference.  A zero entry ("[]") and every value at q are unquoted.
+    @pytest.mark.parametrize("qval", [None, "1", "2", "-3/5", "-2"])
+    @pytest.mark.parametrize("m, r, nmax", [(1, 0, 8), (2, 3, 12)])
+    def test_csv_matches_csv_writer(self, qval, m, r, nmax):
+        entries = whitney.w_table(whitney.WhitneyParams(m, r), nmax)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["n", "k", "value"])
+        for n, row in enumerate(entries):
+            for k, v in enumerate(row):
+                writer.writerow([n, k, json.dumps(v.to_pairs()) if qval is None
+                                 else str(v.eval(Fraction(qval)))])
+        argv = ["table", "--m", str(m), "--r", str(r), "--nmax", str(nmax),
+                "--format", "csv"]
+        rc, out = run(argv + ([] if qval is None else ["--q-eval", qval]))
+        assert rc == 0
+        assert out == buf.getvalue()
 
     def test_deterministic(self):
         a = run(["table", "--m", "2", "--r", "1", "--nmax", "5"])
@@ -291,7 +311,13 @@ class TestSizeLimit:
         ("all", GRID, 75),
         ("hankel", {**GRID, "nmax_hankel": 40}, 41 * 6561),  # row 81
         ("explicit", {**GRID, "nmax_hankel": 40}, 25),
-        ("all", {**GRID, "m": []}, 0),
+        # rows 0 and 1 only, r = 0 and no t (an empty m or r list is
+        # refused: test_empty_parameter_list_refused)
+        ("all", {**GRID, "m": [1], "r": [0], "t": [],
+                 **dict.fromkeys(("nmax", "nmax_genfun", "nmax_egf",
+                                  "nmax_horizontal", "nmax_tableau",
+                                  "nmax_conv", "spmax_conv", "smax_hankel",
+                                  "nmax_hankel"), 0)}, 0),
         ("explicit", {"nmax": 20}, 610),  # default m, r: 3 and 2
         ("all", {"nmax_hankel": 7}, 8 * 442),
         # [t]_q and [t-r-jm]_q, j < nmax_horizontal: |t| + r + m*3
@@ -304,6 +330,20 @@ class TestSizeLimit:
         args = cli._parser().parse_args(["verify", "--suite", suite])
         args.grid = grid
         assert cli._max_degree(args) == degree
+
+    # Such a grid has no (m, r) cell: every suite would pass on 0 cells.
+    @pytest.mark.parametrize("suite", ["recurrences", "hankel", "all"])
+    @pytest.mark.parametrize("key", ["m", "r"])
+    def test_empty_parameter_list_refused(self, no_verify_work, tmp_path,
+                                          capsys, suite, key):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({key: []}))
+        rc, out = run(["verify", "--suite", suite, "--grid", str(path)])
+        assert rc == 2 and out == ""
+        least = {"m": 1, "r": 0}[key]
+        assert capsys.readouterr().err == (
+            f"error: grid key {key!r} must be a non-empty list of ints "
+            f">= {least}\n")
 
     @pytest.fixture
     def no_tableau_work(self, monkeypatch):

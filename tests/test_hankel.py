@@ -1,14 +1,16 @@
+import io
 import random
 from operator import floordiv
+from unittest.mock import ANY
 
 import pytest
 
 from conftest import random_laurent, stirling2_enum
 from qwhitney import (ExactMatrix, HankelSpec, LaurentPoly, WhitneyParams,
                       classical_hankel_check, det_cofactor, det_exact,
-                      hankel_closed_form, hankel_matrix,
+                      hankel_closed_form, hankel_factors, hankel_matrix,
                       hankel_transform_check, lu_check, q_int, w_star)
-from qwhitney import hankel, verify
+from qwhitney import cli, hankel, qcalculus, qcore, verify, whitney
 from qwhitney.hankel import (bareiss, leading_block, leading_dets,
                              lu_factors, lu_product, matmul)
 from qwhitney.qcore import ONE, ZERO, laurent_exact_div
@@ -266,6 +268,130 @@ class TestLUProduct:
                 for f in res.failures] == \
             [(m, r, s, n) for m in (1, 2) for r in (0, 1) for s in (0, 1)
              for n in range(1, 4)]
+
+
+def product(factors):
+    """prod [a]_q over the factors."""
+    out = ONE
+    for a in factors:
+        out = out * q_int(a)
+    return out
+
+
+@pytest.fixture
+def divisions(monkeypatch):
+    """Record every division: ("general", divisor) for laurent_exact_div,
+    wherever it is bound, and ("factored", factors) for the q-integer
+    division that hankel's pivot divider takes."""
+    seen = []
+    general, factored = qcore.laurent_exact_div, qcore.laurent_div_q_ints
+
+    def counted_general(x, b):
+        seen.append(("general", b))
+        return general(x, b)
+
+    def counted_factored(x, factors):
+        seen.append(("factored", tuple(factors)))
+        return factored(x, factors)
+
+    for module in (qcore, hankel, qcalculus):
+        if hasattr(module, "laurent_exact_div"):
+            monkeypatch.setattr(module, "laurent_exact_div", counted_general)
+    monkeypatch.setattr(hankel, "laurent_div_q_ints", counted_factored)
+    return seen
+
+
+class TestFactoredPivots:
+    FAMILIES = [(WhitneyParams(m, r), s) for m, r, s in
+                ((1, 0, 0), (1, 1, 2), (2, 1, 1), (3, 2, 0))]
+    GRID = {"m": [1, 2], "r": [0, 1], "smax_hankel": 1, "nmax_hankel": 4}
+
+    def test_factors_are_the_closed_form(self):
+        for p in PARAM_GRID:
+            for s in range(3):
+                for n in range(5):
+                    spec = HankelSpec(p, s, n)
+                    expected = ONE
+                    for k in range(n + 1):
+                        expected = expected * q_int(p.m * (s + k) + p.r) ** k
+                    assert hankel_closed_form(spec) == expected
+                    assert product(hankel_factors(spec)) == expected
+                    assert len(hankel_factors(spec)) == n * (n + 1) // 2
+
+    def test_every_pivot_divided_by_its_factors(self, divisions):
+        for p, s in self.FAMILIES:
+            mat = hankel_matrix(HankelSpec(p, s, 4))
+            divisions.clear()
+            assert det_exact(mat) == det_cofactor(mat)
+            # steps 1, 2, 3 divide 9, 4 and 1 entries by the minors of
+            # orders 1, 2 and 3
+            minor = [hankel_closed_form(HankelSpec(p, s, n)) for n in range(3)]
+            assert [(path, product(factors)) for path, factors in divisions] \
+                == [("factored", minor[order - 1])
+                    for order, count in ((1, 9), (2, 4), (3, 1))
+                    for _ in range(count)]
+
+    # The queries benchmark's Hankel requests: per (m, r), shapes r and
+    # 11 - r of (s, n) for s < 3 and 2 <= n <= 5.
+    def test_hankel_requests_need_no_general_division(self, divisions):
+        shapes = [(s, n) for s in range(3) for n in range(2, 6)]
+        for m in (1, 2, 3):
+            for r in range(6):
+                for s, n in (shapes[r], shapes[11 - r]):
+                    buf = io.StringIO()
+                    assert cli.main(["hankel", "--m", str(m), "--r", str(r),
+                                     "--s", str(s), "--n", str(n)],
+                                    out=buf) == 0
+                    assert buf.getvalue().endswith('"status": "PASS"}\n')
+        assert divisions
+        assert all(path == "factored" for path, _ in divisions)
+
+    def test_explicit_suite_needs_no_general_division(self, divisions):
+        assert verify.suite_explicit().ok
+        assert divisions == []
+
+    def test_closed_form_fault(self, monkeypatch):
+        # the determinant does not read the closed form; the check does
+        right = hankel.hankel_closed_form
+        monkeypatch.setattr(hankel, "hankel_closed_form",
+                            lambda spec: right(spec) * q_int(2))
+        for p, s in self.FAMILIES:
+            mat = hankel_matrix(HankelSpec(p, s, 3))
+            assert det_exact(mat) == det_cofactor(mat)
+        res = verify.suite_hankel(self.GRID)
+        assert {f.identity for f in res.failures} == {"hankel_transform"}
+        assert len(res.failures) == res.cells // 3
+
+    def test_factor_fault_turns_the_fast_path_off(self, monkeypatch,
+                                                  divisions):
+        # a wrong factor list reaches both the closed form and the pivot
+        # divider: the divider finds no pivot equal to its products and
+        # divides in general, so only the check fails
+        right = hankel.hankel_factors
+        monkeypatch.setattr(hankel, "hankel_factors",
+                            lambda spec: right(spec) + (spec.n + 2,))
+        for p, s in self.FAMILIES:
+            mat = hankel_matrix(HankelSpec(p, s, 3))
+            divisions.clear()
+            assert det_exact(mat) == det_cofactor(mat)
+            assert [path for path, _ in divisions] == ["general"] * 5
+        res = verify.suite_hankel(self.GRID)
+        assert {f.identity for f in res.failures} == {"hankel_transform"}
+        assert len(res.failures) == res.cells // 3
+
+    def test_perturbed_recurrence_takes_the_general_path(self, divisions):
+        with whitney.perturb_recurrence():
+            for p, s in self.FAMILIES:
+                mat = hankel_matrix(HankelSpec(p, s, 4))
+                divisions.clear()
+                assert det_exact(mat) == det_cofactor(mat)
+                # W*[s,s] = 1 is untouched, so the first pivot is still
+                # the unit (9 divisions); the pivots of orders 2 and 3
+                # differ from their products (4 + 1 divisions)
+                assert mat[0, 0] == ONE
+                assert [(path, product(b) if path == "factored" else b)
+                        for path, b in divisions] == \
+                    [("factored", ONE)] * 9 + [("general", ANY)] * 5
 
 
 class TestClassical:

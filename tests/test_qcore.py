@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from conftest import random_laurent
 from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
                       NonExactDivision, gauss_product_check,
-                      laurent_exact_div, q_binomial, q_binomial_inverse,
-                      q_binomial_row, q_binomial_transform, q_factorial,
-                      q_int)
+                      laurent_div_q_ints, laurent_exact_div, q_binomial,
+                      q_binomial_inverse, q_binomial_row,
+                      q_binomial_transform, q_factorial, q_int,
+                      q_int_mul_add)
 from qwhitney import qcore
 from qwhitney.qcore import ONE, ZERO
 
@@ -215,6 +216,56 @@ class TestExactDivision:
                 continue
             assert laurent_exact_div(a * b, b) == a
             checked += 1
+
+
+class TestDivisionByQInts:
+    def test_factorial_by_its_factors(self):
+        for n in range(9):
+            assert laurent_div_q_ints(q_factorial(n), range(1, n + 1)) == ONE
+            if n:
+                assert laurent_div_q_ints(q_factorial(n), range(1, n)) == \
+                    q_int(n)
+
+    def test_negative_factors(self):
+        x = LaurentPoly({-3: 2, 1: -5, 4: 7})
+        for a_list in ([-1], [-4, 3], [2, -2, -7]):
+            product = ONE
+            for a in a_list:
+                product = product * q_int(a)
+            assert laurent_div_q_ints(x * product, a_list) == x
+
+    def test_empty_list_and_zero_dividend(self):
+        x = LaurentPoly({-2: 3, 5: -1})
+        assert laurent_div_q_ints(x, ()) == x
+        assert laurent_div_q_ints(ZERO, (3, -2)) == ZERO
+
+    def test_inexact_rejected(self):
+        with pytest.raises(NonExactDivision):
+            laurent_div_q_ints(q_int(5), (2,))
+        with pytest.raises(NonExactDivision):
+            laurent_div_q_ints(q_int(3), (3, 3))  # longer than the dividend
+        with pytest.raises(NonExactDivision):
+            laurent_div_q_ints(q_int(6) + ONE, (2, 3))
+
+    def test_zero_factor_rejected(self):
+        with pytest.raises(DivisionByZero):
+            laurent_div_q_ints(ONE, (2, 0))
+
+
+class TestQIntMulAdd:
+    def test_recurrence_step(self):
+        p, q = LaurentPoly({0: 1, 1: 2}), LaurentPoly({3: 4})
+        assert q_int_mul_add(p, 3, q, 2) == q_int(3) * p + q.shift(2)
+
+    def test_zero_terms(self):
+        q = LaurentPoly({-1: 5, 2: 1})
+        assert q_int_mul_add(ZERO, 4, q, 3) == q.shift(3)
+        assert q_int_mul_add(q, 0, ZERO, 3) == ZERO
+        assert q_int_mul_add(q, -2, ZERO, 0) == q_int(-2) * q
+
+    def test_everything_cancels(self):
+        p = LaurentPoly({1: 3, 2: -1})
+        assert q_int_mul_add(p, 2, -(q_int(2) * p).shift(-5), 5) == ZERO
 
 
 class TestEval:

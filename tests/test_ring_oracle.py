@@ -5,7 +5,9 @@ exact quotient and rational value computed here is recomputed by sympy.
 The inputs carry negative exponents, interior zeros, negative coefficients
 and coefficients of up to 300 bits, at lengths that reach each product
 algorithm: a run of equal coefficients (q-integers and their multiples),
-a short operand (schoolbook) and two long operands (Kronecker).
+a short operand (schoolbook) and two long operands (Kronecker).  The two
+q-integer kernels, the fused step [a]_q p + q^e q of the triangle and the
+division by a product of q-integers, are checked the same way.
 """
 
 from fractions import Fraction
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qwhitney import LaurentPoly, NonExactDivision, laurent_exact_div, q_int
+from qwhitney import (LaurentPoly, NonExactDivision, laurent_div_q_ints,
+                      laurent_exact_div, q_int, q_int_mul_add)
 from qwhitney.qcore import _SCHOOLBOOK_MAX
 
 sympy = pytest.importorskip("sympy")
@@ -55,6 +58,7 @@ PATHS = {"run": (anything, runs), "schoolbook": (long, short),
          "kronecker": (long, long)}
 rationals = st.builds(Fraction, st.integers(-60, 60).filter(bool),
                       st.integers(1, 60))
+q_int_args = st.integers(-40, 40).filter(bool)
 
 
 def to_sympy(p):
@@ -121,3 +125,45 @@ def test_eval(p, x):
     sx = sympy.Rational(x.numerator, x.denominator)
     value = sympy.Add(*[sympy.Integer(c) * sx ** e for e, c in p.terms.items()])
     assert p.eval(x) == Fraction(int(value.p), int(value.q))
+
+
+def oracle_q_int_product(a_list):
+    out = LaurentPoly.one()
+    for a in a_list:
+        out = oracle_product(out, q_int(a))
+    return out
+
+
+@given(anything, st.lists(q_int_args, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_division_by_q_ints(p, a_list):
+    dividend = oracle_product(p, oracle_q_int_product(a_list))
+    assert laurent_div_q_ints(dividend, a_list) == p
+
+
+@given(st.one_of(runs, short, long), st.lists(q_int_args, max_size=3),
+       st.integers(-40, 40).filter(lambda b: abs(b) > 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_division_by_q_ints_raises(p, a_list, b, data):
+    # every factor but [b]_q divides; [b]_q does not divide the dividend
+    dividend = oracle_product(p, oracle_q_int_product(a_list))
+    assume(not oracle_divides(dividend, q_int(b)))
+    where = data.draw(st.integers(0, len(a_list)))
+    with pytest.raises(NonExactDivision):
+        laurent_div_q_ints(dividend, a_list[:where] + [b] + a_list[where:])
+
+
+@given(anything, st.integers(-40, 40), anything, st.integers(-60, 60),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_q_int_mul_add(p, a, q, e, cancel):
+    product = oracle_product(q_int(a), p)
+    expected = product + q.shift(e)
+    if cancel and not product.is_zero():
+        # keep only the sum's terms strictly inside the product's span:
+        # q^e q then cancels the product's lowest and highest terms
+        lo, hi = product.min_exp(), product.max_exp()
+        expected = LaurentPoly({k: c for k, c in expected.terms.items()
+                                if lo < k < hi})
+        q = (expected - product).shift(-e)
+    assert q_int_mul_add(p, a, q, e) == expected
