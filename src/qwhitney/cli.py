@@ -31,16 +31,16 @@ import sys
 from fractions import Fraction
 
 from . import verify
-from .hankel import HankelSpec, det_exact, hankel_closed_form, hankel_matrix
+from .hankel import (HankelSpec, degree_bound, hankel_closed_forms,
+                     hankel_matrix, leading_dets)
 from .qcore import DivisionByZero, LaurentPoly, NonExactDivision
-from .whitney import (InternalNonLaurent, WhitneyParams, r_dowling, w,
-                      w_star, w_table)
+from .whitney import (InternalNonLaurent, WhitneyParams, r_dowling,
+                      row_degree, w, w_star, w_table)
 
 
 # The largest degree a request's polynomials may reach.  Row n of the
-# triangle has top degree m*C(n,2) + r*n; a Hankel determinant of order n+1
-# (and every Bareiss minor) has at most n+1 times the top degree of the
-# largest row it reads, s+2n.  table --m 1 --r 1 --nmax 80 (3240) passes.
+# triangle has top degree m*C(n,2) + r*n; a Hankel family is bounded by
+# hankel.degree_bound.  table --m 1 --r 1 --nmax 80 (3240) passes.
 MAX_DEGREE = 4096
 
 
@@ -160,13 +160,14 @@ def cmd_eval(args, out) -> int:
 
 def cmd_hankel(args, out) -> int:
     spec = HankelSpec(_params(args), args.s, args.n)
-    mat = hankel_matrix(spec)
-    det = det_exact(mat)
-    closed = hankel_closed_form(spec)
+    rows = hankel_matrix(spec)
+    closed_forms = hankel_closed_forms(spec)
+    det = leading_dets(rows, closed_forms)[-1]
+    closed = closed_forms[-1][0]
     qval = args.q_eval
     params = json.dumps({"m": args.m, "r": args.r, "s": args.s, "n": args.n})
     matrix = _json_list([_json_list([_render(v, qval) for v in row])
-                         for row in mat.entries])
+                         for row in rows])
     status = "PASS" if det == closed else "FAIL"
     print(f'{{"params": {params}, "matrix": {matrix}, '
           f'"determinant": {_render(det, qval)}, '
@@ -264,31 +265,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _row_degree(m: int, r: int, row: int) -> int:
-    """The top degree m*C(row,2) + r*row of a row of the triangle."""
-    return m * row * (row - 1) // 2 + r * row
-
-
 def _max_degree(args) -> int:
     """The largest degree the polynomials of a request may reach.
 
     For verify this is the largest over the suites the request runs, at the
-    grid's largest m and r (``args.grid`` holds the grid document).
+    grid's largest m and r (``args.grid`` holds the grid document).  A
+    hankel request with a negative s or n is refused here, by HankelSpec.
     """
     if args.command == "verify":
         sizes = verify.largest_rows(args.suite, args.grid)
+    elif args.command == "hankel":
+        return degree_bound(HankelSpec(_params(args), args.s, args.n))
     else:
         p = _params(args)
-        if args.command == "hankel":
-            row, order = args.s + 2 * args.n, args.n + 1
-        elif args.command == "table":
-            row, order = args.nmax, 1
-        else:
-            row, order = args.n, 1
-        sizes = [(p.m, p.r, row, order, 0)]
-    # Negative sizes are refused later, by the command itself.
-    return max((max(max(order, 0) * _row_degree(m, r, max(row, 0)), factor)
-                for m, r, row, order, factor in sizes))
+        row = args.nmax if args.command == "table" else args.n
+        sizes = [(p.m, p.r, row, 0)]
+    # A negative nmax is refused later, by the table command itself.
+    return max(max(row_degree(m, r, max(row, 0)), degree)
+               for m, r, row, degree in sizes)
 
 
 def main(argv=None, out=None) -> int:

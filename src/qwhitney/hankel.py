@@ -2,35 +2,35 @@
 LU-factorization / Hankel-transform identities.
 
 The determinant det(W*[s+i+j, s+j])_{0<=i,j<=n} factors as
-prod_{k=0}^{n} [m(s+k)+r]_q^k.  One fraction-free elimination loop,
-``bareiss``, computes both this determinant over the Laurent ring and its
-q=1 corollary over the ints; it keeps every interior division exact.  Its
-pivots are the leading minors (Sylvester's identity), so one elimination
-of the largest matrix of a family gives the determinant of every smaller
-order (``leading_dets``), and one L*U product (``lu_product``) gives every
-order's product as a leading block.  The two checks take that matrix,
-determinant and product as arguments.  ``det_cofactor`` is the test
-oracle and is not called by the library.
+prod_{k=0}^{n} [m(s+k)+r]_q^k.  A matrix is a tuple of row tuples.  One
+fraction-free elimination loop, ``bareiss``, computes both this
+determinant over the Laurent ring and its q=1 corollary over the ints; it
+keeps every interior division exact.  Its pivots are the leading minors
+(Sylvester's identity), so one elimination of the largest matrix of a
+family gives the determinant of every smaller order (``leading_dets``),
+and one L*U product (``lu_product``) gives every order's product as a
+leading block.  ``hankel_closed_forms`` gives every order's closed form,
+with the list of a whose [a]_q multiply to it, from one prefix product.
 
 Each Bareiss division is by the previous pivot, a leading minor, which
-the theorem says is the product of [a]_q over ``hankel_factors`` of its
-order.  ``hankel_matrix`` records those factor lists, and the
-eliminations of ``det_exact`` and ``leading_dets`` divide by a pivot one
-q-integer at a time (``qcore.laurent_div_q_ints``) when, and only when,
-the pivot equals the product of its list; any other pivot goes to
-``qcore.laurent_exact_div``.  So the determinant is the same exact value
-whether the theorem holds or not, and the hankel_transform check can
-still fail.
+the theorem says is the closed form of its order.  ``leading_dets`` takes
+the family's closed forms and divides by a pivot one q-integer at a time
+(``qcore.laurent_div_q_ints``) when, and only when, the pivot equals one
+of them and that one's factor list divides it to 1; any other pivot goes
+to ``qcore.laurent_exact_div``.  So the determinant is the same exact
+value whether the theorem holds or not, and whatever list it is given:
+the hankel_transform check, det == closed form, can still fail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import comb
 from operator import floordiv
 
-from .qcore import (LaurentPoly, ONE, ZERO, laurent_div_q_ints,
-                    laurent_exact_div, q_int)
-from .whitney import WhitneyParams, classical_w, w_star
+from .qcore import (DivisionByZero, LaurentPoly, NonExactDivision, ONE,
+                    ZERO, laurent_div_q_ints, laurent_exact_div, q_int)
+from .whitney import WhitneyParams, classical_w, row_degree, w_star
 
 
 @dataclass(frozen=True)
@@ -46,62 +46,29 @@ class HankelSpec:
             raise ValueError("s and n must be >= 0")
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Square matrix of LaurentPoly entries.
-
-    ``minor_factors[o-1]``, where given, lists the a whose product of
-    [a]_q is expected to be the leading minor of order o.  It only speeds
-    up the eliminations of ``det_exact`` and ``leading_dets``: a pivot
-    that equals that product is divided as the product of q-integers, any
-    other pivot by ``laurent_exact_div``.  It never changes a value, and
-    equality ignores it.
-    """
-
-    entries: tuple
-    minor_factors: tuple = field(default=(), compare=False)
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("matrix must be square")
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-
-def hankel_matrix(spec: HankelSpec) -> ExactMatrix:
-    """Entry (i,j) is W*_{m,r}[s+i+j, s+j]_q; each leading minor is
-    expected to be the closed form of its order (``hankel_factors``)."""
+def hankel_matrix(spec: HankelSpec) -> tuple:
+    """Rows of the matrix: entry (i,j) is W*_{m,r}[s+i+j, s+j]_q."""
     params, s, n = spec.params, spec.s, spec.n
-    return ExactMatrix(tuple(
+    return tuple(
         tuple(w_star(params, s + i + j, s + j) for j in range(n + 1))
-        for i in range(n + 1)), tuple(
-        hankel_factors(HankelSpec(params, s, o)) for o in range(n + 1)))
+        for i in range(n + 1))
 
 
-def det_cofactor(mat: ExactMatrix) -> LaurentPoly:
-    """Determinant by first-row cofactor expansion (oracle for small orders)."""
-    rows = [list(r) for r in mat.entries]
+def degree_bound(spec: HankelSpec) -> int:
+    """A bound on the degree of every polynomial that the family of spec's
+    order or smaller builds: the largest of
 
-    def rec(rs):
-        if len(rs) == 1:
-            return rs[0][0]
-        acc = ZERO
-        for j, entry in enumerate(rs[0]):
-            if entry.is_zero():
-                continue
-            minor = [row[:j] + row[j + 1:] for row in rs[1:]]
-            sign = -1 if j % 2 else 1
-            acc = acc + entry * rec(minor) * sign
-        return acc
-
-    return rec(rows)
+    - the top degree of row s+2n of the triangle, the largest one read;
+    - 2 C(n+1,2) D, D = m(s+n)+r-1.  Entry (i,j) has degree at most
+      i (m(s+j)+r-1) <= i D, so every minor, and so every Bareiss entry
+      (Sylvester), has degree at most C(n+1,2) D, and each dividend is a
+      difference of two products of two minors;
+    - the top degree m C(n,2) + (r+m(s+n)) n of the U factor's rows.
+    """
+    m, r, s, n = spec.params.m, spec.params.r, spec.s, spec.n
+    return max(row_degree(m, r, s + 2 * n),
+               2 * comb(n + 1, 2) * (m * (s + n) + r - 1),
+               row_degree(m, r + m * (s + n), n))
 
 
 def bareiss(rows, exact_div) -> tuple:
@@ -141,51 +108,45 @@ def bareiss(rows, exact_div) -> tuple:
     return (a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]), minors
 
 
-def _pivot_divider(mat: ExactMatrix):
-    """``exact_div`` for the elimination of mat: a divisor equal to the
-    product of [a]_q over the factor list of a leading minor below
-    mat.order (the last pivot divides nothing) is divided by those
-    q-integers (``laurent_div_q_ints``), any other by
-    ``laurent_exact_div``.  The equality is checked first, so the quotient
-    is the same whether or not the lists are right."""
-    products = {}
-    for factors in mat.minor_factors[:mat.order - 1]:
-        product = ONE
-        for a in factors:
-            product = product * q_int(a)
-        products.setdefault(product, factors)
+def det_exact(rows) -> LaurentPoly:
+    """Determinant of a square matrix of LaurentPoly entries by Bareiss
+    elimination, every division by ``laurent_exact_div``."""
+    return bareiss(rows, laurent_exact_div)[0]
+
+
+def _divides_to_one(x: LaurentPoly, factors: tuple) -> bool:
+    """Is x the product of [a]_q over factors?"""
+    try:
+        return laurent_div_q_ints(x, factors) == ONE
+    except (NonExactDivision, DivisionByZero):
+        return False
+
+
+def leading_dets(rows, closed_forms) -> list:
+    """The determinants of the leading blocks of orders 1..len(rows) of a
+    Hankel matrix, from one elimination: each is a pivot (``bareiss``).
+
+    ``closed_forms`` is ``hankel_closed_forms`` of the matrix's family, or
+    any list of (product, factors) pairs.  A pivot is divided by the
+    q-integers of a list only when it equals a product that the list
+    divides to 1, any other by ``laurent_exact_div``; both are checked
+    first, so the quotients do not depend on the closed forms.  Only the
+    orders below len(rows) are checked, since the last pivot divides
+    nothing.  An order past the first zero pivot is ``det_exact`` of its
+    leading block."""
+    factor_lists = {closed: factors
+                    for closed, factors in closed_forms[:len(rows) - 1]
+                    if _divides_to_one(closed, factors)}
 
     def divide(x: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-        factors = products.get(b)
+        factors = factor_lists.get(b)
         if factors is None:
             return laurent_exact_div(x, b)
         return laurent_div_q_ints(x, factors)
 
-    return divide
-
-
-def det_exact(mat: ExactMatrix) -> LaurentPoly:
-    """Determinant via fraction-free (Bareiss) elimination in the Laurent
-    ring.  Every divisor is a pivot; those of orders below mat.order are
-    divided as products of q-integers where ``mat.minor_factors`` predicts
-    them."""
-    return bareiss(mat.entries, _pivot_divider(mat))[0]
-
-
-def leading_block(mat: ExactMatrix, order: int) -> ExactMatrix:
-    """The top-left order x order block of mat."""
-    return ExactMatrix(tuple(row[:order] for row in mat.entries[:order]),
-                       mat.minor_factors[:order])
-
-
-def leading_dets(mat: ExactMatrix) -> list:
-    """det(leading_block(mat, k)) for k = 1..mat.order from one
-    elimination of mat: each order's determinant is a pivot (``bareiss``),
-    divided as ``det_exact`` divides.  An order past the first zero pivot
-    falls back to ``det_exact`` of its leading block."""
-    _, minors = bareiss(mat.entries, _pivot_divider(mat))
-    return minors + [det_exact(leading_block(mat, k))
-                     for k in range(len(minors) + 1, mat.order + 1)]
+    _, minors = bareiss(rows, divide)
+    return minors + [det_exact(tuple(row[:k] for row in rows[:k]))
+                     for k in range(len(minors) + 1, len(rows) + 1)]
 
 
 def hankel_factors(spec: HankelSpec) -> tuple:
@@ -195,51 +156,41 @@ def hankel_factors(spec: HankelSpec) -> tuple:
     return tuple(m * (s + k) + r for k in range(spec.n + 1) for _ in range(k))
 
 
-def hankel_closed_form(spec: HankelSpec) -> LaurentPoly:
-    """prod_{k=0}^{n} [m(s+k)+r]_q^k, one sliding-window product per
+def hankel_closed_forms(spec: HankelSpec) -> list:
+    """``(closed form, factors)`` for each order n'+1, n' = 0..spec.n, of
+    spec's family: factors is hankel_factors at n', the first C(n'+1, 2)
+    entries of spec's, and the closed form prod_{k<=n'} [m(s+k)+r]_q^k is
+    the product of their [a]_q, one sliding-window product per
     q-integer."""
-    out = ONE
-    for a in hankel_factors(spec):
-        out = out * q_int(a)
-    return out
+    factors = hankel_factors(spec)
+    forms, product = [], ONE
+    for n in range(spec.n + 1):
+        for a in factors[comb(n, 2):comb(n + 1, 2)]:
+            product = product * q_int(a)
+        forms.append((product, factors[:comb(n + 1, 2)]))
+    return forms
 
 
-def hankel_transform_check(spec: HankelSpec, det: LaurentPoly) -> bool:
-    """Does ``det``, the exact determinant det_exact(hankel_matrix(spec)),
-    equal the closed-form product?"""
-    return det == hankel_closed_form(spec)
-
-
-def lu_factors(spec: HankelSpec):
+def lu_factors(spec: HankelSpec) -> tuple:
     """The lower and upper factors read off the parameter-shifted values:
     L[i][j] = W*_{m,r}[s+i, s+j]_q (j <= i),
     U[i][j] = W*_{m,r+m(s+i)}[j, j-i]_q (i <= j)."""
     params, s, n = spec.params, spec.s, spec.n
-    lower = ExactMatrix(tuple(
+    lower = tuple(
         tuple(w_star(params, s + i, s + j) if j <= i else ZERO
               for j in range(n + 1))
-        for i in range(n + 1)))
-    upper = ExactMatrix(tuple(
+        for i in range(n + 1))
+    upper = tuple(
         tuple(w_star(WhitneyParams(params.m, params.r + params.m * (s + i)),
                      j, j - i) if i <= j else ZERO
               for j in range(n + 1))
-        for i in range(n + 1)))
+        for i in range(n + 1))
     return lower, upper
-
-
-def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.order != b.order:
-        raise ValueError("order mismatch")
-    n = a.order
-    return ExactMatrix(tuple(
-        tuple(sum((a[i, k] * b[k, j] for k in range(n)), ZERO)
-              for j in range(n))
-        for i in range(n)))
 
 
 def lu_product(spec: HankelSpec) -> tuple:
     """``(L*U, diagonal)`` for the factors of ``lu_factors(spec)``, where
-    diagonal[k] = prod_{i<=k} L[i,i] U[i,i].
+    diagonal[k] = prod_{i<=k} L[i][i] U[i][i].
 
     L is lower and U upper triangular, so the leading (k+1)-block of L*U
     is the product of their leading blocks and diagonal[k] is its
@@ -247,25 +198,26 @@ def lu_product(spec: HankelSpec) -> tuple:
     lower, upper = lu_factors(spec)
     diagonal, acc = [], ONE
     for k in range(spec.n + 1):
-        acc = acc * lower[k, k] * upper[k, k]
+        acc = acc * lower[k][k] * upper[k][k]
         diagonal.append(acc)
-    return matmul(lower, upper), diagonal
+    columns = tuple(zip(*upper))
+    product = tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in columns)
+        for row in lower)
+    return product, diagonal
 
 
-def lu_check(spec: HankelSpec, mat: ExactMatrix, det: LaurentPoly,
-             lu: tuple) -> bool:
-    """Does L*U reproduce the Hankel matrix entrywise, with the determinant
+def lu_check(order: int, rows, det: LaurentPoly, lu: tuple) -> bool:
+    """Does L*U reproduce the leading order x order block of the Hankel
+    matrix ``rows`` entrywise, with ``det``, that block's determinant,
     equal to the product of the diagonals?
 
-    ``mat`` is ``hankel_matrix`` of (spec.params, spec.s) at order
-    spec.n + 1 or larger, ``det`` is the determinant of its leading
-    (spec.n + 1)-block and ``lu`` is ``lu_product`` of (spec.params,
-    spec.s) at order spec.n + 1 or larger; only leading blocks are
-    compared."""
-    order = spec.n + 1
+    ``lu`` is ``lu_product`` of the family of ``rows`` at that order or
+    larger; only leading blocks are compared."""
     product, diagonal = lu
-    return (leading_block(product, order) == leading_block(mat, order)
-            and det == diagonal[spec.n])
+    return (tuple(row[:order] for row in product[:order])
+            == tuple(row[:order] for row in rows[:order])
+            and det == diagonal[order - 1])
 
 
 def classical_hankel_check(m: int, r: int, s: int, n: int) -> bool:

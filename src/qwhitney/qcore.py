@@ -2,12 +2,11 @@
 q-factorials, Gaussian binomials, and q-binomial inversion.
 
 Gaussian binomials come a whole q-Pascal row at a time
-(:func:`q_binomial_row`, by the ratio of neighbouring entries);
-:func:`q_binomial` reads one entry of a row.  The alternating q-binomial
-sum (:func:`q_binomial_alternating_sum`) is the one copy behind both the
-q-binomial inversion and the expanded q-difference operator: applied to
-the values f(x), f(x+h), ..., f(x+kh) it is the order-k difference that
-``qcalculus`` also takes as an operator product.
+(:func:`q_binomial_row`, by the ratio of neighbouring entries).  The
+alternating q-binomial sum (:func:`q_binomial_alternating_sum`) is the one
+copy behind both the q-binomial inversion and the expanded q-difference
+operator: applied to the values f(x), f(x+h), ..., f(x+kh) it is the
+order-k difference that ``qcalculus`` also takes as an operator product.
 
 Every value in the library is either a :class:`LaurentPoly` or an exact
 rational (``fractions.Fraction``).  Nothing here ever touches floating
@@ -557,18 +556,6 @@ def q_binomial_row(n: int, b: int = 1) -> list:
     for j in range(1, n + 1):
         row.append(laurent_div_q_ints(row[-1] * q_int(n - j + 1), (j,)))
     return [c.stretch(b) for c in row]
-
-
-def q_binomial(n: int, k: int, base_exponent: int = 1) -> LaurentPoly:
-    """Gaussian binomial coefficient [n k] in the variable q^base_exponent.
-
-    Entry k of q_binomial_row(n, base_exponent); zero for k < 0 or k > n.
-    """
-    if n < 0:
-        raise ValueError("q_binomial requires n >= 0")
-    if k < 0 or k > n:
-        return ZERO
-    return q_binomial_row(n, base_exponent)[k]
 
 
 def q_binomial_alternating_sum(values, b: int, row) -> LaurentPoly:

@@ -12,8 +12,8 @@ function from one prefix pass.  The horizontal generating function's row
 values, falling factors and powers of [t]_q enter as integer parts, each
 built once per (n, q) or (t, q).  The hankel suite builds each (m, r, s)
 family's largest matrix, its determinants of every order (one
-elimination) and its L*U product once, and each order reads its leading
-block.
+elimination), its closed forms of every order (one prefix product) and
+its L*U product once, and each order reads its leading block.
 """
 
 from __future__ import annotations
@@ -277,16 +277,17 @@ def suite_hankel(grid: dict = None) -> SuiteResult:
         base = {"m": p.m, "r": p.r}
         for s in range(g["smax_hankel"] + 1):
             # every order's matrix, determinant and L*U product is a
-            # leading block of the largest one's
+            # leading block of the largest one's, and its closed form an
+            # entry of one prefix product
             family = hk.HankelSpec(p, s, nmax)
-            mat = hk.hankel_matrix(family)
-            dets = hk.leading_dets(mat)
+            rows = hk.hankel_matrix(family)
+            closed = hk.hankel_closed_forms(family)
+            dets = hk.leading_dets(rows, closed)
             lu = hk.lu_product(family)
             for n in range(nmax + 1):
-                spec = hk.HankelSpec(p, s, n)
-                res.check(hk.hankel_transform_check(spec, dets[n]),
+                res.check(dets[n] == closed[n][0],
                           {**base, "s": s, "n": n}, "hankel_transform")
-                res.check(hk.lu_check(spec, mat, dets[n], lu),
+                res.check(hk.lu_check(n + 1, rows, dets[n], lu),
                           {**base, "s": s, "n": n}, "lu_factorization")
                 res.check(hk.classical_hankel_check(p.m, p.r, s, n),
                           {**base, "s": s, "n": n}, "classical_hankel")
@@ -303,34 +304,38 @@ _SUITE_FUNCS = {
 }
 
 
-# Suite -> the largest triangle row its polynomials come from and the order
-# of the determinants built from it (1 where there are none).  The
+# Suite -> the largest triangle row its polynomials come from.  The
 # recurrences suite's horizontal route reads row n+1; the convolution suite
 # reads rows n+1 and s+p; a Hankel matrix of order n+1 reads row s+2n.
 _SUITE_ROWS = {
-    "recurrences": lambda g: (g["nmax"] + 1, 1),
-    "explicit": lambda g: (g["nmax"], 1),
-    "genfun": lambda g: (max(g["nmax_genfun"], g["nmax_egf"],
-                             g["nmax_horizontal"]), 1),
-    "symmetric": lambda g: (g["nmax_tableau"], 1),
-    "convolution": lambda g: (max(g["nmax_conv"] + 1, 2 * g["spmax_conv"]), 1),
-    "hankel": lambda g: (g["smax_hankel"] + 2 * g["nmax_hankel"],
-                         g["nmax_hankel"] + 1),
+    "recurrences": lambda g: g["nmax"] + 1,
+    "explicit": lambda g: g["nmax"],
+    "genfun": lambda g: max(g["nmax_genfun"], g["nmax_egf"],
+                            g["nmax_horizontal"]),
+    "symmetric": lambda g: g["nmax_tableau"],
+    "convolution": lambda g: max(g["nmax_conv"] + 1, 2 * g["spmax_conv"]),
+    "hankel": lambda g: g["smax_hankel"] + 2 * g["nmax_hankel"],
 }
 
 
 def largest_rows(name: str, grid: dict = None) -> list:
-    """(m, r, row, order, factor) for each suite that run_suite(name, grid)
-    runs: the grid's largest m and r, the largest row the suite reads, the
-    order of its determinants and the degree of its largest q-integer
-    apart from the rows (0 but for genfun's [t]_q and [t-r-jm]_q, j <
-    nmax_horizontal).  Raises ValueError for a bad grid, like run_suite."""
+    """(m, r, row, degree) for each suite that run_suite(name, grid) runs:
+    the grid's largest m and r, the largest row the suite reads, and the
+    largest degree of what it builds apart from the rows: genfun's [t]_q
+    and [t-r-jm]_q, j < nmax_horizontal, the hankel suite's minors and
+    elimination steps (``hankel.degree_bound`` of its largest family), and
+    0 for the other suites.  Raises ValueError for a bad grid, like
+    run_suite."""
     g = _grid(grid)
     m, r = max(g["m"]), max(g["r"])
-    factor = max(map(abs, g["t"]), default=0) + r + m * g["nmax_horizontal"]
+    degrees = {
+        "genfun": max(map(abs, g["t"]), default=0) + r
+        + m * g["nmax_horizontal"],
+        "hankel": hk.degree_bound(hk.HankelSpec(
+            WhitneyParams(m, r), g["smax_hankel"], g["nmax_hankel"])),
+    }
     names = _SUITE_FUNCS if name == "all" else [name]
-    return [(m, r) + _SUITE_ROWS[s](g) + (factor if s == "genfun" else 0,)
-            for s in names]
+    return [(m, r, _SUITE_ROWS[s](g), degrees.get(s, 0)) for s in names]
 
 
 def run_suite(name: str, grid: dict = None) -> list:

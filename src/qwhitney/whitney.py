@@ -144,3 +144,8 @@ def classical_w(params: WhitneyParams, n: int, k: int) -> int:
     """The classical r-Whitney number W_{m,r}(n,k): the q=1 value, which is
     the sum of the integer coefficients."""
     return sum(w(params, n, k).coeffs)
+
+
+def row_degree(m: int, r: int, n: int) -> int:
+    """The top degree m*C(n,2) + r*n of row n >= 0 of the triangle."""
+    return m * comb(n, 2) + r * n

@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the library's own
 computation paths: set partitions are enumerated as actual block
 structures, the classical recurrence is iterated q-free over plain
-integers, and classical EGFs are expanded by rational series arithmetic.
+integers, classical EGFs are expanded by rational series arithmetic, and
+determinants by cofactor expansion.
 """
 
 import random
@@ -11,6 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from qwhitney import LaurentPoly
+from qwhitney.qcore import ZERO
 
 
 def enumerate_set_partitions(n):
@@ -62,6 +64,25 @@ def classical_egf_coeffs(m, r, k, order):
     out = convolve(exp_r, power)
     scale = Fraction(1, factorial(k) * m ** k)
     return [c * scale for c in out]
+
+
+def det_cofactor(rows) -> LaurentPoly:
+    """Determinant by first-row cofactor expansion (oracle for small orders)."""
+    rows = [list(r) for r in rows]
+
+    def rec(rs):
+        if len(rs) == 1:
+            return rs[0][0]
+        acc = ZERO
+        for j, entry in enumerate(rs[0]):
+            if entry.is_zero():
+                continue
+            minor = [row[:j] + row[j + 1:] for row in rs[1:]]
+            sign = -1 if j % 2 else 1
+            acc = acc + entry * rec(minor) * sign
+        return acc
+
+    return rec(rows)
 
 
 def random_laurent(rng: random.Random, max_terms=5, exp_range=(-4, 6),

@@ -175,6 +175,19 @@ class TestHankelCommand:
         assert rc == 0
         assert json.loads(out)["determinant"] == "4"
 
+    # Order 13: its largest Bareiss dividend has degree 1,301, under the
+    # bound 2,184 and so under MAX_DEGREE.
+    def test_order_thirteen(self):
+        rc, out = run(["hankel", "--m", "1", "--r", "1", "--s", "2", "--n", "12"])
+        assert rc == 0
+        assert out.endswith('"status": "PASS"}\n')
+
+    @pytest.mark.parametrize("s, n", [("-1", "3"), ("1", "-3"), ("-1", "500")])
+    def test_negative_s_or_n_refused(self, capsys, s, n):
+        rc, out = run(["hankel", "--m", "1", "--r", "1", "--s", s, "--n", n])
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == "error: s and n must be >= 0\n"
+
 
 class TestHelp:
     @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
@@ -253,14 +266,23 @@ class TestSizeLimit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"MAX_DEGREE = {cli.MAX_DEGREE}" in err
 
+    # A hankel family's bound is hankel.degree_bound: the largest of row
+    # s+2n's top degree, 2 C(n+1,2) (m(s+n)+r-1) and the U factor's rows.
+    # The ids of the cases whose bound it changed keep their former
+    # numbers, so the test names stay stable.
     @pytest.mark.parametrize("argv, degree, allowed", [
         (["table", "--m", "1", "--r", "5", "--nmax", "50"], 1475, True),
         (["table", "--m", "1", "--r", "1", "--nmax", "80"], 3240, True),
         (["value", "--m", "1", "--r", "0", "--n", "91", "--k", "0"], 4095, True),
         (["value", "--m", "1", "--r", "0", "--n", "92", "--k", "0"], 4186, False),
-        (["hankel", "--m", "3", "--r", "5", "--s", "2", "--n", "5"], 6 * 258, True),
-        (["hankel", "--m", "1", "--r", "0", "--s", "0", "--n", "20"], 21 * 780, False),
-        (["verify", "--suite", "all"], 935, True),
+        pytest.param(["hankel", "--m", "3", "--r", "5", "--s", "2", "--n", "5"],
+                     2 * 15 * 25, True, id="argv4-1548-True"),
+        pytest.param(["hankel", "--m", "1", "--r", "0", "--s", "0", "--n", "20"],
+                     2 * 210 * 19, False, id="argv5-16380-False"),
+        # the hankel suite: 2 C(5,2) (3*7+2-1) at m = 3, r = 2, s = 3, n = 4
+        pytest.param(["verify", "--suite", "all"], 440, True,
+                     id="argv6-935-True"),
+        (["hankel", "--m", "1", "--r", "1", "--s", "2", "--n", "12"], 2184, True),
     ])
     def test_max_degree(self, argv, degree, allowed):
         assert cli._max_degree(cli._parser().parse_args(argv)) == degree
@@ -276,7 +298,9 @@ class TestSizeLimit:
     @pytest.mark.parametrize("suite, grid", [
         ("hankel", {"nmax_hankel": 40}),
         ("all", {"nmax_hankel": 40}),
-        ("all", {"nmax_hankel": 8}),
+        # the least nmax_hankel over the limit at the default m, r and s:
+        # 2 C(11,2) (3*13+2-1) = 4400 (nmax_hankel 9 reaches 3330)
+        ("all", {"nmax_hankel": 10}),
         ("explicit", {"nmax": 60}),
         ("recurrences", {"m": [1], "r": [0], "nmax": 91}),
         ("genfun", {"nmax_egf": 60}),
@@ -307,9 +331,12 @@ class TestSizeLimit:
         ("genfun", GRID, 49),  # row nmax_egf = 7
         ("symmetric", GRID, 36),  # row 6
         ("convolution", GRID, 64),  # row 2 * spmax_conv = 8
-        ("hankel", GRID, 3 * 25),  # order 3, row s+2n = 5
-        ("all", GRID, 75),
-        ("hankel", {**GRID, "nmax_hankel": 40}, 41 * 6561),  # row 81
+        # 2 C(3,2) (2*3+1-1) at s = 1, n = 2, over row s+2n = 5 (25)
+        pytest.param("hankel", GRID, 36, id="hankel-grid5-75"),
+        pytest.param("all", GRID, 64, id="all-grid6-75"),
+        # 2 C(41,2) (2*41+1-1), over row 81 (6561)
+        pytest.param("hankel", {**GRID, "nmax_hankel": 40}, 134480,
+                     id="hankel-grid7-269001"),
         ("explicit", {**GRID, "nmax_hankel": 40}, 25),
         # rows 0 and 1 only, r = 0 and no t (an empty m or r list is
         # refused: test_empty_parameter_list_refused)
@@ -319,7 +346,8 @@ class TestSizeLimit:
                                   "nmax_conv", "spmax_conv", "smax_hankel",
                                   "nmax_hankel"), 0)}, 0),
         ("explicit", {"nmax": 20}, 610),  # default m, r: 3 and 2
-        ("all", {"nmax_hankel": 7}, 8 * 442),
+        # 2 C(8,2) (3*10+2-1), over row 17 (442)
+        pytest.param("all", {"nmax_hankel": 7}, 1736, id="all-grid11-3536"),
         # [t]_q and [t-r-jm]_q, j < nmax_horizontal: |t| + r + m*3
         ("genfun", {**GRID, "t": [-4000, 7]}, 4007),
         ("genfun", {**GRID, "t": [100000]}, 100007),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_laurent
 from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
                       NonExactDivision, gauss_product_check,
-                      laurent_div_q_ints, laurent_exact_div, q_binomial,
+                      laurent_div_q_ints, laurent_exact_div,
                       q_binomial_inverse, q_binomial_row,
                       q_binomial_transform, q_factorial, q_int,
                       q_int_mul_add)
@@ -141,28 +141,27 @@ class TestQFactorial:
 
 class TestQBinomial:
     def test_edge_cases(self):
-        assert q_binomial(5, 0) == ONE
-        assert q_binomial(5, 6) == ZERO
-        assert q_binomial(5, -1) == ZERO
+        assert q_binomial_row(5)[0] == q_binomial_row(5)[5] == ONE
 
     def test_four_choose_two(self):
-        assert q_binomial(4, 2) == LaurentPoly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
+        assert q_binomial_row(4)[2] == \
+            LaurentPoly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
 
     def test_base_exponent(self):
-        assert q_binomial(2, 1, 2) == LaurentPoly({0: 1, 2: 1})
+        assert q_binomial_row(2, 2)[1] == LaurentPoly({0: 1, 2: 1})
 
     def test_value_at_one(self):
         for n in range(11):
-            for k in range(n + 1):
-                for b in (1, 2, 3):
-                    assert q_binomial(n, k, b).eval(Fraction(1)) == comb(n, k)
+            for b in (1, 2, 3):
+                row = q_binomial_row(n, b)
+                for k in range(n + 1):
+                    assert row[k].eval(Fraction(1)) == comb(n, k)
 
     def test_pascal_identity(self):
         for n in range(1, 11):
+            row, above = q_binomial_row(n), q_binomial_row(n - 1) + [ZERO]
             for k in range(1, n + 1):
-                lhs = q_binomial(n, k)
-                rhs = q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shift(k)
-                assert lhs == rhs
+                assert row[k] == above[k - 1] + above[k].shift(k)
 
 
 class TestQBinomialRow:
@@ -177,12 +176,6 @@ class TestQBinomialRow:
                         q_factorial(n), q_factorial(j) * q_factorial(n - j))
                     assert entry == quotient.stretch(b)
                     assert entry.eval(Fraction(1)) == comb(n, j)
-
-    def test_q_binomial_reads_the_row(self):
-        for n in range(8):
-            for b in (1, 3):
-                assert [q_binomial(n, j, b) for j in range(n + 1)] == \
-                    q_binomial_row(n, b)
 
     def test_negative_row_rejected(self):
         with pytest.raises(ValueError):
@@ -312,7 +305,8 @@ class TestGaussProduct:
 
     def test_expanded_coefficient(self):
         # x^2 coefficient of (1+x)(1+xq)(1+xq^2) is q + q^2 + q^3
-        assert q_binomial(3, 2).shift(comb(2, 2)) == LaurentPoly({1: 1, 2: 1, 3: 1})
+        assert q_binomial_row(3)[2].shift(comb(2, 2)) == \
+            LaurentPoly({1: 1, 2: 1, 3: 1})
 
     def test_up_to_ten(self):
         assert all(gauss_product_check(n) for n in range(11))
