@@ -10,9 +10,9 @@ The operator is computed two ways.  q_diff_heads applies the factors one
 at a time to the values and keeps the head after each pass, so one pass
 gives every order up to k; qcore.q_binomial_alternating_sum expands the
 product into the alternating q-binomial sum.  The explicit formula for W
-(and the numerators of the EGF in ``series``) takes the alternating sum
-and the Newton coefficients take the operator product, so a fault in one
-form cannot hide in both routes.
+(whose numerator, ``whitney_numerator``, is also the numerator of the
+column EGF) takes the alternating sum and the Newton coefficients take
+the operator product, so a fault in one form cannot hide in both routes.
 
 The two routes share only the values of f.  RouteValues holds what they
 need for one (m, r): the power table [jm+r]_q^n (each n one sliding-window
@@ -20,14 +20,15 @@ product per node from the n-1 values) and the q-Pascal rows [k j]_{q^m};
 a suite builds it once and hands it to every cell, and the routes read m
 and r from it alone.  Both divide by the normalizer [k]_{q^m}! [m]_q^k as
 the product of the q-integers [jm]_q, j = 1..k, one linear pass each
-(``qcore.laurent_div_q_ints``).
+(``qcore.laurent_div_q_ints``); the EGF cell multiplies it out.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 from .qcore import (LaurentPoly, ONE, laurent_div_q_ints,
-                    q_binomial_alternating_sum, q_binomial_row,
-                    q_factorial_base, q_int)
+                    q_binomial_alternating_sum, q_binomial_row, q_int)
 from .whitney import WhitneyParams
 
 
@@ -66,15 +67,15 @@ def q_diff_heads(values, qbase_exp: int) -> list:
     return heads
 
 
-def normalizer(params: WhitneyParams, k: int) -> LaurentPoly:
-    """[k]_{q^m}! * [m]_q^k, the exact divisor of the k-th difference."""
-    return q_factorial_base(k, params.m) * q_int(params.m) ** k
-
-
 def normalizer_factors(params: WhitneyParams, k: int) -> range:
     """m, 2m, ..., km: the normalizer is prod_{j=1..k} [jm]_q, since
     [j]_{q^m} [m]_q = [jm]_q."""
     return range(params.m, (k + 1) * params.m, params.m)
+
+
+def normalizer(params: WhitneyParams, k: int) -> LaurentPoly:
+    """[k]_{q^m}! * [m]_q^k, the exact divisor of the k-th difference."""
+    return prod(map(q_int, normalizer_factors(params, k)), start=ONE)
 
 
 class RouteValues:

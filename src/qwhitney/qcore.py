@@ -1,12 +1,12 @@
 """Exact arithmetic foundation: Laurent polynomials in q, q-integers,
-q-factorials, Gaussian binomials, and q-binomial inversion.
+q-factorials, Gaussian binomials, and the alternating q-binomial sum.
 
 Gaussian binomials come a whole q-Pascal row at a time
 (:func:`q_binomial_row`, by the ratio of neighbouring entries).  The
-alternating q-binomial sum (:func:`q_binomial_alternating_sum`) is the one
-copy behind both the q-binomial inversion and the expanded q-difference
-operator: applied to the values f(x), f(x+h), ..., f(x+kh) it is the
-order-k difference that ``qcalculus`` also takes as an operator product.
+alternating q-binomial sum (:func:`q_binomial_alternating_sum`) is the
+q-binomial inversion, and the expanded q-difference operator: applied to
+the values f(x), f(x+h), ..., f(x+kh) it is the order-k difference that
+``qcalculus`` also takes as an operator product.
 
 Every value in the library is either a :class:`LaurentPoly` or an exact
 rational (``fractions.Fraction``).  Nothing here ever touches floating
@@ -422,7 +422,6 @@ def _mul_kronecker(a: tuple, b: tuple) -> tuple:
                  for i in range(0, n * width, width))
 
 
-Q = LaurentPoly.monomial(1)
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
 
@@ -475,11 +474,6 @@ def q_factorial(n: int) -> LaurentPoly:
     for i in range(1, n + 1):
         out = out * q_int(i)
     return out
-
-
-def q_factorial_base(n: int, b: int) -> LaurentPoly:
-    """[n]_{q^b}!."""
-    return q_factorial(n).stretch(b)
 
 
 def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -572,34 +566,3 @@ def q_binomial_alternating_sum(values, b: int, row) -> LaurentPoly:
         term = binom.shift(b * comb(k - j, 2)) * value
         acc = acc - term if (k - j) % 2 else acc + term
     return acc
-
-
-def q_binomial_transform(g, n: int):
-    """Forward transform f_n = sum_k [n k]_q g_k, for n' = 0..n."""
-    g = list(g)
-    return [sum((c * x for c, x in zip(q_binomial_row(j), g)), ZERO)
-            for j in range(n + 1)]
-
-
-def q_binomial_inverse(f, n: int):
-    """Inverse transform g_n = sum_k (-1)^(n-k) q^C(n-k,2) [n k]_q f_k."""
-    f = list(f)
-    return [q_binomial_alternating_sum(f[:j + 1], 1, q_binomial_row(j))
-            for j in range(n + 1)]
-
-
-def gauss_product_check(n: int) -> bool:
-    """Does sum_k q^C(k,2) [n k]_q x^k equal (1+x)(1+xq)...(1+xq^(n-1))?
-
-    Both sides are compared as coefficient lists in x.
-    """
-    lhs = [c.shift(comb(k, 2)) for k, c in enumerate(q_binomial_row(n))]
-    rhs = [ONE]
-    for i in range(n):
-        qi = LaurentPoly.monomial(i)
-        new = [ZERO] * (len(rhs) + 1)
-        for d, c in enumerate(rhs):
-            new[d] = new[d] + c
-            new[d + 1] = new[d + 1] + c * qi
-        rhs = new
-    return lhs == rhs

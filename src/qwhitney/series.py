@@ -5,13 +5,12 @@ The paper-facing generating functions are written in powers of [t]_q; here
 that quantity is treated as the formal variable z, so every identity becomes
 a statement about truncated series coefficients.  A series truncated at
 order N is the tuple of its N+1 coefficients, each a LaurentPoly: the
-column generating function needs no denominators, and the EGF is given by
-its numerators over a known common denominator.
+column generating function needs no denominators.
 
-The column generating functions of one (m, r) are built by prefix: column
-k's denominator product is column k-1's times one more geometric series
-(``rational_gf_columns``).  The EGF numerators read their parameters,
-powers and q-Pascal rows from the shared qcalculus.RouteValues.
+The column generating functions of one (m, r) are built by prefix from
+``symm.h_prefixes`` (``rational_gf_columns``): column k's denominator
+product is column k-1's times 1/(1 - [mk+r]_q z).  The EGF's numerators
+are ``qcalculus.whitney_numerator``, over ``qcalculus.normalizer``.
 
 The horizontal generating function is checked in integers: at q = a/b a
 row of values, the falling factors and [t]_q^n each become integer
@@ -25,23 +24,9 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul
 
-from .qcalculus import RouteValues, whitney_numerator
-from .qcore import LaurentPoly, ONE, ZERO, q_int
+from .qcore import ZERO, q_int
+from .symm import h_prefixes, whitney_values
 from .whitney import WhitneyParams, w
-
-
-def _series_mul(a: tuple, b: tuple) -> tuple:
-    """The product of two series truncated at the same order."""
-    return tuple(sum((a[i] * b[n - i] for i in range(n + 1)), ZERO)
-                 for n in range(len(a)))
-
-
-def geometric(a: LaurentPoly, order: int) -> tuple:
-    """1/(1 - a z) = sum_n a^n z^n."""
-    coeffs = [ONE]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * a)
-    return tuple(coeffs)
 
 
 def rational_gf_columns(params: WhitneyParams, kmax: int, N: int) -> list:
@@ -49,40 +34,17 @@ def rational_gf_columns(params: WhitneyParams, kmax: int, N: int) -> list:
 
         q^(m C(k,2) + kr) z^k / prod_{j=0}^{k} (1 - [mj+r]_q z),
 
-    whose z^n coefficient is W_{m,r}[n,k]_q, for n = 0..N and k = 0..kmax,
-    from one pass.
-
-    Column k's product prod_{j<=k} 1/(1 - [mj+r]_q z) is column k-1's
-    times geometric([mk+r]_q), a truncated series product.  Column k keeps
-    only its z^0..z^(N-k) coefficients, so the product is carried to that
-    order only.
+    whose z^n coefficient is W_{m,r}[n,k]_q, for n = 0..N and k = 0..kmax.
+    Column k is row k of symm.h_prefixes over symm.whitney_values, cut at
+    z^(N-k), shifted by q^(m C(k,2) + kr) and preceded by k zeros.
     """
     if not 0 <= kmax <= N:
         raise ValueError("k must be in 0..truncation order")
     m, r = params.m, params.r
-    columns = []
-    s = (ONE,) + (ZERO,) * N
-    for k in range(kmax + 1):
-        s = _series_mul(s[:N + 1 - k], geometric(q_int(m * k + r), N - k))
-        shift = m * comb(k, 2) + k * r
-        columns.append((ZERO,) * k + tuple(c.shift(shift) for c in s))
-    return columns
-
-
-def egf(shared: RouteValues, k: int, N: int) -> tuple:
-    """Numerators N_0..N_N of the column EGF
-
-        sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} e_q([jm+r]_q z)
-        / ([k]_{q^m}! [m]_q^k),   e_q(a z) = sum_n a^n z^n / [n]_q!,
-
-    for the (m, r) of ``shared`` (qcalculus.RouteValues covering rows
-    n <= N and column k).  Its z^n coefficient is
-    N_n / ([n]_q! [k]_{q^m}! [m]_q^k), which equals W_{m,r}[n,k]_q / [n]_q!;
-    N_n is qcalculus.whitney_numerator(shared, n, k).
-    """
-    if k > N:
-        raise ValueError("k must be <= truncation order")
-    return tuple(whitney_numerator(shared, n, k) for n in range(N + 1))
+    prefixes = h_prefixes(whitney_values(params, kmax), N)
+    return [(ZERO,) * k + tuple(c.shift(m * comb(k, 2) + k * r)
+                                for c in h[:N + 1 - k])
+            for k, h in enumerate(prefixes)]
 
 
 def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> tuple:

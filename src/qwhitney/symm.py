@@ -1,10 +1,12 @@
 """Symmetric-function route and tableau oracle for the normalized numbers.
 
 W*_{m,r}[n,k]_q is the complete homogeneous symmetric polynomial of degree
-n-k in the k+1 values [r]_q, [m+r]_q, ..., [mk+r]_q.  A brute-force sum over
-weakly increasing column-length lists (A-tableaux) provides the independent
-exponential-time oracle, and the two convolution identities are checked as
-exact polynomial equalities.
+n-k in the k+1 values [r]_q, [m+r]_q, ..., [mk+r]_q: the z^(n-k)
+coefficient of prod_{j<=k} 1/(1 - [mj+r]_q z), which ``h_prefixes`` (also
+behind ``series.rational_gf_columns``) builds one factor at a time.  A
+brute-force sum over weakly increasing column-length lists (A-tableaux)
+provides the independent exponential-time oracle, and the two convolution
+identities are checked as exact polynomial equalities.
 """
 
 from __future__ import annotations
@@ -29,34 +31,38 @@ def a_tableaux(k: int, length: int):
     return combinations_with_replacement(range(k + 1), length)
 
 
-def h_complete(values, d: int) -> LaurentPoly:
-    """Complete homogeneous symmetric polynomial of degree d in `values`.
-
-    Uses h_d(x_1..x_j) = h_d(x_1..x_{j-1}) + x_j h_{d-1}(x_1..x_j), which is
-    polynomial-time; tableau_sum keeps the enumeration route separate.
-    """
-    values = list(values)
-    if d == 0:
-        return ONE
-    if not values:
-        return ZERO
-    # row[i] = h_i over the first j values, grown one variable at a time
+def h_prefixes(values, d: int):
+    """Yield (h_0, ..., h_d) in values[0..j] for j = 0, 1, ...: the z^0..z^d
+    coefficients of prod_{i<=j} 1/(1 - values[i] z), each factor one
+    in-place pass h_i += x h_{i-1}, i = 1..d."""
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     row = [ONE] + [ZERO] * d
     for x in values:
         for i in range(1, d + 1):
             row[i] = row[i] + x * row[i - 1]
+        yield tuple(row)
+
+
+def h_complete(values, d: int) -> LaurentPoly:
+    """h_d(values), from the last row of h_prefixes; tableau_sum keeps the
+    enumeration route separate."""
+    row = (ONE,) + (ZERO,) * d
+    for row in h_prefixes(values, d):
+        pass
     return row[d]
 
 
-def _whitney_values(params: WhitneyParams, lo: int, hi: int) -> list:
-    return [q_int(params.m * i + params.r) for i in range(lo, hi + 1)]
+def whitney_values(params: WhitneyParams, k: int) -> list:
+    """[r]_q, [m+r]_q, ..., [mk+r]_q."""
+    return [q_int(params.m * i + params.r) for i in range(k + 1)]
 
 
 def w_star_symmetric(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
     """W*_{m,r}[n,k]_q = h_{n-k}([r]_q, [m+r]_q, ..., [mk+r]_q)."""
     if not 0 <= k <= n:
         raise ValueError("requires 0 <= k <= n")
-    return h_complete(_whitney_values(params, 0, k), n - k)
+    return h_complete(whitney_values(params, k), n - k)
 
 
 def tableau_sum(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
@@ -68,7 +74,7 @@ def tableau_sum(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
     count, cap = comb(n, n - k), DEFAULT_ENUMERATION_CAP
     if count > cap:
         raise EnumerationTooLarge(f"{count} tableaux exceeds cap {cap}")
-    weights = _whitney_values(params, 0, k)
+    weights = whitney_values(params, k)
     acc = ZERO
     for phi in a_tableaux(k, n - k):
         prod = ONE

@@ -6,21 +6,21 @@ two mismatched values.  Grids default to the ranges each identity is claimed
 to have been checked on, and can be overridden from a JSON config.
 
 A suite builds the inputs its routes and checks share, and no route or
-check builds them itself: per (m, r) the power table, q-Pascal rows and
-normalizers of qcalculus.RouteValues, and every column generating
-function from one prefix pass.  The horizontal generating function's row
-values, falling factors and powers of [t]_q enter as integer parts, each
-built once per (n, q) or (t, q).  The hankel suite builds each (m, r, s)
+check builds them itself: per (m, r) the power table and q-Pascal rows of
+qcalculus.RouteValues, and every column generating function from one pass
+of symm.h_prefixes.  The horizontal generating function's row values,
+falling factors and powers of [t]_q enter as integer parts, each built
+once per (n, q) or (t, q).  The hankel suite builds each (m, r, s)
 family's largest matrix, its determinants of every order (one
 elimination), its closed forms of every order (one prefix product) and
-its L*U product once, and each order reads its leading block.
+its L*U product once, and each order reads its leading block.  The
+tableau total is bounded before any suite of a request starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from . import hankel as hk
 from . import qcalculus, series, symm
@@ -194,14 +194,14 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
         kmax = min(g["kmax_genfun"], negf)
         shared = qcalculus.RouteValues.build(p, negf, kmax)
         for k in range(kmax + 1):
-            e = series.egf(shared, k, negf)
             norm = qcalculus.normalizer(p, k)
             for n in range(negf + 1):
-                # the z^n coefficient e[n] / ([n]_q! norm) must equal
+                # the z^n coefficient e / ([n]_q! norm) must equal
                 # W[n,k] / [n]_q!; [n]_q! is nonzero and cancels
+                e = qcalculus.whitney_numerator(shared, n, k)
                 expected = w(p, n, k)
-                res.check(e[n] == expected * norm, {**base, "n": n, "k": k},
-                          "egf", e[n], expected)
+                res.check(e == expected * norm, {**base, "n": n, "k": k},
+                          "egf", e, expected)
         nh = g["nmax_horizontal"]
         falling = {(t, qv): series.horizontal_falling(p, t, qv, nh)
                    for t in g["t"] for qv in qvals}
@@ -218,19 +218,29 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
     return res
 
 
-def suite_symmetric(grid: dict = None) -> SuiteResult:
-    """Symmetric-function and tableau routes against the normalized values.
+def _check_tableau_total(g: dict) -> int:
+    """The symmetric suite's tableaux on grid `g`, C(n, k) per cell: |m| |r|
+    (2^(N+1) - 1) at N = nmax_tableau.  Raises symm.EnumerationTooLarge
+    when that is over symm.DEFAULT_ENUMERATION_CAP."""
+    cells, N = len(g["m"]) * len(g["r"]), g["nmax_tableau"]
+    cap = symm.DEFAULT_ENUMERATION_CAP
+    # N comes from outside: far over the cap, name the total by its formula
+    if cells and N > 2 * cap.bit_length():
+        raise symm.EnumerationTooLarge(
+            f"{cells} * (2^{N + 1} - 1) tableaux exceeds cap {cap}")
+    count = cells and cells * (2 ** (N + 1) - 1)
+    if count > cap:
+        raise symm.EnumerationTooLarge(f"{count} tableaux exceeds cap {cap}")
+    return count
 
-    A grid whose largest tableau enumeration, C(N, N//2) at N =
-    nmax_tableau, is over symm.DEFAULT_ENUMERATION_CAP is refused before
-    the first cell, not after every smaller cell has run.
-    """
+
+def suite_symmetric(grid: dict = None) -> SuiteResult:
+    """Symmetric-function and tableau routes against the normalized values;
+    a grid over the tableau cap is refused before the first cell."""
     g = _grid(grid)
+    _check_tableau_total(g)
     res = SuiteResult("symmetric")
     nmax = g["nmax_tableau"]
-    count, cap = comb(nmax, nmax // 2), symm.DEFAULT_ENUMERATION_CAP
-    if _param_cells(g) and count > cap:
-        raise symm.EnumerationTooLarge(f"{count} tableaux exceeds cap {cap}")
     for p in _param_cells(g):
         base = {"m": p.m, "r": p.r}
         for n in range(nmax + 1):
@@ -325,8 +335,11 @@ def largest_rows(name: str, grid: dict = None) -> list:
     and [t-r-jm]_q, j < nmax_horizontal, the hankel suite's minors and
     elimination steps (``hankel.degree_bound`` of its largest family), and
     0 for the other suites.  Raises ValueError for a bad grid, like
-    run_suite."""
+    run_suite, and for a symmetric suite over the tableau cap."""
     g = _grid(grid)
+    names = _SUITE_FUNCS if name == "all" else [name]
+    if "symmetric" in names:
+        _check_tableau_total(g)
     m, r = max(g["m"]), max(g["r"])
     degrees = {
         "genfun": max(map(abs, g["t"]), default=0) + r
@@ -334,7 +347,6 @@ def largest_rows(name: str, grid: dict = None) -> list:
         "hankel": hk.degree_bound(hk.HankelSpec(
             WhitneyParams(m, r), g["smax_hankel"], g["nmax_hankel"])),
     }
-    names = _SUITE_FUNCS if name == "all" else [name]
     return [(m, r, _SUITE_ROWS[s](g), degrees.get(s, 0)) for s in names]
 
 

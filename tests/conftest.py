@@ -4,15 +4,17 @@ The oracles here are deliberately independent of the library's own
 computation paths: set partitions are enumerated as actual block
 structures, the classical recurrence is iterated q-free over plain
 integers, classical EGFs are expanded by rational series arithmetic, and
-determinants by cofactor expansion.
+determinants by cofactor expansion.  The q-binomial transform, its
+inverse and the Gauss product check test the q-Pascal rows and the
+alternating q-binomial sum.
 """
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from qwhitney import LaurentPoly
-from qwhitney.qcore import ZERO
+from qwhitney import LaurentPoly, q_binomial_alternating_sum, q_binomial_row
+from qwhitney.qcore import ONE, ZERO
 
 
 def enumerate_set_partitions(n):
@@ -93,3 +95,34 @@ def random_laurent(rng: random.Random, max_terms=5, exp_range=(-4, 6),
         c = rng.randint(*coeff_range)
         terms[e] = terms.get(e, 0) + c
     return LaurentPoly(terms)
+
+
+def q_binomial_transform(g, n: int):
+    """Forward transform f_n = sum_k [n k]_q g_k, for n' = 0..n."""
+    g = list(g)
+    return [sum((c * x for c, x in zip(q_binomial_row(j), g)), ZERO)
+            for j in range(n + 1)]
+
+
+def q_binomial_inverse(f, n: int):
+    """Inverse transform g_n = sum_k (-1)^(n-k) q^C(n-k,2) [n k]_q f_k."""
+    f = list(f)
+    return [q_binomial_alternating_sum(f[:j + 1], 1, q_binomial_row(j))
+            for j in range(n + 1)]
+
+
+def gauss_product_check(n: int) -> bool:
+    """Does sum_k q^C(k,2) [n k]_q x^k equal (1+x)(1+xq)...(1+xq^(n-1))?
+
+    Both sides are compared as coefficient lists in x.
+    """
+    lhs = [c.shift(comb(k, 2)) for k, c in enumerate(q_binomial_row(n))]
+    rhs = [ONE]
+    for i in range(n):
+        qi = LaurentPoly.monomial(i)
+        new = [ZERO] * (len(rhs) + 1)
+        for d, c in enumerate(rhs):
+            new[d] = new[d] + c
+            new[d + 1] = new[d + 1] + c * qi
+        rhs = new
+    return lhs == rhs

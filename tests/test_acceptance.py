@@ -9,12 +9,13 @@ import io
 import json
 from operator import floordiv
 
-from conftest import classical_whitney_recurrence, stirling2_enum
+from conftest import (classical_whitney_recurrence, gauss_product_check,
+                      q_binomial_inverse, q_binomial_transform,
+                      stirling2_enum)
 from qwhitney import (RouteValues, WhitneyParams, cli, classical_hankel_check,
-                      gauss_product_check, q_binomial_alternating_sum,
-                      q_binomial_inverse, q_binomial_row,
-                      q_binomial_transform, q_diff_heads, q_int, w, w_star,
-                      whitney_explicit, tableau_sum, w_star_symmetric)
+                      q_binomial_alternating_sum, q_binomial_row,
+                      q_diff_heads, q_int, w, w_star, whitney_explicit,
+                      tableau_sum, w_star_symmetric)
 from qwhitney import verify, whitney
 from qwhitney.hankel import bareiss
 from qwhitney.qcore import LaurentPoly

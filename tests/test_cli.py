@@ -382,22 +382,57 @@ class TestSizeLimit:
         monkeypatch.setattr(symm, "w_star_symmetric", refuse)
         monkeypatch.setattr(symm, "tableau_sum", refuse)
 
-    # C(25, 12) = 5,200,300 tableaux is over the cap of 10^6.  The cells
-    # below n = 23 are under it, so a suite that checked each cell alone
-    # would run them all, for a long time, before refusing.
-    @pytest.mark.parametrize("suite, code", [("symmetric", 2), ("all", 2),
-                                             ("explicit", 0)])
+    # Cell (m, r, n, k) enumerates C(n, k) tableaux, so a grid's total is
+    # |m| |r| (2^(N+1) - 1) at N = nmax_tableau: 9 (2^26 - 1) at N = 25.
+    # From N = 16 on the default m and r it is over the cap of 10^6, though
+    # each cell up to N = 22 is under it, so a suite that checked each
+    # cell, or only its largest one, would run long before refusing.
+    @pytest.mark.parametrize("suite, nmax, code, count", [
+        pytest.param("symmetric", 25, 2, 603979767, id="symmetric-2"),
+        pytest.param("all", 25, 2, 603979767, id="all-2"),
+        pytest.param("explicit", 25, 0, None, id="explicit-0"),
+        pytest.param("symmetric", 16, 2, 1179639, id="symmetric-16-2"),
+        pytest.param("symmetric", 19, 2, 9437175, id="symmetric-19-2"),
+        # far over the cap the total is named by its formula, and refused
+        # before the degree bound and without forming 2^(N+1)
+        pytest.param("symmetric", 20000, 2, "9 * (2^20001 - 1)",
+                     id="symmetric-20000-2"),
+        pytest.param("all", 20000, 2, "9 * (2^20001 - 1)", id="all-20000-2"),
+        pytest.param("symmetric", 10 ** 9, 2, "9 * (2^1000000001 - 1)",
+                     id="symmetric-1e9-2"),
+        pytest.param("all", 10 ** 9, 2, "9 * (2^1000000001 - 1)",
+                     id="all-1e9-2"),
+    ])
     def test_oversized_tableau_grid_refused_first(self, no_tableau_work,
-                                                  tmp_path, capsys, suite,
-                                                  code):
+                                                  request, tmp_path, capsys,
+                                                  suite, nmax, code, count):
+        if suite == "all":
+            # refused before the first suite, not only before the
+            # symmetric suite's first cell
+            request.getfixturevalue("no_verify_work")
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps({"nmax_tableau": 25}))
+        path.write_text(json.dumps({"nmax_tableau": nmax}))
         rc, out = run(["verify", "--suite", suite, "--grid", str(path)])
         assert rc == code
         if code == 2:
             assert out == ""
             assert capsys.readouterr().err == \
-                "error: 5200300 tableaux exceeds cap 1000000\n"
+                f"error: {count} tableaux exceeds cap 1000000\n"
+
+    def test_tableau_total(self, no_tableau_work):
+        # 9 (2^9 - 1) on the default grid; 9 (2^16 - 1) at N = 15 is the
+        # largest total under the cap on the default m and r
+        assert verify._check_tableau_total(verify._grid()) == 4599
+        grid = verify._grid({"nmax_tableau": 15})
+        assert verify._check_tableau_total(grid) == 589815
+        assert verify.largest_rows("symmetric", {"nmax_tableau": 15})
+        with pytest.raises(symm.EnumerationTooLarge):
+            verify._check_tableau_total(verify._grid({"nmax_tableau": 16}))
+        # the exact total is named up to N = 2 bit_length(cap) = 40
+        with pytest.raises(symm.EnumerationTooLarge, match="^19791209299959 "):
+            verify._check_tableau_total(verify._grid({"nmax_tableau": 40}))
+        with pytest.raises(symm.EnumerationTooLarge, match=r"^9 \* \(2\^42 "):
+            verify._check_tableau_total(verify._grid({"nmax_tableau": 41}))
 
     def test_grid_within_bound_runs(self, tmp_path):
         # the bound covers only the suites a request runs

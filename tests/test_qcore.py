@@ -7,13 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_laurent
+from conftest import (gauss_product_check, q_binomial_inverse,
+                      q_binomial_transform, random_laurent)
 from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
-                      NonExactDivision, gauss_product_check,
-                      laurent_div_q_ints, laurent_exact_div,
-                      q_binomial_inverse, q_binomial_row,
-                      q_binomial_transform, q_factorial, q_int,
-                      q_int_mul_add)
+                      NonExactDivision, laurent_div_q_ints, laurent_exact_div,
+                      q_binomial_row, q_factorial, q_int, q_int_mul_add)
 from qwhitney import qcore
 from qwhitney.qcore import ONE, ZERO
 

@@ -1,4 +1,3 @@
-import random
 from contextlib import nullcontext
 from fractions import Fraction
 from math import comb
@@ -6,15 +5,15 @@ from operator import mul
 
 import pytest
 
-from conftest import classical_egf_coeffs, random_laurent
+from conftest import classical_egf_coeffs
 from qwhitney import verify, whitney
-from qwhitney import (LaurentPoly, RouteValues, WhitneyParams, egf,
+from qwhitney import (LaurentPoly, RouteValues, WhitneyParams,
                       horizontal_gf_check, q_factorial, q_int,
                       rational_gf_columns, w)
-from qwhitney.qcalculus import normalizer
+from qwhitney.qcalculus import normalizer, whitney_numerator
 from qwhitney.qcore import ONE, ZERO
-from qwhitney.series import (_series_mul, geometric, horizontal_falling,
-                             horizontal_powers, horizontal_row)
+from qwhitney.series import (horizontal_falling, horizontal_powers,
+                             horizontal_row)
 
 P11 = WhitneyParams(1, 1)
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
@@ -35,41 +34,6 @@ def fraction_verdict(p, n, t, qv):
         lhs += w(p, n, k).eval(qv) * falling
         falling *= q_int(t - p.r - k * p.m).eval(qv)
     return lhs == q_int(t).eval(qv) ** n
-
-
-def _series(coeffs, order):
-    coeffs = list(coeffs) + [ZERO] * (order + 1 - len(coeffs))
-    return tuple(coeffs[: order + 1])
-
-
-class TestPowerSeries:
-    def test_truncated_multiplication_associative(self):
-        rng = random.Random(3)
-        for _ in range(10):
-            order = 5
-            a = _series([random_laurent(rng, 3, (0, 3)) for _ in range(6)], order)
-            b = _series([random_laurent(rng, 3, (0, 3)) for _ in range(6)], order)
-            c = _series([random_laurent(rng, 3, (0, 3)) for _ in range(6)], order)
-            assert _series_mul(_series_mul(a, b), c) == _series_mul(a, _series_mul(b, c))
-
-
-class TestSeriesInverse:
-    """geometric(a) is the series inverse of 1 - a z."""
-
-    def test_geometric(self):
-        a = q_int(2)
-        inv = geometric(a, 5)
-        for n in range(6):
-            assert inv[n] == a ** n
-        assert _series_mul(_series([ONE, -a], 5), inv) == _series([ONE], 5)
-
-    def test_constant_one(self):
-        assert geometric(ZERO, 4) == _series([ONE], 4)
-
-    def test_roundtrip(self):
-        s = _series([ONE, -(ONE + ONE + ONE), ONE + ONE], 6)  # (1-z)(1-2z)
-        inv = _series_mul(geometric(ONE, 6), geometric(ONE + ONE, 6))
-        assert _series_mul(s, inv) == _series([ONE], 6)
 
 
 class TestRationalGF:
@@ -99,10 +63,13 @@ class TestRationalGF:
 class TestColumnsByPrefix:
     @staticmethod
     def column_by_full_product(p, k, N):
-        # the whole product of column k, with no prefix shared
-        s = _series([ONE], N)
+        # the whole product of column k, with no prefix shared: the series
+        # times each 1/(1 - a z) = sum_i a^i z^i as a truncated product
+        s = [ONE] + [ZERO] * N
         for j in range(k + 1):
-            s = _series_mul(s, geometric(q_int(p.m * j + p.r), N))
+            a = q_int(p.m * j + p.r)
+            s = [sum((s[n - i] * a ** i for i in range(n + 1)), ZERO)
+                 for n in range(N + 1)]
         shift = p.m * comb(k, 2) + k * p.r
         return (ZERO,) * k + tuple(c.shift(shift) for c in s[:N + 1 - k])
 
@@ -122,32 +89,42 @@ class TestColumnsByPrefix:
 
 
 class TestEGF:
-    # egf returns the numerators N_n; the z^n coefficient of the column EGF
-    # is N_n / ([n]_q! normalizer(p, k)) and must equal W[n,k] / [n]_q!.
+    # whitney_numerator gives the numerator N_n of the column EGF's z^n
+    # coefficient N_n / ([n]_q! normalizer(p, k)), which must equal
+    # W[n,k] / [n]_q!.
 
     def test_column_zero(self):
         for p in PARAM_GRID:
-            s = egf(RouteValues.build(p, 5, 0), 0, 5)
+            shared = RouteValues.build(p, 5, 0)
             for n in range(6):
-                assert s[n] == q_int(p.r) ** n * normalizer(p, 0)
+                assert whitney_numerator(shared, n, 0) == \
+                    q_int(p.r) ** n * normalizer(p, 0)
 
     def test_hand_coefficient(self):
-        s = egf(RouteValues.build(P11, 3, 1), 1, 3)
-        assert s[2] == LaurentPoly({1: 2, 2: 1}) * normalizer(P11, 1)
+        shared = RouteValues.build(P11, 3, 1)
+        assert whitney_numerator(shared, 2, 1) == \
+            LaurentPoly({1: 2, 2: 1}) * normalizer(P11, 1)
 
     def test_low_coefficients_vanish(self):
-        s = egf(RouteValues.build(WhitneyParams(2, 1), 6, 2), 2, 6)
+        shared = RouteValues.build(WhitneyParams(2, 1), 6, 2)
         for n in range(2):
-            assert s[n].is_zero()
+            assert whitney_numerator(shared, n, 2).is_zero()
 
     def test_matches_recurrence(self):
         # one RouteValues per (m, r) serves every column
         for p in PARAM_GRID:
             shared = RouteValues.build(p, 8, 3)
             for k in range(4):
-                s = egf(shared, k, 8)
                 for n in range(9):
-                    assert s[n] == w(p, n, k) * normalizer(p, k)
+                    assert whitney_numerator(shared, n, k) == \
+                        w(p, n, k) * normalizer(p, k)
+
+    def test_normalizer_is_the_q_factorial_product(self):
+        # [k]_{q^m}! [m]_q^k, formed here from q_factorial and a power
+        for p in PARAM_GRID:
+            for k in range(5):
+                assert normalizer(p, k) == \
+                    q_factorial(k).stretch(p.m) * q_int(p.m) ** k
 
     def test_classical_limit_against_series_expansion(self):
         # at q=1 the column EGF is e^(rt)(e^(mt)-1)^k / (k! m^k)
@@ -155,10 +132,11 @@ class TestEGF:
             shared = RouteValues.build(p, 8, 3)
             for k in range(4):
                 expected = classical_egf_coeffs(p.m, p.r, k, 8)
-                s = egf(shared, k, 8)
                 for n in range(9):
+                    num = whitney_numerator(shared, n, k)
                     den = q_factorial(n) * normalizer(p, k)
-                    assert s[n].eval(Fraction(1)) / den.eval(Fraction(1)) == expected[n]
+                    assert num.eval(Fraction(1)) / den.eval(Fraction(1)) \
+                        == expected[n]
 
     def test_suite_failure_texts(self):
         grid = {"m": [2], "r": [1], "nmax_genfun": 0, "nmax_egf": 4,
@@ -170,7 +148,7 @@ class TestEGF:
             for f in failures:
                 n, k = f.params["n"], f.params["k"]
                 shared = RouteValues.build(WhitneyParams(2, 1), 4, k)
-                assert f.lhs == str(egf(shared, k, 4)[n])
+                assert f.lhs == str(whitney_numerator(shared, n, k))
                 assert f.rhs == str(w(WhitneyParams(2, 1), n, k))
 
 

@@ -2,10 +2,11 @@ from math import comb
 
 import pytest
 
-from qwhitney import symm, verify
+from qwhitney import series, symm, verify
 from qwhitney import (EnumerationTooLarge, LaurentPoly, WhitneyParams,
-                      convolution_first, convolution_second, h_complete, q_int,
-                      tableau_sum, w_star, w_star_symmetric)
+                      convolution_first, convolution_second, h_complete,
+                      h_prefixes, q_int, tableau_sum, w_star,
+                      w_star_symmetric)
 from qwhitney.qcore import ONE, ZERO
 from qwhitney.symm import a_tableaux
 
@@ -21,6 +22,12 @@ class TestHComplete:
     def test_empty_values_positive_degree(self):
         assert h_complete([], 3) == ZERO
 
+    def test_negative_degree_rejected(self):
+        # not h_d = 1 from a one-entry row read at index -1
+        for values in ([], [q_int(2)]):
+            with pytest.raises(ValueError):
+                h_complete(values, -1)
+
     def test_single_value_power(self):
         x = q_int(3)
         for d in range(5):
@@ -30,16 +37,55 @@ class TestHComplete:
         x1, x2 = q_int(1), q_int(2)
         assert h_complete([x1, x2], 2) == x1 * x1 + x1 * x2 + x2 * x2
 
+    @staticmethod
+    def multiset_sum(values, d):
+        """h_d(values) as the sum over multisets of size d."""
+        expected = ZERO
+        for phi in a_tableaux(len(values) - 1, d):
+            prod = ONE
+            for c in phi:
+                prod = prod * values[c]
+            expected = expected + prod
+        return expected
+
     def test_matches_multiset_enumeration(self):
         values = [q_int(1), q_int(2), q_int(4)]
         for d in range(5):
-            expected = ZERO
-            for phi in a_tableaux(2, d):
-                prod = ONE
-                for c in phi:
-                    prod = prod * values[c]
-                expected = expected + prod
-            assert h_complete(values, d) == expected
+            assert h_complete(values, d) == self.multiset_sum(values, d)
+            # row j of h_prefixes is h_0..h_d over values[:j+1]
+            rows = list(h_prefixes(values, d))
+            assert len(rows) == len(values)
+            for j, row in enumerate(rows):
+                assert row == tuple(self.multiset_sum(values[:j + 1], i)
+                                    for i in range(d + 1))
+
+
+class TestSharedStep:
+    """A fault in the one step that multiplies a series by 1/(1 - x z)
+    reaches the two identities built on it and no other."""
+
+    GENFUN = {"m": [1, 2], "r": [0, 1], "nmax_genfun": 5, "kmax_genfun": 3,
+              "nmax_egf": 4, "nmax_horizontal": 3, "t": [-1, 4],
+              "qvals": ["2", "-1/3"]}
+    SYMMETRIC = {"m": [1, 2], "r": [0, 1], "nmax_tableau": 5}
+
+    def test_planted_fault_reaches_rational_gf_and_h_complete(self,
+                                                              monkeypatch):
+        real = symm.h_prefixes
+
+        def faulty(values, d):
+            # each value multiplied in as q x instead of x
+            return real([x.shift(1) for x in values], d)
+
+        assert verify.suite_genfun(self.GENFUN).ok
+        assert verify.suite_symmetric(self.SYMMETRIC).ok
+        # rational_gf_columns imported the name from symm
+        monkeypatch.setattr(symm, "h_prefixes", faulty)
+        monkeypatch.setattr(series, "h_prefixes", faulty)
+        failures = (verify.suite_genfun(self.GENFUN).failures
+                    + verify.suite_symmetric(self.SYMMETRIC).failures)
+        failed = {f.identity for f in failures}
+        assert failed == {"rational_gf", "h_complete"}
 
 
 class TestATableau:
