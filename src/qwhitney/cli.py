@@ -17,7 +17,8 @@ goes to ``out``.  A request whose polynomials could reach a degree above
 ``MAX_DEGREE`` is refused with exit 2 before any ring work; for ``verify``
 the bound is taken over the suites the request runs, on its grid.  So is
 an exact value at q with more digits than the interpreter converts to
-text, before anything is written.
+text, before anything is written, and a q whose decimal exponent is over
+that digit limit, before it is read.
 """
 
 from __future__ import annotations
@@ -48,7 +49,19 @@ def _params(args) -> WhitneyParams:
     return WhitneyParams(args.m, args.r)
 
 
+# The decimal exponent of a q written in scientific notation.
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
 def _parse_q(text: str) -> Fraction:
+    # Fraction("1e99999999") builds 10^99999999, which takes minutes.  A q
+    # whose exponent is over the digit limit of int-to-text conversion
+    # has more digits than that limit, so it is refused before.
+    exp = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exp and limit and abs(int(exp[1])) > limit:
+        raise ValueError(f"q has a decimal exponent over {limit}, more "
+                         f"digits than the interpreter converts to text")
     try:
         q = Fraction(text)
     except ZeroDivisionError:
@@ -181,7 +194,10 @@ def _read_grid(path):
     if not path:
         return None
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"grid file {path} is nested too deeply") from None
 
 
 def cmd_verify(args, out) -> int:

@@ -26,9 +26,10 @@ Python-level step per quotient coefficient.
 
 A LaurentPoly is dense: an exponent offset plus a tuple of int coefficients.
 Its product is a sliding-window sum when one factor is a q-integer (or any
-run of equal coefficients), a schoolbook product when one factor is short,
-and Kronecker substitution (pack both sides into one int, multiply, unpack)
-otherwise.  Rational evaluation is a single integer Horner pass
+run of equal coefficients), and Kronecker substitution (pack both sides
+into one int, multiply, unpack) otherwise.  A sum, like the shifted
+addition of the fused step, is one aligned ``map(add)`` in a working list
+(``_add_into``).  Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
 integer numerator and denominator; ``eval`` puts them in one Fraction, and
 a caller summing many values at one q can cross-multiply the integers
@@ -76,9 +77,8 @@ class LaurentPoly:
 
     Multiplication picks its algorithm from the shorter operand: a run of
     equal coefficients (every [a]_q) is applied as a sliding-window sum over
-    prefix sums; an operand of at most ``_SCHOOLBOOK_MAX`` coefficients uses
-    a row-by-row schoolbook product; anything longer goes through Kronecker
-    substitution into one big-int product.
+    prefix sums; any other product goes through Kronecker substitution into
+    one big-int product.
     """
 
     __slots__ = ("_lo", "_c")
@@ -160,18 +160,7 @@ class LaurentPoly:
             return self
         if not self._c:
             return other
-        a, b = (self, other) if self._lo <= other._lo else (other, self)
-        ac, bc = a._c, b._c
-        off, la = b._lo - a._lo, len(a._c)
-        if off >= la:  # disjoint supports: nothing can cancel
-            return _poly(a._lo, ac + (0,) * (off - la) + bc)
-        # One working list, so that no short-lived tuples pile up in the
-        # interpreter's tuple free lists.
-        c = list(ac)
-        c.extend(islice(bc, la - off, None))
-        end = min(off + len(bc), la)  # end of the overlap
-        c[off:end] = map(add, c[off:end], bc)
-        return _trimmed(a._lo, c)
+        return _add_into(list(self._c), self._lo, other._c, other._lo)
 
     __radd__ = __add__
 
@@ -196,8 +185,6 @@ class LaurentPoly:
         lo = self._lo + other._lo
         if b.count(b[0]) == len(b):
             return _poly(lo, _mul_run(a, b[0], len(b)))
-        if len(b) <= _SCHOOLBOOK_MAX:
-            return _poly(lo, _mul_schoolbook(a, b))
         return _poly(lo, _mul_kronecker(a, b))
 
     __rmul__ = __mul__
@@ -330,11 +317,6 @@ def _json_template(size: int) -> tuple:
     return "".join(entries), array("I", accumulate(map(len, entries), initial=0))
 
 
-# Shorter operands than this (unless a run of equal coefficients) are
-# multiplied row by row; longer ones by Kronecker substitution.
-_SCHOOLBOOK_MAX = 24
-
-
 def _poly(lo: int, c: tuple) -> LaurentPoly:
     """q^lo * sum_i c[i] q^i for a tuple c with nonzero ends (or empty)."""
     p = object.__new__(LaurentPoly)
@@ -356,6 +338,25 @@ def _trimmed(lo: int, c: list) -> LaurentPoly:
     return _poly(lo + start, tuple(c))
 
 
+def _add_into(c: list, lo: int, d: tuple, dlo: int) -> LaurentPoly:
+    """q^lo c + q^dlo d for a nonempty d, summed in the working list c.
+
+    c is padded with zeros where d reaches past either end, d is added by
+    one ``map(add)``, and ends that cancel are trimmed.  One working list,
+    so that no short-lived tuples pile up in the interpreter's tuple free
+    lists.
+    """
+    off = dlo - lo
+    if off < 0:
+        c[:0] = repeat(0, -off)
+        lo, off = dlo, 0
+    end = off + len(d)
+    if end > len(c):
+        c.extend(repeat(0, end - len(c)))
+    c[off:end] = map(add, c[off:end], d)
+    return _trimmed(lo, c)
+
+
 def _window_sum(a: tuple, n: int) -> list:
     """a times 1 + q + ... + q^(n-1), for n >= 1.
 
@@ -374,16 +375,6 @@ def _mul_run(a: tuple, y: int, n: int) -> tuple:
     if n > 1:
         a = _window_sum(a, n)
     return tuple(a) if y == 1 else tuple(map(mul, a, repeat(y)))
-
-
-def _mul_schoolbook(a: tuple, b: tuple) -> tuple:
-    """a times a short b: one scaled pass over a per coefficient of b."""
-    la = len(a)
-    out = [0] * (la + len(b) - 1)
-    for j, y in enumerate(b):
-        if y:
-            out[j:j + la] = map(add, out[j:j + la], map(mul, a, repeat(y)))
-    return tuple(out)
 
 
 def _coeff_bits(c: tuple) -> int:
@@ -443,8 +434,7 @@ def q_int_mul_add(p: LaurentPoly, a: int, q: LaurentPoly,
 
     The product is the sliding-window sum of ``_window_sum`` (negated for
     a < 0, where [a]_q = -q^a [-a]_q).  The shifted q is then added into
-    the same list by one ``map(add)``, after padding the list with zeros
-    where q reaches past it.  Ends that cancel are trimmed.
+    the same list by ``_add_into``.
     """
     pc, qc = p._c, q._c
     if not (a and pc):
@@ -454,16 +444,7 @@ def q_int_mul_add(p: LaurentPoly, a: int, q: LaurentPoly,
     if a < 0:
         c[:] = map(neg, c)
         lo += a
-    if qc:
-        off = q._lo + e - lo
-        if off < 0:
-            c[:0] = repeat(0, -off)
-            lo, off = lo + off, 0
-        end = off + len(qc)
-        if end > len(c):
-            c.extend(repeat(0, end - len(c)))
-        c[off:end] = map(add, c[off:end], qc)
-    return _trimmed(lo, c)
+    return _add_into(c, lo, qc, q._lo + e) if qc else _trimmed(lo, c)
 
 
 def q_factorial(n: int) -> LaurentPoly:

@@ -75,10 +75,6 @@ class SuiteResult:
         if not condition:
             self.failures.append(Failure(params, identity, str(lhs), str(rhs)))
 
-    def to_json(self) -> dict:
-        return {"suite": self.suite, "cells": self.cells,
-                "failures": [f.to_json() for f in self.failures]}
-
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)

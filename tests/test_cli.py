@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,25 @@ class TestSingleValues:
                      *qarg])
         assert rc == 2
 
+    # Fraction("1e99999999") alone would build 10^99999999 for minutes
+    @pytest.mark.parametrize("exponent", ["99999999", "-99999999"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--m", "1", "--r", "1", "--n", "1", "--k", "1", "--q"],
+        ["value", "--m", "1", "--r", "1", "--n", "1", "--k", "1", "--q-eval"]])
+    def test_huge_exponent_refused_at_once(self, capsys, argv, exponent):
+        start = time.perf_counter()
+        rc, out = run(argv + [f"1e{exponent}"])
+        assert time.perf_counter() - start < 1
+        assert rc == 2 and out == ""
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", ["5e-1", "0.05E+1", "5_0e-0_2"])
+    def test_exponent_within_limit_unchanged(self, q):
+        rc, out = run(["eval", "--m", "1", "--r", "1", "--n", "2", "--k", "1",
+                       "--q", q])
+        assert rc == 0
+        assert out.strip() == "5/4"
+
 
 class TestHankelCommand:
     def test_two_by_two(self):
@@ -222,6 +242,15 @@ class TestVerifyCommand:
         assert rc == 2 and out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+
+    def test_deeply_nested_grid(self, tmp_path, capsys):
+        # json.load gives up on it with a RecursionError
+        path = tmp_path / "grid.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        rc, out = run(["verify", "--suite", "all", "--grid", str(path)])
+        assert rc == 2 and out == ""
+        assert (capsys.readouterr().err
+                == f"error: grid file {path} is nested too deeply\n")
 
     def test_report_schema(self, small_grid):
         rc, out = run(["verify", "--suite", "recurrences", "--grid", small_grid])

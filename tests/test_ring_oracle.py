@@ -3,9 +3,11 @@
 sympy is an independent implementation of Z[q] arithmetic: every product,
 exact quotient and rational value computed here is recomputed by sympy.
 The inputs carry negative exponents, interior zeros, negative coefficients
-and coefficients of up to 300 bits, at lengths that reach each product
-algorithm: a run of equal coefficients (q-integers and their multiples),
-a short operand (schoolbook) and two long operands (Kronecker).  The two
+and coefficients of up to 300 bits, at lengths that reach both product
+algorithms: a run of equal coefficients (q-integers and their multiples)
+and Kronecker substitution, the latter with a short and a long operand as
+well as with two long ones.  Sums and differences are checked with
+overlapping and disjoint supports and with ends that cancel.  The two
 q-integer kernels, the fused step [a]_q p + q^e q of the triangle and the
 division by a product of q-integers, are checked the same way.
 """
@@ -18,7 +20,6 @@ from hypothesis import strategies as st
 
 from qwhitney import (LaurentPoly, NonExactDivision, laurent_div_q_ints,
                       laurent_exact_div, q_int, q_int_mul_add)
-from qwhitney.qcore import _SCHOOLBOOK_MAX
 
 sympy = pytest.importorskip("sympy")
 Q = sympy.Symbol("q")
@@ -26,6 +27,9 @@ BIG = 2 ** 300
 
 coefficients = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-BIG, BIG))
 offsets = st.integers(-30, 30)
+# Operands of up to this many coefficients are short.  A (long, short)
+# product is a Kronecker product of unequal lengths.
+SHORT_MAX = 24
 
 
 def _dense(cs, lo):
@@ -49,12 +53,12 @@ runs = st.builds(lambda n, k, lo: (q_int(n) * k).shift(lo),
                  st.one_of(st.sampled_from([1, -1, 7]),
                            st.integers(-BIG, BIG).filter(bool)),
                  offsets)
-short = dense(2, _SCHOOLBOOK_MAX)
-long = dense(_SCHOOLBOOK_MAX + 1, 3 * _SCHOOLBOOK_MAX)
+short = dense(2, SHORT_MAX)
+long = dense(SHORT_MAX + 1, 3 * SHORT_MAX)
 anything = st.one_of(runs, short, long, st.just(LaurentPoly()))
 
 # The shorter operand of each pair selects the product algorithm.
-PATHS = {"run": (anything, runs), "schoolbook": (long, short),
+PATHS = {"run": (anything, runs), "kronecker-short": (long, short),
          "kronecker": (long, long)}
 rationals = st.builds(Fraction, st.integers(-60, 60).filter(bool),
                       st.integers(1, 60))
@@ -79,6 +83,21 @@ def oracle_product(a, b):
     return from_sympy(la + lb, pa * pb)
 
 
+def oracle_sum(a, b):
+    """a + b by sympy, both shifted up to the lowest exponent either has."""
+    parts = [to_sympy(p) for p in (a, b) if not p.is_zero()]
+    lo = min((e for e, _ in parts), default=0)
+    total = sympy.Poly(0, Q, domain="ZZ")
+    for e, poly in parts:
+        total += poly * sympy.Poly(Q ** (e - lo), Q, domain="ZZ")
+    return from_sympy(lo, total)
+
+
+def oracle_neg(p):
+    lo, poly = to_sympy(p)
+    return from_sympy(lo, -poly)
+
+
 def oracle_divides(a, b):
     """Does b divide a in Z[q, 1/q]?  Both are shifted to polynomials with a
     nonzero constant term; then b | a iff the rational quotient has integer
@@ -96,6 +115,45 @@ def test_product(path, data):
     a, b = data.draw(left), data.draw(right)
     assert a * b == oracle_product(a, b)
     assert b * a == oracle_product(a, b)
+
+
+@st.composite
+def sum_operands(draw, case):
+    """(a, b) whose supports overlap, lie apart (b above a), or whose sum
+    cancels at the low end, the high end, both, or everywhere."""
+    a, b = draw(anything), draw(anything)
+    if a.is_zero() or b.is_zero():
+        return a, b
+    lo, hi = a.min_exp(), a.max_exp()
+    if case == "overlapping":
+        return a, b.shift(draw(st.integers(lo, hi)) - b.min_exp())
+    if case == "disjoint":
+        return a, b.shift(hi + draw(st.integers(1, 40)) - b.min_exp())
+    # b = t - a for the terms t of a + b off the chosen ends of a's span
+    depth = draw(st.integers(0, 3))
+    ends = draw(st.sampled_from(["low", "high", "both", "all"]))
+    keep = {"low": lambda k: k > lo + depth,
+            "high": lambda k: k < hi - depth,
+            "both": lambda k: lo + depth < k < hi - depth,
+            "all": lambda k: False}[ends]
+    target = LaurentPoly({k: x for k, x in oracle_sum(a, b).terms.items()
+                          if keep(k)})
+    return a, oracle_sum(target, oracle_neg(a))
+
+
+SUMS = {case: sum_operands(case)
+        for case in ("overlapping", "disjoint", "cancelling")}
+
+
+@pytest.mark.parametrize("case", SUMS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sum(case, data):
+    # both orders: with b above a, b + a pads the working list at the front
+    a, b = data.draw(SUMS[case])
+    assert a + b == b + a == oracle_sum(a, b)
+    assert a - b == oracle_sum(a, oracle_neg(b))
+    assert b - a == oracle_sum(b, oracle_neg(a))
 
 
 @pytest.mark.parametrize("path", PATHS)
