@@ -91,13 +91,19 @@ def _bind_negative_q(argv):
 
 def _value_at(value: LaurentPoly, q) -> str:
     """The exact value at q as text, refused as too large when it has more
-    digits than the interpreter converts to text."""
+    digits than the interpreter converts to text.  The refusal names q
+    when q itself converts."""
     exact = value.eval(q)
     try:
         return str(exact)
     except ValueError:
-        raise ValueError(f"request too large: its value at q = {q} has more "
-                         f"than {sys.get_int_max_str_digits()} digits") from None
+        pass
+    try:
+        where = f" at q = {q}"
+    except ValueError:
+        where = ""
+    raise ValueError(f"request too large: its value{where} has more than "
+                     f"{sys.get_int_max_str_digits()} digits")
 
 
 def _render(value: LaurentPoly, qval) -> str:
@@ -284,21 +290,18 @@ def _parser() -> argparse.ArgumentParser:
 def _max_degree(args) -> int:
     """The largest degree the polynomials of a request may reach.
 
-    For verify this is the largest over the suites the request runs, at the
-    grid's largest m and r (``args.grid`` holds the grid document).  A
-    hankel request with a negative s or n is refused here, by HankelSpec.
+    For verify this is ``verify.max_degree`` of its suite and grid
+    (``args.grid`` holds the grid document).  A hankel request with a
+    negative s or n is refused here, by HankelSpec.
     """
     if args.command == "verify":
-        sizes = verify.largest_rows(args.suite, args.grid)
-    elif args.command == "hankel":
+        return verify.max_degree(args.suite, args.grid)
+    if args.command == "hankel":
         return degree_bound(HankelSpec(_params(args), args.s, args.n))
-    else:
-        p = _params(args)
-        row = args.nmax if args.command == "table" else args.n
-        sizes = [(p.m, p.r, row, 0)]
+    p = _params(args)
+    row = args.nmax if args.command == "table" else args.n
     # A negative nmax is refused later, by the table command itself.
-    return max(max(row_degree(m, r, max(row, 0)), degree)
-               for m, r, row, degree in sizes)
+    return row_degree(p.m, p.r, max(row, 0))
 
 
 def main(argv=None, out=None) -> int:

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from . import hankel as hk
 from . import qcalculus, series, symm
-from .whitney import WhitneyParams, w, w_horizontal, w_star, w_vertical
+from .whitney import (WhitneyParams, row_degree, w, w_horizontal, w_star,
+                      w_vertical)
 
 SUITES = ("recurrences", "explicit", "genfun", "symmetric", "convolution",
           "hankel", "all")
@@ -310,40 +311,36 @@ _SUITE_FUNCS = {
 }
 
 
-# Suite -> the largest triangle row its polynomials come from.  The
-# recurrences suite's horizontal route reads row n+1; the convolution suite
-# reads rows n+1 and s+p; a Hankel matrix of order n+1 reads row s+2n.
-_SUITE_ROWS = {
-    "recurrences": lambda g: g["nmax"] + 1,
-    "explicit": lambda g: g["nmax"],
-    "genfun": lambda g: max(g["nmax_genfun"], g["nmax_egf"],
-                            g["nmax_horizontal"]),
-    "symmetric": lambda g: g["nmax_tableau"],
-    "convolution": lambda g: max(g["nmax_conv"] + 1, 2 * g["spmax_conv"]),
-    "hankel": lambda g: g["smax_hankel"] + 2 * g["nmax_hankel"],
-}
-
-
-def largest_rows(name: str, grid: dict = None) -> list:
-    """(m, r, row, degree) for each suite that run_suite(name, grid) runs:
-    the grid's largest m and r, the largest row the suite reads, and the
-    largest degree of what it builds apart from the rows: genfun's [t]_q
-    and [t-r-jm]_q, j < nmax_horizontal, the hankel suite's minors and
-    elimination steps (``hankel.degree_bound`` of its largest family), and
-    0 for the other suites.  Raises ValueError for a bad grid, like
-    run_suite, and for a symmetric suite over the tableau cap."""
+def max_degree(name: str, grid: dict = None) -> int:
+    """The largest degree the polynomials of run_suite(name, grid) may
+    reach, at the grid's largest m and r: per suite the top degree of the
+    largest triangle row it reads, or, where larger, what it builds apart
+    from the rows: genfun's [t]_q and [t-r-jm]_q, j < nmax_horizontal, and
+    the hankel suite's minors and elimination steps (``hankel.degree_bound``
+    of its largest family, which covers its rows).  Raises ValueError for
+    a bad grid, like run_suite, and for a symmetric suite over the tableau
+    cap."""
     g = _grid(grid)
     names = _SUITE_FUNCS if name == "all" else [name]
     if "symmetric" in names:
         _check_tableau_total(g)
     m, r = max(g["m"]), max(g["r"])
+    # The recurrences suite's horizontal route reads row n+1; the
+    # convolution suite reads rows n+1 and s+p.
     degrees = {
-        "genfun": max(map(abs, g["t"]), default=0) + r
-        + m * g["nmax_horizontal"],
+        "recurrences": row_degree(m, r, g["nmax"] + 1),
+        "explicit": row_degree(m, r, g["nmax"]),
+        "genfun": max(row_degree(m, r, max(g["nmax_genfun"], g["nmax_egf"],
+                                           g["nmax_horizontal"])),
+                      max(map(abs, g["t"]), default=0) + r
+                      + m * g["nmax_horizontal"]),
+        "symmetric": row_degree(m, r, g["nmax_tableau"]),
+        "convolution": row_degree(m, r, max(g["nmax_conv"] + 1,
+                                            2 * g["spmax_conv"])),
         "hankel": hk.degree_bound(hk.HankelSpec(
             WhitneyParams(m, r), g["smax_hankel"], g["nmax_hankel"])),
     }
-    return [(m, r, _SUITE_ROWS[s](g), degrees.get(s, 0)) for s in names]
+    return max(degrees[s] for s in names)
 
 
 def run_suite(name: str, grid: dict = None) -> list:

@@ -7,13 +7,24 @@ integers, classical EGFs are expanded by rational series arithmetic, and
 determinants by cofactor expansion.  The q-binomial transform, its
 inverse and the Gauss product check test the q-Pascal rows and the
 alternating q-binomial sum.
+
+The planted faults live here too, as context managers that patch the
+library for their duration only: the recurrence weight, the shift of the
+convolution identities and the shift of the Hankel U factor.  Each is the
+mutation of one route, and ``test_faults.py`` checks that together they
+fail every identity the suites check.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial
 
-from qwhitney import LaurentPoly, q_binomial_alternating_sum, q_binomial_row
+import pytest
+
+from qwhitney import (LaurentPoly, WhitneyParams, hankel,
+                      q_binomial_alternating_sum, q_binomial_row,
+                      q_int_mul_add, symm, w_star, whitney)
 from qwhitney.qcore import ONE, ZERO
 
 
@@ -126,3 +137,51 @@ def gauss_product_check(n: int) -> bool:
             new[d + 1] = new[d + 1] + c * qi
         rhs = new
     return lhs == rhs
+
+
+@contextmanager
+def perturb_recurrence():
+    """Deliberately break the triangular recurrence: its weight [mk+r]_q
+    becomes [mk+r+1]_q, so every identity that is a theorem about the true
+    recurrence must fail.  The rows are built in an empty cache of their
+    own; the library's cache is back, untouched, on exit."""
+    def heavier(p, a, q, e):
+        return q_int_mul_add(p, a + 1, q, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(whitney, "_tables", {})
+        mp.setattr(whitney, "q_int_mul_add", heavier)
+        yield
+
+
+@contextmanager
+def perturb_convolution_shift():
+    """The shifted parameter of both convolution identities gets one more
+    unit of r.  A recurrence fault cannot reach these cells, since both
+    sides read the same triangle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symm, "WhitneyParams",
+                   lambda m, r: WhitneyParams(m, r + 1))
+        yield
+
+
+@contextmanager
+def perturb_u_factor():
+    """The Hankel U factor is read with the shift r + m(s+i+1) instead of
+    r + m(s+i); the lower factor is kept."""
+    original = hankel.lu_factors
+
+    def shifted(spec):
+        lower, _ = original(spec)
+        params, s, n = spec.params, spec.s, spec.n
+        upper = tuple(
+            tuple(w_star(WhitneyParams(params.m,
+                                       params.r + params.m * (s + i + 1)),
+                         j, j - i) if i <= j else ZERO
+                  for j in range(n + 1))
+            for i in range(n + 1))
+        return lower, upper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "lu_factors", shifted)
+        yield

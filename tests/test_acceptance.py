@@ -10,13 +10,13 @@ import json
 from operator import floordiv
 
 from conftest import (classical_whitney_recurrence, gauss_product_check,
-                      q_binomial_inverse, q_binomial_transform,
-                      stirling2_enum)
+                      perturb_recurrence, q_binomial_inverse,
+                      q_binomial_transform, stirling2_enum)
 from qwhitney import (RouteValues, WhitneyParams, cli, classical_hankel_check,
                       q_binomial_alternating_sum, q_binomial_row,
                       q_diff_heads, q_int, w, w_star, whitney_explicit,
                       tableau_sum, w_star_symmetric)
-from qwhitney import verify, whitney
+from qwhitney import verify
 from qwhitney.hankel import bareiss
 from qwhitney.qcore import LaurentPoly
 
@@ -128,7 +128,7 @@ def test_criterion_9_cli_end_to_end(tmp_path):
             "nmax_hankel": 2}
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(grid))
-    with whitney.perturb_recurrence():
+    with perturb_recurrence():
         for suite in ("recurrences", "explicit", "genfun", "hankel"):
             ok = ok and run(["verify", "--suite", suite,
                              "--grid", str(grid_path)]) == 1

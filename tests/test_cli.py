@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import perturb_recurrence
 from qwhitney import cli, qcalculus, symm, verify
 from qwhitney import whitney
 from qwhitney.qcore import NonExactDivision
@@ -260,7 +261,7 @@ class TestVerifyCommand:
         assert report["cells"] > 0 and report["failures"] == []
 
     def test_mutation_fails_with_witness(self, small_grid):
-        with whitney.perturb_recurrence():
+        with perturb_recurrence():
             rc, out = run(["verify", "--suite", "recurrences",
                            "--grid", small_grid])
         assert rc == 1
@@ -454,7 +455,7 @@ class TestSizeLimit:
         assert verify._check_tableau_total(verify._grid()) == 4599
         grid = verify._grid({"nmax_tableau": 15})
         assert verify._check_tableau_total(grid) == 589815
-        assert verify.largest_rows("symmetric", {"nmax_tableau": 15})
+        assert verify.max_degree("symmetric", {"nmax_tableau": 15})
         with pytest.raises(symm.EnumerationTooLarge):
             verify._check_tableau_total(verify._grid({"nmax_tableau": 16}))
         # the exact total is named up to N = 2 bit_length(cap) = 40
@@ -474,7 +475,8 @@ class TestSizeLimit:
 
 class TestDigitLimit:
     # W[80,40] at q = 100 and the row sum at q = 1/100 have numerators or
-    # denominators of more digits than str() of an int converts (4,300)
+    # denominators of more digits than str() of an int converts (4,300);
+    # so has q = 2.5E4300 itself, whose exponent is within the parse bound
     @pytest.mark.parametrize("argv", [
         ["table", "--m", "1", "--r", "1", "--nmax", "80", "--q-eval", "100"],
         ["table", "--m", "1", "--r", "1", "--nmax", "80", "--q-eval", "100",
@@ -483,6 +485,11 @@ class TestDigitLimit:
          "--q-eval", "100"],
         ["dowling", "--m", "1", "--r", "1", "--n", "80", "--q-eval", "1/100"],
         ["eval", "--m", "1", "--r", "1", "--n", "80", "--k", "40", "--q", "100"],
+        ["table", "--m", "1", "--r", "1", "--nmax", "3", "--q-eval", "2.5E4300"],
+        ["value", "--m", "1", "--r", "1", "--n", "3", "--k", "1",
+         "--q-eval", "2.5E4300"],
+        ["eval", "--m", "1", "--r", "1", "--n", "3", "--k", "1",
+         "--q", "2.5E4300"],
     ])
     def test_refused_in_one_line(self, capsys, argv):
         rc, out = run(argv)

@@ -5,12 +5,13 @@ from unittest.mock import ANY
 
 import pytest
 
-from conftest import det_cofactor, random_laurent, stirling2_enum
+from conftest import (det_cofactor, perturb_recurrence, perturb_u_factor,
+                      random_laurent, stirling2_enum)
 from qwhitney import (HankelSpec, LaurentPoly, WhitneyParams,
                       classical_hankel_check, degree_bound, det_exact,
                       hankel_closed_forms, hankel_factors, hankel_matrix,
                       leading_dets, lu_check, q_int, w_star)
-from qwhitney import cli, hankel, qcalculus, qcore, verify, whitney
+from qwhitney import cli, hankel, qcalculus, qcore, verify
 from qwhitney.hankel import bareiss, lu_factors, lu_product
 from qwhitney.qcore import ONE, ZERO, laurent_exact_div
 
@@ -242,25 +243,11 @@ class TestLUProduct:
                     assert lu_check(n + 1, mat, dets[n], lu)
                     assert not lu_check(n + 1, mat, dets[n] + ONE, lu)
 
-    def test_suite_lu_cells_fail_under_a_factor_fault(self, monkeypatch):
-        original = hankel.lu_factors
-
-        def shifted(spec):
-            # U read with the shift r + m(s+i+1) instead of r + m(s+i)
-            lower, _ = original(spec)
-            params, s, n = spec.params, spec.s, spec.n
-            upper = tuple(
-                tuple(w_star(WhitneyParams(params.m,
-                                           params.r + params.m * (s + i + 1)),
-                             j, j - i) if i <= j else ZERO
-                      for j in range(n + 1))
-                for i in range(n + 1))
-            return lower, upper
-
+    def test_suite_lu_cells_fail_under_a_factor_fault(self):
         grid = {"m": [1, 2], "r": [0, 1], "smax_hankel": 1, "nmax_hankel": 3}
         assert verify.suite_hankel(grid).ok
-        monkeypatch.setattr(hankel, "lu_factors", shifted)
-        res = verify.suite_hankel(grid)
+        with perturb_u_factor():
+            res = verify.suite_hankel(grid)
         assert {f.identity for f in res.failures} == {"lu_factorization"}
         # order 1 has U = (1) either way; every larger order fails
         assert [(f.params["m"], f.params["r"], f.params["s"], f.params["n"])
@@ -395,7 +382,7 @@ class TestFactoredPivots:
         assert len(res.failures) == res.cells // 3
 
     def test_perturbed_recurrence_takes_the_general_path(self, divisions):
-        with whitney.perturb_recurrence():
+        with perturb_recurrence():
             for p, s in self.FAMILIES:
                 spec = HankelSpec(p, s, 4)
                 mat = hankel_matrix(spec)

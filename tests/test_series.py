@@ -5,8 +5,8 @@ from operator import mul
 
 import pytest
 
-from conftest import classical_egf_coeffs
-from qwhitney import verify, whitney
+from conftest import classical_egf_coeffs, perturb_recurrence
+from qwhitney import verify
 from qwhitney import (LaurentPoly, RouteValues, WhitneyParams,
                       horizontal_gf_check, q_factorial, q_int,
                       rational_gf_columns, w)
@@ -141,7 +141,7 @@ class TestEGF:
     def test_suite_failure_texts(self):
         grid = {"m": [2], "r": [1], "nmax_genfun": 0, "nmax_egf": 4,
                 "kmax_genfun": 2, "nmax_horizontal": 0, "t": [], "qvals": []}
-        with whitney.perturb_recurrence():
+        with perturb_recurrence():
             res = verify.suite_genfun(grid)
             failures = [f for f in res.failures if f.identity == "egf"]
             assert failures
@@ -220,7 +220,7 @@ class TestHorizontalGF:
                 "kmax_genfun": 0, "nmax_horizontal": 3, "t": [-1, 2, 5],
                 "qvals": ["2", "-1/3"]}
         for perturbed in (False, True):
-            with whitney.perturb_recurrence() if perturbed else nullcontext():
+            with perturb_recurrence() if perturbed else nullcontext():
                 res = verify.suite_genfun(grid)
                 expected = [(n, t, q) for n in range(4) for t in grid["t"]
                             for q in grid["qvals"]
@@ -235,7 +235,7 @@ class TestHorizontalGF:
                 "kmax_genfun": 0, "nmax_horizontal": 3, "t": [2, 5],
                 "qvals": ["2", "-1/3"]}
         assert verify.suite_genfun(grid).ok
-        with whitney.perturb_recurrence():
+        with perturb_recurrence():
             res = verify.suite_genfun(grid)
         assert res.cells == 1 + 1 + 4 * 2 * 2  # rational_gf, egf, horizontal_gf
         assert any(f.identity == "horizontal_gf" for f in res.failures)
@@ -296,7 +296,7 @@ class TestHorizontalAgainstFractions:
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_rows_falling_and_verdicts(self, perturbed):
-        with whitney.perturb_recurrence() if perturbed else nullcontext():
+        with perturb_recurrence() if perturbed else nullcontext():
             failed = 0
             for p in PARAM_GRID:
                 for q in self.QVALS:
@@ -327,7 +327,7 @@ class TestHorizontalAgainstFractions:
                 "nmax_egf": 0, "kmax_genfun": 0,
                 "nmax_horizontal": self.NMAX, "t": list(self.TS),
                 "qvals": [str(q) for q in self.QVALS]}
-        with whitney.perturb_recurrence() if perturbed else nullcontext():
+        with perturb_recurrence() if perturbed else nullcontext():
             res = verify.suite_genfun(grid)
             verdicts = {(p, q): self.oracle(p, q)
                         for p in PARAM_GRID for q in self.QVALS}

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from conftest import perturb_convolution_shift
 from qwhitney import series, symm, verify
 from qwhitney import (EnumerationTooLarge, LaurentPoly, WhitneyParams,
                       convolution_first, convolution_second, h_complete,
@@ -190,17 +191,11 @@ class TestConvolutions:
                     for t in range(s + pp + 1):
                         assert convolution_second(p, s, pp, t)
 
-    def test_suite_cells_fail_under_a_shift_fault(self, monkeypatch):
-        # The shifted parameter of both identities gets one more unit of r;
-        # a recurrence fault cannot reach these cells, since both sides read
-        # the same triangle.
-        def shifted(m, r):
-            return WhitneyParams(m, r + 1)
-
+    def test_suite_cells_fail_under_a_shift_fault(self):
         grid = {"m": [1, 2], "r": [0, 1], "nmax_conv": 2, "spmax_conv": 2}
         assert verify.suite_convolution(grid).ok
-        monkeypatch.setattr(symm, "WhitneyParams", shifted)
-        res = verify.suite_convolution(grid)
+        with perturb_convolution_shift():
+            res = verify.suite_convolution(grid)
         failed = {f.identity for f in res.failures}
         assert failed == {"convolution_first", "convolution_second"}
 
