@@ -89,21 +89,41 @@ def _bind_negative_q(argv):
     return out
 
 
+def _surely_too_long(value: LaurentPoly, q: Fraction, limit: int) -> bool:
+    """Whether the value at q = a/b (lowest terms) has a numerator or
+    denominator of more than ``limit`` digits by a bound read from bit
+    lengths alone, for exponents 0 <= lo <= hi and top coefficient c.  The
+    reduced denominator is at least (b/|c|)^hi: the resultant of the
+    value's binary form with Y^hi is c^hi, so at most |c|^hi of b^hi
+    cancels.  When |q| >= sum |c_i|, the numerator is at least |q|^(hi-1).
+    Either over 2^bits, bits = ceil(3.322 limit), is over 10^limit."""
+    coeffs = value.coeffs
+    if not (limit and coeffs) or value.min_exp() < 0:
+        return False
+    hi, a, b = value.max_exp(), abs(q.numerator), q.denominator
+    bits = (3322 * limit + 999) // 1000
+    return (hi * (b.bit_length() - 1 - abs(coeffs[-1]).bit_length()) >= bits
+            or ((hi - 1) * (a.bit_length() - 1 - b.bit_length()) >= bits
+                and a >= sum(map(abs, coeffs)) * b))
+
+
 def _value_at(value: LaurentPoly, q) -> str:
     """The exact value at q as text, refused as too large when it has more
-    digits than the interpreter converts to text.  The refusal names q
-    when q itself converts."""
-    exact = value.eval(q)
-    try:
-        return str(exact)
-    except ValueError:
-        pass
+    digits than the interpreter converts to text; a value that surely has
+    is refused before it is evaluated.  The refusal names q when q itself
+    converts."""
+    limit = sys.get_int_max_str_digits()
+    if not _surely_too_long(value, q, limit):
+        try:
+            return str(value.eval(q))
+        except ValueError:
+            pass
     try:
         where = f" at q = {q}"
     except ValueError:
         where = ""
     raise ValueError(f"request too large: its value{where} has more than "
-                     f"{sys.get_int_max_str_digits()} digits")
+                     f"{limit} digits")
 
 
 def _render(value: LaurentPoly, qval) -> str:

@@ -25,9 +25,9 @@ a Hankel matrix.  :func:`laurent_exact_div` divides by anything else, one
 Python-level step per quotient coefficient.
 
 A LaurentPoly is dense: an exponent offset plus a tuple of int coefficients.
-Its product is a sliding-window sum when one factor is a q-integer (or any
-run of equal coefficients), and Kronecker substitution (pack both sides
-into one int, multiply, unpack) otherwise.  A sum, like the shifted
+Its product is a sliding-window sum when either factor is a q-integer (or
+any run of equal coefficients), and Kronecker substitution (pack both
+sides into one int, multiply, unpack) otherwise.  A sum, like the shifted
 addition of the fused step, is one aligned ``map(add)`` in a working list
 (``_add_into``).  Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
@@ -75,10 +75,9 @@ class LaurentPoly:
     equality and hashing are plain comparisons of the pair.  Instances are
     immutable; all operations return new values.
 
-    Multiplication picks its algorithm from the shorter operand: a run of
-    equal coefficients (every [a]_q) is applied as a sliding-window sum over
-    prefix sums; any other product goes through Kronecker substitution into
-    one big-int product.
+    Multiplication applies a factor that is a run of equal coefficients
+    (every [a]_q), on either side, as a sliding-window sum over prefix
+    sums; any other product is one big-int Kronecker substitution.
     """
 
     __slots__ = ("_lo", "_c")
@@ -185,6 +184,8 @@ class LaurentPoly:
         lo = self._lo + other._lo
         if b.count(b[0]) == len(b):
             return _poly(lo, _mul_run(a, b[0], len(b)))
+        if a.count(a[0]) == len(a):
+            return _poly(lo, _mul_run(b, a[0], len(a)))
         return _poly(lo, _mul_kronecker(a, b))
 
     __rmul__ = __mul__

@@ -9,8 +9,9 @@ inverse and the Gauss product check test the q-Pascal rows and the
 alternating q-binomial sum.
 
 The planted faults live here too, as context managers that patch the
-library for their duration only: the recurrence weight, the shift of the
-convolution identities and the shift of the Hankel U factor.  Each is the
+library for their duration only: the recurrence weight, the weight of the
+vertical and horizontal routes, the shift of the convolution identities
+and the shift of the Hankel U factor.  Each is the
 mutation of one route, and ``test_faults.py`` checks that together they
 fail every identity the suites check.
 """
@@ -23,7 +24,7 @@ from math import comb, factorial
 import pytest
 
 from qwhitney import (LaurentPoly, WhitneyParams, hankel,
-                      q_binomial_alternating_sum, q_binomial_row,
+                      q_binomial_alternating_sum, q_binomial_row, q_int,
                       q_int_mul_add, symm, w_star, whitney)
 from qwhitney.qcore import ONE, ZERO
 
@@ -151,6 +152,16 @@ def perturb_recurrence():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(whitney, "_tables", {})
         mp.setattr(whitney, "q_int_mul_add", heavier)
+        yield
+
+
+@contextmanager
+def perturb_route_weight():
+    """The weight [a]_q of the vertical and horizontal routes becomes
+    [a+1]_q.  Only those routes call ``whitney.q_int``; the triangle's own
+    step, and so every other route, is kept."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(whitney, "q_int", lambda a: q_int(a + 1))
         yield
 
 

@@ -5,9 +5,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import perturb_recurrence
-from qwhitney import cli, qcalculus, symm, verify
+from qwhitney import LaurentPoly, cli, qcalculus, symm, verify
 from qwhitney import whitney
 from qwhitney.qcore import NonExactDivision
 from qwhitney.whitney import InternalNonLaurent
@@ -498,6 +500,47 @@ class TestDigitLimit:
         assert err.startswith("error: request too large: ")
         assert len(err.splitlines()) == 1
         assert "set_int_max_str_digits" not in err
+
+    # Within MAX_DEGREE, but each value has millions of digits at q: the
+    # bound on its numerator (q = 2.5E4300) or denominator (q = 4E-4300)
+    # refuses it from bit lengths, where evaluating it took 10 s to minutes
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--m", "1", "--r", "0", "--n", "40", "--k", "20",
+         "--q", "2.5E4300"],
+        ["value", "--m", "1", "--r", "0", "--n", "40", "--k", "20",
+         "--q-eval", "2.5E4300"],
+        ["eval", "--m", "1", "--r", "0", "--n", "40", "--k", "20",
+         "--q", "4E-4300"],
+        ["eval", "--m", "1", "--r", "0", "--n", "40", "--k", "20",
+         "--q", "4E-4300", "--star"],
+    ])
+    def test_refused_before_evaluation(self, capsys, argv):
+        start = time.perf_counter()
+        rc, out = run(argv)
+        assert time.perf_counter() - start < 1
+        assert rc == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: request too large: ")
+        assert len(err.splitlines()) == 1
+
+    @given(coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=8),
+           lo=st.integers(0, 6), num=st.integers(-10 ** 6, 10 ** 6),
+           den=st.integers(1, 10 ** 6), limit=st.integers(1, 40))
+    # q^3 - 50 q^2 + 1 = 1 at q = 50, and 64 q^3 = 1 at q = 1/4: a bound
+    # without the sum of |c_i|, or without the top coefficient, refuses them
+    @example(coeffs=[1, 0, -50, 1], lo=0, num=50, den=1, limit=1)
+    @example(coeffs=[0, 0, 0, 64], lo=0, num=1, den=4, limit=1)
+    @settings(max_examples=300, deadline=None)
+    def test_bound_refuses_only_what_is_too_long(self, coeffs, lo, num,
+                                                 den, limit):
+        # The early refusal must not refuse a value that would print.
+        value = LaurentPoly(dict(enumerate(coeffs, lo)))
+        q = Fraction(num, den)
+        assume(q and not value.is_zero())
+        if cli._surely_too_long(value, q, limit):
+            exact = value.eval(q)
+            assert max(len(str(abs(exact.numerator))),
+                       len(str(exact.denominator))) > limit
 
     def test_within_limit_unchanged(self):
         rc, out = run(["table", "--m", "1", "--r", "1", "--nmax", "80",

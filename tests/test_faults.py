@@ -8,7 +8,7 @@ DeMillo, Lipton & Sayward 1978).
 """
 
 from conftest import (perturb_convolution_shift, perturb_recurrence,
-                      perturb_u_factor)
+                      perturb_route_weight, perturb_u_factor)
 from qwhitney import verify
 
 GRID = {"m": [1, 2], "r": [0, 1], "nmax": 4, "nmax_tableau": 4,
@@ -19,6 +19,7 @@ GRID = {"m": [1, 2], "r": [0, 1], "nmax": 4, "nmax_tableau": 4,
 
 FAULTS = {
     "recurrence": perturb_recurrence,
+    "route_weight": perturb_route_weight,
     "convolution_shift": perturb_convolution_shift,
     "u_factor": perturb_u_factor,
 }
@@ -49,6 +50,7 @@ def test_kill_matrix(monkeypatch):
     assert killed == {
         "recurrence": checked - {"convolution_first", "convolution_second",
                                  "lu_factorization"},
+        "route_weight": {"vertical", "horizontal"},
         "convolution_shift": {"convolution_first", "convolution_second"},
         "u_factor": {"lu_factorization"},
     }

@@ -57,7 +57,9 @@ short = dense(2, SHORT_MAX)
 long = dense(SHORT_MAX + 1, 3 * SHORT_MAX)
 anything = st.one_of(runs, short, long, st.just(LaurentPoly()))
 
-# The shorter operand of each pair selects the product algorithm.
+# A run on either side selects the window path: "run" pairs a run with
+# anything, so the run is the shorter factor of some pairs and the longer
+# of others.  Two non-runs (dense never draws a run) take Kronecker.
 PATHS = {"run": (anything, runs), "kronecker-short": (long, short),
          "kronecker": (long, long)}
 rationals = st.builds(Fraction, st.integers(-60, 60).filter(bool),

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import bell_enum, classical_whitney_recurrence, stirling2_enum
 from qwhitney import (LaurentPoly, WhitneyParams, classical_w, q_int,
-                      r_dowling, w, w_horizontal, w_star, w_table, w_vertical)
+                      qcore, r_dowling, verify, w, w_horizontal, w_star,
+                      w_table, w_vertical)
 from qwhitney.qcore import ONE, ZERO
 
 P11 = WhitneyParams(1, 1)
@@ -116,6 +117,34 @@ class TestHorizontalRecurrence:
             for n in range(9):
                 for k in range(n + 1):
                     assert w_horizontal(p, n, k) == w(p, n, k)
+
+
+class TestProductPaths:
+    @pytest.fixture
+    def kronecker(self, monkeypatch):
+        """Record the operand lengths of every Kronecker product."""
+        seen = []
+        product = qcore._mul_kronecker
+
+        def counted(a, b):
+            seen.append((len(a), len(b)))
+            return product(a, b)
+
+        monkeypatch.setattr(qcore, "_mul_kronecker", counted)
+        return seen
+
+    def test_counter_sees_a_general_product(self, kronecker):
+        assert LaurentPoly({0: 1, 1: 2}) * LaurentPoly({0: 3, 1: 1}) == \
+            LaurentPoly({0: 3, 1: 7, 2: 2})
+        assert kronecker == [(2, 2)]
+
+    @pytest.mark.parametrize("suite", [verify.suite_recurrences,
+                                       verify.suite_symmetric])
+    def test_suite_needs_no_kronecker_product(self, kronecker, suite):
+        # The Horner routes multiply by one [a]_q per step, and the tableau
+        # weights are q-integers: each product has a run on one side.
+        assert suite().ok
+        assert kronecker == []
 
 
 class TestStar:
