@@ -110,8 +110,9 @@ def _surely_too_long(value: LaurentPoly, q: Fraction, limit: int) -> bool:
 def _value_at(value: LaurentPoly, q) -> str:
     """The exact value at q as text, refused as too large when it has more
     digits than the interpreter converts to text; a value that surely has
-    is refused before it is evaluated.  The refusal names q when q itself
-    converts."""
+    is refused before it is evaluated.  The refusal names q when its text
+    is at most 40 characters, gives its digit count when the text is
+    longer, and leaves q out when q itself does not convert."""
     limit = sys.get_int_max_str_digits()
     if not _surely_too_long(value, q, limit):
         try:
@@ -119,9 +120,12 @@ def _value_at(value: LaurentPoly, q) -> str:
         except ValueError:
             pass
     try:
-        where = f" at q = {q}"
+        text = str(q)
     except ValueError:
         where = ""
+    else:
+        where = (f" at q = {text}" if len(text) <= 40 else
+                 f" at a q of {sum(map(str.isdigit, text))} digits")
     raise ValueError(f"request too large: its value{where} has more than "
                      f"{limit} digits")
 

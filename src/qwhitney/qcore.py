@@ -27,7 +27,10 @@ Python-level step per quotient coefficient.
 A LaurentPoly is dense: an exponent offset plus a tuple of int coefficients.
 Its product is a sliding-window sum when either factor is a q-integer (or
 any run of equal coefficients), and Kronecker substitution (pack both
-sides into one int, multiply, unpack) otherwise.  A sum, like the shifted
+sides into one int, multiply, unpack) otherwise.  Kronecker slots are
+machine words, packed from an ``array`` and unpacked by a ``memoryview``
+cast, when both sides are nonnegative and the product's coefficients fit
+64 bits; other products are packed in byte slots.  A sum, like the shifted
 addition of the fused step, is one aligned ``map(add)`` in a working list
 (``_add_into``).  Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
@@ -45,6 +48,7 @@ else takes a per-coefficient fallback.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from fractions import Fraction
 from functools import cache
@@ -77,7 +81,9 @@ class LaurentPoly:
 
     Multiplication applies a factor that is a run of equal coefficients
     (every [a]_q), on either side, as a sliding-window sum over prefix
-    sums; any other product is one big-int Kronecker substitution.
+    sums; any other product is one big-int Kronecker substitution, in
+    machine-word slots for nonnegative factors whose product coefficients
+    fit 64 bits and in byte slots otherwise.
     """
 
     __slots__ = ("_lo", "_c")
@@ -394,8 +400,35 @@ def _pack(c: tuple, width: int) -> int:
                                          else blank for x in c), "little")
 
 
+# Unsigned machine words for Kronecker slots, narrowest first, as
+# (array typecode, bytes); none on a big-endian host.
+_WORDS = (tuple((code, array(code).itemsize) for code in "BHIQ")
+          if sys.byteorder == "little" else ())
+
+
 def _mul_kronecker(a: tuple, b: tuple) -> tuple:
-    """a*b by Kronecker substitution q -> 2^(8*width).
+    """a*b by Kronecker substitution.  A product coefficient is a sum of
+    min(len) terms; for nonnegative a and b it lies in
+    [0, 2^(bits(max a) + bits(max b) + bitlen(min(len)))), so when that
+    bound fits a machine word the narrowest such word is the slot, with no
+    bias: ``array`` bytes pack each side, a ``memoryview`` cast unpacks the
+    product.  Array bytes are in native order, so a big-endian host has no
+    words and takes the byte slots, as signed or wider operands do.
+    """
+    if min(a) >= 0 and min(b) >= 0:
+        bits = (max(a).bit_length() + max(b).bit_length()
+                + min(len(a), len(b)).bit_length())
+        for code, size in _WORDS:
+            if bits <= 8 * size:
+                x = (int.from_bytes(array(code, a).tobytes(), "little")
+                     * int.from_bytes(array(code, b).tobytes(), "little"))
+                n = len(a) + len(b) - 1
+                return tuple(memoryview(x.to_bytes(n * size, "little")).cast(code))
+    return _mul_kronecker_bytes(a, b)
+
+
+def _mul_kronecker_bytes(a: tuple, b: tuple) -> tuple:
+    """a*b by Kronecker substitution q -> 2^(8*width), in byte slots.
 
     A product coefficient is a sum of min(len) terms, so it is smaller in
     absolute value than 2^(bits(a) + bits(b) + bitlen(min(len))); one more

@@ -13,7 +13,8 @@ library for their duration only: the recurrence weight, the weight of the
 vertical and horizontal routes, the shift of the convolution identities
 and the shift of the Hankel U factor.  Each is the
 mutation of one route, and ``test_faults.py`` checks that together they
-fail every identity the suites check.
+fail every identity the suites check.  ``record_products`` counts the
+products that take one of the ring's product paths.
 """
 
 import random
@@ -25,7 +26,7 @@ import pytest
 
 from qwhitney import (LaurentPoly, WhitneyParams, hankel,
                       q_binomial_alternating_sum, q_binomial_row, q_int,
-                      q_int_mul_add, symm, w_star, whitney)
+                      q_int_mul_add, qcore, symm, w_star, whitney)
 from qwhitney.qcore import ONE, ZERO
 
 
@@ -196,3 +197,17 @@ def perturb_u_factor():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hankel, "lu_factors", shifted)
         yield
+
+
+def record_products(monkeypatch, name):
+    """The operand lengths of every call of the product qcore.name, in a
+    list that fills while the monkeypatch lasts."""
+    seen = []
+    product = getattr(qcore, name)
+
+    def counted(a, b):
+        seen.append((len(a), len(b)))
+        return product(a, b)
+
+    monkeypatch.setattr(qcore, name, counted)
+    return seen

@@ -523,6 +523,17 @@ class TestDigitLimit:
         assert err.startswith("error: request too large: ")
         assert len(err.splitlines()) == 1
 
+    def test_long_q_named_by_its_digit_count(self, capsys):
+        # q = 1/(25 10^4298) converts to text, but 4,302 characters of it
+        # would make the refusal a 4 KB line
+        rc, out = run(["eval", "--m", "1", "--r", "0", "--n", "40", "--k", "20",
+                       "--q", "4E-4300"])
+        assert rc == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: request too large: its value at a q of "
+                              "4301 digits ")
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+
     @given(coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=8),
            lo=st.integers(0, 6), num=st.integers(-10 ** 6, 10 ** 6),
            den=st.integers(1, 10 ** 6), limit=st.integers(1, 40))

@@ -6,10 +6,12 @@ The inputs carry negative exponents, interior zeros, negative coefficients
 and coefficients of up to 300 bits, at lengths that reach both product
 algorithms: a run of equal coefficients (q-integers and their multiples)
 and Kronecker substitution, the latter with a short and a long operand as
-well as with two long ones.  Sums and differences are checked with
-overlapping and disjoint supports and with ends that cancel.  The two
-q-integer kernels, the fused step [a]_q p + q^e q of the triangle and the
-division by a product of q-integers, are checked the same way.
+well as with two long ones, and in both of its slot kinds: machine words
+for nonnegative operands whose slot bound fits one, bytes otherwise.  Sums
+and differences are checked with overlapping and disjoint supports and
+with ends that cancel.  The two q-integer kernels, the fused step
+[a]_q p + q^e q of the triangle and the division by a product of
+q-integers, are checked the same way.
 """
 
 from fractions import Fraction
@@ -18,8 +20,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import record_products
 from qwhitney import (LaurentPoly, NonExactDivision, laurent_div_q_ints,
-                      laurent_exact_div, q_int, q_int_mul_add)
+                      laurent_exact_div, q_int, q_int_mul_add, qcore)
 
 sympy = pytest.importorskip("sympy")
 Q = sympy.Symbol("q")
@@ -57,11 +60,50 @@ short = dense(2, SHORT_MAX)
 long = dense(SHORT_MAX + 1, 3 * SHORT_MAX)
 anything = st.one_of(runs, short, long, st.just(LaurentPoly()))
 
+# Machine-word sizes in bits that bound a Kronecker slot.
+WORD_BITS = (8, 16, 32, 64)
+
+
+def _word_operand(cs, size, top, lo):
+    """Coefficients cs in [0, 2^size) from q^lo up, with cs[top] raised to
+    exactly size bits and nonzero ends, not all equal (for size >= 2)."""
+    cs = list(cs)
+    cs[top] |= 1 << (size - 1)
+    cs[0] = cs[0] or 1
+    cs[-1] = cs[-1] or 1
+    if cs.count(cs[0]) == len(cs):
+        cs[-1] = 2 if cs[-1] == 1 else 1
+    return LaurentPoly(dict(enumerate(cs, lo)))
+
+
+@st.composite
+def word_operands(draw):
+    """Nonnegative dense (a, b) whose slot bound
+    bits(max a) + bits(max b) + bitlen(min(len a, len b)) lies within two
+    bits of a machine-word size, on either side of it."""
+    bound = draw(st.sampled_from(WORD_BITS)) + draw(st.integers(-2, 2))
+    # at most bound - 4 bits for bitlen(min len), so each size is >= 2
+    short_len = draw(st.integers(2, min(3 * SHORT_MAX, 2 ** (bound - 5))))
+    long_len = draw(st.integers(short_len, 3 * SHORT_MAX))
+    rest = bound - short_len.bit_length()
+    sa = draw(st.integers(2, rest - 2))
+    lengths = draw(st.permutations([short_len, long_len]))
+    return tuple(
+        _word_operand(draw(st.lists(st.integers(0, 2 ** size - 1),
+                                    min_size=length, max_size=length)),
+                      size, draw(st.integers(0, length - 1)), draw(offsets))
+        for length, size in zip(lengths, (sa, rest - sa)))
+
+
 # A run on either side selects the window path: "run" pairs a run with
 # anything, so the run is the shorter factor of some pairs and the longer
-# of others.  Two non-runs (dense never draws a run) take Kronecker.
-PATHS = {"run": (anything, runs), "kronecker-short": (long, short),
-         "kronecker": (long, long)}
+# of others.  Two non-runs (dense never draws a run) take Kronecker, in
+# byte slots for the signed operands of "kronecker-short" and "kronecker"
+# and mostly in machine-word slots for "kronecker-words".
+PATHS = {"run": st.tuples(anything, runs),
+         "kronecker-short": st.tuples(long, short),
+         "kronecker": st.tuples(long, long),
+         "kronecker-words": word_operands()}
 rationals = st.builds(Fraction, st.integers(-60, 60).filter(bool),
                       st.integers(1, 60))
 q_int_args = st.integers(-40, 40).filter(bool)
@@ -113,10 +155,29 @@ def oracle_divides(a, b):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_product(path, data):
-    left, right = PATHS[path]
-    a, b = data.draw(left), data.draw(right)
+    a, b = data.draw(PATHS[path])
     assert a * b == oracle_product(a, b)
     assert b * a == oracle_product(a, b)
+
+
+def _top_heavy(size, length):
+    """length - 1 coefficients 2^size - 1, then a 1."""
+    return LaurentPoly(dict(enumerate([2 ** size - 1] * (length - 1) + [1])))
+
+
+@pytest.mark.parametrize("bound", [w + extra for w in WORD_BITS
+                                   for extra in (0, 1)])
+def test_product_at_slot_bound(monkeypatch, bound):
+    # Length 7 (bitlen 3) and sizes summing to bound - 3 give a slot bound
+    # of bound.  The largest coefficient, 6 (2^sa - 1)(2^sb - 1), needs all
+    # bound bits for every bound but 8, so a slot one word too narrow, or
+    # a bound without its length term, overflows.
+    sa = (bound - 3) // 2
+    a, b = _top_heavy(sa, 7), _top_heavy(bound - 3 - sa, 7)
+    byte_slots = record_products(monkeypatch, "_mul_kronecker_bytes")
+    assert a * b == oracle_product(a, b)
+    widest = max((8 * size for _, size in qcore._WORDS), default=0)
+    assert bool(byte_slots) == (bound > widest)
 
 
 @st.composite
@@ -162,8 +223,7 @@ def test_sum(case, data):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_exact_division_of_product(path, data):
-    left, right = PATHS[path]
-    a, b = data.draw(left), data.draw(right)
+    a, b = data.draw(PATHS[path])
     assume(not b.is_zero())
     assert laurent_exact_div(oracle_product(a, b), b) == a
 

@@ -3,10 +3,11 @@ from math import comb
 
 import pytest
 
-from conftest import bell_enum, classical_whitney_recurrence, stirling2_enum
+from conftest import (bell_enum, classical_whitney_recurrence, record_products,
+                      stirling2_enum)
 from qwhitney import (LaurentPoly, WhitneyParams, classical_w, q_int,
-                      qcore, r_dowling, verify, w, w_horizontal, w_star,
-                      w_table, w_vertical)
+                      r_dowling, verify, w, w_horizontal, w_star, w_table,
+                      w_vertical)
 from qwhitney.qcore import ONE, ZERO
 
 P11 = WhitneyParams(1, 1)
@@ -123,15 +124,7 @@ class TestProductPaths:
     @pytest.fixture
     def kronecker(self, monkeypatch):
         """Record the operand lengths of every Kronecker product."""
-        seen = []
-        product = qcore._mul_kronecker
-
-        def counted(a, b):
-            seen.append((len(a), len(b)))
-            return product(a, b)
-
-        monkeypatch.setattr(qcore, "_mul_kronecker", counted)
-        return seen
+        return record_products(monkeypatch, "_mul_kronecker")
 
     def test_counter_sees_a_general_product(self, kronecker):
         assert LaurentPoly({0: 1, 1: 2}) * LaurentPoly({0: 3, 1: 1}) == \
@@ -145,6 +138,13 @@ class TestProductPaths:
         # weights are q-integers: each product has a run on one side.
         assert suite().ok
         assert kronecker == []
+
+    def test_default_grid_needs_no_byte_slots(self, monkeypatch):
+        # Every Kronecker product of the default grid has nonnegative
+        # operands whose slot bound fits a machine word.
+        byte_slots = record_products(monkeypatch, "_mul_kronecker_bytes")
+        assert all(result.ok for result in verify.run_suite("all"))
+        assert byte_slots == []
 
 
 class TestStar:
