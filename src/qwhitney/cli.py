@@ -12,13 +12,18 @@ library, reported in one line, never as an identity failure).
 
 ``main(argv, out=...)`` may be called many times in one process: the
 argparse parser is built on the first call and reused, since a parse keeps
-no state in it.  Everything but error messages, ``--help`` text included,
-goes to ``out``.  A request whose polynomials could reach a degree above
-``MAX_DEGREE`` is refused with exit 2 before any ring work; for ``verify``
-the bound is taken over the suites the request runs, on its grid.  So is
-an exact value at q with more digits than the interpreter converts to
-text, before anything is written, and a q whose decimal exponent is over
-that digit limit, before it is read.
+no state in it.  A canonical argv (a subcommand, then each option at most
+once, spelled in full, as ``--name value`` or ``--name=value`` or a bare
+flag, with valid values and every required option) is parsed by
+``_strict_parse`` straight from that parser's Actions, a few times faster
+than argparse; argparse parses every other argv, so help, abbreviations,
+repeated options and every usage error are its own.  Everything but error
+messages, ``--help`` text included, goes to ``out``.  A request whose
+polynomials could reach a degree above ``MAX_DEGREE`` is refused with exit
+2 before any ring work; for ``verify`` the bound is taken over the suites
+the request runs, on its grid.  So is an exact value at q with more digits
+than the interpreter converts to text, before anything is written, and a q
+whose decimal exponent is over that digit limit, before it is read.
 """
 
 from __future__ import annotations
@@ -54,20 +59,23 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 
 def _parse_q(text: str) -> Fraction:
+    # argparse prints the message of an ArgumentTypeError; of any other
+    # error it prints only "invalid _parse_q value".
     # Fraction("1e99999999") builds 10^99999999, which takes minutes.  A q
     # whose exponent is over the digit limit of int-to-text conversion
     # has more digits than that limit, so it is refused before.
     exp = _EXPONENT.search(text)
     limit = sys.get_int_max_str_digits()
     if exp and limit and abs(int(exp[1])) > limit:
-        raise ValueError(f"q has a decimal exponent over {limit}, more "
-                         f"digits than the interpreter converts to text")
+        raise argparse.ArgumentTypeError(
+            f"q has a decimal exponent over {limit}, more digits than the "
+            f"interpreter converts to text")
     try:
         q = Fraction(text)
     except ZeroDivisionError:
-        raise ValueError("q has a zero denominator") from None
+        raise argparse.ArgumentTypeError("q has a zero denominator") from None
     if q == 0:
-        raise ValueError("q must be nonzero")
+        raise argparse.ArgumentTypeError("q must be nonzero")
     return q
 
 
@@ -311,6 +319,60 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _strict_parse(parser: argparse.ArgumentParser, argv):
+    """The Namespace ``parser.parse_args(argv)`` returns, when argv is a
+    canonical request; None for any other argv, which is left to argparse.
+
+    Canonical: a subcommand name, then each of its options at most once,
+    spelled in full, as ``--name value`` (a value not starting with "-")
+    or ``--name=value``, or as a bare flag; every value passes the
+    option's type and choices, and every required option is given.  All
+    of it is read from the Actions of ``build_parser``, so an option is
+    declared in one place.  Help, abbreviations, repeats, ``--`` and every
+    error take argparse, which alone prints.
+    """
+    commands = next(a for a in parser._actions if a.dest == "command")
+    sub = commands.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return None
+    # -h and --help suppress their default, so they are not looked up here
+    actions = [a for a in sub._actions if a.default is not argparse.SUPPRESS]
+    options = {s: a for a in actions for s in a.option_strings}
+    values = {a.dest: a.default for a in actions}
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        action = options.get(name)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            if eq:
+                return None
+            values[action.dest] = action.const
+            continue
+        if not eq:
+            # a missing value is declined like one that starts with "-"
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+        elif text == "--":
+            # argparse before Python 3.13 reads --name=-- as an empty list
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if any(a.required and a not in seen for a in actions):
+        return None
+    return argparse.Namespace(command=argv[0], **values,
+                              fn=sub.get_default("fn"))
+
+
 def _max_degree(args) -> int:
     """The largest degree the polynomials of a request may reach.
 
@@ -330,14 +392,20 @@ def _max_degree(args) -> int:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    argv = _bind_negative_q(sys.argv[1:] if argv is None else argv)
+    parser = _parser()
+    args = _strict_parse(parser, argv)
+    if args is None:
+        try:
+            # argparse prints --help itself, to sys.stdout
+            with contextlib.redirect_stdout(out):
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else 2
     try:
-        # argparse prints --help itself, to sys.stdout
-        with contextlib.redirect_stdout(out):
-            args = _parser().parse_args(
-                _bind_negative_q(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    try:
+        if any(isinstance(v, list) for v in vars(args).values()):
+            # argparse before Python 3.13 reads --name=-- as an empty list
+            raise ValueError("an option's value may not be --")
         if hasattr(args, "n") and args.command != "hankel" and args.n < 0:
             raise ValueError("n must be >= 0")
         if hasattr(args, "k") and args.k < 0:

@@ -177,6 +177,10 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
     g = _grid(grid)
     res = SuiteResult("genfun")
     qvals = [Fraction(s) for s in g["qvals"]]
+    nh = g["nmax_horizontal"]
+    # [t]_q^n does not depend on (m, r); tables are indexed [t][q]
+    powers = [[series.horizontal_powers(t, qv, nh) for qv in qvals]
+              for t in g["t"]]
     for p in _param_cells(g):
         base = {"m": p.m, "r": p.r}
         nmax = g["nmax_genfun"]
@@ -199,17 +203,14 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
                 expected = w(p, n, k)
                 res.check(e == expected * norm, {**base, "n": n, "k": k},
                           "egf", e, expected)
-        nh = g["nmax_horizontal"]
-        falling = {(t, qv): series.horizontal_falling(p, t, qv, nh)
-                   for t in g["t"] for qv in qvals}
-        powers = {(t, qv): series.horizontal_powers(t, qv, nh)
-                  for t in g["t"] for qv in qvals}
+        falling = [[series.horizontal_falling(p, t, qv, nh) for qv in qvals]
+                   for t in g["t"]]
         for n in range(nh + 1):
             rows = [series.horizontal_row(p, n, qv) for qv in qvals]
-            for t in g["t"]:
-                for qv, row in zip(qvals, rows):
-                    ok = series.horizontal_gf_check(row, falling[t, qv],
-                                                    powers[t, qv][n])
+            for t, t_falling, t_powers in zip(g["t"], falling, powers):
+                for qv, row, fall, power in zip(qvals, rows, t_falling,
+                                                t_powers):
+                    ok = series.horizontal_gf_check(row, fall, power[n])
                     res.check(ok, {**base, "n": n, "t": t, "q": str(qv)},
                               "horizontal_gf")
     return res

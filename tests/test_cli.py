@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import sys
 import time
 from fractions import Fraction
 
@@ -170,6 +173,22 @@ class TestSingleValues:
         assert time.perf_counter() - start < 1
         assert rc == 2 and out == ""
         assert "Traceback" not in capsys.readouterr().err
+
+    # argparse prints the reason of an ArgumentTypeError only
+    @pytest.mark.parametrize("q, reason", [
+        ("0", "q must be nonzero"),
+        ("1/0", "q has a zero denominator"),
+        ("1e99999999", f"q has a decimal exponent over "
+                       f"{sys.get_int_max_str_digits()}, more digits than "
+                       f"the interpreter converts to text")])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--m", "1", "--r", "1", "--n", "1", "--k", "1", "--q"],
+        ["value", "--m", "1", "--r", "1", "--n", "1", "--k", "1", "--q-eval"]])
+    def test_refused_q_gives_its_reason(self, capsys, argv, q, reason):
+        rc, out = run(argv + [q])
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"qwhitney {argv[0]}: error: argument {argv[-1]}: {reason}")
 
     @pytest.mark.parametrize("q", ["5e-1", "0.05E+1", "5_0e-0_2"])
     def test_exponent_within_limit_unchanged(self, q):
@@ -642,3 +661,195 @@ class TestParserReuse:
             "table", "value", "star", "dowling", "eval", "hankel", "verify"}
         assert [rc for _, rc, *_ in shared] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0,
                                                 0, 0, 2, 0, 0]
+
+
+class TestStrictParse:
+    def test_canonical_stream_takes_it(self, small_grid):
+        # all but an unknown subcommand, a help request and a refused q
+        parser = cli._parser()
+        for argv in MIXED_STREAM:
+            argv = cli._bind_negative_q([small_grid if a is None else a
+                                         for a in argv])
+            args = cli._strict_parse(parser, argv)
+            declined = argv[0] == "bogus" or "--help" in argv or "1/0" in argv
+            assert (args is None) == declined, argv
+            if args is not None:
+                assert vars(args) == vars(parser.parse_args(argv))
+
+    @staticmethod
+    def argparse_result(argv):
+        """Exit code, stdout and stderr of argparse alone on argv."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli.build_parser().parse_args(argv)
+                rc = None
+            except SystemExit as exc:
+                rc = exc.code
+        return rc, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [["eval", "--help"], ["bogus", "--m", "1"]])
+    def test_help_and_unknown_subcommand_are_argparse(self, capsys, argv):
+        assert cli._strict_parse(cli._parser(), argv) is None
+        rc, out = run(argv)
+        assert (rc, out, capsys.readouterr().err) == self.argparse_result(argv)
+
+    STAR = ["star", "--m", "2", "--r", "2", "--n", "5", "--k", "3"]
+
+    # an abbreviation and a repeat are parsed by argparse, to the request
+    # spelled in full
+    @pytest.mark.parametrize("argv, canonical", [
+        (["table", "--m", "2", "--r", "1", "--nm", "6", "--form", "csv"],
+         ["table", "--m", "2", "--r", "1", "--nmax", "6", "--format", "csv"]),
+        (STAR + ["--k", "3"], STAR),
+        (STAR + ["--q-e", "3/5"], STAR + ["--q-eval", "3/5"]),
+    ])
+    def test_abbreviated_or_repeated_is_argparse(self, capsys, argv, canonical):
+        parser = cli._parser()
+        assert cli._strict_parse(parser, cli._bind_negative_q(argv)) is None
+        args = cli._strict_parse(parser, cli._bind_negative_q(canonical))
+        assert args is not None
+        assert vars(parser.parse_args(cli._bind_negative_q(argv))) == vars(args)
+        assert run(argv) == run(canonical)
+        assert capsys.readouterr().err == ""
+
+    # argparse before Python 3.13 reads --name=-- as an empty list, which
+    # reached the commands as a traceback with exit 1, or as the default
+    # grid or the csv format with exit 0
+    @pytest.mark.parametrize("argv", [
+        ["value", "--m=--", "--r", "1", "--n", "2", "--k", "1"],
+        ["eval", "--m", "1", "--r", "1", "--n", "2", "--k", "1", "--q=--"],
+        ["table", "--m", "1", "--r", "1", "--nmax", "2", "--format=--"],
+        ["verify", "--suite", "all", "--grid=--"],
+    ])
+    def test_double_dash_value_refused(self, capsys, argv):
+        assert cli._strict_parse(cli._parser(), argv) is None
+        rc, out = run(argv)
+        assert rc == 2 and out == ""
+        assert "error: " in capsys.readouterr().err
+
+
+# The options of each subcommand, with the values of a request that is
+# small enough to answer in milliseconds; None marks a flag.
+SMALL_INT = st.integers(0, 12).map(str)
+Q_VALUES = st.sampled_from(["2", "1/2", "-3/5", "7/3", "-1", "0.5", "1e2"])
+MR = {"--m": st.integers(1, 3).map(str), "--r": st.integers(0, 5).map(str)}
+FRONT_DOOR = {
+    "table": {**MR, "--nmax": SMALL_INT,
+              "--format": st.sampled_from(["csv", "json"]),
+              "--q-eval": Q_VALUES},
+    "value": {**MR, "--n": SMALL_INT, "--k": SMALL_INT, "--q-eval": Q_VALUES},
+    "star": {**MR, "--n": SMALL_INT, "--k": SMALL_INT, "--q-eval": Q_VALUES},
+    "dowling": {**MR, "--n": SMALL_INT, "--q-eval": Q_VALUES},
+    "eval": {**MR, "--n": SMALL_INT, "--k": SMALL_INT, "--q": Q_VALUES,
+             "--star": None},
+    "hankel": {**MR, "--s": st.integers(0, 2).map(str),
+               "--n": st.integers(0, 3).map(str), "--q-eval": Q_VALUES},
+    "verify": {"--suite": st.sampled_from(verify.SUITES),
+               "--grid": st.sampled_from(["small.json", "types.json",
+                                          "empty.json", "list.json",
+                                          "missing.json"])},
+}
+# The documents of the grid files named above, in the working directory of
+# TestFrontDoorContract; missing.json is never written.
+GRID_FILES = {"small.json": SMALL_GRID, "types.json": {"nmax": "3"},
+              "empty.json": {"m": []}, "list.json": [1]}
+# Negative, huge, empty and malformed values.
+BAD_VALUES = st.one_of(
+    st.sampled_from(["-1", "-3/5", "0", "", "x", "1/0", "1e99999999",
+                     "2.5E4300", "10000000", "9" * 40, "--", "-", "=",
+                     " 2", "1_0", "--m", "-h", "all", "csv"]),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.text(max_size=6))
+# Tokens that are no option of any subcommand as written, or ask for help.
+STRAY = st.sampled_from(["-h", "--help", "--", "--bogus", "--bogus=1", "5",
+                         "-m", "--st", "--q-", "--star=1", "--n=", "-1"])
+
+
+@st.composite
+def front_door_argv(draw):
+    """An argv for one of the seven subcommands: each option given once,
+    dropped or repeated, spelled in full or abbreviated, in the two-token
+    or the "=" form, with a good or a bad value, in any order, plus stray
+    tokens, or an unknown subcommand.  Each departure from a canonical
+    request is drawn rarely, so that about a fifth of the argv are
+    canonical."""
+    def rarely(n):
+        return draw(st.integers(0, n)) == n
+
+    command = draw(st.sampled_from(sorted(FRONT_DOOR)))
+    items = []
+    for name, good in FRONT_DOOR[command].items():
+        for _ in range(draw(st.sampled_from([1] * 6 + [0, 2]))):
+            spelled = (name[:draw(st.integers(3, len(name)))] if rarely(5)
+                       else name)
+            if good is None:
+                items.append([f"{spelled}={draw(BAD_VALUES)}"] if rarely(5)
+                             else [spelled])
+                continue
+            value = draw(BAD_VALUES if rarely(6) else good)
+            items.append([f"{spelled}={value}"] if draw(st.booleans())
+                         else [spelled, value])
+    argv = [command] + [t for item in draw(st.permutations(items))
+                        for t in item]
+    for _ in range(draw(st.sampled_from([0] * 5 + [1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(STRAY))
+    if rarely(15):
+        argv[0] = draw(st.sampled_from(["bogus", "tab", "", "-h", "--help"])
+                       | BAD_VALUES)
+    return argv
+
+
+def parse_or_exit(argv):
+    """Namespace of argparse on argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+class TestStrictParseIsArgparse:
+    # the strict parse returns argparse's Namespace or declines; it never
+    # accepts an argv that argparse refuses
+    @given(argv=front_door_argv())
+    @example(argv=["verify", "--suite", "all", "--grid=--"])
+    @example(argv=["eval", "--m", "1", "--r", "1", "--n", "2", "--k", "1",
+                   "--q", "-3/5", "--star"])
+    @settings(max_examples=400, deadline=None)
+    def test_argparse_or_nothing(self, argv):
+        argv = cli._bind_negative_q(argv)
+        strict = cli._strict_parse(cli._parser(), argv)
+        if strict is not None:
+            parsed = parse_or_exit(argv)
+            assert parsed is not None and vars(strict) == vars(parsed)
+
+
+@pytest.fixture(scope="class")
+def grid_files(tmp_path_factory):
+    """Run the class in a directory holding GRID_FILES."""
+    path = tmp_path_factory.mktemp("grids")
+    for name, doc in GRID_FILES.items():
+        (path / name).write_text(json.dumps(doc))
+    cwd = os.getcwd()
+    os.chdir(path)
+    yield path
+    os.chdir(cwd)
+
+
+@pytest.mark.usefixtures("grid_files")
+class TestFrontDoorContract:
+    # Every argv exits 0, 1, 2 or 3, a usage error (2) leaves stdout empty,
+    # and no argv gives a traceback.
+    @given(argv=front_door_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_codes_and_output(self, argv):
+        out, stdout, err = io.StringIO(), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            rc = cli.main(argv, out=out)
+        assert rc in (0, 1, 2, 3)
+        assert stdout.getvalue() == ""
+        if rc == 2:
+            assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
