@@ -60,18 +60,29 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 def _parse_q(text: str) -> Fraction:
     # argparse prints the message of an ArgumentTypeError; of any other
-    # error it prints only "invalid _parse_q value".
+    # error it prints only "invalid _parse_q value", so every refusal
+    # here is one.
     # Fraction("1e99999999") builds 10^99999999, which takes minutes.  A q
     # whose exponent is over the digit limit of int-to-text conversion
     # has more digits than that limit, so it is refused before.
     exp = _EXPONENT.search(text)
     limit = sys.get_int_max_str_digits()
-    if exp and limit and abs(int(exp[1])) > limit:
-        raise argparse.ArgumentTypeError(
-            f"q has a decimal exponent over {limit}, more digits than the "
-            f"interpreter converts to text")
     try:
+        if exp and limit and abs(int(exp[1])) > limit:
+            raise argparse.ArgumentTypeError(
+                f"q has a decimal exponent over {limit}, more digits than "
+                f"the interpreter converts to text")
         q = Fraction(text)
+    except ValueError:
+        # int and Fraction refuse a part of over `limit` digits as they
+        # refuse text that is not a number.
+        if limit and sum(map(str.isdigit, text)) > limit:
+            raise argparse.ArgumentTypeError(
+                f"q has over {limit} digits, more than the interpreter "
+                f"converts to text") from None
+        raise argparse.ArgumentTypeError(
+            f"q must be a rational number such as 3/5, -2 or 0.25, "
+            f"not {text!r}") from None
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError("q has a zero denominator") from None
     if q == 0:
@@ -86,11 +97,14 @@ def _bind_negative_q(argv):
     """Join `--q -3/5` into `--q=-3/5`.
 
     argparse only recognises integers and decimals as negative numbers, so it
-    would read a negative fraction after --q or --q-eval as an option.
+    would read a negative fraction after --q or --q-eval as an option.  The
+    same holds after each abbreviation of --q-eval (--q- to --q-eva), which
+    argparse accepts.
     """
     out = []
     for token in argv:
-        if out and out[-1] in ("--q", "--q-eval") and _NEGATIVE.match(token):
+        if (out and out[-1].startswith("--q") and "--q-eval".startswith(out[-1])
+                and _NEGATIVE.match(token)):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

@@ -24,7 +24,7 @@ the hankel_transform check, det == closed form, can still fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 from operator import floordiv
 
@@ -33,17 +33,15 @@ from .qcore import (DivisionByZero, LaurentPoly, NonExactDivision, ONE,
 from .whitney import WhitneyParams, classical_w, row_degree, w_star
 
 
-@dataclass(frozen=True)
-class HankelSpec:
+class HankelSpec(namedtuple("HankelSpec", "params s n")):
     """Matrix of order n+1 with entries W*_{m,r}[s+i+j, s+j]_q."""
 
-    params: WhitneyParams
-    s: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s < 0 or self.n < 0:
+    def __new__(cls, params: WhitneyParams, s: int, n: int):
+        if s < 0 or n < 0:
             raise ValueError("s and n must be >= 0")
+        return super().__new__(cls, params, s, n)
 
 
 def hankel_matrix(spec: HankelSpec) -> tuple:

@@ -19,7 +19,7 @@ tableau total is bounded before any suite of a request starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import hankel as hk
@@ -48,23 +48,36 @@ DEFAULT_GRID = {
 }
 
 
-@dataclass
-class Failure:
-    params: dict
-    identity: str
-    lhs: str
-    rhs: str
+class Failure(namedtuple("Failure", "params identity lhs rhs")):
+    """A failed cell: its parameters, the identity, and the two sides."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {"params": self.params, "identity": self.identity,
-                "lhs": self.lhs, "rhs": self.rhs}
+        return self._asdict()
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    cells: int = 0
-    failures: list = field(default_factory=list)
+    """A suite's name, cell count and failed cells, compared by all three.
+    A plain class, not a dataclass, for the reason given at
+    ``whitney.WhitneyParams``."""
+
+    __slots__ = ("suite", "cells", "failures")
+
+    def __init__(self, suite: str, cells: int = 0, failures=None):
+        self.suite = suite
+        self.cells = cells
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.suite, self.cells, self.failures)
+                == (other.suite, other.cells, other.failures))
+
+    def __repr__(self):
+        return (f"SuiteResult(suite={self.suite!r}, cells={self.cells!r}, "
+                f"failures={self.failures!r})")
 
     @property
     def ok(self) -> bool:

@@ -20,7 +20,7 @@ the step cannot cancel out of both sides of a cross-route check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .qcore import LaurentPoly, ONE, ZERO, q_int, q_int_mul_add
@@ -30,18 +30,21 @@ class InternalNonLaurent(ArithmeticError):
     """A value that must be a nonnegative-exponent polynomial is not."""
 
 
-@dataclass(frozen=True)
-class WhitneyParams:
-    """Dowling-type parameter m >= 1 and shift parameter r >= 0."""
+class WhitneyParams(namedtuple("WhitneyParams", "m r")):
+    """Dowling-type parameter m >= 1 and shift parameter r >= 0.
 
-    m: int
-    r: int
+    A named tuple, not a dataclass: ``dataclasses`` imports ``inspect``,
+    and with it ``ast``, ``dis`` and ``tokenize``, in every CLI process.
+    """
 
-    def __post_init__(self):
-        if self.m < 1:
+    __slots__ = ()
+
+    def __new__(cls, m: int, r: int):
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if self.r < 0:
+        if r < 0:
             raise ValueError("r must be >= 0")
+        return super().__new__(cls, m, r)
 
 
 # Triangle cache keyed by (m, r); rows grown on demand.
@@ -49,8 +52,10 @@ _tables: dict = {}
 
 
 def _rows(params: WhitneyParams, nmax: int) -> list:
-    rows = _tables.setdefault((params.m, params.r), [[ONE]])
     m, r = params.m, params.r
+    rows = _tables.get((m, r))
+    if rows is None:
+        rows = _tables[m, r] = [[ONE]]
     while len(rows) <= nmax:
         # padded so that W[n-1,-1] and W[n-1,n] read as zero
         prev = [ZERO, *rows[-1], ZERO]

@@ -180,7 +180,17 @@ class TestSingleValues:
         ("1/0", "q has a zero denominator"),
         ("1e99999999", f"q has a decimal exponent over "
                        f"{sys.get_int_max_str_digits()}, more digits than "
-                       f"the interpreter converts to text")])
+                       f"the interpreter converts to text"),
+        ("abc", "q must be a rational number such as 3/5, -2 or 0.25, "
+                "not 'abc'"),
+        ("1e_1", "q must be a rational number such as 3/5, -2 or 0.25, "
+                 "not '1e_1'"),
+        ("7" * (sys.get_int_max_str_digits() + 1),
+         f"q has over {sys.get_int_max_str_digits()} digits, more than "
+         f"the interpreter converts to text"),
+        ("1e" + "9" * (sys.get_int_max_str_digits() + 1),
+         f"q has over {sys.get_int_max_str_digits()} digits, more than "
+         f"the interpreter converts to text")])
     @pytest.mark.parametrize("argv", [
         ["eval", "--m", "1", "--r", "1", "--n", "1", "--k", "1", "--q"],
         ["value", "--m", "1", "--r", "1", "--n", "1", "--k", "1", "--q-eval"]])
@@ -695,6 +705,7 @@ class TestStrictParse:
         assert (rc, out, capsys.readouterr().err) == self.argparse_result(argv)
 
     STAR = ["star", "--m", "2", "--r", "2", "--n", "5", "--k", "3"]
+    VALUE = ["value", "--m", "1", "--r", "1", "--n", "2", "--k", "1"]
 
     # an abbreviation and a repeat are parsed by argparse, to the request
     # spelled in full
@@ -703,6 +714,12 @@ class TestStrictParse:
          ["table", "--m", "2", "--r", "1", "--nmax", "6", "--format", "csv"]),
         (STAR + ["--k", "3"], STAR),
         (STAR + ["--q-e", "3/5"], STAR + ["--q-eval", "3/5"]),
+        # a negative fraction after each abbreviation of --q-eval
+        (VALUE + ["--q", "-3/5"], VALUE + ["--q-eval", "-3/5"]),
+        (VALUE + ["--q-", "-3/5"], VALUE + ["--q-eval", "-3/5"]),
+        (VALUE + ["--q-e", "-3/5"], VALUE + ["--q-eval", "-3/5"]),
+        (VALUE + ["--q-ev", "-3/5"], VALUE + ["--q-eval", "-3/5"]),
+        (VALUE + ["--q-eva", "-3/5"], VALUE + ["--q-eval", "-3/5"]),
     ])
     def test_abbreviated_or_repeated_is_argparse(self, capsys, argv, canonical):
         parser = cli._parser()
