@@ -8,8 +8,8 @@ transform of the normalized values.
 
 from .qcore import (LaurentPoly, DivisionByZero, EvalAtZero, NonExactDivision,
                     laurent_div_q_ints, laurent_exact_div,
-                    q_binomial_alternating_sum, q_binomial_row, q_factorial,
-                    q_int, q_int_mul_add)
+                    q_binomial_alternating_sum, q_binomial_row, q_int,
+                    q_int_mul_add)
 from .whitney import (InternalNonLaurent, WhitneyParams, classical_w,
                       r_dowling, w, w_horizontal, w_star, w_table, w_vertical)
 from .qcalculus import (RouteValues, newton_coefficients, q_diff_heads,

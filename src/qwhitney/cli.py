@@ -54,40 +54,14 @@ def _params(args) -> WhitneyParams:
     return WhitneyParams(args.m, args.r)
 
 
-# The decimal exponent of a q written in scientific notation.
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
-
-
 def _parse_q(text: str) -> Fraction:
     # argparse prints the message of an ArgumentTypeError; of any other
     # error it prints only "invalid _parse_q value", so every refusal
     # here is one.
-    # Fraction("1e99999999") builds 10^99999999, which takes minutes.  A q
-    # whose exponent is over the digit limit of int-to-text conversion
-    # has more digits than that limit, so it is refused before.
-    exp = _EXPONENT.search(text)
-    limit = sys.get_int_max_str_digits()
     try:
-        if exp and limit and abs(int(exp[1])) > limit:
-            raise argparse.ArgumentTypeError(
-                f"q has a decimal exponent over {limit}, more digits than "
-                f"the interpreter converts to text")
-        q = Fraction(text)
-    except ValueError:
-        # int and Fraction refuse a part of over `limit` digits as they
-        # refuse text that is not a number.
-        if limit and sum(map(str.isdigit, text)) > limit:
-            raise argparse.ArgumentTypeError(
-                f"q has over {limit} digits, more than the interpreter "
-                f"converts to text") from None
-        raise argparse.ArgumentTypeError(
-            f"q must be a rational number such as 3/5, -2 or 0.25, "
-            f"not {text!r}") from None
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError("q has a zero denominator") from None
-    if q == 0:
-        raise argparse.ArgumentTypeError("q must be nonzero")
-    return q
+        return verify.read_q(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _NEGATIVE = re.compile(r"-[0-9.]")

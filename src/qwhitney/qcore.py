@@ -1,5 +1,5 @@
 """Exact arithmetic foundation: Laurent polynomials in q, q-integers,
-q-factorials, Gaussian binomials, and the alternating q-binomial sum.
+Gaussian binomials, and the alternating q-binomial sum.
 
 Gaussian binomials come a whole q-Pascal row at a time
 (:func:`q_binomial_row`, by the ratio of neighbouring entries).  The
@@ -77,7 +77,8 @@ class LaurentPoly:
     ``_lo`` and the tuple ``_c = (c_0, ..., c_d)`` of ints.  ``_c`` never has
     a zero at either end and the zero polynomial is ``_lo = 0, _c = ()``, so
     equality and hashing are plain comparisons of the pair.  Instances are
-    immutable; all operations return new values.
+    immutable, built only by ``_poly`` and ``_trimmed``; all operations
+    return new values, and every operand is a LaurentPoly.
 
     Multiplication applies a factor that is a run of equal coefficients
     (every [a]_q), on either side, as a sliding-window sum over prefix
@@ -87,37 +88,6 @@ class LaurentPoly:
     """
 
     __slots__ = ("_lo", "_c")
-
-    def __init__(self, terms=None):
-        items = {}
-        for e, c in dict(terms or {}).items():
-            c = int(c)
-            if c:
-                items[int(e)] = c
-        if not items:
-            self._lo, self._c = 0, ()
-            return
-        lo = min(items)
-        dense = [0] * (max(items) - lo + 1)
-        for e, c in items.items():
-            dense[e - lo] = c
-        self._lo, self._c = lo, tuple(dense)
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return _poly(0, (1,))
-
-    @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
-        return _poly(0, (c,)) if c else cls()
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return _poly(exponent, (coefficient,)) if coefficient else cls()
 
     @property
     def terms(self) -> dict:
@@ -136,16 +106,10 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return self._lo + len(self._c) - 1
 
-    def coeff(self, exponent: int) -> int:
-        i = exponent - self._lo
-        return self._c[i] if 0 <= i < len(self._c) else 0
-
     def __bool__(self) -> bool:
         return bool(self._c)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._lo == other._lo and self._c == other._c
@@ -157,8 +121,6 @@ class LaurentPoly:
         return _poly(self._lo, tuple(map(neg, self._c)))
 
     def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not other._c:
@@ -167,19 +129,10 @@ class LaurentPoly:
             return other
         return _add_into(list(self._c), self._lo, other._c, other._lo)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly) else LaurentPoly.const(-other))
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return LaurentPoly.const(other) - self
+        return self + -other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            if not other:
-                return ZERO
-            return _poly(self._lo, tuple(map(mul, self._c, repeat(other))))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._c, other._c
@@ -193,21 +146,6 @@ class LaurentPoly:
         if a.count(a[0]) == len(a):
             return _poly(lo, _mul_run(b, a[0], len(a)))
         return _poly(lo, _mul_kronecker(a, b))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a general Laurent polynomial")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # the square after the top bit would go unused
-                base = base * base
-        return result
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by the monomial q^e."""
@@ -284,10 +222,6 @@ class LaurentPoly:
         return "[" + ", ".join([f'[{e}, "{x}"]' for e, x
                                 in enumerate(c, lo) if x]) + "]"
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in pairs})
-
     def __str__(self) -> str:
         if not self._c:
             return "0"
@@ -307,7 +241,8 @@ class LaurentPoly:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.terms!r})"
+        # Angle brackets: there is no public constructor to call.
+        return f"<LaurentPoly {self.terms!r}>"
 
 
 # Exponent templates for to_json come in power-of-two sizes from the first
@@ -447,8 +382,8 @@ def _mul_kronecker_bytes(a: tuple, b: tuple) -> tuple:
                  for i in range(0, n * width, width))
 
 
-ONE = LaurentPoly.one()
-ZERO = LaurentPoly.zero()
+ONE = _poly(0, (1,))
+ZERO = _poly(0, ())
 
 
 def q_int(n: int) -> LaurentPoly:
@@ -479,16 +414,6 @@ def q_int_mul_add(p: LaurentPoly, a: int, q: LaurentPoly,
         c[:] = map(neg, c)
         lo += a
     return _add_into(c, lo, qc, q._lo + e) if qc else _trimmed(lo, c)
-
-
-def q_factorial(n: int) -> LaurentPoly:
-    """[n]_q! = [n]_q [n-1]_q ... [1]_q; empty product 1 for n=0."""
-    if n < 0:
-        raise ValueError("q_factorial requires n >= 0")
-    out = ONE
-    for i in range(1, n + 1):
-        out = out * q_int(i)
-    return out
 
 
 def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

@@ -19,6 +19,8 @@ tableau total is bounded before any suite of a request starts.
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -94,11 +96,46 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _nonzero_rational(x) -> bool:
+# The decimal exponent of a q written in scientific notation.
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def read_q(text: str, printable: bool = False) -> Fraction:
+    """The nonzero rational q that text writes, as ``--q``, ``--q-eval`` and
+    a grid's qvals read it; ValueError with the reason otherwise.  A
+    printable q must also convert to text (a grid's q names its cells).
+
+    Fraction("1e99999999") builds 10^99999999, which takes minutes.  A q
+    whose exponent is over the digit limit of int-to-text conversion has
+    more digits than that limit, so it is refused before.
+    """
+    exp = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    too_long = (f"q has over {limit} digits, more than the interpreter "
+                f"converts to text")
     try:
-        return isinstance(x, str) and Fraction(x) != 0
-    except (ValueError, ZeroDivisionError):
-        return False
+        q = (None if exp and limit and abs(int(exp[1])) > limit
+             else Fraction(text))
+    except ValueError:
+        # int and Fraction refuse a part of over `limit` digits as they
+        # refuse text that is not a number.
+        if limit and sum(map(str.isdigit, text)) > limit:
+            raise ValueError(too_long) from None
+        raise ValueError(f"q must be a rational number such as 3/5, -2 or "
+                         f"0.25, not {text!r}") from None
+    except ZeroDivisionError:
+        raise ValueError("q has a zero denominator") from None
+    if q is None:
+        raise ValueError(f"q has a decimal exponent over {limit}, more "
+                         f"digits than the interpreter converts to text")
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    if printable:
+        try:
+            str(q)
+        except ValueError:
+            raise ValueError(too_long) from None
+    return q
 
 
 def _list_of(ok, nonempty=False):
@@ -115,7 +152,7 @@ _GRID_CHECKS = {
     "r": (_list_of(lambda x: _is_int(x) and x >= 0, nonempty=True),
           "a non-empty list of ints >= 0"),
     "t": (_list_of(_is_int), "a list of ints"),
-    "qvals": (_list_of(_nonzero_rational),
+    "qvals": (_list_of(lambda x: isinstance(x, str)),
               'a list of nonzero rational strings such as "3/5"'),
 }
 _COUNT_CHECK = (lambda x: _is_int(x) and x >= 0, "a non-negative int")
@@ -133,6 +170,12 @@ def _check_grid(grid) -> None:
         ok, wanted = _GRID_CHECKS.get(key, _COUNT_CHECK)
         if not ok(value):
             raise ValueError(f"grid key {key!r} must be {wanted}")
+        if key == "qvals":
+            for text in value:
+                try:
+                    read_q(text, printable=True)
+                except ValueError as exc:
+                    raise ValueError(f"grid key 'qvals': {exc}") from None
 
 
 def _grid(overrides: dict = None) -> dict:
@@ -189,7 +232,7 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
     """Rational GF, EGF, and the horizontal generating function."""
     g = _grid(grid)
     res = SuiteResult("genfun")
-    qvals = [Fraction(s) for s in g["qvals"]]
+    qvals = list(map(read_q, g["qvals"]))
     nh = g["nmax_horizontal"]
     # [t]_q^n does not depend on (m, r); tables are indexed [t][q]
     powers = [[series.horizontal_powers(t, qv, nh) for qv in qvals]

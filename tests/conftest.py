@@ -10,24 +10,45 @@ alternating q-binomial sum.
 
 The planted faults live here too, as context managers that patch the
 library for their duration only: the recurrence weight, the weight of the
-vertical and horizontal routes, the shift of the convolution identities
-and the shift of the Hankel U factor.  Each is the
-mutation of one route, and ``test_faults.py`` checks that together they
-fail every identity the suites check.  ``record_products`` counts the
-products that take one of the ring's product paths.
+vertical and horizontal routes, the shift of the convolution identities,
+the shift of the Hankel U factor, the Hankel closed forms and the
+prefactor of the column generating functions.  Each is the mutation of
+one route, and ``test_faults.py`` checks that together they fail every
+identity the suites check.  ``record_products`` counts the products that
+take one of the ring's product paths.  ``poly``, ``power`` and
+``q_factorial`` build test values the library itself never needs.
 """
 
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, factorial
+from itertools import repeat
+from math import comb, factorial, prod
 
 import pytest
 
 from qwhitney import (LaurentPoly, WhitneyParams, hankel,
                       q_binomial_alternating_sum, q_binomial_row, q_int,
-                      q_int_mul_add, qcore, symm, w_star, whitney)
+                      q_int_mul_add, qcore, series, symm, w_star, whitney)
 from qwhitney.qcore import ONE, ZERO
+
+
+def poly(terms: dict) -> LaurentPoly:
+    """The polynomial sum of c q^e over the items e: c of terms."""
+    lo = min(terms, default=0)
+    c = [0] * (max(terms, default=0) - lo + 1)
+    for e, x in terms.items():
+        c[e - lo] = x
+    return qcore._trimmed(lo, c)
+
+
+def power(p: LaurentPoly, n: int) -> LaurentPoly:
+    return prod(repeat(p, n), start=ONE)
+
+
+def q_factorial(n: int) -> LaurentPoly:
+    """[n]_q! = [1]_q [2]_q ... [n]_q."""
+    return prod(map(q_int, range(1, n + 1)), start=ONE)
 
 
 def enumerate_set_partitions(n):
@@ -93,8 +114,8 @@ def det_cofactor(rows) -> LaurentPoly:
             if entry.is_zero():
                 continue
             minor = [row[:j] + row[j + 1:] for row in rs[1:]]
-            sign = -1 if j % 2 else 1
-            acc = acc + entry * rec(minor) * sign
+            term = entry * rec(minor)
+            acc = acc - term if j % 2 else acc + term
         return acc
 
     return rec(rows)
@@ -107,7 +128,7 @@ def random_laurent(rng: random.Random, max_terms=5, exp_range=(-4, 6),
         e = rng.randint(*exp_range)
         c = rng.randint(*coeff_range)
         terms[e] = terms.get(e, 0) + c
-    return LaurentPoly(terms)
+    return poly(terms)
 
 
 def q_binomial_transform(g, n: int):
@@ -132,7 +153,7 @@ def gauss_product_check(n: int) -> bool:
     lhs = [c.shift(comb(k, 2)) for k, c in enumerate(q_binomial_row(n))]
     rhs = [ONE]
     for i in range(n):
-        qi = LaurentPoly.monomial(i)
+        qi = ONE.shift(i)
         new = [ZERO] * (len(rhs) + 1)
         for d, c in enumerate(rhs):
             new[d] = new[d] + c
@@ -196,6 +217,39 @@ def perturb_u_factor():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hankel, "lu_factors", shifted)
+        yield
+
+
+def closed_forms_times_2(forms):
+    """A Hankel family's closed forms, each product times [2]_q, with the
+    factor lists kept."""
+    return [(closed * q_int(2), factors) for closed, factors in forms]
+
+
+@contextmanager
+def perturb_closed_form():
+    """Every Hankel closed form is read times [2]_q.  The elimination then
+    divides its pivots the general way and stays exact; only the check
+    against the closed form fails."""
+    right = hankel.hankel_closed_forms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "hankel_closed_forms",
+                   lambda spec: closed_forms_times_2(right(spec)))
+        yield
+
+
+@contextmanager
+def perturb_gf_prefactor():
+    """The prefactor q^(m C(k,2) + kr) of every column generating function
+    gains one more q."""
+    right = series.rational_gf_columns
+
+    def shifted(params, kmax, N):
+        return [tuple(c.shift(1) for c in column)
+                for column in right(params, kmax, N)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "rational_gf_columns", shifted)
         yield
 
 

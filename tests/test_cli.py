@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import perturb_recurrence
-from qwhitney import LaurentPoly, cli, qcalculus, symm, verify
+from conftest import perturb_recurrence, poly
+from qwhitney import cli, qcalculus, symm, verify
 from qwhitney import whitney
 from qwhitney.qcore import NonExactDivision
 from qwhitney.whitney import InternalNonLaurent
@@ -24,6 +25,7 @@ def run(argv):
     return rc, buf.getvalue()
 
 
+LIMIT = sys.get_int_max_str_digits()
 SMALL_GRID = {
     "m": [1], "r": [1], "nmax": 4, "nmax_tableau": 4, "nmax_genfun": 5,
     "nmax_egf": 5, "nmax_horizontal": 4, "kmax_genfun": 3, "t": [2, 5],
@@ -274,6 +276,25 @@ class TestVerifyCommand:
         assert rc == 2 and out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+
+    # A grid's q is read as --q reads it, and must convert to text since it
+    # names its cells: Fraction alone would take minutes on the first, and
+    # the others have more digits than the interpreter converts.
+    @pytest.mark.parametrize("q, reason", [
+        ("1e99999999", f"q has a decimal exponent over {LIMIT}, more digits "
+                       f"than the interpreter converts to text"),
+        ("1e5000", f"q has a decimal exponent over {LIMIT}, more digits "
+                   f"than the interpreter converts to text"),
+        ("1.5e4300", f"q has over {LIMIT} digits, more than the interpreter "
+                     f"converts to text")])
+    def test_grid_q_refused_at_once(self, tmp_path, capsys, q, reason):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"qvals": [q]}))
+        start = time.perf_counter()
+        rc, out = run(["verify", "--suite", "genfun", "--grid", str(path)])
+        assert time.perf_counter() - start < 1
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == f"error: grid key 'qvals': {reason}\n"
 
     def test_deeply_nested_grid(self, tmp_path, capsys):
         # json.load gives up on it with a RecursionError
@@ -574,7 +595,7 @@ class TestDigitLimit:
     def test_bound_refuses_only_what_is_too_long(self, coeffs, lo, num,
                                                  den, limit):
         # The early refusal must not refuse a value that would print.
-        value = LaurentPoly(dict(enumerate(coeffs, lo)))
+        value = poly(dict(enumerate(coeffs, lo)))
         q = Fraction(num, den)
         assume(q and not value.is_zero())
         if cli._surely_too_long(value, q, limit):
@@ -765,12 +786,14 @@ FRONT_DOOR = {
     "verify": {"--suite": st.sampled_from(verify.SUITES),
                "--grid": st.sampled_from(["small.json", "types.json",
                                           "empty.json", "list.json",
-                                          "missing.json"])},
+                                          "bigq.json", "missing.json"])},
 }
 # The documents of the grid files named above, in the working directory of
-# TestFrontDoorContract; missing.json is never written.
+# TestFrontDoorContract; missing.json is never written.  bigq.json holds a
+# q whose value does not convert to text.
 GRID_FILES = {"small.json": SMALL_GRID, "types.json": {"nmax": "3"},
-              "empty.json": {"m": []}, "list.json": [1]}
+              "empty.json": {"m": []}, "list.json": [1],
+              "bigq.json": {**SMALL_GRID, "qvals": ["2", "1.5e4300"]}}
 # Negative, huge, empty and malformed values.
 BAD_VALUES = st.one_of(
     st.sampled_from(["-1", "-3/5", "0", "", "x", "1/0", "1e99999999",
@@ -855,11 +878,17 @@ def grid_files(tmp_path_factory):
     os.chdir(cwd)
 
 
+# The last line of argparse's usage error.
+ARGPARSE_ERROR = re.compile(r"qwhitney[ \w-]*: error: .+")
+
+
 @pytest.mark.usefixtures("grid_files")
 class TestFrontDoorContract:
-    # Every argv exits 0, 1, 2 or 3, a usage error (2) leaves stdout empty,
-    # and no argv gives a traceback.
+    # Every argv exits 0, 1, 2 or 3.  A usage error (2) leaves stdout empty
+    # and writes one "error: " line, or argparse's usage ending in its
+    # error line.  No argv gives a traceback or the interpreter's own text.
     @given(argv=front_door_argv())
+    @example(argv=["verify", "--suite", "genfun", "--grid", "bigq.json"])
     @settings(max_examples=150, deadline=None)
     def test_exit_codes_and_output(self, argv):
         out, stdout, err = io.StringIO(), io.StringIO(), io.StringIO()
@@ -869,4 +898,9 @@ class TestFrontDoorContract:
         assert stdout.getvalue() == ""
         if rc == 2:
             assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert ((len(lines) == 1 and lines[0].startswith("error: "))
+                    or (lines[0].startswith("usage: qwhitney")
+                        and ARGPARSE_ERROR.fullmatch(lines[-1])))
         assert "Traceback" not in err.getvalue()
+        assert "set_int_max_str_digits" not in err.getvalue()

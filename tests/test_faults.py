@@ -7,7 +7,8 @@ a new identity that no fault reaches fails this test (mutation analysis,
 DeMillo, Lipton & Sayward 1978).
 """
 
-from conftest import (perturb_convolution_shift, perturb_recurrence,
+from conftest import (perturb_closed_form, perturb_convolution_shift,
+                      perturb_gf_prefactor, perturb_recurrence,
                       perturb_route_weight, perturb_u_factor)
 from qwhitney import verify
 
@@ -22,6 +23,8 @@ FAULTS = {
     "route_weight": perturb_route_weight,
     "convolution_shift": perturb_convolution_shift,
     "u_factor": perturb_u_factor,
+    "closed_form": perturb_closed_form,
+    "gf_prefactor": perturb_gf_prefactor,
 }
 
 
@@ -53,4 +56,6 @@ def test_kill_matrix(monkeypatch):
         "route_weight": {"vertical", "horizontal"},
         "convolution_shift": {"convolution_first", "convolution_second"},
         "u_factor": {"lu_factorization"},
+        "closed_form": {"hankel_transform"},
+        "gf_prefactor": {"rational_gf"},
     }

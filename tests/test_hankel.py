@@ -5,9 +5,10 @@ from unittest.mock import ANY
 
 import pytest
 
-from conftest import (det_cofactor, perturb_recurrence, perturb_u_factor,
+from conftest import (closed_forms_times_2, det_cofactor, power,
+                      perturb_recurrence, perturb_u_factor, poly,
                       random_laurent, stirling2_enum)
-from qwhitney import (HankelSpec, LaurentPoly, WhitneyParams,
+from qwhitney import (HankelSpec, WhitneyParams,
                       classical_hankel_check, degree_bound, det_exact,
                       hankel_closed_forms, hankel_factors, hankel_matrix,
                       leading_dets, lu_check, q_int, w_star)
@@ -101,7 +102,7 @@ class TestDeterminant:
         mid_zero = tuple(map(tuple, rows))
         singular = ((ONE, ZERO, q_int(2)),
                     (q_int(3), ZERO, ONE),
-                    (LaurentPoly({-1: 2}), ZERO, q_int(-2)))
+                    (poly({-1: 2}), ZERO, q_int(-2)))
         mats = (lead_zero, mid_zero, singular)
         expected = [det_cofactor(mat) for mat in mats]
         assert expected[2] == ZERO
@@ -219,7 +220,7 @@ class TestLU:
                 spec = HankelSpec(p, s, 3)
                 _, upper = lu_factors(spec)
                 for k in range(4):
-                    assert upper[k][k] == q_int(p.m * (s + k) + p.r) ** k
+                    assert upper[k][k] == power(q_int(p.m * (s + k) + p.r), k)
 
     def test_grid(self):
         for p in PARAM_GRID:
@@ -287,11 +288,11 @@ def divisions(monkeypatch):
     return seen
 
 
-# Faults planted in a family's closed forms: every product times [2]_q, and
-# one extra factor in every order's list (and so in its product).
+# Faults planted in a family's closed forms: every product times [2]_q (the
+# kill matrix's closed-form fault), and one extra factor in every order's
+# list (and so in its product).
 CLOSED_FORM_FAULTS = {
-    "product_times_2": lambda forms: [(closed * q_int(2), factors)
-                                      for closed, factors in forms],
+    "product_times_2": closed_forms_times_2,
     "extra_factor": lambda forms: [(closed * q_int(n + 2), factors + (n + 2,))
                                    for n, (closed, factors) in enumerate(forms)],
 }
@@ -309,7 +310,7 @@ class TestFactoredPivots:
                 assert len(forms) == 5
                 expected = ONE
                 for n, (closed, factors) in enumerate(forms):
-                    expected = expected * q_int(p.m * (s + n) + p.r) ** n
+                    expected = expected * power(q_int(p.m * (s + n) + p.r), n)
                     assert closed == expected == product(factors)
                     assert factors == hankel_factors(HankelSpec(p, s, n))
                     assert len(factors) == n * (n + 1) // 2
