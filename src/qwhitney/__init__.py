@@ -11,12 +11,13 @@ from .qcore import (LaurentPoly, DivisionByZero, EvalAtZero, NonExactDivision,
                     q_binomial_alternating_sum, q_binomial_row, q_int,
                     q_int_mul_add)
 from .whitney import (InternalNonLaurent, WhitneyParams, classical_w,
-                      r_dowling, w, w_horizontal, w_star, w_table, w_vertical)
+                      horizontal_pass, r_dowling, vertical_pass, w, w_star,
+                      w_table)
 from .qcalculus import (RouteValues, newton_coefficients, q_diff_heads,
                         q_power_table, whitney_explicit)
 from .series import horizontal_gf_check, rational_gf_columns
 from .symm import (EnumerationTooLarge, convolution_first, convolution_second,
-                   h_complete, h_prefixes, tableau_sum, w_star_symmetric)
+                   h_prefixes, tableau_walk)
 from .hankel import (HankelSpec, classical_hankel_check, degree_bound,
                      det_exact, hankel_closed_forms, hankel_factors,
                      hankel_matrix, leading_dets, lu_check)

@@ -3,18 +3,19 @@
 W*_{m,r}[n,k]_q is the complete homogeneous symmetric polynomial of degree
 n-k in the k+1 values [r]_q, [m+r]_q, ..., [mk+r]_q: the z^(n-k)
 coefficient of prod_{j<=k} 1/(1 - [mj+r]_q z), which ``h_prefixes`` (also
-behind ``series.rational_gf_columns``) builds one factor at a time.  A
-brute-force sum over weakly increasing column-length lists (A-tableaux)
-provides the independent exponential-time oracle, and the two convolution
-identities are checked as exact polynomial equalities.
+behind ``series.rational_gf_columns``) builds one factor at a time: row k
+of one pass over [r]_q, ..., [mN+r]_q holds W*[k..N,k].  A brute-force
+sum over weakly increasing column-length lists (A-tableaux) provides the
+independent exponential-time oracle: ``tableau_walk`` enumerates every
+tableau of one column k once, depth first, and sums it into its row.  The
+two convolution identities are checked as exact polynomial equalities.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import comb
 
-from .qcore import LaurentPoly, ONE, ZERO, q_int
+from .qcore import ONE, ZERO, q_int
 from .whitney import WhitneyParams, w_star
 
 
@@ -23,12 +24,6 @@ class EnumerationTooLarge(ValueError):
 
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
-
-
-def a_tableaux(k: int, length: int):
-    """All tableaux with `length` columns of lengths in {0..k}, each given
-    by its weakly increasing tuple of column lengths."""
-    return combinations_with_replacement(range(k + 1), length)
 
 
 def h_prefixes(values, d: int):
@@ -44,44 +39,37 @@ def h_prefixes(values, d: int):
         yield tuple(row)
 
 
-def h_complete(values, d: int) -> LaurentPoly:
-    """h_d(values), from the last row of h_prefixes; tableau_sum keeps the
-    enumeration route separate."""
-    row = (ONE,) + (ZERO,) * d
-    for row in h_prefixes(values, d):
-        pass
-    return row[d]
-
-
 def whitney_values(params: WhitneyParams, k: int) -> list:
     """[r]_q, [m+r]_q, ..., [mk+r]_q."""
     return [q_int(params.m * i + params.r) for i in range(k + 1)]
 
 
-def w_star_symmetric(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
-    """W*_{m,r}[n,k]_q = h_{n-k}([r]_q, [m+r]_q, ..., [mk+r]_q)."""
-    if not 0 <= k <= n:
-        raise ValueError("requires 0 <= k <= n")
-    return h_complete(whitney_values(params, k), n - k)
+def tableau_walk(params: WhitneyParams, k: int, length: int) -> list:
+    """Brute-force W*_{m,r}[k+l,k]_q for l = 0..length: the sum of column-
+    weight products over the A-tableaux with l columns of lengths in {0..k}.
 
-
-def tableau_sum(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
-    """Brute-force W*_{m,r}[n,k]_q: sum of column-weight products over all
-    A-tableaux with n-k columns of lengths in {0..k}; refused when there
-    are more than DEFAULT_ENUMERATION_CAP of them."""
-    if not 0 <= k <= n:
-        raise ValueError("requires 0 <= k <= n")
-    count, cap = comb(n, n - k), DEFAULT_ENUMERATION_CAP
+    One depth-first walk adds each tableau once into the sum for its
+    length; a tableau's product is its prefix's times one weight, and the
+    walk holds about length * (k+1) products.  It is refused before its
+    first tableau when their number, C(k+length+1, length), is over
+    DEFAULT_ENUMERATION_CAP.
+    """
+    if k < 0 or length < 0:
+        raise ValueError("k and length must be >= 0")
+    count, cap = comb(k + length + 1, length), DEFAULT_ENUMERATION_CAP
     if count > cap:
         raise EnumerationTooLarge(f"{count} tableaux exceeds cap {cap}")
     weights = whitney_values(params, k)
-    acc = ZERO
-    for phi in a_tableaux(k, n - k):
-        prod = ONE
-        for c in phi:
-            prod = prod * weights[c]
-        acc = acc + prod
-    return acc
+    sums = [ZERO] * (length + 1)
+    # (product, number of columns, least length the next column may take)
+    stack = [(ONE, 0, 0)]
+    while stack:
+        prod, columns, least = stack.pop()
+        sums[columns] = sums[columns] + prod
+        if columns < length:
+            stack.extend((prod * weights[c], columns + 1, c)
+                         for c in range(least, k + 1))
+    return sums
 
 
 def convolution_first(params: WhitneyParams, n: int, l: int, j: int) -> bool:

@@ -7,14 +7,16 @@ to have been checked on, and can be overridden from a JSON config.
 
 A suite builds the inputs its routes and checks share, and no route or
 check builds them itself: per (m, r) the power table and q-Pascal rows of
-qcalculus.RouteValues, and every column generating function from one pass
-of symm.h_prefixes.  The horizontal generating function's row values,
-falling factors and powers of [t]_q enter as integer parts, each built
-once per (n, q) or (t, q).  The hankel suite builds each (m, r, s)
-family's largest matrix, its determinants of every order (one
-elimination), its closed forms of every order (one prefix product) and
-its L*U product once, and each order reads its leading block.  The
-tableau total is bounded before any suite of a request starts.
+qcalculus.RouteValues, every column generating function and h_complete
+cell from one pass of symm.h_prefixes, and the vertical, horizontal and
+tableau cells from one pass per column, row or walk, read in (n, k)
+order.  The horizontal generating function's row values, falling factors
+and powers of [t]_q enter as integer parts, each built once per (n, q) or
+(t, q).  The hankel suite builds each (m, r, s) family's largest matrix,
+its determinants of every order (one elimination), its closed forms of
+every order (one prefix product) and its L*U product once, and each order
+reads its leading block.  The tableau total is bounded before any suite
+of a request starts.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from fractions import Fraction
 
 from . import hankel as hk
 from . import qcalculus, series, symm
-from .whitney import (WhitneyParams, row_degree, w, w_horizontal, w_star,
-                      w_vertical)
+from .whitney import (WhitneyParams, horizontal_pass, row_degree,
+                      vertical_pass, w, w_star)
 
 SUITES = ("recurrences", "explicit", "genfun", "symmetric", "convolution",
           "hankel", "all")
@@ -196,14 +198,18 @@ def suite_recurrences(grid: dict = None) -> SuiteResult:
     res = SuiteResult("recurrences")
     for p in _param_cells(g):
         base = {"m": p.m, "r": p.r}
-        for n in range(g["nmax"] + 1):
+        nmax = g["nmax"]
+        # W[n,k] is vertical[k-1][n-k] and horizontal[n][k]
+        vertical = [vertical_pass(p, k, nmax - 1) for k in range(nmax)]
+        horizontal = [horizontal_pass(p, n) for n in range(nmax + 1)]
+        for n in range(nmax + 1):
             for k in range(n + 1):
                 expected = w(p, n, k)
                 if n >= 1 and k >= 1:
-                    got = w_vertical(p, n - 1, k - 1)
+                    got = vertical[k - 1][n - k]
                     res.check(got == expected, {**base, "n": n, "k": k},
                               "vertical", got, expected)
-                got = w_horizontal(p, n, k)
+                got = horizontal[n][k]
                 res.check(got == expected, {**base, "n": n, "k": k},
                           "horizontal", got, expected)
     return res
@@ -273,9 +279,9 @@ def suite_genfun(grid: dict = None) -> SuiteResult:
 
 
 def _check_tableau_total(g: dict) -> int:
-    """The symmetric suite's tableaux on grid `g`, C(n, k) per cell: |m| |r|
-    (2^(N+1) - 1) at N = nmax_tableau.  Raises symm.EnumerationTooLarge
-    when that is over symm.DEFAULT_ENUMERATION_CAP."""
+    """The symmetric suite's tableaux on grid `g`: |m| |r| (2^(N+1) - 1) at
+    N = nmax_tableau, C(N+1, N-k) per walk (m, r, k).  Raises
+    symm.EnumerationTooLarge when that is over symm.DEFAULT_ENUMERATION_CAP."""
     cells, N = len(g["m"]) * len(g["r"]), g["nmax_tableau"]
     cap = symm.DEFAULT_ENUMERATION_CAP
     # N comes from outside: far over the cap, name the total by its formula
@@ -297,13 +303,16 @@ def suite_symmetric(grid: dict = None) -> SuiteResult:
     nmax = g["nmax_tableau"]
     for p in _param_cells(g):
         base = {"m": p.m, "r": p.r}
+        # entry n-k of row k of either is W*[n,k]
+        h_rows = list(symm.h_prefixes(symm.whitney_values(p, nmax), nmax))
+        walks = [symm.tableau_walk(p, k, nmax - k) for k in range(nmax + 1)]
         for n in range(nmax + 1):
             for k in range(n + 1):
                 expected = w_star(p, n, k)
-                got = symm.w_star_symmetric(p, n, k)
+                got = h_rows[k][n - k]
                 res.check(got == expected, {**base, "n": n, "k": k},
                           "h_complete", got, expected)
-                got = symm.tableau_sum(p, n, k)
+                got = walks[k][n - k]
                 res.check(got == expected, {**base, "n": n, "k": k},
                           "tableau", got, expected)
     return res

@@ -12,10 +12,11 @@ single queries over a few (m, r) cells reads the same rows again and
 again.  The 234 requests of the queries benchmark at seed 3 take
 0.34-0.38 s of process time with the cache shared, against 0.94-1.01 s
 with it cleared before each request (2-vCPU Xeon, CPython 3.11).  The
-vertical and horizontal recurrences rebuild a value from other cells as
-Horner sums, one product by a q-integer weight per step.  They form their
-weights with ``q_int``, never through the triangle's step, so a fault in
-the step cannot cancel out of both sides of a cross-route check.
+vertical and horizontal recurrences rebuild a whole column or row from
+the column to its left or the row below in one Horner pass, one product
+by a q-integer weight per cell.  They form their weights with ``q_int``,
+never through the triangle's step, so a fault in the step cannot cancel
+out of both sides of a cross-route check.
 """
 
 from __future__ import annotations
@@ -79,41 +80,42 @@ def w_table(params: WhitneyParams, nmax: int) -> tuple:
     return tuple(map(tuple, _rows(params, nmax)[:nmax + 1]))
 
 
-def w_vertical(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
-    """W_{m,r}[n+1,k+1]_q reconstructed from column k alone:
-
-        q^(mk+r) * sum_{j=k}^{n} [m(k+1)+r]_q^(n-j) W[j,k]
-
-    in Horner form: acc <- acc [m(k+1)+r]_q + W[j,k] for j = k..n.
-    """
+def vertical_pass(params: WhitneyParams, k: int, n: int) -> list:
+    """W_{m,r}[j+1,k+1]_q = q^(mk+r) sum_{i=k}^{j} [m(k+1)+r]_q^(j-i) W[i,k]
+    for j = k..n, from column k in one Horner pass: acc <- acc [m(k+1)+r]_q
+    + W[j,k], and after step j, acc q^(mk+r) is W[j+1,k+1]."""
     m, r = params.m, params.r
     weight = q_int(m * (k + 1) + r)
-    acc = ZERO
+    acc, out = ZERO, []
     for j in range(k, n + 1):
         acc = acc * weight + w(params, j, k)
-    return acc.shift(m * k + r)
+        out.append(acc.shift(m * k + r))
+    return out
 
 
-def w_horizontal(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
-    """W_{m,r}[n,k]_q reconstructed from row n+1:
+def horizontal_pass(params: WhitneyParams, n: int) -> list:
+    """W_{m,r}[n,k]_q for k = 0..n, each reconstructed from row n+1:
 
         sum_{j=0}^{n-k} (-1)^j q^(-r-m(k+j)) (r_{k+j+1,q}/r_{k+1,q}) W[n+1,k+j+1]
 
     The weight ratio is prod_{h=k+1}^{k+j} q^(m-r-mh) [mh+r]_q; term j
     shares q^(m-r-mh) at h = k+j+1 with its last factor, so in Horner form
     acc <- q^(m-r-mh) (acc [mh+r]_q +- W[n+1,h]) for h = n+1 down to k+1.
+    One pass serves the whole row: the sign of W[n+1,h] is fixed by h
+    alone, so after step h the sum is W[n,h-1] up to the sign (-1)^(h-1).
     """
-    if not 0 <= k <= n:
-        raise ValueError("w_horizontal requires 0 <= k <= n")
     m, r = params.m, params.r
-    acc = ZERO
-    for h in range(n + 1, k, -1):
+    acc, out = ZERO, [ZERO] * (n + 1)
+    for h in range(n + 1, 0, -1):
         entry = w(params, n + 1, h)
         acc = (acc * q_int(m * h + r)
-               + (entry if (h - k) % 2 else -entry)).shift(m - r - m * h)
-    if not acc.is_zero() and acc.min_exp() < 0:
-        raise InternalNonLaurent(f"horizontal route left negative exponents at {(n, k)}")
-    return acc
+               + (entry if h % 2 else -entry)).shift(m - r - m * h)
+        out[h - 1] = acc if h % 2 else -acc
+    for k, value in enumerate(out):
+        if not value.is_zero() and value.min_exp() < 0:
+            raise InternalNonLaurent(
+                f"horizontal route left negative exponents at {(n, k)}")
+    return out
 
 
 def w_star(params: WhitneyParams, n: int, k: int) -> LaurentPoly:

@@ -15,14 +15,18 @@ the shift of the Hankel U factor, the Hankel closed forms and the
 prefactor of the column generating functions.  Each is the mutation of
 one route, and ``test_faults.py`` checks that together they fail every
 identity the suites check.  ``record_products`` counts the products that
-take one of the ring's product paths.  ``poly``, ``power`` and
-``q_factorial`` build test values the library itself never needs.
+take one of the ring's product paths, and ``count_operators`` the ring's
+products and sums.  ``poly``, ``power`` and ``q_factorial`` build test
+values the library itself never needs.  ``multiset_sum`` enumerates the
+A-tableaux of one cell on its own (``a_tableaux``), with no prefix shared
+between cells or tableaux: the oracle of the tableau walk.
 """
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations_with_replacement, repeat
 from math import comb, factorial, prod
 
 import pytest
@@ -145,6 +149,26 @@ def q_binomial_inverse(f, n: int):
             for j in range(n + 1)]
 
 
+def a_tableaux(k: int, length: int):
+    """All tableaux with `length` columns of lengths in {0..k}, each given
+    by its weakly increasing tuple of column lengths."""
+    return combinations_with_replacement(range(k + 1), length)
+
+
+def multiset_sum(values, d: int) -> LaurentPoly:
+    """h_d(values) as the sum over multisets of size d: over the A-tableaux
+    with d columns of lengths in {0..len(values)-1}, each product built
+    from ONE.  Over [r]_q, ..., [mk+r]_q at d = n-k it is W*_{m,r}[n,k]_q
+    from that cell's tableaux alone, the oracle of symm.tableau_walk."""
+    acc = ZERO
+    for phi in a_tableaux(len(values) - 1, d):
+        term = ONE
+        for c in phi:
+            term = term * values[c]
+        acc = acc + term
+    return acc
+
+
 def gauss_product_check(n: int) -> bool:
     """Does sum_k q^C(k,2) [n k]_q x^k equal (1+x)(1+xq)...(1+xq^(n-1))?
 
@@ -265,3 +289,22 @@ def record_products(monkeypatch, name):
 
     monkeypatch.setattr(qcore, name, counted)
     return seen
+
+
+def count_operators(monkeypatch) -> Counter:
+    """The number of calls of LaurentPoly's product and sum, keyed by
+    "__mul__" and "__add__", in a Counter that fills while the monkeypatch
+    lasts."""
+    calls = Counter()
+
+    def counted(name):
+        op = getattr(LaurentPoly, name)
+
+        def call(a, b):
+            calls[name] += 1
+            return op(a, b)
+        return call
+
+    for name in ("__mul__", "__add__"):
+        monkeypatch.setattr(LaurentPoly, name, counted(name))
+    return calls

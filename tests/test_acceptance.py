@@ -15,7 +15,7 @@ from conftest import (classical_whitney_recurrence, gauss_product_check,
 from qwhitney import (RouteValues, WhitneyParams, cli, classical_hankel_check,
                       q_binomial_alternating_sum, q_binomial_row,
                       q_diff_heads, q_int, w, w_star, whitney_explicit,
-                      tableau_sum, w_star_symmetric)
+                      h_prefixes, tableau_walk)
 from qwhitney import verify
 from qwhitney.hankel import bareiss
 
@@ -31,13 +31,17 @@ def test_criterion_1_route_equivalence():
     ok = True
     for p in PARAM_GRID:
         shared = RouteValues.build(p, 9, 9)
+        # row k of the h pass and walk k give W*[n,k] at entry n-k, n <= 8
+        weights = [q_int(p.m * i + p.r) for i in range(9)]
+        h_rows = list(h_prefixes(weights, 8))
+        walks = [tableau_walk(p, k, 8 - k) for k in range(9)]
         for n in range(10):
             for k in range(n + 1):
                 ok = ok and whitney_explicit(shared, n, k) == w(p, n, k)
                 if n <= 8:
                     star = w_star(p, n, k)
-                    ok = ok and w_star_symmetric(p, n, k) == star
-                    ok = ok and tableau_sum(p, n, k) == star
+                    ok = ok and h_rows[k][n - k] == star
+                    ok = ok and walks[k][n - k] == star
     report(1, "route equivalence (recurrence / explicit / symmetric / tableau)", ok)
 
 

@@ -461,14 +461,14 @@ class TestSizeLimit:
         def refuse(*args, **kwargs):
             raise AssertionError("a symmetric cell started before the "
                                  "enumeration check")
-        monkeypatch.setattr(symm, "w_star_symmetric", refuse)
-        monkeypatch.setattr(symm, "tableau_sum", refuse)
+        monkeypatch.setattr(symm, "h_prefixes", refuse)
+        monkeypatch.setattr(symm, "tableau_walk", refuse)
 
-    # Cell (m, r, n, k) enumerates C(n, k) tableaux, so a grid's total is
-    # |m| |r| (2^(N+1) - 1) at N = nmax_tableau: 9 (2^26 - 1) at N = 25.
+    # Walk (m, r, k) enumerates C(N+1, N-k) tableaux at N = nmax_tableau,
+    # so a grid's total is |m| |r| (2^(N+1) - 1): 9 (2^26 - 1) at N = 25.
     # From N = 16 on the default m and r it is over the cap of 10^6, though
-    # each cell up to N = 22 is under it, so a suite that checked each
-    # cell, or only its largest one, would run long before refusing.
+    # each walk up to N = 21 is under it, so a suite that checked each
+    # walk, or only its largest one, would run long before refusing.
     @pytest.mark.parametrize("suite, nmax, code, count", [
         pytest.param("symmetric", 25, 2, 603979767, id="symmetric-2"),
         pytest.param("all", 25, 2, 603979767, id="all-2"),
@@ -616,7 +616,7 @@ class TestDigitLimit:
 class TestInternalError:
     @pytest.mark.parametrize("module, name, error, suite", [
         (qcalculus, "q_binomial_row", NonExactDivision, "explicit"),
-        (verify, "w_horizontal", InternalNonLaurent, "recurrences"),
+        (verify, "horizontal_pass", InternalNonLaurent, "recurrences"),
     ])
     def test_exit_three_in_one_line(self, monkeypatch, capsys, small_grid,
                                     module, name, error, suite):

@@ -2,62 +2,56 @@ from math import comb
 
 import pytest
 
-from conftest import perturb_convolution_shift, poly, power
+from conftest import (a_tableaux, count_operators, multiset_sum,
+                      perturb_convolution_shift, poly, power)
 from qwhitney import series, symm, verify
 from qwhitney import (EnumerationTooLarge, WhitneyParams,
-                      convolution_first, convolution_second, h_complete,
-                      h_prefixes, q_int, tableau_sum, w_star,
-                      w_star_symmetric)
+                      convolution_first, convolution_second, h_prefixes,
+                      q_int, tableau_walk, w_star)
 from qwhitney.qcore import ONE, ZERO
-from qwhitney.symm import a_tableaux
+from qwhitney.symm import whitney_values
 
 P11 = WhitneyParams(1, 1)
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
 
 
+def h_last(values, d):
+    """h_d(values): entry d of the last row of h_prefixes."""
+    return list(h_prefixes(values, d))[-1][d]
+
+
 class TestHComplete:
     def test_degree_zero(self):
-        assert h_complete([], 0) == ONE
-        assert h_complete([q_int(2)], 0) == ONE
+        assert list(h_prefixes([q_int(2)], 0)) == [(ONE,)]
+        assert h_last([q_int(2), q_int(5)], 0) == ONE
 
     def test_empty_values_positive_degree(self):
-        assert h_complete([], 3) == ZERO
+        # no value, no row: h_d() is read from none
+        assert list(h_prefixes([], 3)) == []
 
     def test_negative_degree_rejected(self):
         # not h_d = 1 from a one-entry row read at index -1
         for values in ([], [q_int(2)]):
             with pytest.raises(ValueError):
-                h_complete(values, -1)
+                list(h_prefixes(values, -1))
 
     def test_single_value_power(self):
         x = q_int(3)
-        for d in range(5):
-            assert h_complete([x], d) == power(x, d)
+        assert list(h_prefixes([x], 4)) == [tuple(power(x, d)
+                                                  for d in range(5))]
 
     def test_two_values_degree_two(self):
         x1, x2 = q_int(1), q_int(2)
-        assert h_complete([x1, x2], 2) == x1 * x1 + x1 * x2 + x2 * x2
-
-    @staticmethod
-    def multiset_sum(values, d):
-        """h_d(values) as the sum over multisets of size d."""
-        expected = ZERO
-        for phi in a_tableaux(len(values) - 1, d):
-            prod = ONE
-            for c in phi:
-                prod = prod * values[c]
-            expected = expected + prod
-        return expected
+        assert h_last([x1, x2], 2) == x1 * x1 + x1 * x2 + x2 * x2
 
     def test_matches_multiset_enumeration(self):
         values = [q_int(1), q_int(2), q_int(4)]
         for d in range(5):
-            assert h_complete(values, d) == self.multiset_sum(values, d)
             # row j of h_prefixes is h_0..h_d over values[:j+1]
             rows = list(h_prefixes(values, d))
             assert len(rows) == len(values)
             for j, row in enumerate(rows):
-                assert row == tuple(self.multiset_sum(values[:j + 1], i)
+                assert row == tuple(multiset_sum(values[:j + 1], i)
                                     for i in range(d + 1))
 
 
@@ -97,34 +91,57 @@ class TestATableau:
                 assert count == comb(k + length, length)
 
 
+def h_route(p, n):
+    """Row k of one h_prefixes pass to degree n holds W*[k..n,k]."""
+    return list(h_prefixes(whitney_values(p, n), n))
+
+
 class TestRoutes:
     def test_hand_value(self):
-        assert w_star_symmetric(P11, 2, 1) == poly({0: 2, 1: 1})
-        assert tableau_sum(P11, 2, 1) == poly({0: 2, 1: 1})
+        assert h_route(P11, 2)[1][1] == poly({0: 2, 1: 1})
+        assert tableau_walk(P11, 1, 1)[1] == poly({0: 2, 1: 1})
 
     def test_diagonal(self):
         for p in PARAM_GRID:
-            assert w_star_symmetric(p, 4, 4) == ONE
-            assert tableau_sum(p, 4, 4) == ONE
+            assert h_route(p, 4)[4][0] == ONE
+            assert tableau_walk(p, 4, 0) == [ONE]
 
     def test_column_zero(self):
         for p in PARAM_GRID:
-            for n in range(5):
-                assert w_star_symmetric(p, n, 0) == power(q_int(p.r), n)
+            assert h_route(p, 4)[0] == tuple(power(q_int(p.r), n)
+                                             for n in range(5))
 
     def test_three_routes_agree(self):
         for p in PARAM_GRID:
-            for n in range(7):
-                for k in range(n + 1):
-                    expected = w_star(p, n, k)
-                    assert w_star_symmetric(p, n, k) == expected
-                    assert tableau_sum(p, n, k) == expected
+            rows = h_route(p, 6)
+            for k in range(7):
+                expected = [w_star(p, n, k) for n in range(k, 7)]
+                assert list(rows[k][:7 - k]) == expected
+                assert tableau_walk(p, k, 6 - k) == expected
 
-    def test_enumeration_cap(self):
-        # C(24, 12) = 2,704,156 tableaux is over DEFAULT_ENUMERATION_CAP;
-        # the count is checked before the first one is enumerated
-        with pytest.raises(EnumerationTooLarge):
-            tableau_sum(WhitneyParams(1, 0), 24, 12)
+    def test_walk_matches_per_cell_enumeration(self):
+        for p in PARAM_GRID:
+            for k in range(9):
+                weights = [q_int(p.m * i + p.r) for i in range(k + 1)]
+                assert tableau_walk(p, k, 8 - k) == \
+                    [multiset_sum(weights, n - k) for n in range(k, 9)]
+
+    def test_walk_counts_each_tableau_once(self, monkeypatch):
+        # one sum per tableau of at most 4 columns, C(3+4+1, 4) of them
+        # with the empty one, and one product per tableau but the empty one
+        calls = count_operators(monkeypatch)
+        tableau_walk(P11, 3, 4)
+        assert calls["__add__"] == comb(3 + 4 + 1, 4)
+        assert calls["__mul__"] == comb(3 + 4 + 1, 4) - 1
+
+    def test_enumeration_cap(self, monkeypatch):
+        # C(25, 12) = 5,200,300 tableaux is over DEFAULT_ENUMERATION_CAP;
+        # the count is checked before the weights of the first one are built
+        def refuse(*args):
+            raise AssertionError("the walk started before the cap check")
+        monkeypatch.setattr(symm, "whitney_values", refuse)
+        with pytest.raises(EnumerationTooLarge, match="^5200300 "):
+            tableau_walk(WhitneyParams(1, 0), 12, 12)
 
 
 class TestShiftedValues:
@@ -144,7 +161,7 @@ class TestShiftedValues:
         p = WhitneyParams(1, 0)
         shift_k, s, t = 1, 3, 2
         values = [q_int(p.m * i + p.r) for i in range(shift_k, t + 1)]
-        expected = h_complete(values, s - t + shift_k)
+        expected = h_last(values, s - t + shift_k)
         shifted = WhitneyParams(p.m, p.r + p.m * shift_k)
         assert w_star(shifted, s, t - shift_k) == expected
 
@@ -155,7 +172,7 @@ class TestShiftedValues:
                     for s in range(t - shift_k, 6):
                         values = [q_int(p.m * i + p.r)
                                   for i in range(shift_k, t + 1)]
-                        expected = h_complete(values, s - t + shift_k)
+                        expected = h_last(values, s - t + shift_k)
                         shifted = WhitneyParams(p.m, p.r + p.m * shift_k)
                         assert w_star(shifted, s, t - shift_k) == expected
 

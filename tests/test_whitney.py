@@ -3,11 +3,11 @@ from math import comb
 
 import pytest
 
-from conftest import (bell_enum, classical_whitney_recurrence, poly, power,
-                      record_products, stirling2_enum)
-from qwhitney import (WhitneyParams, classical_w, q_int,
-                      r_dowling, verify, w, w_horizontal, w_star, w_table,
-                      w_vertical)
+from conftest import (bell_enum, classical_whitney_recurrence,
+                      count_operators, poly, power, record_products,
+                      stirling2_enum)
+from qwhitney import (WhitneyParams, classical_w, horizontal_pass, q_int,
+                      r_dowling, verify, vertical_pass, w, w_star, w_table)
 from qwhitney.qcore import ONE, ZERO
 
 P11 = WhitneyParams(1, 1)
@@ -91,33 +91,34 @@ class TestVerticalRecurrence:
         for p in PARAM_GRID:
             for k in range(4):
                 expected = w(p, k, k).shift(p.m * k + p.r)
-                assert w_vertical(p, k, k) == expected
+                assert vertical_pass(p, k, k) == [expected]
 
     def test_hand_value(self):
-        assert w_vertical(P11, 1, 0) == poly({1: 2, 2: 1})
+        assert vertical_pass(P11, 0, 1)[1] == poly({1: 2, 2: 1})
 
     def test_matches_recurrence(self):
+        # entry n-k of column k-1's pass is W[n,k]
         for p in PARAM_GRID:
-            for n in range(1, 9):
-                for k in range(1, n + 1):
-                    assert w_vertical(p, n - 1, k - 1) == w(p, n, k)
+            for k in range(1, 9):
+                assert vertical_pass(p, k - 1, 7) == \
+                    [w(p, n, k) for n in range(k, 9)]
 
 
 class TestHorizontalRecurrence:
     def test_diagonal_telescopes(self):
         for p in PARAM_GRID:
             for n in range(5):
-                assert w_horizontal(p, n, n) == w(p, n, n)
+                assert horizontal_pass(p, n)[n] == w(p, n, n)
 
     def test_row_one(self):
         for p in PARAM_GRID:
-            assert w_horizontal(p, 1, 0) == q_int(p.r)
+            assert horizontal_pass(p, 1)[0] == q_int(p.r)
 
     def test_matches_recurrence(self):
         for p in PARAM_GRID:
             for n in range(9):
-                for k in range(n + 1):
-                    assert w_horizontal(p, n, k) == w(p, n, k)
+                assert horizontal_pass(p, n) == [w(p, n, k)
+                                                 for k in range(n + 1)]
 
 
 class TestProductPaths:
@@ -138,6 +139,21 @@ class TestProductPaths:
         # weights are q-integers: each product has a run on one side.
         assert suite().ok
         assert kronecker == []
+
+    # A suite reads every cell of a running-sum route from one pass, one
+    # product and one sum per step: a step per checked recurrence cell
+    # (900 on the default grid), and per tableau (4,599) and h step (648)
+    # for the symmetric suite.  Rebuilt per cell, they took 3,465 and
+    # 19,107 products.
+    @pytest.mark.parametrize("suite, steps", [
+        (verify.suite_recurrences, 900),
+        (verify.suite_symmetric, 4599 + 648),
+    ])
+    def test_one_step_per_cell(self, monkeypatch, suite, steps):
+        calls = count_operators(monkeypatch)
+        assert suite().ok
+        assert 0 < calls["__mul__"] <= steps
+        assert 0 < calls["__add__"] <= steps
 
     def test_default_grid_needs_no_byte_slots(self, monkeypatch):
         # Every Kronecker product of the default grid has nonnegative
