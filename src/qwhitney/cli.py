@@ -237,7 +237,7 @@ def cmd_verify(args, out) -> int:
         all_ok = all_ok and res.ok
     report = {"suite": args.suite,
               "cells": sum(r.cells for r in results),
-              "failures": [f.to_json() for r in results for f in r.failures]}
+              "failures": [f._asdict() for r in results for f in r.failures]}
     print(json.dumps(report), file=out)
     return 0 if all_ok else 1
 

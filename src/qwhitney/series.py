@@ -9,7 +9,8 @@ column generating function needs no denominators.
 
 The column generating functions of one (m, r) are built by prefix from
 ``symm.h_prefixes`` (``rational_gf_columns``): column k's denominator
-product is column k-1's times 1/(1 - [mk+r]_q z).  The EGF's numerators
+product is column k-1's times 1/(1 - [mk+r]_q z), and its row of the h
+triangle holds exactly the N+1-k coefficients column k needs.  The EGF's numerators
 are ``qcalculus.whitney_numerator``, over ``qcalculus.normalizer``.
 
 The horizontal generating function is checked in integers: at q = a/b a
@@ -35,15 +36,14 @@ def rational_gf_columns(params: WhitneyParams, kmax: int, N: int) -> list:
         q^(m C(k,2) + kr) z^k / prod_{j=0}^{k} (1 - [mj+r]_q z),
 
     whose z^n coefficient is W_{m,r}[n,k]_q, for n = 0..N and k = 0..kmax.
-    Column k is row k of symm.h_prefixes over symm.whitney_values, cut at
-    z^(N-k), shifted by q^(m C(k,2) + kr) and preceded by k zeros.
+    Column k is row k of symm.h_prefixes over symm.whitney_values, which
+    stops at z^(N-k), shifted by q^(m C(k,2) + kr) and preceded by k zeros.
     """
     if not 0 <= kmax <= N:
         raise ValueError("k must be in 0..truncation order")
     m, r = params.m, params.r
     prefixes = h_prefixes(whitney_values(params, kmax), N)
-    return [(ZERO,) * k + tuple(c.shift(m * comb(k, 2) + k * r)
-                                for c in h[:N + 1 - k])
+    return [(ZERO,) * k + tuple(c.shift(m * comb(k, 2) + k * r) for c in h)
             for k, h in enumerate(prefixes)]
 
 

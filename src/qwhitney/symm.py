@@ -4,7 +4,8 @@ W*_{m,r}[n,k]_q is the complete homogeneous symmetric polynomial of degree
 n-k in the k+1 values [r]_q, [m+r]_q, ..., [mk+r]_q: the z^(n-k)
 coefficient of prod_{j<=k} 1/(1 - [mj+r]_q z), which ``h_prefixes`` (also
 behind ``series.rational_gf_columns``) builds one factor at a time: row k
-of one pass over [r]_q, ..., [mN+r]_q holds W*[k..N,k].  A brute-force
+of one pass over [r]_q, ..., [mN+r]_q holds W*[k..N,k], its N-k+1
+entries, so the rows of a pass form a triangle.  A brute-force
 sum over weakly increasing column-length lists (A-tableaux) provides the
 independent exponential-time oracle: ``tableau_walk`` enumerates every
 tableau of one column k once, depth first, and sums it into its row.  The
@@ -27,16 +28,18 @@ DEFAULT_ENUMERATION_CAP = 10 ** 6
 
 
 def h_prefixes(values, d: int):
-    """Yield (h_0, ..., h_d) in values[0..j] for j = 0, 1, ...: the z^0..z^d
-    coefficients of prod_{i<=j} 1/(1 - values[i] z), each factor one
-    in-place pass h_i += x h_{i-1}, i = 1..d."""
+    """Yield (h_0, ..., h_{d-j}) in values[0..j] for j = 0, 1, ...: the
+    z^0..z^(d-j) coefficients of prod_{i<=j} 1/(1 - values[i] z), each
+    factor one in-place pass h_i += x h_{i-1}, i = 1..d-j.  Row j stops at
+    entry d-j, the triangle its readers read, and is empty once j > d."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     row = [ONE] + [ZERO] * d
     for x in values:
-        for i in range(1, d + 1):
+        for i in range(1, len(row)):
             row[i] = row[i] + x * row[i - 1]
         yield tuple(row)
+        del row[-1:]
 
 
 def whitney_values(params: WhitneyParams, k: int) -> list:

@@ -5,8 +5,11 @@ computation routes; a cell failure records the witnessing parameters and the
 two mismatched values.  Grids default to the ranges each identity is claimed
 to have been checked on, and can be overridden from a JSON config.
 
-A suite builds the inputs its routes and checks share, and no route or
-check builds them itself: per (m, r) the power table and q-Pascal rows of
+``run_suite`` reads a request once (``_request``): it checks the grid,
+reads its qvals and bounds the tableau total before any suite starts, and
+each suite takes the completed grid and keeps only its cells.  A suite
+builds the inputs its routes and checks share, and no route or check
+builds them itself: per (m, r) the power table and q-Pascal rows of
 qcalculus.RouteValues, every column generating function and h_complete
 cell from one pass of symm.h_prefixes, and the vertical, horizontal and
 tableau cells from one pass per column, row or walk, read in (n, k)
@@ -15,8 +18,7 @@ and powers of [t]_q enter as integer parts, each built once per (n, q) or
 (t, q).  The hankel suite builds each (m, r, s) family's largest matrix,
 its determinants of every order (one elimination), its closed forms of
 every order (one prefix product) and its L*U product once, and each order
-reads its leading block.  The tableau total is bounded before any suite
-of a request starts.
+reads its leading block.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import hankel as hk
 from . import qcalculus, series, symm
@@ -52,36 +55,18 @@ DEFAULT_GRID = {
 }
 
 
-class Failure(namedtuple("Failure", "params identity lhs rhs")):
-    """A failed cell: its parameters, the identity, and the two sides."""
-
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return self._asdict()
+Failure = namedtuple("Failure", "params identity lhs rhs")
+Failure.__doc__ = "A failed cell: its parameters, identity and two sides."
 
 
-class SuiteResult:
+class SuiteResult(SimpleNamespace):
     """A suite's name, cell count and failed cells, compared by all three.
-    A plain class, not a dataclass, for the reason given at
+    A namespace, not a dataclass, for the reason given at
     ``whitney.WhitneyParams``."""
 
-    __slots__ = ("suite", "cells", "failures")
-
     def __init__(self, suite: str, cells: int = 0, failures=None):
-        self.suite = suite
-        self.cells = cells
-        self.failures = [] if failures is None else failures
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.suite, self.cells, self.failures)
-                == (other.suite, other.cells, other.failures))
-
-    def __repr__(self):
-        return (f"SuiteResult(suite={self.suite!r}, cells={self.cells!r}, "
-                f"failures={self.failures!r})")
+        super().__init__(suite=suite, cells=cells,
+                         failures=[] if failures is None else failures)
 
     @property
     def ok(self) -> bool:
@@ -160,12 +145,17 @@ _GRID_CHECKS = {
 _COUNT_CHECK = (lambda x: _is_int(x) and x >= 0, "a non-negative int")
 
 
-def _check_grid(grid) -> None:
-    """Raise ValueError naming the first key of `grid` that is not a key of
-    DEFAULT_GRID or whose value has the wrong type or range."""
-    if not isinstance(grid, dict):
+def _check_grid(grid) -> dict:
+    """DEFAULT_GRID updated by `grid` (by nothing for None), its qvals read
+    as Fractions.  Raises ValueError naming the first key of `grid` that is
+    not a key of DEFAULT_GRID or whose value has the wrong type or range."""
+    if grid is None:
+        grid = {}
+    elif not isinstance(grid, dict):
         raise ValueError("grid must be a JSON object")
-    for key, value in grid.items():
+    g = dict(DEFAULT_GRID)
+    # qvals keeps its place among the keys of grid, or is read last
+    for key, value in {**grid, "qvals": grid.get("qvals", g["qvals"])}.items():
         if key not in DEFAULT_GRID:
             raise ValueError(f"grid key {key!r} is unknown; known keys: "
                              + ", ".join(DEFAULT_GRID))
@@ -173,32 +163,27 @@ def _check_grid(grid) -> None:
         if not ok(value):
             raise ValueError(f"grid key {key!r} must be {wanted}")
         if key == "qvals":
-            for text in value:
-                try:
-                    read_q(text, printable=True)
-                except ValueError as exc:
-                    raise ValueError(f"grid key 'qvals': {exc}") from None
-
-
-def _grid(overrides: dict = None) -> dict:
-    g = dict(DEFAULT_GRID)
-    if overrides is not None:
-        _check_grid(overrides)
-        g.update(overrides)
+            try:
+                value = [read_q(text, printable=True) for text in value]
+            except ValueError as exc:
+                raise ValueError(f"grid key 'qvals': {exc}") from None
+        g[key] = value
     return g
 
 
-def _param_cells(g):
-    return [WhitneyParams(m, r) for m in g["m"] for r in g["r"]]
+def _families(g):
+    """Each (m, r) of grid `g`: its WhitneyParams and the params its cells
+    name."""
+    for m in g["m"]:
+        for r in g["r"]:
+            yield WhitneyParams(m, r), {"m": m, "r": r}
 
 
-def suite_recurrences(grid: dict = None) -> SuiteResult:
+def suite_recurrences(g: dict) -> SuiteResult:
     """Vertical and horizontal recurrences against the triangular route."""
-    g = _grid(grid)
     res = SuiteResult("recurrences")
-    for p in _param_cells(g):
-        base = {"m": p.m, "r": p.r}
-        nmax = g["nmax"]
+    nmax = g["nmax"]
+    for p, base in _families(g):
         # W[n,k] is vertical[k-1][n-k] and horizontal[n][k]
         vertical = [vertical_pass(p, k, nmax - 1) for k in range(nmax)]
         horizontal = [horizontal_pass(p, n) for n in range(nmax + 1)]
@@ -215,12 +200,10 @@ def suite_recurrences(grid: dict = None) -> SuiteResult:
     return res
 
 
-def suite_explicit(grid: dict = None) -> SuiteResult:
+def suite_explicit(g: dict) -> SuiteResult:
     """Explicit q-difference formula and Newton coefficients vs recurrence."""
-    g = _grid(grid)
     res = SuiteResult("explicit")
-    for p in _param_cells(g):
-        base = {"m": p.m, "r": p.r}
+    for p, base in _families(g):
         shared = qcalculus.RouteValues.build(p, g["nmax"], g["nmax"])
         for n in range(g["nmax"] + 1):
             newton = qcalculus.newton_coefficients(shared, n)
@@ -234,17 +217,14 @@ def suite_explicit(grid: dict = None) -> SuiteResult:
     return res
 
 
-def suite_genfun(grid: dict = None) -> SuiteResult:
+def suite_genfun(g: dict) -> SuiteResult:
     """Rational GF, EGF, and the horizontal generating function."""
-    g = _grid(grid)
     res = SuiteResult("genfun")
-    qvals = list(map(read_q, g["qvals"]))
-    nh = g["nmax_horizontal"]
+    qvals, nh = g["qvals"], g["nmax_horizontal"]
     # [t]_q^n does not depend on (m, r); tables are indexed [t][q]
     powers = [[series.horizontal_powers(t, qv, nh) for qv in qvals]
               for t in g["t"]]
-    for p in _param_cells(g):
-        base = {"m": p.m, "r": p.r}
+    for p, base in _families(g):
         nmax = g["nmax_genfun"]
         columns = series.rational_gf_columns(p, min(g["kmax_genfun"], nmax),
                                              nmax)
@@ -294,15 +274,11 @@ def _check_tableau_total(g: dict) -> int:
     return count
 
 
-def suite_symmetric(grid: dict = None) -> SuiteResult:
-    """Symmetric-function and tableau routes against the normalized values;
-    a grid over the tableau cap is refused before the first cell."""
-    g = _grid(grid)
-    _check_tableau_total(g)
+def suite_symmetric(g: dict) -> SuiteResult:
+    """Symmetric-function and tableau routes against the normalized values."""
     res = SuiteResult("symmetric")
     nmax = g["nmax_tableau"]
-    for p in _param_cells(g):
-        base = {"m": p.m, "r": p.r}
+    for p, base in _families(g):
         # entry n-k of row k of either is W*[n,k]
         h_rows = list(symm.h_prefixes(symm.whitney_values(p, nmax), nmax))
         walks = [symm.tableau_walk(p, k, nmax - k) for k in range(nmax + 1)]
@@ -318,20 +294,17 @@ def suite_symmetric(grid: dict = None) -> SuiteResult:
     return res
 
 
-def suite_convolution(grid: dict = None) -> SuiteResult:
+def suite_convolution(g: dict) -> SuiteResult:
     """The two convolution-type identities for the normalized values."""
-    g = _grid(grid)
     res = SuiteResult("convolution")
-    for p in _param_cells(g):
-        base = {"m": p.m, "r": p.r}
-        nmax = g["nmax_conv"]
+    nmax, sp = g["nmax_conv"], g["spmax_conv"]
+    for p, base in _families(g):
         for n in range(nmax + 1):
             for l in range(n + 1):
                 for j in range(n - l + 1):
                     res.check(symm.convolution_first(p, n, l, j),
                               {**base, "n": n, "l": l, "j": j},
                               "convolution_first")
-        sp = g["spmax_conv"]
         for s in range(sp + 1):
             for pp in range(sp + 1):
                 for t in range(s + pp + 1):
@@ -341,13 +314,11 @@ def suite_convolution(grid: dict = None) -> SuiteResult:
     return res
 
 
-def suite_hankel(grid: dict = None) -> SuiteResult:
+def suite_hankel(g: dict) -> SuiteResult:
     """Hankel transform, LU factorization, and classical q=1 corollary."""
-    g = _grid(grid)
     res = SuiteResult("hankel")
     nmax = g["nmax_hankel"]
-    for p in _param_cells(g):
-        base = {"m": p.m, "r": p.r}
+    for p, base in _families(g):
         for s in range(g["smax_hankel"] + 1):
             # every order's matrix, determinant and L*U product is a
             # leading block of the largest one's, and its closed form an
@@ -377,19 +348,30 @@ _SUITE_FUNCS = {
 }
 
 
+def _request(name: str, grid) -> tuple:
+    """The suite names of run_suite(name, grid) and its completed grid
+    (``_check_grid``).  Raises KeyError for an unknown suite, ValueError
+    for a bad grid, and symm.EnumerationTooLarge when the symmetric suite
+    is among them and the grid is over the tableau cap."""
+    if name != "all" and name not in _SUITE_FUNCS:
+        raise KeyError(f"unknown suite {name!r}")
+    names = list(_SUITE_FUNCS) if name == "all" else [name]
+    g = _check_grid(grid)
+    if "symmetric" in names:
+        _check_tableau_total(g)
+    return names, g
+
+
 def max_degree(name: str, grid: dict = None) -> int:
     """The largest degree the polynomials of run_suite(name, grid) may
     reach, at the grid's largest m and r: per suite the top degree of the
     largest triangle row it reads, or, where larger, what it builds apart
     from the rows: genfun's [t]_q and [t-r-jm]_q, j < nmax_horizontal, and
     the hankel suite's minors and elimination steps (``hankel.degree_bound``
-    of its largest family, which covers its rows).  Raises ValueError for
-    a bad grid, like run_suite, and for a symmetric suite over the tableau
-    cap."""
-    g = _grid(grid)
-    names = _SUITE_FUNCS if name == "all" else [name]
-    if "symmetric" in names:
-        _check_tableau_total(g)
+    of its largest family, which covers its rows).  Raises as run_suite
+    does for an unknown suite, a bad grid or a symmetric suite over the
+    tableau cap."""
+    names, g = _request(name, grid)
     m, r = max(g["m"]), max(g["r"])
     # The recurrences suite's horizontal route reads row n+1; the
     # convolution suite reads rows n+1 and s+p.
@@ -410,9 +392,6 @@ def max_degree(name: str, grid: dict = None) -> int:
 
 
 def run_suite(name: str, grid: dict = None) -> list:
-    """Run one suite (or all); returns a list of SuiteResult."""
-    if name == "all":
-        return [fn(grid) for fn in _SUITE_FUNCS.values()]
-    if name not in _SUITE_FUNCS:
-        raise KeyError(f"unknown suite {name!r}")
-    return [_SUITE_FUNCS[name](grid)]
+    """Run one suite (or all) on one reading of grid: a SuiteResult each."""
+    names, g = _request(name, grid)
+    return [_SUITE_FUNCS[s](g) for s in names]

@@ -46,12 +46,12 @@ def test_criterion_1_route_equivalence():
 
 
 def test_criterion_2_recurrence_identities():
-    res = verify.suite_recurrences()
+    res = verify.run_suite("recurrences")[0]
     report(2, "vertical and horizontal recurrences", res.ok)
 
 
 def test_criterion_3_generating_functions():
-    res = verify.suite_genfun()
+    res = verify.run_suite("genfun")[0]
     report(3, "rational GF, EGF, horizontal GF", res.ok)
 
 
@@ -74,12 +74,12 @@ def test_criterion_4_q_difference_operator():
 
 
 def test_criterion_5_convolutions():
-    res = verify.suite_convolution()
+    res = verify.run_suite("convolution")[0]
     report(5, "first and second convolution identities", res.ok)
 
 
 def test_criterion_6_hankel_transform():
-    res = verify.suite_hankel()
+    res = verify.run_suite("hankel")[0]
     report(6, "Hankel transform and LU factorization", res.ok)
 
 

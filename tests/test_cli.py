@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,22 @@ class TestVerifyCommand:
         assert (capsys.readouterr().err
                 == f"error: grid file {path} is nested too deeply\n")
 
+    def test_one_reading_per_run(self, monkeypatch):
+        # run_suite reads a request once for all six suites: one check of
+        # the grid, one read of each q, one bound on the tableau total
+        calls = Counter()
+        for name in ("_check_grid", "read_q", "_check_tableau_total"):
+            def counted(*args, real=getattr(verify, name), name=name,
+                        **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(verify, name, counted)
+        results = verify.run_suite("all", SMALL_GRID)
+        assert [r.suite for r in results] == list(verify.SUITES[:-1])
+        assert all(r.ok for r in results)
+        assert calls == {"_check_grid": 1, "read_q": 2,
+                         "_check_tableau_total": 1}
+
     def test_report_schema(self, small_grid):
         rc, out = run(["verify", "--suite", "recurrences", "--grid", small_grid])
         assert rc == 0
@@ -504,17 +521,19 @@ class TestSizeLimit:
     def test_tableau_total(self, no_tableau_work):
         # 9 (2^9 - 1) on the default grid; 9 (2^16 - 1) at N = 15 is the
         # largest total under the cap on the default m and r
-        assert verify._check_tableau_total(verify._grid()) == 4599
-        grid = verify._grid({"nmax_tableau": 15})
-        assert verify._check_tableau_total(grid) == 589815
+        def total(grid):
+            return verify._check_tableau_total(verify._check_grid(grid))
+
+        assert total(None) == 4599
+        assert total({"nmax_tableau": 15}) == 589815
         assert verify.max_degree("symmetric", {"nmax_tableau": 15})
         with pytest.raises(symm.EnumerationTooLarge):
-            verify._check_tableau_total(verify._grid({"nmax_tableau": 16}))
+            total({"nmax_tableau": 16})
         # the exact total is named up to N = 2 bit_length(cap) = 40
         with pytest.raises(symm.EnumerationTooLarge, match="^19791209299959 "):
-            verify._check_tableau_total(verify._grid({"nmax_tableau": 40}))
+            total({"nmax_tableau": 40})
         with pytest.raises(symm.EnumerationTooLarge, match=r"^9 \* \(2\^42 "):
-            verify._check_tableau_total(verify._grid({"nmax_tableau": 41}))
+            total({"nmax_tableau": 41})
 
     def test_grid_within_bound_runs(self, tmp_path):
         # the bound covers only the suites a request runs

@@ -4,13 +4,22 @@ Each fault of ``conftest`` mutates one route.  Run over a small grid, the
 suites must pass without a fault, each fault must fail at least one cell,
 and every identity the suites check must be failed by at least one fault:
 a new identity that no fault reaches fails this test (mutation analysis,
-DeMillo, Lipton & Sayward 1978).
+DeMillo, Lipton & Sayward 1978).  The whole report of each run is pinned
+too, by the sha256 of its text: the order of the failures, their witness
+parameters and their side texts.
 """
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
 
 from conftest import (perturb_closed_form, perturb_convolution_shift,
                       perturb_gf_prefactor, perturb_recurrence,
                       perturb_route_weight, perturb_u_factor)
-from qwhitney import verify
+from qwhitney import cli, verify
 
 GRID = {"m": [1, 2], "r": [0, 1], "nmax": 4, "nmax_tableau": 4,
         "nmax_genfun": 4, "nmax_egf": 4, "nmax_horizontal": 3,
@@ -59,3 +68,35 @@ def test_kill_matrix(monkeypatch):
         "closed_form": {"hankel_transform"},
         "gf_prefactor": {"rational_gf"},
     }
+
+
+# Exit code and sha256 of the stdout of `verify --suite all` on GRID,
+# clean and under each fault.  The recurrence fault's report is 55,567
+# bytes.
+REPORTS = {
+    "clean": (0, "e95dadfbb560bbf37243eee482deef0f"
+                 "66c843d265da3c92b1e4431d6c95e471"),
+    "recurrence": (1, "3f7f15e1c22533c9b41db2ea28e3c1dd"
+                      "eb3741bde701eb30968660adf609370d"),
+    "route_weight": (1, "0c95887c88530fa6e1d925c77df1ec5c"
+                        "f3101e48811cf0940e803a9bac0d830d"),
+    "convolution_shift": (1, "d63767d168d4d3513a006cc649d03d8f"
+                             "1493e618181621a4a2fb8ecb1b63834b"),
+    "u_factor": (1, "dee39acad9eef331722b8243d7a6eb24"
+                    "dc01b9572ddd86c01df62de736965438"),
+    "closed_form": (1, "bf125553f91173d06be9764e505bf349"
+                       "34c5acfbbe5283b88a8d11b8a9ffa1d7"),
+    "gf_prefactor": (1, "2e24ce4f533366d2266607062eddf1c2"
+                        "cad0bcf3e53aea6eeb0f6e9b55675cac"),
+}
+
+
+@pytest.mark.parametrize("fault", REPORTS)
+def test_golden_report(tmp_path, fault):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(GRID))
+    out = io.StringIO()
+    with FAULTS.get(fault, contextlib.nullcontext)():
+        rc = cli.main(["verify", "--suite", "all", "--grid", str(path)], out)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert (rc, digest) == REPORTS[fault]

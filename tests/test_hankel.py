@@ -246,9 +246,9 @@ class TestLUProduct:
 
     def test_suite_lu_cells_fail_under_a_factor_fault(self):
         grid = {"m": [1, 2], "r": [0, 1], "smax_hankel": 1, "nmax_hankel": 3}
-        assert verify.suite_hankel(grid).ok
+        assert verify.run_suite("hankel", grid)[0].ok
         with perturb_u_factor():
-            res = verify.suite_hankel(grid)
+            res = verify.run_suite("hankel", grid)[0]
         assert {f.identity for f in res.failures} == {"lu_factorization"}
         # order 1 has U = (1) either way; every larger order fails
         assert [(f.params["m"], f.params["r"], f.params["s"], f.params["n"])
@@ -349,12 +349,12 @@ class TestFactoredPivots:
         assert all(path == "factored" for path, _ in divisions)
 
     def test_hankel_suite_needs_no_general_division(self, divisions):
-        assert verify.suite_hankel().ok
+        assert verify.run_suite("hankel")[0].ok
         assert divisions
         assert all(path == "factored" for path, _ in divisions)
 
     def test_explicit_suite_needs_no_general_division(self, divisions):
-        assert verify.suite_explicit().ok
+        assert verify.run_suite("explicit")[0].ok
         assert divisions == []
 
     @pytest.mark.parametrize("fault", sorted(CLOSED_FORM_FAULTS))
@@ -378,7 +378,7 @@ class TestFactoredPivots:
             assert divisions[-1] == ("general", dets[1])
         monkeypatch.setattr(hankel, "hankel_closed_forms",
                             lambda spec: plant(right(spec)))
-        res = verify.suite_hankel(self.GRID)
+        res = verify.run_suite("hankel", self.GRID)[0]
         assert {f.identity for f in res.failures} == {"hankel_transform"}
         assert len(res.failures) == res.cells // 3
 

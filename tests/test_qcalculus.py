@@ -164,7 +164,7 @@ class TestRouteIndependence:
         alternating = qcalculus.q_binomial_alternating_sum
         monkeypatch.setattr(qcalculus, "q_binomial_alternating_sum",
                             lambda *args: -alternating(*args))
-        res = verify.suite_explicit(self.GRID)
+        res = verify.run_suite("explicit", self.GRID)[0]
         assert res.cells == 2 * self.CELLS
         assert [f.identity for f in res.failures] == \
             ["explicit"] * self.CELLS
@@ -174,6 +174,6 @@ class TestRouteIndependence:
         heads = qcalculus.q_diff_heads
         monkeypatch.setattr(qcalculus, "q_diff_heads",
                             lambda *args: [-d for d in heads(*args)])
-        res = verify.suite_explicit(self.GRID)
+        res = verify.run_suite("explicit", self.GRID)[0]
         assert res.cells == 2 * self.CELLS
         assert [f.identity for f in res.failures] == ["newton"] * self.CELLS

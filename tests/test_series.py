@@ -142,7 +142,7 @@ class TestEGF:
         grid = {"m": [2], "r": [1], "nmax_genfun": 0, "nmax_egf": 4,
                 "kmax_genfun": 2, "nmax_horizontal": 0, "t": [], "qvals": []}
         with perturb_recurrence():
-            res = verify.suite_genfun(grid)
+            res = verify.run_suite("genfun", grid)[0]
             failures = [f for f in res.failures if f.identity == "egf"]
             assert failures
             for f in failures:
@@ -221,7 +221,7 @@ class TestHorizontalGF:
                 "qvals": ["2", "-1/3"]}
         for perturbed in (False, True):
             with perturb_recurrence() if perturbed else nullcontext():
-                res = verify.suite_genfun(grid)
+                res = verify.run_suite("genfun", grid)[0]
                 expected = [(n, t, q) for n in range(4) for t in grid["t"]
                             for q in grid["qvals"]
                             if not fraction_verdict(P11, n, t, Fraction(q))]
@@ -234,9 +234,9 @@ class TestHorizontalGF:
         grid = {"m": [1], "r": [1], "nmax_genfun": 0, "nmax_egf": 0,
                 "kmax_genfun": 0, "nmax_horizontal": 3, "t": [2, 5],
                 "qvals": ["2", "-1/3"]}
-        assert verify.suite_genfun(grid).ok
+        assert verify.run_suite("genfun", grid)[0].ok
         with perturb_recurrence():
-            res = verify.suite_genfun(grid)
+            res = verify.run_suite("genfun", grid)[0]
         assert res.cells == 1 + 1 + 4 * 2 * 2  # rational_gf, egf, horizontal_gf
         assert any(f.identity == "horizontal_gf" for f in res.failures)
 
@@ -328,7 +328,7 @@ class TestHorizontalAgainstFractions:
                 "nmax_horizontal": self.NMAX, "t": list(self.TS),
                 "qvals": [str(q) for q in self.QVALS]}
         with perturb_recurrence() if perturbed else nullcontext():
-            res = verify.suite_genfun(grid)
+            res = verify.run_suite("genfun", grid)[0]
             verdicts = {(p, q): self.oracle(p, q)
                         for p in PARAM_GRID for q in self.QVALS}
         expected = [(p.m, p.r, n, t, str(q)) for p in PARAM_GRID

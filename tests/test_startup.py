@@ -1,10 +1,11 @@
 """What a CLI process imports, and the value classes that keep it small.
 
-``WhitneyParams``, ``HankelSpec``, ``verify.Failure`` and
-``verify.SuiteResult`` are plain classes, not dataclasses: ``dataclasses``
-imports ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``, in every
-process that imports the package.  These tests pin that, and the
-behaviour the dataclasses had.
+``WhitneyParams``, ``HankelSpec`` and ``verify.Failure`` are named tuples
+and ``verify.SuiteResult`` is a ``types.SimpleNamespace``, not dataclasses:
+``dataclasses`` imports ``inspect``, and with it ``ast``, ``dis`` and
+``tokenize``, in every process that imports the package.  These tests pin
+that, and the behaviour the dataclasses had: the repr, field equality,
+and for ``SuiteResult`` unhashability and a failure list of its own.
 """
 
 import copy
@@ -93,7 +94,7 @@ def test_failure_and_suite_result_compare_by_fields():
     assert (Failure({"n": 1}, "egf", "a", "b")
             == Failure(params={"n": 1}, identity="egf", lhs="a", rhs="b"))
     assert Failure({"n": 1}, "egf", "a", "b") != Failure({"n": 2}, "egf", "a", "b")
-    assert Failure({"n": 1}, "egf", "a", "b").to_json() == {
+    assert Failure({"n": 1}, "egf", "a", "b")._asdict() == {
         "params": {"n": 1}, "identity": "egf", "lhs": "a", "rhs": "b"}
     res = SuiteResult("genfun")
     res.check(False, {"n": 1}, "egf", 1, 2)

@@ -16,8 +16,9 @@ PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
 
 
 def h_last(values, d):
-    """h_d(values): entry d of the last row of h_prefixes."""
-    return list(h_prefixes(values, d))[-1][d]
+    """h_d(values): entry d of the last row of h_prefixes, whose row j
+    stops at entry e - j for a pass to degree e."""
+    return list(h_prefixes(values, d + len(values) - 1))[-1][d]
 
 
 class TestHComplete:
@@ -47,12 +48,13 @@ class TestHComplete:
     def test_matches_multiset_enumeration(self):
         values = [q_int(1), q_int(2), q_int(4)]
         for d in range(5):
-            # row j of h_prefixes is h_0..h_d over values[:j+1]
+            # row j of h_prefixes is h_0..h_(d-j) over values[:j+1], and
+            # empty once j > d
             rows = list(h_prefixes(values, d))
             assert len(rows) == len(values)
             for j, row in enumerate(rows):
                 assert row == tuple(multiset_sum(values[:j + 1], i)
-                                    for i in range(d + 1))
+                                    for i in range(d - j + 1))
 
 
 class TestSharedStep:
@@ -72,13 +74,14 @@ class TestSharedStep:
             # each value multiplied in as q x instead of x
             return real([x.shift(1) for x in values], d)
 
-        assert verify.suite_genfun(self.GENFUN).ok
-        assert verify.suite_symmetric(self.SYMMETRIC).ok
+        assert verify.run_suite("genfun", self.GENFUN)[0].ok
+        assert verify.run_suite("symmetric", self.SYMMETRIC)[0].ok
         # rational_gf_columns imported the name from symm
         monkeypatch.setattr(symm, "h_prefixes", faulty)
         monkeypatch.setattr(series, "h_prefixes", faulty)
-        failures = (verify.suite_genfun(self.GENFUN).failures
-                    + verify.suite_symmetric(self.SYMMETRIC).failures)
+        failures = [f for name, grid in (("genfun", self.GENFUN),
+                                         ("symmetric", self.SYMMETRIC))
+                    for f in verify.run_suite(name, grid)[0].failures]
         failed = {f.identity for f in failures}
         assert failed == {"rational_gf", "h_complete"}
 
@@ -210,9 +213,9 @@ class TestConvolutions:
 
     def test_suite_cells_fail_under_a_shift_fault(self):
         grid = {"m": [1, 2], "r": [0, 1], "nmax_conv": 2, "spmax_conv": 2}
-        assert verify.suite_convolution(grid).ok
+        assert verify.run_suite("convolution", grid)[0].ok
         with perturb_convolution_shift():
-            res = verify.suite_convolution(grid)
+            res = verify.run_suite("convolution", grid)[0]
         failed = {f.identity for f in res.failures}
         assert failed == {"convolution_first", "convolution_second"}
 

@@ -132,26 +132,26 @@ class TestProductPaths:
             poly({0: 3, 1: 7, 2: 2})
         assert kronecker == [(2, 2)]
 
-    @pytest.mark.parametrize("suite", [verify.suite_recurrences,
-                                       verify.suite_symmetric])
+    @pytest.mark.parametrize("suite", ["recurrences", "symmetric"])
     def test_suite_needs_no_kronecker_product(self, kronecker, suite):
         # The Horner routes multiply by one [a]_q per step, and the tableau
         # weights are q-integers: each product has a run on one side.
-        assert suite().ok
+        assert verify.run_suite(suite)[0].ok
         assert kronecker == []
 
     # A suite reads every cell of a running-sum route from one pass, one
     # product and one sum per step: a step per checked recurrence cell
-    # (900 on the default grid), and per tableau (4,599) and h step (648)
-    # for the symmetric suite.  Rebuilt per cell, they took 3,465 and
-    # 19,107 products.
+    # (900 on the default grid), and per tableau (4,599) and h step (324:
+    # row k of the h triangle takes 8 - k steps per (m, r)) for the
+    # symmetric suite.  Rebuilt per cell, they took 3,465 and 19,107
+    # products.
     @pytest.mark.parametrize("suite, steps", [
-        (verify.suite_recurrences, 900),
-        (verify.suite_symmetric, 4599 + 648),
+        ("recurrences", 900),
+        ("symmetric", 4599 + 324),
     ])
     def test_one_step_per_cell(self, monkeypatch, suite, steps):
         calls = count_operators(monkeypatch)
-        assert suite().ok
+        assert verify.run_suite(suite)[0].ok
         assert 0 < calls["__mul__"] <= steps
         assert 0 < calls["__add__"] <= steps
 
