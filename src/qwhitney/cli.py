@@ -18,12 +18,14 @@ flag, with valid values and every required option) is parsed by
 ``_strict_parse`` straight from that parser's Actions, a few times faster
 than argparse; argparse parses every other argv, so help, abbreviations,
 repeated options and every usage error are its own.  Everything but error
-messages, ``--help`` text included, goes to ``out``.  A request whose
-polynomials could reach a degree above ``MAX_DEGREE`` is refused with exit
-2 before any ring work; for ``verify`` the bound is taken over the suites
-the request runs, on its grid.  So is an exact value at q with more digits
-than the interpreter converts to text, before anything is written, and a q
-whose decimal exponent is over that digit limit, before it is read.
+messages, ``--help`` text included, goes to ``out``.  ``main`` only
+parses and dispatches; each command sizes what it serves, and a request
+whose polynomials could reach a degree above ``whitney.MAX_DEGREE`` is
+refused with exit 2 before any ring work (``whitney.check_degree``; for
+``verify``, by ``verify.run_suite`` over the suites it runs).  So is an
+exact value at q with more digits than the interpreter converts to text,
+before anything is written, and a q whose decimal exponent is over that
+digit limit, before it is read.
 """
 
 from __future__ import annotations
@@ -40,18 +42,20 @@ from . import verify
 from .hankel import (HankelSpec, degree_bound, hankel_closed_forms,
                      hankel_matrix, leading_dets)
 from .qcore import DivisionByZero, LaurentPoly, NonExactDivision
-from .whitney import (InternalNonLaurent, WhitneyParams, r_dowling,
-                      row_degree, w, w_star, w_table)
+from .whitney import (InternalNonLaurent, WhitneyParams, check_degree,
+                      r_dowling, row_degree, w, w_star, w_table)
 
 
-# The largest degree a request's polynomials may reach.  Row n of the
-# triangle has top degree m*C(n,2) + r*n; a Hankel family is bounded by
-# hankel.degree_bound.  table --m 1 --r 1 --nmax 80 (3240) passes.
-MAX_DEGREE = 4096
-
-
-def _params(args) -> WhitneyParams:
-    return WhitneyParams(args.m, args.r)
+def _params(args, row: int, *counts: str) -> WhitneyParams:
+    """WhitneyParams(m, r) of a request whose largest row is `row`, once
+    the options named in `counts` are >= 0; check_degree sizes the row."""
+    for name in counts:
+        if getattr(args, name) < 0:
+            raise ValueError(f"{name} must be >= 0")
+    p = WhitneyParams(args.m, args.r)
+    # A negative nmax is refused later, by w_table.
+    check_degree(row_degree(p.m, p.r, max(row, 0)))
+    return p
 
 
 def _parse_q(text: str) -> Fraction:
@@ -148,7 +152,7 @@ def _csv_cell(text: str) -> str:
 
 
 def cmd_table(args, out) -> int:
-    table = w_table(_params(args), args.nmax)
+    table = w_table(_params(args, args.nmax), args.nmax)
     qval = args.q_eval
     if qval is not None:
         # Every value is rendered before the first write, so a value
@@ -175,30 +179,33 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_value(args, out) -> int:
-    print(_render(w(_params(args), args.n, args.k), args.q_eval), file=out)
+    p = _params(args, args.n, "n", "k")
+    print(_render(w(p, args.n, args.k), args.q_eval), file=out)
     return 0
 
 
 def cmd_star(args, out) -> int:
-    print(_render(w_star(_params(args), args.n, args.k), args.q_eval),
-          file=out)
+    p = _params(args, args.n, "n", "k")
+    print(_render(w_star(p, args.n, args.k), args.q_eval), file=out)
     return 0
 
 
 def cmd_dowling(args, out) -> int:
-    print(_render(r_dowling(_params(args), args.n), args.q_eval), file=out)
+    p = _params(args, args.n, "n")
+    print(_render(r_dowling(p, args.n), args.q_eval), file=out)
     return 0
 
 
 def cmd_eval(args, out) -> int:
-    value = w_star(_params(args), args.n, args.k) if args.star \
-        else w(_params(args), args.n, args.k)
+    p = _params(args, args.n, "n", "k")
+    value = (w_star if args.star else w)(p, args.n, args.k)
     print(_value_at(value, args.q), file=out)
     return 0
 
 
 def cmd_hankel(args, out) -> int:
-    spec = HankelSpec(_params(args), args.s, args.n)
+    spec = HankelSpec(WhitneyParams(args.m, args.r), args.s, args.n)
+    check_degree(degree_bound(spec))
     rows = hankel_matrix(spec)
     closed_forms = hankel_closed_forms(spec)
     det = leading_dets(rows, closed_forms)[-1]
@@ -227,8 +234,7 @@ def _read_grid(path):
 
 
 def cmd_verify(args, out) -> int:
-    # main has replaced the --grid path by the document read from it
-    results = verify.run_suite(args.suite, args.grid)
+    results = verify.run_suite(args.suite, _read_grid(args.grid))
     all_ok = True
     for res in results:
         status = "PASS" if res.ok else "FAIL"
@@ -361,23 +367,6 @@ def _strict_parse(parser: argparse.ArgumentParser, argv):
                               fn=sub.get_default("fn"))
 
 
-def _max_degree(args) -> int:
-    """The largest degree the polynomials of a request may reach.
-
-    For verify this is ``verify.max_degree`` of its suite and grid
-    (``args.grid`` holds the grid document).  A hankel request with a
-    negative s or n is refused here, by HankelSpec.
-    """
-    if args.command == "verify":
-        return verify.max_degree(args.suite, args.grid)
-    if args.command == "hankel":
-        return degree_bound(HankelSpec(_params(args), args.s, args.n))
-    p = _params(args)
-    row = args.nmax if args.command == "table" else args.n
-    # A negative nmax is refused later, by the table command itself.
-    return row_degree(p.m, p.r, max(row, 0))
-
-
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = _bind_negative_q(sys.argv[1:] if argv is None else argv)
@@ -394,17 +383,6 @@ def main(argv=None, out=None) -> int:
         if any(isinstance(v, list) for v in vars(args).values()):
             # argparse before Python 3.13 reads --name=-- as an empty list
             raise ValueError("an option's value may not be --")
-        if hasattr(args, "n") and args.command != "hankel" and args.n < 0:
-            raise ValueError("n must be >= 0")
-        if hasattr(args, "k") and args.k < 0:
-            raise ValueError("k must be >= 0")
-        if args.command == "verify":
-            args.grid = _read_grid(args.grid)
-        degree = _max_degree(args)
-        if degree > MAX_DEGREE:
-            raise ValueError(f"request too large: its polynomials may reach "
-                             f"degree {degree}, over the limit MAX_DEGREE = "
-                             f"{MAX_DEGREE}")
         return args.fn(args, out)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,11 +5,13 @@ computation routes; a cell failure records the witnessing parameters and the
 two mismatched values.  Grids default to the ranges each identity is claimed
 to have been checked on, and can be overridden from a JSON config.
 
-``run_suite`` reads a request once (``_request``): it checks the grid,
-reads its qvals and bounds the tableau total before any suite starts, and
-each suite takes the completed grid and keeps only its cells.  A suite
-builds the inputs its routes and checks share, and no route or check
-builds them itself: per (m, r) the power table and q-Pascal rows of
+``run_suite`` reads a request once and is its only gate: before any
+suite starts it checks the grid, reads its qvals, bounds the tableau
+total and refuses a grid whose polynomials may reach a degree over
+``whitney.MAX_DEGREE``, from the CLI and from Python alike.  Each suite
+takes the completed grid and keeps only its cells.  A suite builds the
+inputs its routes and checks share, and no route or check builds them
+itself: per (m, r) the power table and q-Pascal rows of
 qcalculus.RouteValues, every column generating function and h_complete
 cell from one pass of symm.h_prefixes, and the vertical, horizontal and
 tableau cells from one pass per column, row or walk, read in (n, k)
@@ -31,8 +33,8 @@ from types import SimpleNamespace
 
 from . import hankel as hk
 from . import qcalculus, series, symm
-from .whitney import (WhitneyParams, horizontal_pass, row_degree,
-                      vertical_pass, w, w_star)
+from .whitney import (WhitneyParams, check_degree, horizontal_pass,
+                      row_degree, vertical_pass, w, w_star)
 
 SUITES = ("recurrences", "explicit", "genfun", "symmetric", "convolution",
           "hankel", "all")
@@ -348,30 +350,14 @@ _SUITE_FUNCS = {
 }
 
 
-def _request(name: str, grid) -> tuple:
-    """The suite names of run_suite(name, grid) and its completed grid
-    (``_check_grid``).  Raises KeyError for an unknown suite, ValueError
-    for a bad grid, and symm.EnumerationTooLarge when the symmetric suite
-    is among them and the grid is over the tableau cap."""
-    if name != "all" and name not in _SUITE_FUNCS:
-        raise KeyError(f"unknown suite {name!r}")
-    names = list(_SUITE_FUNCS) if name == "all" else [name]
-    g = _check_grid(grid)
-    if "symmetric" in names:
-        _check_tableau_total(g)
-    return names, g
-
-
-def max_degree(name: str, grid: dict = None) -> int:
-    """The largest degree the polynomials of run_suite(name, grid) may
-    reach, at the grid's largest m and r: per suite the top degree of the
-    largest triangle row it reads, or, where larger, what it builds apart
-    from the rows: genfun's [t]_q and [t-r-jm]_q, j < nmax_horizontal, and
-    the hankel suite's minors and elimination steps (``hankel.degree_bound``
-    of its largest family, which covers its rows).  Raises as run_suite
-    does for an unknown suite, a bad grid or a symmetric suite over the
-    tableau cap."""
-    names, g = _request(name, grid)
+def _max_degree(names, g: dict) -> int:
+    """The largest degree the polynomials of the suites `names` may reach
+    on the completed grid `g`, at its largest m and r: per suite the top
+    degree of the largest triangle row it reads, or, where larger, what it
+    builds apart from the rows: genfun's [t]_q and [t-r-jm]_q, j <
+    nmax_horizontal, and the hankel suite's minors and elimination steps
+    (``hankel.degree_bound`` of its largest family, which covers its
+    rows)."""
     m, r = max(g["m"]), max(g["r"])
     # The recurrences suite's horizontal route reads row n+1; the
     # convolution suite reads rows n+1 and s+p.
@@ -392,6 +378,15 @@ def max_degree(name: str, grid: dict = None) -> int:
 
 
 def run_suite(name: str, grid: dict = None) -> list:
-    """Run one suite (or all) on one reading of grid: a SuiteResult each."""
-    names, g = _request(name, grid)
+    """Run one suite (or all) on one reading of grid: a SuiteResult each.
+    Before the first starts, raises KeyError for an unknown suite,
+    ValueError for a bad grid or one over ``whitney.check_degree``, and
+    symm.EnumerationTooLarge for a symmetric suite over the tableau cap."""
+    if name != "all" and name not in _SUITE_FUNCS:
+        raise KeyError(f"unknown suite {name!r}")
+    names = list(_SUITE_FUNCS) if name == "all" else [name]
+    g = _check_grid(grid)
+    if "symmetric" in names:
+        _check_tableau_total(g)
+    check_degree(_max_degree(names, g))
     return [_SUITE_FUNCS[s](g) for s in names]

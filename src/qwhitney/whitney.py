@@ -16,7 +16,9 @@ vertical and horizontal recurrences rebuild a whole column or row from
 the column to its left or the row below in one Horner pass, one product
 by a q-integer weight per cell.  They form their weights with ``q_int``,
 never through the triangle's step, so a fault in the step cannot cancel
-out of both sides of a cross-route check.
+out of both sides of a cross-route check.  ``check_degree`` is the one
+size gate: every CLI command and ``verify.run_suite`` refuse a request
+whose polynomials may reach a degree over ``MAX_DEGREE`` through it.
 """
 
 from __future__ import annotations
@@ -139,3 +141,17 @@ def classical_w(params: WhitneyParams, n: int, k: int) -> int:
 def row_degree(m: int, r: int, n: int) -> int:
     """The top degree m*C(n,2) + r*n of row n >= 0 of the triangle."""
     return m * comb(n, 2) + r * n
+
+
+# The largest degree a request's polynomials may reach: row n of the
+# triangle has top degree row_degree(m, r, n), a Hankel family is bounded
+# by hankel.degree_bound.  table --m 1 --r 1 --nmax 80 (3240) passes.
+MAX_DEGREE = 4096
+
+
+def check_degree(degree: int) -> None:
+    """ValueError naming `degree` when it is over MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"request too large: its polynomials may reach "
+                         f"degree {degree}, over the limit MAX_DEGREE = "
+                         f"{MAX_DEGREE}")

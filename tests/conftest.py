@@ -11,9 +11,10 @@ alternating q-binomial sum.
 The planted faults live here too, as context managers that patch the
 library for their duration only: the recurrence weight, the weight of the
 vertical and horizontal routes, the shift of the convolution identities,
-the shift of the Hankel U factor, the Hankel closed forms and the
-prefactor of the column generating functions.  Each is the mutation of
-one route, and ``test_faults.py`` checks that together they fail every
+the shift of the Hankel U factor, the Hankel closed forms, the
+prefactor of the column generating functions, the last sum of each
+tableau walk and the falling factors of the horizontal generating
+function.  Each is the mutation of one route, and ``test_faults.py`` checks that together they fail every
 identity the suites check.  ``record_products`` counts the products that
 take one of the ring's product paths, and ``count_operators`` the ring's
 products and sums.  ``poly``, ``power`` and ``q_factorial`` build test
@@ -274,6 +275,34 @@ def perturb_gf_prefactor():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "rational_gf_columns", shifted)
+        yield
+
+
+@contextmanager
+def perturb_tableau_walk():
+    """The last sum of every tableau walk, the one over its longest
+    tableaux, is short by 1.  Only the tableau route reads the walk."""
+    right = symm.tableau_walk
+
+    def short(params, k, length):
+        sums = right(params, k, length)
+        sums[-1] = sums[-1] - ONE
+        return sums
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symm, "tableau_walk", short)
+        yield
+
+
+@contextmanager
+def perturb_horizontal_falling():
+    """The falling factors of the horizontal generating function are read
+    at t+1 instead of t; its row values and powers of [t]_q are kept."""
+    right = series.horizontal_falling
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "horizontal_falling",
+                   lambda params, t, qval, kmax: right(params, t + 1, qval,
+                                                       kmax))
         yield
 
 

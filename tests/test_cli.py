@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import perturb_recurrence, poly
 from qwhitney import cli, qcalculus, symm, verify
 from qwhitney import whitney
+from qwhitney.hankel import HankelSpec, degree_bound
 from qwhitney.qcore import NonExactDivision
 from qwhitney.whitney import InternalNonLaurent
 
@@ -33,6 +34,11 @@ SMALL_GRID = {
     "qvals": ["2", "-2"], "nmax_conv": 3, "spmax_conv": 3,
     "smax_hankel": 1, "nmax_hankel": 2,
 }
+
+
+def suite_names(suite):
+    """The suites run_suite(suite, ...) runs."""
+    return list(verify._SUITE_FUNCS) if suite == "all" else [suite]
 
 
 @pytest.fixture
@@ -306,9 +312,10 @@ class TestVerifyCommand:
         assert (capsys.readouterr().err
                 == f"error: grid file {path} is nested too deeply\n")
 
-    def test_one_reading_per_run(self, monkeypatch):
+    def test_one_reading_per_run(self, monkeypatch, small_grid):
         # run_suite reads a request once for all six suites: one check of
-        # the grid, one read of each q, one bound on the tableau total
+        # the grid, one read of each q, one bound on the tableau total;
+        # main reads it only through run_suite
         calls = Counter()
         for name in ("_check_grid", "read_q", "_check_tableau_total"):
             def counted(*args, real=getattr(verify, name), name=name,
@@ -319,6 +326,11 @@ class TestVerifyCommand:
         results = verify.run_suite("all", SMALL_GRID)
         assert [r.suite for r in results] == list(verify.SUITES[:-1])
         assert all(r.ok for r in results)
+        assert calls == {"_check_grid": 1, "read_q": 2,
+                         "_check_tableau_total": 1}
+        calls.clear()
+        rc, _ = run(["verify", "--suite", "all", "--grid", small_grid])
+        assert rc == 0
         assert calls == {"_check_grid": 1, "read_q": 2,
                          "_check_tableau_total": 1}
 
@@ -363,7 +375,7 @@ class TestSizeLimit:
         rc, out = run(argv)
         assert rc == 2 and out == ""
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"MAX_DEGREE = {cli.MAX_DEGREE}" in err
+        assert err.startswith("error: ") and f"MAX_DEGREE = {whitney.MAX_DEGREE}" in err
 
     # A hankel family's bound is hankel.degree_bound: the largest of row
     # s+2n's top degree, 2 C(n+1,2) (m(s+n)+r-1) and the U factor's rows.
@@ -383,16 +395,55 @@ class TestSizeLimit:
                      id="argv6-935-True"),
         (["hankel", "--m", "1", "--r", "1", "--s", "2", "--n", "12"], 2184, True),
     ])
-    def test_max_degree(self, argv, degree, allowed):
-        assert cli._max_degree(cli._parser().parse_args(argv)) == degree
-        assert (degree <= cli.MAX_DEGREE) == allowed
+    def test_max_degree(self, admitted, argv, degree, allowed):
+        args = cli._parser().parse_args(argv)
+        if args.command == "verify":
+            bound = verify._max_degree(suite_names(args.suite),
+                                       verify._check_grid(args.grid))
+        elif args.command == "hankel":
+            bound = degree_bound(HankelSpec(whitney.WhitneyParams(
+                args.m, args.r), args.s, args.n))
+        else:
+            bound = whitney.row_degree(
+                args.m, args.r, args.nmax if args.command == "table"
+                else args.n)
+        assert bound == degree
+        assert (degree <= whitney.MAX_DEGREE) == allowed
+        assert admitted(argv) == allowed
 
     @pytest.fixture
     def no_verify_work(self, monkeypatch):
-        """Make a verify request that starts its suites fail the test."""
+        """Make a verify request that starts its suites fail the test:
+        run_suite is the gate, so each suite it would run is stubbed."""
         def refuse(*args, **kwargs):
             raise AssertionError("a suite started before the size check")
-        monkeypatch.setattr(verify, "run_suite", refuse)
+        for name in verify._SUITE_FUNCS:
+            monkeypatch.setitem(verify._SUITE_FUNCS, name, refuse)
+
+    @pytest.fixture
+    def admitted(self, monkeypatch, capsys):
+        """Whether main admits an argv: it reaches the first ring call or
+        suite, which is stubbed, or it is refused as too large."""
+        class Admitted(Exception):
+            pass
+
+        def admit(*args, **kwargs):
+            raise Admitted
+        for name in ("w", "w_star", "r_dowling", "w_table", "hankel_matrix"):
+            monkeypatch.setattr(cli, name, admit)
+        for name in verify._SUITE_FUNCS:
+            monkeypatch.setitem(verify._SUITE_FUNCS, name, admit)
+
+        def run_to_gate(argv):
+            try:
+                rc, out = run(argv)
+            except Admitted:
+                return True
+            assert rc == 2 and out == ""
+            assert capsys.readouterr().err.startswith(
+                "error: request too large: ")
+            return False
+        return run_to_gate
 
     @pytest.mark.parametrize("suite, grid", [
         ("hankel", {"nmax_hankel": 40}),
@@ -416,7 +467,7 @@ class TestSizeLimit:
         assert rc == 2 and out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: request too large: ")
-        assert f"MAX_DEGREE = {cli.MAX_DEGREE}" in err
+        assert f"MAX_DEGREE = {whitney.MAX_DEGREE}" in err
 
     # Row degree m*C(N,2) + r*N at m = 2, r = 1: each suite's largest row N.
     GRID = {"m": [1, 2], "r": [0, 1], "nmax": 5, "nmax_genfun": 4,
@@ -453,10 +504,22 @@ class TestSizeLimit:
         ("recurrences", {**GRID, "t": [100000]}, 36),
         ("genfun", {"t": [4000]}, 4026),  # default m, r, nmax_horizontal
     ])
-    def test_verify_max_degree(self, suite, grid, degree):
-        args = cli._parser().parse_args(["verify", "--suite", suite])
-        args.grid = grid
-        assert cli._max_degree(args) == degree
+    def test_verify_max_degree(self, admitted, tmp_path, suite, grid,
+                               degree):
+        assert verify._max_degree(suite_names(suite),
+                                  verify._check_grid(grid)) == degree
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert admitted(["verify", "--suite", suite, "--grid", str(path)]) \
+            == (degree <= whitney.MAX_DEGREE)
+
+    def test_run_suite_refuses_oversized_grid(self, no_verify_work):
+        # the library path is gated too: row 61, which the recurrences
+        # suite reads, reaches 3 C(61,2) + 2*61 at m = 3, r = 2
+        with pytest.raises(ValueError, match=(
+                r"^request too large: its polynomials may reach degree 5612,"
+                r" over the limit MAX_DEGREE = 4096$")):
+            verify.run_suite("all", {"nmax": 60})
 
     # Such a grid has no (m, r) cell: every suite would pass on 0 cells.
     @pytest.mark.parametrize("suite", ["recurrences", "hankel", "all"])
@@ -526,7 +589,6 @@ class TestSizeLimit:
 
         assert total(None) == 4599
         assert total({"nmax_tableau": 15}) == 589815
-        assert verify.max_degree("symmetric", {"nmax_tableau": 15})
         with pytest.raises(symm.EnumerationTooLarge):
             total({"nmax_tableau": 16})
         # the exact total is named up to N = 2 bit_length(cap) = 40
