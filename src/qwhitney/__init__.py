@@ -17,7 +17,7 @@ from .qcalculus import (RouteValues, newton_coefficients, q_diff_heads,
                         q_power_table, whitney_explicit)
 from .series import horizontal_gf_check, rational_gf_columns
 from .symm import (EnumerationTooLarge, convolution_first, convolution_second,
-                   h_prefixes, tableau_walk)
+                   convolution_tables, h_prefixes, tableau_walk)
 from .hankel import (HankelSpec, classical_hankel_check, degree_bound,
                      det_exact, hankel_closed_forms, hankel_factors,
                      hankel_matrix, leading_dets, lu_check)

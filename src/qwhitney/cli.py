@@ -392,6 +392,9 @@ def main(argv=None, out=None) -> int:
         print(f"error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
+    except MemoryError:  # input the gates let through, not a failed identity
+        print("error: request too large: out of memory", file=sys.stderr)
+        return 2
 
 
 def entrypoint():

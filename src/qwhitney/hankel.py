@@ -29,7 +29,8 @@ from math import comb
 from operator import floordiv
 
 from .qcore import (DivisionByZero, LaurentPoly, NonExactDivision, ONE,
-                    ZERO, laurent_div_q_ints, laurent_exact_div, q_int)
+                    ZERO, laurent_div_q_ints, laurent_exact_div, poly_sum,
+                    q_int)
 from .whitney import WhitneyParams, classical_w, row_degree, w_star
 
 
@@ -192,16 +193,17 @@ def lu_product(spec: HankelSpec) -> tuple:
 
     L is lower and U upper triangular, so the leading (k+1)-block of L*U
     is the product of their leading blocks and diagonal[k] is its
-    determinant: one product serves every order up to spec.n + 1."""
+    determinant: one product serves every order up to spec.n + 1.  Entry
+    (i, j) is one ``poly_sum`` over k <= min(i, j), the nonzero halves."""
     lower, upper = lu_factors(spec)
     diagonal, acc = [], ONE
     for k in range(spec.n + 1):
         acc = acc * lower[k][k] * upper[k][k]
         diagonal.append(acc)
-    columns = tuple(zip(*upper))
-    product = tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in columns)
-        for row in lower)
+    size = range(spec.n + 1)
+    product = tuple(tuple(poly_sum(lower[i][k] * upper[k][j]
+                                   for k in range(min(i, j) + 1))
+                          for j in size) for i in size)
     return product, diagonal
 
 

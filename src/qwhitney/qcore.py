@@ -32,7 +32,8 @@ machine words, packed from an ``array`` and unpacked by a ``memoryview``
 cast, when both sides are nonnegative and the product's coefficients fit
 64 bits; other products are packed in byte slots.  A sum, like the shifted
 addition of the fused step, is one aligned ``map(add)`` in a working list
-(``_add_into``).  Rational evaluation is a single integer Horner pass
+(``_add_into``), and :func:`poly_sum` adds a whole sum into one list,
+trimmed once.  Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
 integer numerator and denominator; ``eval`` puts them in one Fraction, and
 a caller summing many values at one q can cross-multiply the integers
@@ -127,7 +128,8 @@ class LaurentPoly:
             return self
         if not self._c:
             return other
-        return _add_into(list(self._c), self._lo, other._c, other._lo)
+        c = list(self._c)
+        return _trimmed(_add_into(c, self._lo, other._c, other._lo), c)
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + -other
@@ -280,13 +282,12 @@ def _trimmed(lo: int, c: list) -> LaurentPoly:
     return _poly(lo + start, tuple(c))
 
 
-def _add_into(c: list, lo: int, d: tuple, dlo: int) -> LaurentPoly:
-    """q^lo c + q^dlo d for a nonempty d, summed in the working list c.
-
-    c is padded with zeros where d reaches past either end, d is added by
-    one ``map(add)``, and ends that cancel are trimmed.  One working list,
-    so that no short-lived tuples pile up in the interpreter's tuple free
-    lists.
+def _add_into(c: list, lo: int, d: tuple, dlo: int) -> int:
+    """Add q^dlo d, for a nonempty d, into q^lo c in the working list c
+    and return c's new offset; ``_trimmed`` trims its ends.  c is padded
+    with zeros where d reaches past either end, and d is added by one
+    ``map(add)``.  One working list, so that no short-lived tuples pile up
+    in the interpreter's tuple free lists.
     """
     off = dlo - lo
     if off < 0:
@@ -296,6 +297,18 @@ def _add_into(c: list, lo: int, d: tuple, dlo: int) -> LaurentPoly:
     if end > len(c):
         c.extend(repeat(0, end - len(c)))
     c[off:end] = map(add, c[off:end], d)
+    return lo
+
+
+def poly_sum(terms) -> LaurentPoly:
+    """The sum of an iterable of LaurentPoly, ZERO for none: every term is
+    added into one working list (``_add_into``), trimmed once at the end."""
+    c, lo = [], 0
+    for p in terms:
+        if not c:
+            c, lo = list(p._c), p._lo
+        elif p._c:
+            lo = _add_into(c, lo, p._c, p._lo)
     return _trimmed(lo, c)
 
 
@@ -413,7 +426,7 @@ def q_int_mul_add(p: LaurentPoly, a: int, q: LaurentPoly,
     if a < 0:
         c[:] = map(neg, c)
         lo += a
-    return _add_into(c, lo, qc, q._lo + e) if qc else _trimmed(lo, c)
+    return _trimmed(_add_into(c, lo, qc, q._lo + e) if qc else lo, c)
 
 
 def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -498,11 +511,10 @@ def q_binomial_alternating_sum(values, b: int, row) -> LaurentPoly:
 
     With values[j] = f(x + jh) this is the expanded q-difference operator
     of order k at x; it is also the q-binomial inversion.  Both take their
-    sums from here.
+    sums from here.  Even and odd k-j are summed apart, then subtracted:
+    a negated binomial would send its products to byte slots.
     """
     k = len(values) - 1
-    acc = ZERO
-    for j, (binom, value) in enumerate(zip(row, values)):
-        term = binom.shift(b * comb(k - j, 2)) * value
-        acc = acc - term if (k - j) % 2 else acc + term
-    return acc
+    terms = [binom.shift(b * comb(k - j, 2)) * value
+             for j, (binom, value) in enumerate(zip(row, values))]
+    return poly_sum(terms[k % 2::2]) - poly_sum(terms[1 - k % 2::2])

@@ -61,18 +61,24 @@ def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> tuple:
     return [num * (den // d) for num, d in parts], den
 
 
-def horizontal_falling(params: WhitneyParams, t: int, qval: Fraction,
+def q_int_parts(qval: Fraction, xs) -> dict:
+    """{x: the ``value_parts`` of [x]_q at q = qval} for each x of xs."""
+    a, b = qval.numerator, qval.denominator
+    return {x: q_int(x).value_parts(a, b) for x in xs}
+
+
+def horizontal_falling(params: WhitneyParams, t: int, q_ints: dict,
                        kmax: int) -> tuple:
-    """The falling factors [t-r|m]_{k,q} = prod_{j<k} [t-r-jm]_q at q = qval
+    """The falling factors [t-r|m]_{k,q} = prod_{j<k} [t-r-jm]_q at one q
     for k = 0..kmax, which do not depend on n, as integer numerators over
     one denominator: ``(nums, den)`` with [t-r|m]_{k,q} = nums[k] / den.
 
-    den is the denominator a^A b^B of the last product; a factor [0]_q
-    makes every later numerator 0.
+    ``q_ints`` is ``q_int_parts`` at that q for a set of x holding every
+    t-r-jm, j < kmax.  den is the denominator a^A b^B of the last
+    product; a factor [0]_q makes every later numerator 0.
     """
-    a, b = qval.numerator, qval.denominator
     m, r = params.m, params.r
-    factors = [q_int(t - r - j * m).value_parts(a, b) for j in range(kmax)]
+    factors = [q_ints[t - r - j * m] for j in range(kmax)]
     # nums[k] = (prod_{j<k} num_j) (prod_{j>=k} den_j)
     nums = [1] * (kmax + 1)
     for k in range(kmax - 1, -1, -1):
@@ -95,7 +101,7 @@ def horizontal_gf_check(row: tuple, falling: tuple, power: tuple) -> bool:
     """Does sum_k W[n,k]_q [t-r|m]_{k,q} = [t]_q^n hold at q = qval?
 
     ``row`` is ``horizontal_row(params, n, qval)``, ``falling`` is
-    ``horizontal_falling(params, t, qval, kmax)`` for some kmax >= n, and
+    ``horizontal_falling`` at t and qval for some kmax >= n, and
     ``power`` is entry n of ``horizontal_powers(t, qval, nmax)``.  Checked
     in integers: with W[n,k] = nums_k / D, the falling factors fnums_k / F
     and [t]_q^n = P / E, the identity times the nonzero D F E reads

@@ -9,15 +9,16 @@ entries, so the rows of a pass form a triangle.  A brute-force
 sum over weakly increasing column-length lists (A-tableaux) provides the
 independent exponential-time oracle: ``tableau_walk`` enumerates every
 tableau of one column k once, depth first, and sums it into its row.  The
-two convolution identities are checked as exact polynomial equalities.
+two convolution identities are checked as exact polynomial equalities,
+read from the W* tables of ``convolution_tables``, built once per (m, r).
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .qcore import ONE, ZERO, q_int
-from .whitney import WhitneyParams, w_star
+from .qcore import ONE, ZERO, poly_sum, q_int
+from .whitney import WhitneyParams, w_table
 
 
 class EnumerationTooLarge(ValueError):
@@ -75,25 +76,33 @@ def tableau_walk(params: WhitneyParams, k: int, length: int) -> list:
     return sums
 
 
-def convolution_first(params: WhitneyParams, n: int, l: int, j: int) -> bool:
-    """W*[n+1, l+j+1]_q = sum_{k=0}^{n} W*_{m,r}[k,l]_q W*_{m,r+m(l+1)}[n-k,j]_q?"""
-    if n < 0 or l < 0 or j < 0:
-        raise ValueError("n, l, j must be >= 0")
-    lhs = w_star(params, n + 1, l + j + 1)
-    shifted = WhitneyParams(params.m, params.r + params.m * (l + 1))
-    rhs = ZERO
-    for k in range(n + 1):
-        rhs = rhs + w_star(params, k, l) * w_star(shifted, n - k, j)
-    return lhs == rhs
+def convolution_tables(params: WhitneyParams, nmax: int, spmax: int) -> tuple:
+    """``(table, shifted)``, with table[n][k] = W*_{m,r}[n,k]_q and
+    shifted[i][n][k] = W*_{m,r+mi}[n,k]_q for each n the cells n <= nmax,
+    s, p <= spmax read, of degree at most row max(nmax+1, 2 spmax) of
+    (m, r).  Each is the cached triangle rows, one shift per entry; each
+    shifted parameter is built by WhitneyParams."""
+    def star_rows(p: WhitneyParams, top: int) -> list:
+        return [[x.shift(-(p.m * comb(k, 2) + k * p.r))
+                 for k, x in enumerate(row)] for row in w_table(p, top)]
+
+    return (star_rows(params, max(nmax + 1, 2 * spmax)),
+            [star_rows(WhitneyParams(params.m, params.r + params.m * i),
+                       max(nmax + 1 - i, spmax if i <= spmax else 0))
+             for i in range(max(nmax + 2, spmax + 1))])
 
 
-def convolution_second(params: WhitneyParams, s: int, p: int, t: int) -> bool:
-    """W*[s+p,t]_q = sum_{k=max(0,t-p)}^{min(t,s)} W*[s,k]_q W*_{m,r+mk}[p,t-k]_q?"""
-    if s < 0 or p < 0 or t < 0:
-        raise ValueError("s, p, t must be >= 0")
-    lhs = w_star(params, s + p, t)
-    rhs = ZERO
-    for k in range(max(0, t - p), min(t, s) + 1):
-        shifted = WhitneyParams(params.m, params.r + params.m * k)
-        rhs = rhs + w_star(params, s, k) * w_star(shifted, p, t - k)
-    return lhs == rhs
+def convolution_first(table, shifted, n: int, l: int, j: int) -> bool:
+    """W*[n+1, l+j+1]_q = sum_{k=0}^{n} W*_{m,r}[k,l]_q W*_{m,r+m(l+1)}[n-k,j]_q?
+    Reads ``convolution_tables`` of (m, r); l+j <= n.  Only k = l..n-j is
+    summed: W*[k,l] = 0 for k < l, the shifted W*[n-k,j] for n-k < j."""
+    return table[n + 1][l + j + 1] == poly_sum(
+        table[k][l] * shifted[l + 1][n - k][j] for k in range(l, n - j + 1))
+
+
+def convolution_second(table, shifted, s: int, p: int, t: int) -> bool:
+    """W*[s+p,t]_q = sum_{k=max(0,t-p)}^{min(t,s)} W*[s,k]_q W*_{m,r+mk}[p,t-k]_q?
+    Reads ``convolution_tables`` of (m, r); t <= s+p."""
+    return table[s + p][t] == poly_sum(
+        table[s][k] * shifted[k][p][t - k]
+        for k in range(max(0, t - p), min(t, s) + 1))

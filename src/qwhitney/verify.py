@@ -17,10 +17,11 @@ cell from one pass of symm.h_prefixes, and the vertical, horizontal and
 tableau cells from one pass per column, row or walk, read in (n, k)
 order.  The horizontal generating function's row values, falling factors
 and powers of [t]_q enter as integer parts, each built once per (n, q) or
-(t, q).  The hankel suite builds each (m, r, s) family's largest matrix,
-its determinants of every order (one elimination), its closed forms of
-every order (one prefix product) and its L*U product once, and each order
-reads its leading block.
+(t, q), the falling factors' [x]_q once per q.  The convolution cells
+read W* tables built once per (m, r).  The hankel suite builds each
+(m, r, s) family's largest matrix, its determinants of every order (one
+elimination), its closed forms of every order (one prefix product) and
+its L*U product once, and each order reads its leading block.
 """
 
 from __future__ import annotations
@@ -226,6 +227,10 @@ def suite_genfun(g: dict) -> SuiteResult:
     # [t]_q^n does not depend on (m, r); tables are indexed [t][q]
     powers = [[series.horizontal_powers(t, qv, nh) for qv in qvals]
               for t in g["t"]]
+    # [x]_q at each q for every x = t - r - jm, j < nh, the grid reads
+    xs = {t - r - j * m for t in g["t"] for m in g["m"] for r in g["r"]
+          for j in range(nh)}
+    q_ints = [series.q_int_parts(qv, xs) for qv in qvals]
     for p, base in _families(g):
         nmax = g["nmax_genfun"]
         columns = series.rational_gf_columns(p, min(g["kmax_genfun"], nmax),
@@ -247,8 +252,8 @@ def suite_genfun(g: dict) -> SuiteResult:
                 expected = w(p, n, k)
                 res.check(e == expected * norm, {**base, "n": n, "k": k},
                           "egf", e, expected)
-        falling = [[series.horizontal_falling(p, t, qv, nh) for qv in qvals]
-                   for t in g["t"]]
+        falling = [[series.horizontal_falling(p, t, parts, nh)
+                    for parts in q_ints] for t in g["t"]]
         for n in range(nh + 1):
             rows = [series.horizontal_row(p, n, qv) for qv in qvals]
             for t, t_falling, t_powers in zip(g["t"], falling, powers):
@@ -301,16 +306,17 @@ def suite_convolution(g: dict) -> SuiteResult:
     res = SuiteResult("convolution")
     nmax, sp = g["nmax_conv"], g["spmax_conv"]
     for p, base in _families(g):
+        tables = symm.convolution_tables(p, nmax, sp)
         for n in range(nmax + 1):
             for l in range(n + 1):
                 for j in range(n - l + 1):
-                    res.check(symm.convolution_first(p, n, l, j),
+                    res.check(symm.convolution_first(*tables, n, l, j),
                               {**base, "n": n, "l": l, "j": j},
                               "convolution_first")
         for s in range(sp + 1):
             for pp in range(sp + 1):
                 for t in range(s + pp + 1):
-                    res.check(symm.convolution_second(p, s, pp, t),
+                    res.check(symm.convolution_second(*tables, s, pp, t),
                               {**base, "s": s, "p": pp, "t": t},
                               "convolution_second")
     return res

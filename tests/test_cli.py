@@ -712,6 +712,20 @@ class TestInternalError:
         assert len(err.splitlines()) == 1
 
 
+class TestOutOfMemory:
+    def test_exit_two_in_one_line(self, monkeypatch, capsys, small_grid):
+        # A request that outgrows memory is input the gates let through,
+        # not a failed identity (exit 1); the stub allocates nothing.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(qcalculus, "q_binomial_row", exhausted)
+        rc, out = run(["verify", "--suite", "explicit", "--grid", small_grid])
+        assert rc == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: request too large")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 # Every subcommand, a negative rational, eval --star then eval without it
 # (a leaked default would show), help, and usage errors between good requests.
 MIXED_STREAM = [

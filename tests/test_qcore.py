@@ -1,7 +1,9 @@
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
                       q_binomial_row, q_int, q_int_mul_add)
 import qwhitney
 from qwhitney import qcore
-from qwhitney.qcore import ONE, ZERO
+from qwhitney.qcore import ONE, ZERO, poly_sum
 
 laurent_strategy = st.dictionaries(
     st.integers(min_value=-5, max_value=8),
@@ -275,6 +277,41 @@ class TestQIntMulAdd:
     def test_everything_cancels(self):
         p = poly({1: 3, 2: -1})
         assert q_int_mul_add(p, 2, -(q_int(2) * p).shift(-5), 5) == ZERO
+
+
+def fold_sum(terms):
+    """The sum of terms by a fold of LaurentPoly's +."""
+    return reduce(add, terms, ZERO)
+
+
+class TestPolySum:
+    def test_random_terms(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            terms = [random_laurent(rng) for _ in range(rng.randrange(9))]
+            assert poly_sum(terms) == fold_sum(terms)
+            assert poly_sum(iter(terms)) == fold_sum(terms)
+
+    def test_empty_input(self):
+        assert poly_sum([]) == ZERO and poly_sum(iter(())) == ZERO
+
+    def test_zero_terms(self):
+        p = poly({-2: 3, 4: -1})
+        assert poly_sum([ZERO, ZERO]) == ZERO
+        assert poly_sum([ZERO, p, ZERO, p]) == fold_sum([p, p])
+
+    def test_terms_that_cancel(self):
+        p, q = poly({-3: 2, 1: 5}), poly({0: 7})
+        assert poly_sum([p, q, -p, -q]) == ZERO
+        # cancelling midway, then reaching past both ends of what is left
+        assert poly_sum([p, -p, q.shift(-9), q.shift(9)]) == \
+            q.shift(-9) + q.shift(9)
+
+    def test_negative_and_out_of_order_offsets(self):
+        terms = [poly({5: 1, 6: 2}), poly({-4: 3}), poly({0: -1, 7: 1}),
+                 poly({-10: 2, -9: -2}), poly({6: -2, 5: -1})]
+        assert poly_sum(terms) == fold_sum(terms) == \
+            poly({-10: 2, -9: -2, -4: 3, 0: -1, 7: 1})
 
 
 class TestEval:

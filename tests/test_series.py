@@ -13,16 +13,23 @@ from qwhitney import (RouteValues, WhitneyParams, horizontal_gf_check, q_int,
 from qwhitney.qcalculus import normalizer, whitney_numerator
 from qwhitney.qcore import ONE, ZERO
 from qwhitney.series import (horizontal_falling, horizontal_powers,
-                             horizontal_row)
+                             horizontal_row, q_int_parts)
 
 P11 = WhitneyParams(1, 1)
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
 
 
+def falling_at(p, t, qv, kmax):
+    """horizontal_falling at t and q = qv, from a table of [x]_q holding
+    that cell's factors alone."""
+    xs = [t - p.r - j * p.m for j in range(kmax)]
+    return horizontal_falling(p, t, q_int_parts(qv, xs), kmax)
+
+
 def cell_parts(p, n, t, qv):
     """The row, falling factors and power horizontal_gf_check reads for the
     cell (n, t) at q = qv, built for that cell alone."""
-    return (horizontal_row(p, n, qv), horizontal_falling(p, t, qv, n),
+    return (horizontal_row(p, n, qv), falling_at(p, t, qv, n),
             horizontal_powers(t, qv, n)[n])
 
 
@@ -186,7 +193,7 @@ class TestHorizontalGF:
         p = WhitneyParams(2, 1)
         for qv in (Fraction(2), Fraction(-3, 5)):
             for t in (-3, 0, 7):  # t = 7 reaches [0]_q at k = 4
-                nums, den = horizontal_falling(p, t, qv, 5)
+                nums, den = falling_at(p, t, qv, 5)
                 assert len(nums) == 6 and nums[0] == den
                 for k in range(1, 6):
                     assert Fraction(nums[k], den) == Fraction(nums[k - 1], den) \
@@ -198,7 +205,7 @@ class TestHorizontalGF:
             for qv in (Fraction(2), Fraction(-3, 5)):
                 for t in (-3, 0, 7):
                     # falling factors up to k = 6 serve every row n <= 6
-                    falling = horizontal_falling(p, t, qv, 6)
+                    falling = falling_at(p, t, qv, 6)
                     fnums, fden = falling
                     powers = horizontal_powers(t, qv, 6)
                     for n in range(7):
@@ -300,7 +307,7 @@ class TestHorizontalAgainstFractions:
             failed = 0
             for p in PARAM_GRID:
                 for q in self.QVALS:
-                    falling = {t: horizontal_falling(p, t, q, self.NMAX)
+                    falling = {t: falling_at(p, t, q, self.NMAX)
                                for t in self.TS}
                     powers = {t: horizontal_powers(t, q, self.NMAX)
                               for t in self.TS}

@@ -6,8 +6,9 @@ from conftest import (a_tableaux, count_operators, multiset_sum,
                       perturb_convolution_shift, poly, power)
 from qwhitney import series, symm, verify
 from qwhitney import (EnumerationTooLarge, WhitneyParams,
-                      convolution_first, convolution_second, h_prefixes,
-                      q_int, tableau_walk, w_star)
+                      convolution_first, convolution_second,
+                      convolution_tables, h_prefixes, q_int, tableau_walk,
+                      w_star)
 from qwhitney.qcore import ONE, ZERO
 from qwhitney.symm import whitney_values
 
@@ -182,34 +183,52 @@ class TestShiftedValues:
 
 class TestConvolutions:
     def test_first_trivial(self):
-        assert convolution_first(P11, 0, 0, 0)
+        assert convolution_first(*convolution_tables(P11, 0, 0), 0, 0, 0)
 
     def test_first_hand_value(self):
         # W*[2,1] = 2+q decomposes as [2]_q + [1]_q
-        assert convolution_first(P11, 1, 0, 0)
+        assert convolution_first(*convolution_tables(P11, 1, 0), 1, 0, 0)
 
     def test_first_grid(self):
         for p in PARAM_GRID:
+            tables = convolution_tables(p, 5, 0)
             for n in range(6):
                 for l in range(n + 1):
                     for j in range(n - l + 1):
-                        assert convolution_first(p, n, l, j)
+                        assert convolution_first(*tables, n, l, j)
 
     def test_second_p_zero(self):
         for p in PARAM_GRID:
+            tables = convolution_tables(p, 0, 3)
             for s in range(4):
                 for t in range(s + 1):
-                    assert convolution_second(p, s, 0, t)
+                    assert convolution_second(*tables, s, 0, t)
 
     def test_second_hand_value(self):
-        assert convolution_second(P11, 1, 1, 1)
+        assert convolution_second(*convolution_tables(P11, 0, 1), 1, 1, 1)
 
     def test_second_grid(self):
         for p in PARAM_GRID:
+            tables = convolution_tables(p, 0, 4)
             for s in range(5):
                 for pp in range(5):
                     for t in range(s + pp + 1):
-                        assert convolution_second(p, s, pp, t)
+                        assert convolution_second(*tables, s, pp, t)
+
+    def test_tables_hold_w_star(self):
+        # every entry either identity may read, against w_star cell by cell
+        for p in PARAM_GRID:
+            nmax, spmax = 4, 3
+            table, shifted = convolution_tables(p, nmax, spmax)
+            assert len(table) == 2 * spmax + 1 and len(shifted) == nmax + 2
+            for n, row in enumerate(table):
+                assert row == [w_star(p, n, k) for k in range(n + 1)]
+            for i, rows in enumerate(shifted):
+                assert len(rows) == max(nmax + 2 - i,
+                                        spmax + 1 if i <= spmax else 1)
+                q = WhitneyParams(p.m, p.r + p.m * i)
+                for n, row in enumerate(rows):
+                    assert row == [w_star(q, n, k) for k in range(n + 1)]
 
     def test_suite_cells_fail_under_a_shift_fault(self):
         grid = {"m": [1, 2], "r": [0, 1], "nmax_conv": 2, "spmax_conv": 2}
