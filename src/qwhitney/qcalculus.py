@@ -10,9 +10,8 @@ The operator is computed two ways.  q_diff_heads applies the factors one
 at a time to the values and keeps the head after each pass, so one pass
 gives every order up to k; qcore.q_binomial_alternating_sum expands the
 product into the alternating q-binomial sum.  The explicit formula for W
-(whose numerator, ``whitney_numerator``, is also the numerator of the
-column EGF) takes the alternating sum and the Newton coefficients take
-the operator product, so a fault in one form cannot hide in both routes.
+takes the alternating sum and the Newton coefficients take the operator
+product, so a fault in one form cannot hide in both routes.
 
 The two routes share only the values of f.  RouteValues holds what they
 need for one (m, r): the power table [jm+r]_q^n (each n one sliding-window
@@ -20,16 +19,14 @@ product per node from the n-1 values) and the q-Pascal rows [k j]_{q^m};
 a suite builds it once and hands it to every cell, and the routes read m
 and r from it alone.  Both divide by the normalizer [k]_{q^m}! [m]_q^k as
 the product of the q-integers [jm]_q, j = 1..k, one linear pass each
-(``qcore.laurent_div_q_ints``); the EGF cell multiplies it out.
+(``whitney.normalizer_factors``, ``qcore.laurent_div_q_ints``).
 """
 
 from __future__ import annotations
 
-from math import prod
-
 from .qcore import (LaurentPoly, ONE, laurent_div_q_ints,
                     q_binomial_alternating_sum, q_binomial_row, q_int)
-from .whitney import WhitneyParams
+from .whitney import WhitneyParams, normalizer_factors
 
 
 def q_power_table(offset: int, step: int, count: int, nmax: int) -> list:
@@ -67,19 +64,8 @@ def q_diff_heads(values, qbase_exp: int) -> list:
     return heads
 
 
-def normalizer_factors(params: WhitneyParams, k: int) -> range:
-    """m, 2m, ..., km: the normalizer is prod_{j=1..k} [jm]_q, since
-    [j]_{q^m} [m]_q = [jm]_q."""
-    return range(params.m, (k + 1) * params.m, params.m)
-
-
-def normalizer(params: WhitneyParams, k: int) -> LaurentPoly:
-    """[k]_{q^m}! * [m]_q^k, the exact divisor of the k-th difference."""
-    return prod(map(q_int, normalizer_factors(params, k)), start=ONE)
-
-
 class RouteValues:
-    """What the explicit, Newton and EGF routes share for one (m, r):
+    """What the explicit and Newton routes share for one (m, r):
 
     - ``powers[n]`` holds the values of [x+r]_q^n at x = 0, m, ..., kmax*m,
       for n = 0..nmax;
@@ -101,31 +87,19 @@ class RouteValues:
                    [q_binomial_row(k, m) for k in range(kmax + 1)])
 
 
-def whitney_numerator(shared: RouteValues, n: int, k: int) -> LaurentPoly:
-    """The alternating sum
-
-        sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} [jm+r]_q^n,
-
-    the expanded operator of order k applied to [x+r]_q^n at x = 0 with
-    step and base m, for the (m, r) of ``shared``, which covers row n and
-    column k.
-    """
-    return q_binomial_alternating_sum(shared.powers[n][:k + 1],
-                                      shared.params.m, shared.rows[k])
-
-
 def whitney_explicit(shared: RouteValues, n: int, k: int) -> LaurentPoly:
-    """W_{m,r}[n,k]_q from the explicit formula
-
-        whitney_numerator(shared, n, k) / ([k]_{q^m}! [m]_q^k).
-
-    The division, one q-integer [jm]_q at a time (``normalizer_factors``),
-    is exact; a NonExactDivision here is a bug, not bad input.
+    """W_{m,r}[n,k]_q from the explicit formula: the alternating sum
+    sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} [jm+r]_q^n over
+    [k]_{q^m}! [m]_q^k, for the (m, r) of ``shared``, which covers row n
+    and column k.  The division, one q-integer [jm]_q at a time, is exact;
+    a NonExactDivision here is a bug, not bad input.
     """
     if not 0 <= k <= n:
         raise ValueError("whitney_explicit requires 0 <= k <= n")
-    return laurent_div_q_ints(whitney_numerator(shared, n, k),
-                              normalizer_factors(shared.params, k))
+    return laurent_div_q_ints(
+        q_binomial_alternating_sum(shared.powers[n][:k + 1], shared.params.m,
+                                   shared.rows[k]),
+        normalizer_factors(shared.params, k))
 
 
 def newton_coefficients(shared: RouteValues, n: int) -> list:

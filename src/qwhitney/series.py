@@ -10,8 +10,8 @@ column generating function needs no denominators.
 The column generating functions of one (m, r) are built by prefix from
 ``symm.h_prefixes`` (``rational_gf_columns``): column k's denominator
 product is column k-1's times 1/(1 - [mk+r]_q z), and its row of the h
-triangle holds exactly the N+1-k coefficients column k needs.  The EGF's numerators
-are ``qcalculus.whitney_numerator``, over ``qcalculus.normalizer``.
+triangle holds exactly the N+1-k coefficients column k needs.  The
+column EGF is checked in integers at one point q = 2^B (``egf_check``).
 
 The horizontal generating function is checked in integers: at q = a/b a
 row of values, the falling factors and [t]_q^n each become integer
@@ -22,12 +22,12 @@ identity is compared cross-multiplied, with no Fraction per cell.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import mul
 
-from .qcore import ZERO, q_int
+from .qcore import ZERO, _pack, q_int
 from .symm import h_prefixes, whitney_values
-from .whitney import WhitneyParams, w
+from .whitney import WhitneyParams, normalizer_factors, row_degree, w
 
 
 def rational_gf_columns(params: WhitneyParams, kmax: int, N: int) -> list:
@@ -43,8 +43,46 @@ def rational_gf_columns(params: WhitneyParams, kmax: int, N: int) -> list:
         raise ValueError("k must be in 0..truncation order")
     m, r = params.m, params.r
     prefixes = h_prefixes(whitney_values(params, kmax), N)
-    return [(ZERO,) * k + tuple(c.shift(m * comb(k, 2) + k * r) for c in h)
+    return [(ZERO,) * k + tuple(c.shift(row_degree(m, r, k)) for c in h)
             for k, h in enumerate(prefixes)]
+
+
+def egf_check(params: WhitneyParams, nmax: int, kmax: int) -> list:
+    """ok[k][n], k <= kmax, n <= nmax: does the z^n numerator of the
+    column EGF, sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} [jm+r]_q^n,
+    equal W[n,k]_q prod_{j=1..k} [jm]_q (``normalizer_factors``)?
+
+    Both sides are integers at q = X = 2^B: [a]_X = (X^a - 1)/(X - 1),
+    Gaussian binomials by their product formula, terms rolled with n,
+    W[n,k](X) packed in B-bit slots.  B, a multiple of 8, is 2 bits over
+    the q = 1 bound sum_j C(k,j) (jm+r)^n + sum |W[n,k]| prod jm on the
+    coefficients of the two sides' difference in column k, so it vanishes
+    at X only if it is 0.  A W with a negative exponent fails outright.
+    """
+    (m, r), out = params, []
+    for k in range(kmax + 1):
+        column = [w(params, n, k) for n in range(nmax + 1)]
+        factors = normalizer_factors(params, k)
+        bound = max(sum(comb(k, j) * (j * m + r) ** n for j in range(k + 1))
+                    + sum(map(abs, v.coeffs)) * prod(factors)
+                    for n, v in enumerate(column))
+        width = (bound.bit_length() + 9) // 8
+        bits, binom, terms, ok = 8 * width, 1, [], []
+        x1 = (1 << bits) - 1  # X - 1, and [a]_X = (X^a - 1) / (X - 1)
+        for j in range(k + 1):  # [k j]_{X^m} by its product formula
+            terms.append((-1) ** (k - j) * binom << bits * m * comb(k - j, 2))
+            binom = (binom * ((1 << bits * m * (k - j)) - 1)
+                     // ((1 << bits * m * (j + 1)) - 1))
+        norm = prod(((1 << bits * a) - 1) // x1 for a in factors)
+        for v in column:  # term j times [jm+r]_X^n
+            lhs = sum(terms)
+            terms = [((t << bits * (j * m + r)) - t) // x1
+                     for j, t in enumerate(terms)]
+            lo = bits * v.min_exp() if v else 0
+            rhs = _pack(v.coeffs, width) * norm if v else 0
+            ok.append(lo >= 0 and lhs == rhs << lo)
+        out.append(ok)
+    return out
 
 
 def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> tuple:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import comb
 
 from .qcore import ONE, ZERO, poly_sum, q_int
-from .whitney import WhitneyParams, w_table
+from .whitney import WhitneyParams, row_degree, w_table
 
 
 class EnumerationTooLarge(ValueError):
@@ -83,7 +83,7 @@ def convolution_tables(params: WhitneyParams, nmax: int, spmax: int) -> tuple:
     (m, r).  Each is the cached triangle rows, one shift per entry; each
     shifted parameter is built by WhitneyParams."""
     def star_rows(p: WhitneyParams, top: int) -> list:
-        return [[x.shift(-(p.m * comb(k, 2) + k * p.r))
+        return [[x.shift(-row_degree(p.m, p.r, k))
                  for k, x in enumerate(row)] for row in w_table(p, top)]
 
     return (star_rows(params, max(nmax + 1, 2 * spmax)),

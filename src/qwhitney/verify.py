@@ -1,26 +1,26 @@
 """Identity verification suites.
 
 Each suite sweeps a parameter grid and cross-checks two or more independent
-computation routes; a cell failure records the witnessing parameters and the
-two mismatched values.  Grids default to the ranges each identity is claimed
-to have been checked on, and can be overridden from a JSON config.
+computation routes; a failed cell records its witnessing parameters and any
+two mismatched polynomials.  Grids default to the ranges each identity is
+claimed to have been checked on, and can be overridden from a JSON config.
 
-``run_suite`` reads a request once and is its only gate: before any
-suite starts it checks the grid, reads its qvals, bounds the tableau
-total and refuses a grid whose polynomials may reach a degree over
+``run_suite`` reads a request once and is its only gate: before any suite
+starts it checks the grid, reads its qvals, bounds the tableau total and
+refuses a grid whose polynomials may reach a degree over
 ``whitney.MAX_DEGREE``, from the CLI and from Python alike.  Each suite
 takes the completed grid and keeps only its cells.  A suite builds the
 inputs its routes and checks share, and no route or check builds them
-itself: per (m, r) the power table and q-Pascal rows of
-qcalculus.RouteValues, every column generating function and h_complete
-cell from one pass of symm.h_prefixes, and the vertical, horizontal and
-tableau cells from one pass per column, row or walk, read in (n, k)
-order.  The horizontal generating function's row values, falling factors
-and powers of [t]_q enter as integer parts, each built once per (n, q) or
-(t, q), the falling factors' [x]_q once per q.  The convolution cells
-read W* tables built once per (m, r).  The hankel suite builds each
-(m, r, s) family's largest matrix, its determinants of every order (one
-elimination), its closed forms of every order (one prefix product) and
+itself: per (m, r) the explicit suite's qcalculus.RouteValues, every
+column generating function and h_complete cell from one pass of
+symm.h_prefixes, every EGF cell from one series.egf_check, and the
+vertical, horizontal and tableau cells from one pass per column, row or
+walk, read in (n, k) order.  The horizontal generating function's row
+values, falling factors and powers of [t]_q enter as integer parts, each
+built once per (n, q) or (t, q), the falling factors' [x]_q once per q.
+The convolution cells read W* tables built once per (m, r).  The hankel
+suite builds each (m, r, s) family's largest matrix, its determinants of
+every order (one elimination), its closed forms (one prefix product) and
 its L*U product once, and each order reads its leading block.
 """
 
@@ -241,17 +241,10 @@ def suite_genfun(g: dict) -> SuiteResult:
                 res.check(psi[n] == expected, {**base, "n": n, "k": k},
                           "rational_gf", psi[n], expected)
         negf = g["nmax_egf"]
-        kmax = min(g["kmax_genfun"], negf)
-        shared = qcalculus.RouteValues.build(p, negf, kmax)
-        for k in range(kmax + 1):
-            norm = qcalculus.normalizer(p, k)
-            for n in range(negf + 1):
-                # the z^n coefficient e / ([n]_q! norm) must equal
-                # W[n,k] / [n]_q!; [n]_q! is nonzero and cancels
-                e = qcalculus.whitney_numerator(shared, n, k)
-                expected = w(p, n, k)
-                res.check(e == expected * norm, {**base, "n": n, "k": k},
-                          "egf", e, expected)
+        egf = series.egf_check(p, negf, min(g["kmax_genfun"], negf))
+        for k, column in enumerate(egf):
+            for n, ok in enumerate(column):
+                res.check(ok, {**base, "n": n, "k": k}, "egf")
         falling = [[series.horizontal_falling(p, t, parts, nh)
                     for parts in q_ints] for t in g["t"]]
         for n in range(nh + 1):

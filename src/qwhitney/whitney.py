@@ -122,7 +122,7 @@ def horizontal_pass(params: WhitneyParams, n: int) -> list:
 
 def w_star(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
     """Normalized value W*_{m,r}[n,k]_q = q^(-m C(k,2) - kr) W_{m,r}[n,k]_q."""
-    return w(params, n, k).shift(-(params.m * comb(k, 2) + k * params.r))
+    return w(params, n, k).shift(-row_degree(params.m, params.r, k))
 
 
 def r_dowling(params: WhitneyParams, n: int) -> LaurentPoly:
@@ -141,6 +141,11 @@ def classical_w(params: WhitneyParams, n: int, k: int) -> int:
 def row_degree(m: int, r: int, n: int) -> int:
     """The top degree m*C(n,2) + r*n of row n >= 0 of the triangle."""
     return m * comb(n, 2) + r * n
+
+
+def normalizer_factors(params: WhitneyParams, k: int) -> range:
+    """m, ..., km: the normalizer [k]_{q^m}! [m]_q^k is prod [jm]_q."""
+    return range(params.m, (k + 1) * params.m, params.m)
 
 
 # The largest degree a request's polynomials may reach: row n of the

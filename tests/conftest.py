@@ -9,18 +9,20 @@ inverse and the Gauss product check test the q-Pascal rows and the
 alternating q-binomial sum.
 
 The planted faults live here too, as context managers that patch the
-library for their duration only: the recurrence weight, the weight of the
-vertical and horizontal routes, the shift of the convolution identities,
-the shift of the Hankel U factor, the Hankel closed forms, the
-prefactor of the column generating functions, the last sum of each
-tableau walk and the falling factors of the horizontal generating
-function.  Each is the mutation of one route, and ``test_faults.py`` checks that together they fail every
-identity the suites check.  ``record_products`` counts the products that
-take one of the ring's product paths, and ``count_operators`` the ring's
-products and sums.  ``poly``, ``power`` and ``q_factorial`` build test
-values the library itself never needs.  ``multiset_sum`` enumerates the
-A-tableaux of one cell on its own (``a_tableaux``), with no prefix shared
-between cells or tableaux: the oracle of the tableau walk.
+library for their duration only: the recurrence weight, the weight of
+the vertical and horizontal routes, the shift of the convolution
+identities, the shift of the Hankel U factor, the Hankel closed forms,
+the prefactor of the column generating functions, the last sum of each
+tableau walk, the falling factors of the horizontal generating
+function, the alternating q-binomial sum of the explicit route and the
+normalizer of the EGF check.  Each is the mutation of one route, and
+``test_faults.py`` checks that together they fail every identity the
+suites check.  ``record_products`` counts the products that take one of
+the ring's product paths, and ``count_operators`` the ring's products
+and sums.  ``poly``, ``power`` and ``q_factorial`` build test values
+the library itself never needs.  ``multiset_sum`` enumerates the
+A-tableaux of one cell on its own (``a_tableaux``), with no prefix
+shared between cells or tableaux: the oracle of the tableau walk.
 """
 
 import random
@@ -32,7 +34,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from qwhitney import (LaurentPoly, WhitneyParams, hankel,
+from qwhitney import (LaurentPoly, WhitneyParams, hankel, qcalculus,
                       q_binomial_alternating_sum, q_binomial_row, q_int,
                       q_int_mul_add, qcore, series, symm, w_star, whitney)
 from qwhitney.qcore import ONE, ZERO
@@ -306,6 +308,34 @@ def perturb_horizontal_falling():
         mp.setattr(series, "horizontal_falling",
                    lambda params, t, q_ints, kmax: right(params, t + 1,
                                                          q_ints, kmax))
+        yield
+
+
+@contextmanager
+def perturb_alternating_sum():
+    """The alternating q-binomial sum is negated for k >= 1 where
+    ``qcalculus`` reads it, in the explicit route's numerator.  The Newton
+    route takes the operator product instead, and the EGF check forms its
+    sum at one integer point."""
+    right = qcalculus.q_binomial_alternating_sum
+
+    def negated(values, b, row):
+        total = right(values, b, row)
+        return -total if len(values) > 1 else total
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcalculus, "q_binomial_alternating_sum", negated)
+        yield
+
+
+@contextmanager
+def perturb_egf_normalizer():
+    """The EGF check's normalizer prod_{j=1..k} [jm]_q loses its last
+    factor [km]_q; the explicit and Newton routes keep theirs."""
+    right = series.normalizer_factors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "normalizer_factors",
+                   lambda params, k: right(params, k)[:-1])
         yield
 
 

@@ -8,12 +8,15 @@ DeMillo, Lipton & Sayward 1978).  The whole report of each run is pinned
 too, by the sha256 of its text: the order of the failures, their witness
 parameters and their side texts.
 
-The tableau-walk and horizontal-falling faults reach route code that no
-other fault reaches, and each fails its one identity alone.  A fault that
-raises inside a suite, such as the base q^b of ``qcalculus.q_diff_heads``
-read as q^(b+1) (its Newton heads then leave a remainder on division), is
-not planted: ``verify`` does not yet record a route that raises as a
-failed cell, so such a run exits 3 with no report.
+The tableau-walk, horizontal-falling, alternating-sum and
+EGF-normalizer faults reach route code that no other fault reaches, and
+each fails its one identity alone: the alternating q-binomial sum is
+read by the explicit route only, since the EGF check forms its own at
+one integer point.  A fault that raises inside a suite, such as the
+base q^b of ``qcalculus.q_diff_heads`` read as q^(b+1) (its Newton
+heads then leave a remainder on division), is not planted: ``verify``
+does not yet record a route that raises as a failed cell, so such a run
+exits 3 with no report.
 """
 
 import contextlib
@@ -23,7 +26,8 @@ import json
 
 import pytest
 
-from conftest import (perturb_closed_form, perturb_convolution_shift,
+from conftest import (perturb_alternating_sum, perturb_closed_form,
+                      perturb_convolution_shift, perturb_egf_normalizer,
                       perturb_gf_prefactor, perturb_horizontal_falling,
                       perturb_recurrence, perturb_route_weight,
                       perturb_tableau_walk, perturb_u_factor)
@@ -44,6 +48,8 @@ FAULTS = {
     "gf_prefactor": perturb_gf_prefactor,
     "tableau_walk": perturb_tableau_walk,
     "horizontal_falling": perturb_horizontal_falling,
+    "alternating_sum": perturb_alternating_sum,
+    "egf_normalizer": perturb_egf_normalizer,
 }
 
 
@@ -79,17 +85,20 @@ def test_kill_matrix(monkeypatch):
         "gf_prefactor": {"rational_gf"},
         "tableau_walk": {"tableau"},
         "horizontal_falling": {"horizontal_gf"},
+        "alternating_sum": {"explicit"},
+        "egf_normalizer": {"egf"},
     }
 
 
 # Exit code and sha256 of the stdout of `verify --suite all` on GRID,
-# clean and under each fault.  The recurrence fault's report is 55,567
-# bytes.
+# clean and under each fault.  The recurrence fault's report is 53,381
+# bytes; its egf failures, like its horizontal_gf ones, carry no side
+# texts, since the EGF check compares integers at one point.
 REPORTS = {
     "clean": (0, "e95dadfbb560bbf37243eee482deef0f"
                  "66c843d265da3c92b1e4431d6c95e471"),
-    "recurrence": (1, "3f7f15e1c22533c9b41db2ea28e3c1dd"
-                      "eb3741bde701eb30968660adf609370d"),
+    "recurrence": (1, "43ccd346a16dcdc5d3239011c8bdd60d"
+                      "dbd7ea1543d872bcb4bcf5919ce35077"),
     "route_weight": (1, "0c95887c88530fa6e1d925c77df1ec5c"
                         "f3101e48811cf0940e803a9bac0d830d"),
     "convolution_shift": (1, "d63767d168d4d3513a006cc649d03d8f"
@@ -104,6 +113,10 @@ REPORTS = {
                         "1b5401d5c48119c98488c3c4d1c49561"),
     "horizontal_falling": (1, "e57e24e6c20b33c1db4887dab201bd13"
                               "490db56d7a2aef72905b511229821481"),
+    "alternating_sum": (1, "5e5ba00f059f9931097064f686329e1e"
+                           "7b81a76c56920f9910a4b5ccfc78374d"),
+    "egf_normalizer": (1, "36238923d9ed618e197c338a43ae78e6"
+                          "185a4a4148e20514bb65e0c338f0b17c"),
 }
 
 

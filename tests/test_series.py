@@ -1,19 +1,19 @@
 from contextlib import nullcontext
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 from operator import mul
 
 import pytest
 
 from conftest import (classical_egf_coeffs, perturb_recurrence, poly, power,
                       q_factorial)
-from qwhitney import verify
-from qwhitney import (RouteValues, WhitneyParams, horizontal_gf_check, q_int,
+from qwhitney import series, verify
+from qwhitney import (WhitneyParams, horizontal_gf_check, q_int,
                       rational_gf_columns, w)
-from qwhitney.qcalculus import normalizer, whitney_numerator
 from qwhitney.qcore import ONE, ZERO
-from qwhitney.series import (horizontal_falling, horizontal_powers,
+from qwhitney.series import (egf_check, horizontal_falling, horizontal_powers,
                              horizontal_row, q_int_parts)
+from qwhitney.whitney import normalizer_factors
 
 P11 = WhitneyParams(1, 1)
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
@@ -96,67 +96,108 @@ class TestColumnsByPrefix:
 
 
 class TestEGF:
-    # whitney_numerator gives the numerator N_n of the column EGF's z^n
-    # coefficient N_n / ([n]_q! normalizer(p, k)), which must equal
-    # W[n,k] / [n]_q!.
+    # egf_check(p, nmax, kmax)[k][n] asks whether the numerator of the
+    # column EGF's z^n coefficient over [n]_q! [k]_{q^m}! [m]_q^k equals
+    # W[n,k] times that normalizer, as integers at one point q = 2^B.  The
+    # check reads W through series.w, so a test hands it other values.
 
-    def test_column_zero(self):
+    @staticmethod
+    def verdict(monkeypatch, p, n, k, value):
+        """egf_check's verdict on cell (n, k) with W[n,k] read as value."""
+        right = series.w
+        with monkeypatch.context() as mp:
+            mp.setattr(series, "w", lambda params, i, j: value
+                       if (i, j) == (n, k) else right(params, i, j))
+            return egf_check(p, n, k)[k][n]
+
+    def test_column_zero(self, monkeypatch):
+        # column 0's numerator is [r]_q^n, over the empty normalizer
         for p in PARAM_GRID:
-            shared = RouteValues.build(p, 5, 0)
+            assert egf_check(p, 5, 0) == [[True] * 6]
             for n in range(6):
-                assert whitney_numerator(shared, n, 0) == \
-                    power(q_int(p.r), n) * normalizer(p, 0)
+                assert self.verdict(monkeypatch, p, n, 0,
+                                    power(q_int(p.r), n))
+                assert self.verdict(monkeypatch, p, n, 0,
+                                    power(q_int(p.r + 1), n)) == (n == 0)
 
-    def test_hand_coefficient(self):
-        shared = RouteValues.build(P11, 3, 1)
-        assert whitney_numerator(shared, 2, 1) == \
-            poly({1: 2, 2: 1}) * normalizer(P11, 1)
+    def test_hand_coefficient(self, monkeypatch):
+        # W_{1,1}[2,1] = 2q + q^2 by hand
+        assert egf_check(P11, 3, 1)[1][2]
+        for value, ok in ((poly({1: 2, 2: 1}), True),
+                          (poly({1: 2, 2: 2}), False),
+                          (poly({1: 1, 2: 1}), False)):
+            assert self.verdict(monkeypatch, P11, 2, 1, value) == ok
 
-    def test_low_coefficients_vanish(self):
-        shared = RouteValues.build(WhitneyParams(2, 1), 6, 2)
+    def test_low_coefficients_vanish(self, monkeypatch):
+        # for n < k the numerator is 0, so only W[n,k] = 0 passes
+        p = WhitneyParams(2, 1)
+        assert egf_check(p, 6, 2)[2][:2] == [True, True]
         for n in range(2):
-            assert whitney_numerator(shared, n, 2).is_zero()
+            assert not self.verdict(monkeypatch, p, n, 2, ONE)
 
     def test_matches_recurrence(self):
-        # one RouteValues per (m, r) serves every column
+        # one call per (m, r) serves every column
         for p in PARAM_GRID:
-            shared = RouteValues.build(p, 8, 3)
-            for k in range(4):
-                for n in range(9):
-                    assert whitney_numerator(shared, n, k) == \
-                        w(p, n, k) * normalizer(p, k)
+            assert egf_check(p, 8, 3) == [[True] * 9] * 4
 
     def test_normalizer_is_the_q_factorial_product(self):
         # [k]_{q^m}! [m]_q^k, formed here from q_factorial and a power
         for p in PARAM_GRID:
             for k in range(5):
-                assert normalizer(p, k) == \
+                assert prod(map(q_int, normalizer_factors(p, k)),
+                            start=ONE) == \
                     q_factorial(k).stretch(p.m) * power(q_int(p.m), k)
 
-    def test_classical_limit_against_series_expansion(self):
-        # at q=1 the column EGF is e^(rt)(e^(mt)-1)^k / (k! m^k)
+    def test_classical_limit_against_series_expansion(self, monkeypatch):
+        # at q=1 the column EGF is e^(rt)(e^(mt)-1)^k / (k! m^k): the W the
+        # check accepts has that z^n coefficient times n! as its q=1
+        # value, and that value as a constant, which agrees at q = 1
+        # alone, fails wherever W is not constant
         for p in PARAM_GRID:
-            shared = RouteValues.build(p, 8, 3)
+            ok = egf_check(p, 8, 3)
             for k in range(4):
                 expected = classical_egf_coeffs(p.m, p.r, k, 8)
                 for n in range(9):
-                    num = whitney_numerator(shared, n, k)
-                    den = q_factorial(n) * normalizer(p, k)
-                    assert num.eval(Fraction(1)) / den.eval(Fraction(1)) \
-                        == expected[n]
+                    v = w(p, n, k)
+                    assert ok[k][n]
+                    assert v.eval(Fraction(1)) == expected[n] * factorial(n)
+                    if p.m == 2 and len(v.coeffs) > 1:
+                        flat = poly({0: sum(v.coeffs)})
+                        assert not self.verdict(monkeypatch, p, n, k, flat)
+
+    def test_exact_in_every_coefficient(self, monkeypatch):
+        # W[n,k] off by +-1 in a single coefficient, one past either end
+        # too, or shifted by q either way fails its cell, also where the
+        # changed W has a negative lowest exponent (r >= 1 keeps every
+        # W[n,k], n >= k, nonzero)
+        for p in (P11, WhitneyParams(2, 1), WhitneyParams(3, 2)):
+            for k in range(4):
+                for n in range(k, 7):
+                    v = w(p, n, k)
+                    lo, hi = v.min_exp(), v.max_exp()
+                    changed = [v.shift(1), v.shift(-1), v.shift(-lo - 1)]
+                    changed += [v + poly({e: d}) for e in range(lo - 1, hi + 2)
+                                for d in (1, -1)]
+                    assert any(c.min_exp() < 0 for c in changed)
+                    for c in changed:
+                        assert not self.verdict(monkeypatch, p, n, k, c)
 
     def test_suite_failure_texts(self):
+        # a failed egf cell names its (m, r, n, k) and carries no side
+        # texts, as a horizontal_gf cell does; it fails exactly where the
+        # faulty triangle differs from the true one
+        p = WhitneyParams(2, 1)
         grid = {"m": [2], "r": [1], "nmax_genfun": 0, "nmax_egf": 4,
                 "kmax_genfun": 2, "nmax_horizontal": 0, "t": [], "qvals": []}
+        right = {(n, k): w(p, n, k) for k in range(3) for n in range(5)}
         with perturb_recurrence():
             res = verify.run_suite("genfun", grid)[0]
-            failures = [f for f in res.failures if f.identity == "egf"]
-            assert failures
-            for f in failures:
-                n, k = f.params["n"], f.params["k"]
-                shared = RouteValues.build(WhitneyParams(2, 1), 4, k)
-                assert f.lhs == str(whitney_numerator(shared, n, k))
-                assert f.rhs == str(w(WhitneyParams(2, 1), n, k))
+            wrong = [cell for cell, v in right.items() if w(p, *cell) != v]
+        failures = [f for f in res.failures if f.identity == "egf"]
+        assert wrong and len(failures) == len(wrong)
+        for f, (n, k) in zip(failures, wrong):
+            assert f.params == {"m": 2, "r": 1, "n": n, "k": k}
+            assert f.lhs == f.rhs == ""
 
 
 class TestHorizontalGF:

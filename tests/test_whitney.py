@@ -132,10 +132,12 @@ class TestProductPaths:
             poly({0: 3, 1: 7, 2: 2})
         assert kronecker == [(2, 2)]
 
-    @pytest.mark.parametrize("suite", ["recurrences", "symmetric"])
+    @pytest.mark.parametrize("suite", ["recurrences", "symmetric", "genfun"])
     def test_suite_needs_no_kronecker_product(self, kronecker, suite):
         # The Horner routes multiply by one [a]_q per step, and the tableau
-        # weights are q-integers: each product has a run on one side.
+        # and h weights are q-integers: each product has a run on one side.
+        # The EGF and horizontal GF checks multiply integers, not
+        # polynomials.
         assert verify.run_suite(suite)[0].ok
         assert kronecker == []
 
@@ -160,6 +162,16 @@ class TestProductPaths:
     # (m, r)), summed in one working list; each L*U entry only k <=
     # min(i, j) (55 per order-5 family, not 125).  Cell by cell over every
     # k they took 8,127 and 7,380 products.
+    # The genfun suite's ring products and sums are its h steps alone (57
+    # per (m, r)), since its EGF and horizontal GF cells are checked in
+    # integers.  With each EGF numerator summed in the ring it took 3,996
+    # products and 1,107 sums.
+    def test_genfun_multiplies_only_in_its_h_steps(self, monkeypatch):
+        calls = count_operators(monkeypatch)
+        assert verify.run_suite("genfun")[0].ok
+        assert 0 < calls["__mul__"] <= 513
+        assert 0 < calls["__add__"] <= 513
+
     def test_convolution_multiplies_only_nonzero_terms(self, monkeypatch):
         calls = count_operators(monkeypatch)
         assert verify.run_suite("convolution")[0].ok
