@@ -16,8 +16,9 @@ from .whitney import (InternalNonLaurent, WhitneyParams, classical_w,
 from .qcalculus import (RouteValues, newton_coefficients, q_diff_heads,
                         q_power_table, whitney_explicit)
 from .series import horizontal_gf_check, rational_gf_columns
-from .symm import (EnumerationTooLarge, convolution_first, convolution_second,
-                   convolution_tables, h_prefixes, tableau_walk)
+from .symm import (EnumerationTooLarge, convolution_check, convolution_first,
+                   convolution_second, convolution_tables, h_prefixes,
+                   tableau_walk)
 from .hankel import (HankelSpec, classical_hankel_check, degree_bound,
                      det_exact, hankel_closed_forms, hankel_factors,
                      hankel_matrix, leading_dets, lu_check)

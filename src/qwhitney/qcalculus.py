@@ -15,11 +15,16 @@ product, so a fault in one form cannot hide in both routes.
 
 The two routes share only the values of f.  RouteValues holds what they
 need for one (m, r): the power table [jm+r]_q^n (each n one sliding-window
-product per node from the n-1 values) and the q-Pascal rows [k j]_{q^m};
-a suite builds it once and hands it to every cell, and the routes read m
-and r from it alone.  Both divide by the normalizer [k]_{q^m}! [m]_q^k as
-the product of the q-integers [jm]_q, j = 1..k, one linear pass each
-(``whitney.normalizer_factors``, ``qcore.laurent_div_q_ints``).
+product per node from the n-1 values), the q-Pascal rows [k j]_{q^m} and
+the normalizers [k]_{q^m}! [m]_q^k = prod_{j<=k} [jm]_q, each one
+q-integer product from the last; a suite builds it once and hands it to
+every cell, and the routes read m and r from it alone.  Each route is its
+numerator (``explicit_numerator``, ``newton_heads``) over the normalizer
+(``whitney_explicit``, ``newton_coefficients``), divided one q-integer
+[jm]_q at a time, one linear pass each (``normalized``).  The explicit
+suite divides nothing on a passing cell: it compares the numerators with
+W times ``norms[k]``, and calls ``normalized`` only for the side texts of
+a failed cell.
 """
 
 from __future__ import annotations
@@ -69,13 +74,17 @@ class RouteValues:
 
     - ``powers[n]`` holds the values of [x+r]_q^n at x = 0, m, ..., kmax*m,
       for n = 0..nmax;
-    - ``rows[k]`` is the q-Pascal row q_binomial_row(k, m), k = 0..kmax.
+    - ``rows[k]`` is the q-Pascal row q_binomial_row(k, m), k = 0..kmax;
+    - ``norms[k]`` is the normalizer [k]_{q^m}! [m]_q^k = prod_{j<=k}
+      [jm]_q, k = 0..kmax, each one q-integer product from the last.
     """
 
-    __slots__ = ("params", "powers", "rows")
+    __slots__ = ("params", "powers", "rows", "norms")
 
-    def __init__(self, params: WhitneyParams, powers: list, rows: list):
+    def __init__(self, params: WhitneyParams, powers: list, rows: list,
+                 norms: list):
         self.params, self.powers, self.rows = params, powers, rows
+        self.norms = norms
 
     @classmethod
     def build(cls, params: WhitneyParams, nmax: int,
@@ -83,23 +92,42 @@ class RouteValues:
         """Everything rows n <= nmax and columns k <= kmax of the routes
         read."""
         m, r = params.m, params.r
+        norms = [ONE]
+        for a in normalizer_factors(params, kmax):
+            norms.append(norms[-1] * q_int(a))
         return cls(params, q_power_table(r, m, kmax + 1, nmax),
-                   [q_binomial_row(k, m) for k in range(kmax + 1)])
+                   [q_binomial_row(k, m) for k in range(kmax + 1)], norms)
+
+
+def explicit_numerator(shared: RouteValues, n: int, k: int) -> LaurentPoly:
+    """The explicit formula's numerator for W_{m,r}[n,k]_q: the alternating
+    sum sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} [jm+r]_q^n, for the
+    (m, r) of ``shared``, which covers row n and column k."""
+    if not 0 <= k <= n:
+        raise ValueError("the explicit formula requires 0 <= k <= n")
+    return q_binomial_alternating_sum(shared.powers[n][:k + 1],
+                                      shared.params.m, shared.rows[k])
+
+
+def newton_heads(shared: RouteValues, n: int) -> list:
+    """D^k_{q^m,m} f_q(0) for f_q(x) = [x+r]_q^n and k = 0..n, from one
+    pass of the operator product (q_diff_heads), for the (m, r) of
+    ``shared``, which covers row n and columns k <= n."""
+    return q_diff_heads(shared.powers[n][:n + 1], shared.params.m)
+
+
+def normalized(shared: RouteValues, x: LaurentPoly, k: int) -> LaurentPoly:
+    """x over the normalizer of column k, divided one q-integer [jm]_q at
+    a time.  Raises NonExactDivision when that leaves a remainder."""
+    return laurent_div_q_ints(x, normalizer_factors(shared.params, k))
 
 
 def whitney_explicit(shared: RouteValues, n: int, k: int) -> LaurentPoly:
-    """W_{m,r}[n,k]_q from the explicit formula: the alternating sum
-    sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} [jm+r]_q^n over
-    [k]_{q^m}! [m]_q^k, for the (m, r) of ``shared``, which covers row n
-    and column k.  The division, one q-integer [jm]_q at a time, is exact;
-    a NonExactDivision here is a bug, not bad input.
+    """W_{m,r}[n,k]_q from the explicit formula: ``explicit_numerator``
+    over [k]_{q^m}! [m]_q^k.  The division is exact; a NonExactDivision
+    here is a bug, not bad input.
     """
-    if not 0 <= k <= n:
-        raise ValueError("whitney_explicit requires 0 <= k <= n")
-    return laurent_div_q_ints(
-        q_binomial_alternating_sum(shared.powers[n][:k + 1], shared.params.m,
-                                   shared.rows[k]),
-        normalizer_factors(shared.params, k))
+    return normalized(shared, explicit_numerator(shared, n, k), k)
 
 
 def newton_coefficients(shared: RouteValues, n: int) -> list:
@@ -108,9 +136,7 @@ def newton_coefficients(shared: RouteValues, n: int) -> list:
 
     The k-th coefficient is D^k_{q^m,m} f_q(0) / ([k]_{q^m}! [m]_q^k) and
     equals W_{m,r}[n,k]_q; this route reads every D^k f_q(0), k <= n, from
-    one pass of the operator product (q_diff_heads), not from the
-    alternating sum of whitney_explicit.
+    ``newton_heads``, not from the alternating sum of the explicit route.
     """
-    heads = q_diff_heads(shared.powers[n][:n + 1], shared.params.m)
-    return [laurent_div_q_ints(d, normalizer_factors(shared.params, k))
-            for k, d in enumerate(heads)]
+    return [normalized(shared, d, k)
+            for k, d in enumerate(newton_heads(shared, n))]

@@ -32,8 +32,11 @@ machine words, packed from an ``array`` and unpacked by a ``memoryview``
 cast, when both sides are nonnegative and the product's coefficients fit
 64 bits; other products are packed in byte slots.  A sum, like the shifted
 addition of the fused step, is one aligned ``map(add)`` in a working list
-(``_add_into``), and :func:`poly_sum` adds a whole sum into one list,
-trimmed once.  Rational evaluation is a single integer Horner pass
+(``_add_into``), a difference one ``map(sub)``, and :func:`poly_sum` adds
+a whole sum into one list, trimmed once.  :func:`pack_at_point` gives
+polynomials as integers at one point q = 2^B, B set from a coefficient
+bound, where the EGF and convolution checks compare their two sides.
+Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
 integer numerator and denominator; ``eval`` puts them in one Fraction, and
 a caller summing many values at one q can cross-multiply the integers
@@ -132,7 +135,14 @@ class LaurentPoly:
         return _trimmed(_add_into(c, self._lo, other._c, other._lo), c)
 
     def __sub__(self, other) -> "LaurentPoly":
-        return self + -other
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        if not other._c:
+            return self
+        if not self._c:
+            return -other
+        c = list(self._c)
+        return _trimmed(_add_into(c, self._lo, other._c, other._lo, sub), c)
 
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -282,12 +292,12 @@ def _trimmed(lo: int, c: list) -> LaurentPoly:
     return _poly(lo + start, tuple(c))
 
 
-def _add_into(c: list, lo: int, d: tuple, dlo: int) -> int:
+def _add_into(c: list, lo: int, d: tuple, dlo: int, op=add) -> int:
     """Add q^dlo d, for a nonempty d, into q^lo c in the working list c
-    and return c's new offset; ``_trimmed`` trims its ends.  c is padded
-    with zeros where d reaches past either end, and d is added by one
-    ``map(add)``.  One working list, so that no short-lived tuples pile up
-    in the interpreter's tuple free lists.
+    (subtract it for ``op`` = sub) and return c's new offset; ``_trimmed``
+    trims its ends.  c is padded with zeros where d reaches past either
+    end, and d is added by one ``map(op)``.  One working list, so that no
+    short-lived tuples pile up in the interpreter's tuple free lists.
     """
     off = dlo - lo
     if off < 0:
@@ -296,7 +306,7 @@ def _add_into(c: list, lo: int, d: tuple, dlo: int) -> int:
     end = off + len(d)
     if end > len(c):
         c.extend(repeat(0, end - len(c)))
-    c[off:end] = map(add, c[off:end], d)
+    c[off:end] = map(op, c[off:end], d)
     return lo
 
 
@@ -337,15 +347,35 @@ def _coeff_bits(c: tuple) -> int:
 
 
 def _pack(c: tuple, width: int) -> int:
-    """sum_i c[i] 2^(8*width*i) as one int.  Positive and negative
-    coefficients are packed apart, each as unsigned width-byte slots."""
+    """sum_i c[i] 2^(8*width*i) as one int, in unsigned width-byte slots:
+    nonnegative c in one ``map`` pass, otherwise its positive and negative
+    coefficients apart."""
+    if min(c) >= 0:
+        return int.from_bytes(b"".join(map(int.to_bytes, c, repeat(width),
+                                           repeat("little"))), "little")
     blank = bytes(width)
     pos = int.from_bytes(b"".join(x.to_bytes(width, "little") if x > 0 else blank
                                   for x in c), "little")
-    if min(c) >= 0:
-        return pos
     return pos - int.from_bytes(b"".join((-x).to_bytes(width, "little") if x < 0
                                          else blank for x in c), "little")
+
+
+def pack_at_point(bound: int, polys) -> tuple:
+    """``(bits, values)``: B = bits, the least multiple of 8 at least 2
+    bits over ``bound``, and each of ``polys`` at q = X = 2^B as one int,
+    packed in B-bit slots (``_pack``, no Horner pass), or None for one
+    with a negative exponent.  ``bound`` is at least every coefficient of
+    ``polys`` in absolute value.
+
+    Two polynomials whose difference has every coefficient at most
+    ``bound`` in absolute value are then equal exactly when their values
+    at X are: every coefficient of a nonzero difference is under X/4, so
+    its top term outweighs all its lower terms together.
+    """
+    width = (bound.bit_length() + 9) // 8
+    bits = 8 * width
+    return bits, [0 if not p._c else None if p._lo < 0
+                  else _pack(p._c, width) << bits * p._lo for p in polys]
 
 
 # Unsigned machine words for Kronecker slots, narrowest first, as

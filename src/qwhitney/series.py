@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, lcm, prod
 from operator import mul
 
-from .qcore import ZERO, _pack, q_int
+from .qcore import ZERO, pack_at_point, q_int
 from .symm import h_prefixes, whitney_values
 from .whitney import WhitneyParams, normalizer_factors, row_degree, w
 
@@ -54,10 +54,10 @@ def egf_check(params: WhitneyParams, nmax: int, kmax: int) -> list:
 
     Both sides are integers at q = X = 2^B: [a]_X = (X^a - 1)/(X - 1),
     Gaussian binomials by their product formula, terms rolled with n,
-    W[n,k](X) packed in B-bit slots.  B, a multiple of 8, is 2 bits over
-    the q = 1 bound sum_j C(k,j) (jm+r)^n + sum |W[n,k]| prod jm on the
-    coefficients of the two sides' difference in column k, so it vanishes
-    at X only if it is 0.  A W with a negative exponent fails outright.
+    W[n,k](X) packed by ``qcore.pack_at_point`` from the q = 1 bound
+    sum_j C(k,j) (jm+r)^n + sum |W[n,k]| prod jm on the coefficients of
+    the two sides' difference in column k, so the difference vanishes at
+    X only if it is 0.  A W with a negative exponent fails outright.
     """
     (m, r), out = params, []
     for k in range(kmax + 1):
@@ -66,21 +66,19 @@ def egf_check(params: WhitneyParams, nmax: int, kmax: int) -> list:
         bound = max(sum(comb(k, j) * (j * m + r) ** n for j in range(k + 1))
                     + sum(map(abs, v.coeffs)) * prod(factors)
                     for n, v in enumerate(column))
-        width = (bound.bit_length() + 9) // 8
-        bits, binom, terms, ok = 8 * width, 1, [], []
+        bits, packed = pack_at_point(bound, column)
+        binom, terms, ok = 1, [], []
         x1 = (1 << bits) - 1  # X - 1, and [a]_X = (X^a - 1) / (X - 1)
         for j in range(k + 1):  # [k j]_{X^m} by its product formula
             terms.append((-1) ** (k - j) * binom << bits * m * comb(k - j, 2))
             binom = (binom * ((1 << bits * m * (k - j)) - 1)
                      // ((1 << bits * m * (j + 1)) - 1))
         norm = prod(((1 << bits * a) - 1) // x1 for a in factors)
-        for v in column:  # term j times [jm+r]_X^n
+        for v in packed:  # term j times [jm+r]_X^n
             lhs = sum(terms)
             terms = [((t << bits * (j * m + r)) - t) // x1
                      for j, t in enumerate(terms)]
-            lo = bits * v.min_exp() if v else 0
-            rhs = _pack(v.coeffs, width) * norm if v else 0
-            ok.append(lo >= 0 and lhs == rhs << lo)
+            ok.append(v is not None and lhs == v * norm)
         out.append(ok)
     return out
 

@@ -9,15 +9,21 @@ entries, so the rows of a pass form a triangle.  A brute-force
 sum over weakly increasing column-length lists (A-tableaux) provides the
 independent exponential-time oracle: ``tableau_walk`` enumerates every
 tableau of one column k once, depth first, and sums it into its row.  The
-two convolution identities are checked as exact polynomial equalities,
-read from the W* tables of ``convolution_tables``, built once per (m, r).
+two convolution identities read the W* tables of ``convolution_tables``,
+built once per (m, r).  ``convolution_check`` compares every cell of both
+as integers at one point q = 2^B, each entry packed once, with B set from
+q = 1 values so that each integer equality is an exact polynomial
+equality (``qcore.pack_at_point``, shared with ``series.egf_check``);
+``convolution_first`` and ``convolution_second`` check one cell as
+polynomials.  Both read a cell's terms from one place per identity.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import mul
 
-from .qcore import ONE, ZERO, poly_sum, q_int
+from .qcore import ONE, ZERO, pack_at_point, poly_sum, q_int
 from .whitney import WhitneyParams, row_degree, w_table
 
 
@@ -92,17 +98,82 @@ def convolution_tables(params: WhitneyParams, nmax: int, spmax: int) -> tuple:
              for i in range(max(nmax + 2, spmax + 1))])
 
 
+def _first_sides(table, shifted, n: int, l: int, j: int) -> tuple:
+    """``(lhs, xs, ys)`` of the first identity: its left side W*[n+1,
+    l+j+1] and the factors xs[i] = W*[k,l], ys[i] = W*_{m,r+m(l+1)}[n-k,j]
+    whose products sum to it, read from ``convolution_tables`` or from
+    tables of their values.  Only k = l..n-j: W*[k,l] = 0 for k < l, the
+    shifted W*[n-k,j] for n-k < j."""
+    ks = range(l, n - j + 1)
+    return (table[n + 1][l + j + 1], [table[k][l] for k in ks],
+            [shifted[l + 1][n - k][j] for k in ks])
+
+
+def _second_sides(table, shifted, s: int, p: int, t: int) -> tuple:
+    """``(lhs, xs, ys)`` of the second identity, as ``_first_sides`` reads
+    them: W*[s+p,t] and xs[i] = W*[s,k], ys[i] = W*_{m,r+mk}[p,t-k], k =
+    max(0,t-p)..min(t,s)."""
+    ks = range(max(0, t - p), min(t, s) + 1)
+    return (table[s + p][t], [table[s][k] for k in ks],
+            [shifted[k][p][t - k] for k in ks])
+
+
 def convolution_first(table, shifted, n: int, l: int, j: int) -> bool:
     """W*[n+1, l+j+1]_q = sum_{k=0}^{n} W*_{m,r}[k,l]_q W*_{m,r+m(l+1)}[n-k,j]_q?
     Reads ``convolution_tables`` of (m, r); l+j <= n.  Only k = l..n-j is
-    summed: W*[k,l] = 0 for k < l, the shifted W*[n-k,j] for n-k < j."""
-    return table[n + 1][l + j + 1] == poly_sum(
-        table[k][l] * shifted[l + 1][n - k][j] for k in range(l, n - j + 1))
+    summed (``_first_sides``)."""
+    lhs, xs, ys = _first_sides(table, shifted, n, l, j)
+    return lhs == poly_sum(map(mul, xs, ys))
 
 
 def convolution_second(table, shifted, s: int, p: int, t: int) -> bool:
     """W*[s+p,t]_q = sum_{k=max(0,t-p)}^{min(t,s)} W*[s,k]_q W*_{m,r+mk}[p,t-k]_q?
     Reads ``convolution_tables`` of (m, r); t <= s+p."""
-    return table[s + p][t] == poly_sum(
-        table[s][k] * shifted[k][p][t - k]
-        for k in range(max(0, t - p), min(t, s) + 1))
+    lhs, xs, ys = _second_sides(table, shifted, s, p, t)
+    return lhs == poly_sum(map(mul, xs, ys))
+
+
+def convolution_check(table, shifted, nmax: int, spmax: int) -> list:
+    """``(identity, cell, ok)`` for every cell of the two identities, in
+    order: ``convolution_first`` at each n <= nmax, l <= n, j <= n-l,
+    then ``convolution_second`` at each s, p <= spmax, t <= s+p, with
+    ``cell`` the dict naming its parameters.  Reads the
+    ``convolution_tables`` of (m, r) for nmax and spmax.
+
+    ``ok`` compares the two sides as integers at one point q = X = 2^B,
+    each entry packed once (``qcore.pack_at_point``).  B is 2 bits over
+    the largest, over the cells, of sum |coefficients| of the left side
+    plus the sum over the pairs of the products of their sum
+    |coefficients|, which bounds every coefficient of the difference of
+    the two sides; so each cell is a few integer products and one exact
+    comparison.  An entry with a negative exponent, which no W* has,
+    fails every cell that reads it.
+    """
+    cells = [("convolution_first", {"n": n, "l": l, "j": j}, _first_sides,
+              (n, l, j))
+             for n in range(nmax + 1) for l in range(n + 1)
+             for j in range(n - l + 1)]
+    cells += [("convolution_second", {"s": s, "p": p, "t": t},
+               _second_sides, (s, p, t))
+              for s in range(spmax + 1) for p in range(spmax + 1)
+              for t in range(s + p + 1)]
+
+    def at_one(rows):
+        return [[sum(map(abs, x.coeffs)) for x in row] for row in rows]
+
+    ones = at_one(table), [at_one(rows) for rows in shifted]
+    bound = 0
+    for _, _, sides, args in cells:
+        lhs, xs, ys = sides(*ones, *args)
+        bound = max(bound, lhs + sum(map(mul, xs, ys)))
+
+    def at_point(rows):
+        return [pack_at_point(bound, row)[1] for row in rows]
+
+    points = at_point(table), [at_point(rows) for rows in shifted]
+    out = []
+    for identity, cell, sides, args in cells:
+        lhs, xs, ys = sides(*points, *args)
+        out.append((identity, cell, lhs is not None and None not in xs
+                    and None not in ys and lhs == sum(map(mul, xs, ys))))
+    return out

@@ -18,10 +18,16 @@ vertical, horizontal and tableau cells from one pass per column, row or
 walk, read in (n, k) order.  The horizontal generating function's row
 values, falling factors and powers of [t]_q enter as integer parts, each
 built once per (n, q) or (t, q), the falling factors' [x]_q once per q.
-The convolution cells read W* tables built once per (m, r).  The hankel
-suite builds each (m, r, s) family's largest matrix, its determinants of
-every order (one elimination), its closed forms (one prefix product) and
-its L*U product once, and each order reads its leading block.
+The explicit suite multiplies out: the explicit numerator and the Newton
+head of each cell are compared with W times the normalizer of its
+column, and only a failed cell divides, for its side texts, so a
+division that leaves a remainder is a failed cell, not an error.  The
+convolution cells read W* tables built once per (m, r), each cell
+compared as integers at one point (``symm.convolution_check``), as the
+EGF cells are (``series.egf_check``).  The hankel suite builds each
+(m, r, s) family's largest matrix, its determinants of every order (one
+elimination), its closed forms (one prefix product) and its L*U product
+once, and each order reads its leading block.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from types import SimpleNamespace
 
 from . import hankel as hk
 from . import qcalculus, series, symm
+from .qcore import NonExactDivision
 from .whitney import (WhitneyParams, check_degree, horizontal_pass,
                       row_degree, vertical_pass, w, w_star)
 
@@ -204,20 +211,42 @@ def suite_recurrences(g: dict) -> SuiteResult:
 
 
 def suite_explicit(g: dict) -> SuiteResult:
-    """Explicit q-difference formula and Newton coefficients vs recurrence."""
+    """Explicit q-difference formula and Newton coefficients vs recurrence.
+
+    Each cell multiplies out: the explicit numerator and the Newton head
+    of column k must equal W[n,k] times the normalizer ``norms[k]``, which
+    holds exactly when their quotients are W.  Only a failed cell divides,
+    for its side texts: the quotient and W, or, where the division leaves
+    a remainder, the numerator or head and W times the normalizer.
+    """
     res = SuiteResult("explicit")
     for p, base in _families(g):
         shared = qcalculus.RouteValues.build(p, g["nmax"], g["nmax"])
         for n in range(g["nmax"] + 1):
-            newton = qcalculus.newton_coefficients(shared, n)
+            heads = qcalculus.newton_heads(shared, n)
             for k in range(n + 1):
                 expected = w(p, n, k)
-                got = qcalculus.whitney_explicit(shared, n, k)
-                res.check(got == expected, {**base, "n": n, "k": k},
-                          "explicit", got, expected)
-                res.check(newton[k] == expected, {**base, "n": n, "k": k},
-                          "newton", newton[k], expected)
+                target = expected * shared.norms[k]
+                cell = {**base, "n": n, "k": k}
+                numerator = qcalculus.explicit_numerator(shared, n, k)
+                for identity, got in (("explicit", numerator),
+                                      ("newton", heads[k])):
+                    if got == target:
+                        res.check(True, cell, identity)
+                    else:
+                        res.check(False, cell, identity, *_failed_sides(
+                            shared, k, got, expected, target))
     return res
+
+
+def _failed_sides(shared, k: int, got, expected, target) -> tuple:
+    """The two sides a failed explicit or Newton cell of column k reports:
+    ``got`` over the normalizer and W, or, where that division leaves a
+    remainder, ``got`` and W times the normalizer (``target``)."""
+    try:
+        return qcalculus.normalized(shared, got, k), expected
+    except NonExactDivision:
+        return got, target
 
 
 def suite_genfun(g: dict) -> SuiteResult:
@@ -300,18 +329,8 @@ def suite_convolution(g: dict) -> SuiteResult:
     nmax, sp = g["nmax_conv"], g["spmax_conv"]
     for p, base in _families(g):
         tables = symm.convolution_tables(p, nmax, sp)
-        for n in range(nmax + 1):
-            for l in range(n + 1):
-                for j in range(n - l + 1):
-                    res.check(symm.convolution_first(*tables, n, l, j),
-                              {**base, "n": n, "l": l, "j": j},
-                              "convolution_first")
-        for s in range(sp + 1):
-            for pp in range(sp + 1):
-                for t in range(s + pp + 1):
-                    res.check(symm.convolution_second(*tables, s, pp, t),
-                              {**base, "s": s, "p": pp, "t": t},
-                              "convolution_second")
+        for identity, cell, ok in symm.convolution_check(*tables, nmax, sp):
+            res.check(ok, {**base, **cell}, identity)
     return res
 
 

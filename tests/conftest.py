@@ -14,8 +14,10 @@ the vertical and horizontal routes, the shift of the convolution
 identities, the shift of the Hankel U factor, the Hankel closed forms,
 the prefactor of the column generating functions, the last sum of each
 tableau walk, the falling factors of the horizontal generating
-function, the alternating q-binomial sum of the explicit route and the
-normalizer of the EGF check.  Each is the mutation of one route, and
+function, the alternating q-binomial sum of the explicit route, the
+normalizer of the EGF check, and the base of the Newton route's operator
+product, in two forms: one whose heads still divide by the normalizer
+and one whose heads leave a remainder.  Each is the mutation of one route, and
 ``test_faults.py`` checks that together they fail every identity the
 suites check.  ``record_products`` counts the products that take one of
 the ring's product paths, and ``count_operators`` the ring's products
@@ -336,6 +338,36 @@ def perturb_egf_normalizer():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "normalizer_factors",
                    lambda params, k: right(params, k)[:-1])
+        yield
+
+
+@contextmanager
+def perturb_newton_base():
+    """The factor (E_h - q^(bj)) of the Newton route's operator product
+    becomes (E_h - q^(b(j+1))) where ``qcalculus`` reads
+    ``q_diff_heads``; the explicit route's alternating sum is kept."""
+    def shifted(values, qbase_exp):
+        heads = [values[0]]
+        for j in range(len(values) - 1):
+            values = [upper - lower.shift(qbase_exp * (j + 1))
+                      for lower, upper in zip(values, values[1:])]
+            heads.append(values[0])
+        return heads
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcalculus, "q_diff_heads", shifted)
+        yield
+
+
+@contextmanager
+def perturb_newton_remainder():
+    """The base q^b of the Newton route's operator product is read as
+    q^(b+1), so that most of its heads leave a remainder on division by
+    the normalizer: a fault that raises inside the route's division."""
+    right = qcalculus.q_diff_heads
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcalculus, "q_diff_heads",
+                   lambda values, qbase_exp: right(values, qbase_exp + 1))
         yield
 
 

@@ -8,15 +8,16 @@ DeMillo, Lipton & Sayward 1978).  The whole report of each run is pinned
 too, by the sha256 of its text: the order of the failures, their witness
 parameters and their side texts.
 
-The tableau-walk, horizontal-falling, alternating-sum and
-EGF-normalizer faults reach route code that no other fault reaches, and
+The tableau-walk, horizontal-falling, alternating-sum, EGF-normalizer
+and Newton-base faults reach route code that no other fault reaches, and
 each fails its one identity alone: the alternating q-binomial sum is
 read by the explicit route only, since the EGF check forms its own at
-one integer point.  A fault that raises inside a suite, such as the
-base q^b of ``qcalculus.q_diff_heads`` read as q^(b+1) (its Newton
-heads then leave a remainder on division), is not planted: ``verify``
-does not yet record a route that raises as a failed cell, so such a run
-exits 3 with no report.
+one integer point, and the operator product by the Newton route only.
+The Newton-remainder fault reads the base q^b of
+``qcalculus.q_diff_heads`` as q^(b+1), so that its Newton heads leave a
+remainder on division by the normalizer.  A division that raises is a
+failed cell whose sides are the head and W times the normalizer, so the
+run still exits 1 with its report.
 """
 
 import contextlib
@@ -26,12 +27,17 @@ import json
 
 import pytest
 
+from math import prod
+
 from conftest import (perturb_alternating_sum, perturb_closed_form,
                       perturb_convolution_shift, perturb_egf_normalizer,
                       perturb_gf_prefactor, perturb_horizontal_falling,
+                      perturb_newton_base, perturb_newton_remainder,
                       perturb_recurrence, perturb_route_weight,
                       perturb_tableau_walk, perturb_u_factor)
-from qwhitney import cli, verify
+from qwhitney import WhitneyParams, cli, q_int, verify, w
+from qwhitney.qcore import ONE
+from qwhitney.whitney import normalizer_factors
 
 GRID = {"m": [1, 2], "r": [0, 1], "nmax": 4, "nmax_tableau": 4,
         "nmax_genfun": 4, "nmax_egf": 4, "nmax_horizontal": 3,
@@ -50,6 +56,8 @@ FAULTS = {
     "horizontal_falling": perturb_horizontal_falling,
     "alternating_sum": perturb_alternating_sum,
     "egf_normalizer": perturb_egf_normalizer,
+    "newton_base": perturb_newton_base,
+    "newton_remainder": perturb_newton_remainder,
 }
 
 
@@ -87,6 +95,8 @@ def test_kill_matrix(monkeypatch):
         "horizontal_falling": {"horizontal_gf"},
         "alternating_sum": {"explicit"},
         "egf_normalizer": {"egf"},
+        "newton_base": {"newton"},
+        "newton_remainder": {"newton"},
     }
 
 
@@ -117,6 +127,10 @@ REPORTS = {
                            "7b81a76c56920f9910a4b5ccfc78374d"),
     "egf_normalizer": (1, "36238923d9ed618e197c338a43ae78e6"
                           "185a4a4148e20514bb65e0c338f0b17c"),
+    "newton_base": (1, "d161f6197eb3fc78c3b54a171875c765"
+                       "4d8fce2ae5665a7dacd796400f8acd5b"),
+    "newton_remainder": (1, "4b127bf102d4da274fd4742aca6dfc0d"
+                            "4c043a15eca8b372b378f8a4503a3fa9"),
 }
 
 
@@ -129,3 +143,20 @@ def test_golden_report(tmp_path, fault):
         rc = cli.main(["verify", "--suite", "all", "--grid", str(path)], out)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert (rc, digest) == REPORTS[fault]
+
+
+def test_a_division_that_raises_is_a_failed_cell():
+    # Under the remainder fault every Newton head of column k >= 2 leaves a
+    # remainder: 24 cells of GRID, each recorded with the head and W times
+    # the normalizer as its sides, and the other suites still run.
+    with perturb_newton_remainder():
+        results = verify.run_suite("all", GRID)
+    assert sum(res.cells for res in results) == 840
+    failures = [f for res in results for f in res.failures]
+    assert len(failures) == 24
+    for f in failures:
+        p = WhitneyParams(f.params["m"], f.params["r"])
+        n, k = f.params["n"], f.params["k"]
+        assert f.identity == "newton" and k >= 2
+        norm = prod(map(q_int, normalizer_factors(p, k)), start=ONE)
+        assert f.rhs == str(w(p, n, k) * norm)

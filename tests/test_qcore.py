@@ -314,6 +314,35 @@ class TestPolySum:
             poly({-10: 2, -9: -2, -4: 3, 0: -1, 7: 1})
 
 
+class TestPackAtPoint:
+    def test_values_at_the_point(self):
+        rng = random.Random(26)
+        for _ in range(200):
+            polys = [random_laurent(rng, exp_range=(0, 12))
+                     for _ in range(4)]
+            # the bound covers every coefficient, as its callers' do
+            bound = rng.choice([9, 2 ** 6, 2 ** 40, 3 ** 90])
+            bits, values = qcore.pack_at_point(bound, polys)
+            assert bits % 8 == 0 and bound < 2 ** (bits - 2) <= 256 * bound
+            assert values == [p.eval(Fraction(2 ** bits)) for p in polys]
+
+    def test_zero_and_negative_exponents(self):
+        assert qcore.pack_at_point(5, [ZERO, poly({-1: 1, 2: 3}), ONE]) == \
+            (8, [0, None, 1])
+
+    def test_bound_makes_the_comparison_exact(self):
+        # a difference with coefficients up to the bound is told apart
+        # from zero
+        rng = random.Random(27)
+        for _ in range(200):
+            bound = rng.randrange(1, 2 ** 20)
+            d = poly({e: rng.choice([-bound, bound, 0, 1])
+                      for e in range(rng.randrange(1, 6))})
+            p = poly({e: rng.randrange(-bound, bound) for e in range(5)})
+            _, (a, b) = qcore.pack_at_point(bound, [p, p + d])
+            assert (a == b) == d.is_zero()
+
+
 class TestEval:
     def test_coefficient_sum(self):
         assert q_int(5).eval(1) == 5

@@ -5,7 +5,7 @@ import pytest
 from conftest import (a_tableaux, count_operators, multiset_sum,
                       perturb_convolution_shift, poly, power)
 from qwhitney import series, symm, verify
-from qwhitney import (EnumerationTooLarge, WhitneyParams,
+from qwhitney import (EnumerationTooLarge, WhitneyParams, convolution_check,
                       convolution_first, convolution_second,
                       convolution_tables, h_prefixes, q_int, tableau_walk,
                       w_star)
@@ -181,6 +181,19 @@ class TestShiftedValues:
                         assert w_star(shifted, s, t - shift_k) == expected
 
 
+def polynomial_verdicts(tables, nmax, spmax):
+    """``convolution_check``'s list, each cell compared as polynomials by
+    ``convolution_first`` and ``convolution_second``."""
+    return ([("convolution_first", {"n": n, "l": l, "j": j},
+              convolution_first(*tables, n, l, j))
+             for n in range(nmax + 1) for l in range(n + 1)
+             for j in range(n - l + 1)]
+            + [("convolution_second", {"s": s, "p": pp, "t": t},
+                convolution_second(*tables, s, pp, t))
+               for s in range(spmax + 1) for pp in range(spmax + 1)
+               for t in range(s + pp + 1)])
+
+
 class TestConvolutions:
     def test_first_trivial(self):
         assert convolution_first(*convolution_tables(P11, 0, 0), 0, 0, 0)
@@ -230,6 +243,51 @@ class TestConvolutions:
                 for n, row in enumerate(rows):
                     assert row == [w_star(q, n, k) for k in range(n + 1)]
 
+    def test_point_check_is_the_polynomial_check(self):
+        for p in PARAM_GRID:
+            tables = convolution_tables(p, 5, 4)
+            verdicts = convolution_check(*tables, 5, 4)
+            assert verdicts == polynomial_verdicts(tables, 5, 4)
+            assert all(ok for _, _, ok in verdicts)
+
+    def test_point_check_fails_the_cells_a_shift_fault_fails(self):
+        with perturb_convolution_shift():
+            for p in PARAM_GRID:
+                tables = convolution_tables(p, 4, 3)
+                verdicts = convolution_check(*tables, 4, 3)
+                assert verdicts == polynomial_verdicts(tables, 4, 3)
+                assert not all(ok for _, _, ok in verdicts)
+
+    @pytest.mark.parametrize("entry", ["table", "shifted"])
+    def test_negative_exponent_fails_its_cells_and_does_not_raise(self,
+                                                                  entry):
+        # W* has no negative exponent: an entry read as W*/q fails every
+        # cell that reads it, and only those.  As polynomials they fail
+        # too, but for cell (s, p, t) = (1, 0, 0) of the table's entry,
+        # whose two sides are W*[1,0]/q and W*[1,0]/q times W*[0,0] = 1.
+        table, shifted = convolution_tables(P11, 3, 3)
+        rows = table if entry == "table" else shifted[1]
+        rows[1][0] = rows[1][0].shift(-1)
+        verdicts = convolution_check(table, shifted, 3, 3)
+        expected = polynomial_verdicts((table, shifted), 3, 3)
+        assert [v[:2] for v in verdicts] == [v[:2] for v in expected]
+        assert [cell for (_, cell, ok), (*_, right) in zip(verdicts, expected)
+                if ok != right] == \
+            ([{"s": 1, "p": 0, "t": 0}] if entry == "table" else [])
+        assert 0 < sum(not ok for _, _, ok in verdicts) < len(verdicts)
+
+    def test_one_coefficient_off_by_one_fails(self):
+        # the largest entry of the first identity's left sides, one
+        # coefficient up by 1 in its middle: exact in every coefficient
+        table, shifted = convolution_tables(WhitneyParams(3, 2), 5, 0)
+        x = table[6][3]
+        c = list(x.coeffs)
+        c[len(c) // 2] += 1
+        table[6][3] = poly({e: v for e, v in enumerate(c, x.min_exp())})
+        verdicts = convolution_check(table, shifted, 5, 0)
+        assert verdicts == polynomial_verdicts((table, shifted), 5, 0)
+        assert not all(ok for _, _, ok in verdicts)
+
     def test_suite_cells_fail_under_a_shift_fault(self):
         grid = {"m": [1, 2], "r": [0, 1], "nmax_conv": 2, "spmax_conv": 2}
         assert verify.run_suite("convolution", grid)[0].ok
@@ -237,6 +295,11 @@ class TestConvolutions:
             res = verify.run_suite("convolution", grid)[0]
         failed = {f.identity for f in res.failures}
         assert failed == {"convolution_first", "convolution_second"}
+        # the cells that failed when each was compared as polynomials
+        grid = {"m": [1, 2], "r": [0, 1], "nmax_conv": 6, "spmax_conv": 5}
+        with perturb_convolution_shift():
+            res = verify.run_suite("convolution", grid)[0]
+        assert (res.cells, len(res.failures)) == (1200, 834)
 
     def test_display_bounds_only_valid_when_swapped(self):
         # The un-boxed display for W*[l+j,n] sums k = l .. n-j, but the terms

@@ -7,7 +7,8 @@ from conftest import (bell_enum, classical_whitney_recurrence,
                       count_operators, poly, power, record_products,
                       stirling2_enum)
 from qwhitney import (WhitneyParams, classical_w, horizontal_pass, q_int,
-                      r_dowling, verify, vertical_pass, w, w_star, w_table)
+                      qcalculus, r_dowling, verify, vertical_pass, w, w_star,
+                      w_table)
 from qwhitney.qcore import ONE, ZERO
 
 P11 = WhitneyParams(1, 1)
@@ -132,12 +133,13 @@ class TestProductPaths:
             poly({0: 3, 1: 7, 2: 2})
         assert kronecker == [(2, 2)]
 
-    @pytest.mark.parametrize("suite", ["recurrences", "symmetric", "genfun"])
+    @pytest.mark.parametrize("suite", ["recurrences", "symmetric", "genfun",
+                                       "convolution"])
     def test_suite_needs_no_kronecker_product(self, kronecker, suite):
         # The Horner routes multiply by one [a]_q per step, and the tableau
         # and h weights are q-integers: each product has a run on one side.
-        # The EGF and horizontal GF checks multiply integers, not
-        # polynomials.
+        # The EGF, horizontal GF and convolution checks multiply integers,
+        # not polynomials.
         assert verify.run_suite(suite)[0].ok
         assert kronecker == []
 
@@ -157,11 +159,8 @@ class TestProductPaths:
         assert 0 < calls["__mul__"] <= steps
         assert 0 < calls["__add__"] <= steps
 
-    # Each convolution cell reads its W* from the family's tables and
-    # multiplies only its terms outside their structural zeros (651 per
-    # (m, r)), summed in one working list; each L*U entry only k <=
-    # min(i, j) (55 per order-5 family, not 125).  Cell by cell over every
-    # k they took 8,127 and 7,380 products.
+    # Each L*U entry multiplies only k <= min(i, j) (55 per order-5
+    # family, not 125); over every k it took 7,380 products.
     # The genfun suite's ring products and sums are its h steps alone (57
     # per (m, r)), since its EGF and horizontal GF cells are checked in
     # integers.  With each EGF numerator summed in the ring it took 3,996
@@ -172,11 +171,28 @@ class TestProductPaths:
         assert 0 < calls["__mul__"] <= 513
         assert 0 < calls["__add__"] <= 513
 
-    def test_convolution_multiplies_only_nonzero_terms(self, monkeypatch):
+    # The convolution tables are the triangle rows shifted, and each cell
+    # is compared in integers at one point: no ring product or sum.  Its
+    # cells multiplied 5,859 pairs of polynomials when they were compared
+    # as polynomials.
+    def test_convolution_makes_no_ring_product_or_sum(self, monkeypatch):
         calls = count_operators(monkeypatch)
         assert verify.run_suite("convolution")[0].ok
-        assert 0 < calls["__mul__"] <= 5859
-        assert calls["__add__"] == 0
+        assert calls["__mul__"] == calls["__add__"] == 0
+
+    # A clean explicit cell multiplies W by its normalizer and compares;
+    # only a failed cell divides.  Dividing every cell took 990 divisions.
+    def test_clean_explicit_suite_divides_nothing(self, monkeypatch):
+        divisions = []
+        divide = qcalculus.laurent_div_q_ints
+
+        def counted(x, a_list):
+            divisions.append(len(a_list))
+            return divide(x, a_list)
+
+        monkeypatch.setattr(qcalculus, "laurent_div_q_ints", counted)
+        assert verify.run_suite("explicit")[0].ok
+        assert divisions == []
 
     def test_lu_product_skips_the_zero_halves(self, monkeypatch):
         calls = count_operators(monkeypatch)
