@@ -8,7 +8,7 @@ transform of the normalized values.
 
 from .qcore import (LaurentPoly, DivisionByZero, EvalAtZero, NonExactDivision,
                     laurent_div_q_ints, laurent_exact_div,
-                    q_binomial_alternating_sum, q_binomial_row, q_int,
+                    q_binomial_alternating_sum, q_binomial_rows, q_int,
                     q_int_mul_add)
 from .whitney import (InternalNonLaurent, WhitneyParams, classical_w,
                       horizontal_pass, r_dowling, vertical_pass, w, w_star,

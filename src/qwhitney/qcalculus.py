@@ -15,22 +15,23 @@ product, so a fault in one form cannot hide in both routes.
 
 The two routes share only the values of f.  RouteValues holds what they
 need for one (m, r): the power table [jm+r]_q^n (each n one sliding-window
-product per node from the n-1 values), the q-Pascal rows [k j]_{q^m} and
-the normalizers [k]_{q^m}! [m]_q^k = prod_{j<=k} [jm]_q, each one
-q-integer product from the last; a suite builds it once and hands it to
-every cell, and the routes read m and r from it alone.  Each route is its
-numerator (``explicit_numerator``, ``newton_heads``) over the normalizer
-(``whitney_explicit``, ``newton_coefficients``), divided one q-integer
-[jm]_q at a time, one linear pass each (``normalized``).  The explicit
-suite divides nothing on a passing cell: it compares the numerators with
-W times ``norms[k]``, and calls ``normalized`` only for the side texts of
-a failed cell.
+product per node from the n-1 values), the q-Pascal rows [k j]_{q^m}, k =
+0..kmax, of one triangle built by additions (``qcore.q_binomial_rows``, no
+product and no division), and the normalizers [k]_{q^m}! [m]_q^k =
+prod_{j<=k} [jm]_q, each one q-integer product from the last; a suite
+builds it once and hands it to every cell, and the routes read m and r
+from it alone.  Each route is its numerator (``explicit_numerator``,
+``newton_heads``) over the normalizer (``whitney_explicit``,
+``newton_coefficients``), divided one q-integer [jm]_q at a time, one
+linear pass each (``normalized``).  The explicit suite divides nothing on
+a passing cell: it compares the numerators with W times ``norms[k]``, and
+calls ``normalized`` only for the side texts of a failed cell.
 """
 
 from __future__ import annotations
 
 from .qcore import (LaurentPoly, ONE, laurent_div_q_ints,
-                    q_binomial_alternating_sum, q_binomial_row, q_int)
+                    q_binomial_alternating_sum, q_binomial_rows, q_int)
 from .whitney import WhitneyParams, normalizer_factors
 
 
@@ -74,7 +75,8 @@ class RouteValues:
 
     - ``powers[n]`` holds the values of [x+r]_q^n at x = 0, m, ..., kmax*m,
       for n = 0..nmax;
-    - ``rows[k]`` is the q-Pascal row q_binomial_row(k, m), k = 0..kmax;
+    - ``rows[k]`` is the q-Pascal row [k j]_{q^m}, j = 0..k, for k =
+      0..kmax: the triangle ``q_binomial_rows(kmax, m)``;
     - ``norms[k]`` is the normalizer [k]_{q^m}! [m]_q^k = prod_{j<=k}
       [jm]_q, k = 0..kmax, each one q-integer product from the last.
     """
@@ -96,7 +98,7 @@ class RouteValues:
         for a in normalizer_factors(params, kmax):
             norms.append(norms[-1] * q_int(a))
         return cls(params, q_power_table(r, m, kmax + 1, nmax),
-                   [q_binomial_row(k, m) for k in range(kmax + 1)], norms)
+                   q_binomial_rows(kmax, m), norms)
 
 
 def explicit_numerator(shared: RouteValues, n: int, k: int) -> LaurentPoly:

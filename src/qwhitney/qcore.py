@@ -1,12 +1,13 @@
 """Exact arithmetic foundation: Laurent polynomials in q, q-integers,
 Gaussian binomials, and the alternating q-binomial sum.
 
-Gaussian binomials come a whole q-Pascal row at a time
-(:func:`q_binomial_row`, by the ratio of neighbouring entries).  The
-alternating q-binomial sum (:func:`q_binomial_alternating_sum`) is the
-q-binomial inversion, and the expanded q-difference operator: applied to
-the values f(x), f(x+h), ..., f(x+kh) it is the order-k difference that
-``qcalculus`` also takes as an operator product.
+Gaussian binomials come as one q-Pascal triangle (:func:`q_binomial_rows`),
+built in base q by shifted additions alone, with no product and no division,
+and stretched to base q^b.  The alternating q-binomial sum
+(:func:`q_binomial_alternating_sum`) is the q-binomial inversion, and the
+expanded q-difference operator: applied to the values f(x), f(x+h), ...,
+f(x+kh) it is the order-k difference that ``qcalculus`` also takes as an
+operator product.
 
 Every value in the library is either a :class:`LaurentPoly` or an exact
 rational (``fractions.Fraction``).  Nothing here ever touches floating
@@ -19,9 +20,9 @@ shifted addition.  :func:`laurent_div_q_ints` divides exactly by a product
 of q-integers: per factor [a]_q = (1-q^a)/(1-q), one difference pass for
 the 1-q and a prefix sum over each residue class mod a for the 1-q^a,
 with the top a entries of each pass as its remainder check.  Every
-divisor of the explicit and Newton routes and of ``q_binomial_row`` is
-such a product, and so, by the Hankel theorem, is every Bareiss pivot of
-a Hankel matrix.  :func:`laurent_exact_div` divides by anything else, one
+divisor of the explicit and Newton routes is such a product, and so, by
+the Hankel theorem, is every Bareiss pivot of a Hankel matrix.
+:func:`laurent_exact_div` divides by anything else, one
 Python-level step per quotient coefficient.
 
 A LaurentPoly is dense: an exponent offset plus a tuple of int coefficients.
@@ -32,10 +33,12 @@ machine words, packed from an ``array`` and unpacked by a ``memoryview``
 cast, when both sides are nonnegative and the product's coefficients fit
 64 bits; other products are packed in byte slots.  A sum, like the shifted
 addition of the fused step, is one aligned ``map(add)`` in a working list
-(``_add_into``), a difference one ``map(sub)``, and :func:`poly_sum` adds
-a whole sum into one list, trimmed once.  :func:`pack_at_point` gives
-polynomials as integers at one point q = 2^B, B set from a coefficient
-bound, where the EGF and convolution checks compare their two sides.
+(``_add_into``), a difference one ``map(sub)``.  :func:`poly_sums` adds
+each of several sums (the tableau walk's, one per length) into one list
+per sum, each trimmed once, and :func:`poly_sum` is its case of one sum.
+:func:`pack_at_point` gives polynomials as integers at one point q = 2^B,
+B set from a coefficient bound, where the EGF and convolution checks
+compare their two sides.
 Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
 integer numerator and denominator; ``eval`` puts them in one Fraction, and
@@ -310,16 +313,25 @@ def _add_into(c: list, lo: int, d: tuple, dlo: int, op=add) -> int:
     return lo
 
 
-def poly_sum(terms) -> LaurentPoly:
-    """The sum of an iterable of LaurentPoly, ZERO for none: every term is
-    added into one working list (``_add_into``), trimmed once at the end."""
-    c, lo = [], 0
-    for p in terms:
+def poly_sums(items, count: int) -> list:
+    """The sums, for i = 0..count-1, of the LaurentPoly p of the ``(i, p)``
+    items, ZERO where none has index i: each p is added into one working
+    list for its index (``_add_into``), and each list is trimmed once at
+    the end."""
+    sums, los = [[] for _ in range(count)], [0] * count
+    for i, p in items:
+        c = sums[i]
         if not c:
-            c, lo = list(p._c), p._lo
+            c[:], los[i] = p._c, p._lo
         elif p._c:
-            lo = _add_into(c, lo, p._c, p._lo)
-    return _trimmed(lo, c)
+            los[i] = _add_into(c, los[i], p._c, p._lo)
+    return list(map(_trimmed, los, sums))
+
+
+def poly_sum(terms) -> LaurentPoly:
+    """The sum of an iterable of LaurentPoly, ZERO for none, in one working
+    list (``poly_sums`` at the one index 0)."""
+    return poly_sums(zip(repeat(0), terms), 1)[0]
 
 
 def _window_sum(a: tuple, n: int) -> list:
@@ -520,24 +532,32 @@ def laurent_div_q_ints(x: LaurentPoly, a_list) -> LaurentPoly:
     return _poly(lo, tuple(c) if sign > 0 else tuple(map(neg, c)))
 
 
-def q_binomial_row(n: int, b: int = 1) -> list:
-    """The row [n j]_{q^b}, j = 0..n, of the q-Pascal triangle.
+def q_binomial_rows(kmax: int, b: int = 1) -> list:
+    """Rows k = 0..kmax of the q-Pascal triangle, row k the list
+    [k j]_{q^b}, j = 0..k.
 
-    Built from the ratio [n j] = [n j-1] [n-j+1]_q / [j]_q in base q, one
-    sliding-window product and one division by a q-integer per entry, then
-    stretched to base q^b.
+    Built in base q by additions alone, [k j] = [k-1 j-1] + q^j [k-1 j],
+    each inner entry one shifted addition of its two neighbours above into
+    a working list (``_add_into``), then every entry stretched to base q^b.
     """
-    if n < 0:
-        raise ValueError("q_binomial_row requires n >= 0")
-    row = [ONE]
-    for j in range(1, n + 1):
-        row.append(laurent_div_q_ints(row[-1] * q_int(n - j + 1), (j,)))
-    return [c.stretch(b) for c in row]
+    if kmax < 0:
+        raise ValueError("q_binomial_rows requires kmax >= 0")
+    rows = [[ONE]]
+    for k in range(1, kmax + 1):
+        above, row = rows[-1], [ONE]
+        for j in range(1, k):
+            left, right = above[j - 1], above[j]
+            c = list(left._c)
+            row.append(_trimmed(_add_into(c, left._lo, right._c,
+                                          right._lo + j), c))
+        row.append(ONE)
+        rows.append(row)
+    return [[x.stretch(b) for x in row] for row in rows]
 
 
 def q_binomial_alternating_sum(values, b: int, row) -> LaurentPoly:
     """sum_{j=0}^{k} (-1)^(k-j) q^(b C(k-j,2)) [k j]_{q^b} values[j], where
-    k = len(values) - 1 and ``row`` is q_binomial_row(k, b).
+    k = len(values) - 1 and ``row`` is row k of ``q_binomial_rows``.
 
     With values[j] = f(x + jh) this is the expanded q-difference operator
     of order k at x; it is also the q-binomial inversion.  Both take their

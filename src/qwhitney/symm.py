@@ -8,14 +8,16 @@ of one pass over [r]_q, ..., [mN+r]_q holds W*[k..N,k], its N-k+1
 entries, so the rows of a pass form a triangle.  A brute-force
 sum over weakly increasing column-length lists (A-tableaux) provides the
 independent exponential-time oracle: ``tableau_walk`` enumerates every
-tableau of one column k once, depth first, and sums it into its row.  The
-two convolution identities read the W* tables of ``convolution_tables``,
-built once per (m, r).  ``convolution_check`` compares every cell of both
-as integers at one point q = 2^B, each entry packed once, with B set from
-q = 1 values so that each integer equality is an exact polynomial
-equality (``qcore.pack_at_point``, shared with ``series.egf_check``);
-``convolution_first`` and ``convolution_second`` check one cell as
-polynomials.  Both read a cell's terms from one place per identity.
+tableau of one column k once, depth first, and adds its product into one
+working list per length (``qcore.poly_sums``), with no sum polynomial
+built per tableau.  The two convolution identities read the W* tables of
+``convolution_tables``, built once per (m, r).  ``convolution_check``
+compares every cell of both as integers at one point q = 2^B, each entry
+packed once, with B set from q = 1 values so that each integer equality
+is an exact polynomial equality (``qcore.pack_at_point``, shared with
+``series.egf_check``), and returns the cell count of each identity and
+its failed cells only; ``convolution_first`` and ``convolution_second``
+check one cell as polynomials.  Both read a cell's terms from one place per identity.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from math import comb
 from operator import mul
 
-from .qcore import ONE, ZERO, pack_at_point, poly_sum, q_int
+from .qcore import ONE, ZERO, pack_at_point, poly_sum, poly_sums, q_int
 from .whitney import WhitneyParams, row_degree, w_table
 
 
@@ -58,11 +60,12 @@ def tableau_walk(params: WhitneyParams, k: int, length: int) -> list:
     """Brute-force W*_{m,r}[k+l,k]_q for l = 0..length: the sum of column-
     weight products over the A-tableaux with l columns of lengths in {0..k}.
 
-    One depth-first walk adds each tableau once into the sum for its
-    length; a tableau's product is its prefix's times one weight, and the
-    walk holds about length * (k+1) products.  It is refused before its
-    first tableau when their number, C(k+length+1, length), is over
-    DEFAULT_ENUMERATION_CAP.
+    One depth-first walk adds each tableau's product once into the one
+    working list of its length (``qcore.poly_sums``), so no sum is built
+    as a polynomial until the end; a tableau's product is its prefix's
+    times one weight, and the walk holds about length * (k+1) products.
+    It is refused before its first tableau when their number,
+    C(k+length+1, length), is over DEFAULT_ENUMERATION_CAP.
     """
     if k < 0 or length < 0:
         raise ValueError("k and length must be >= 0")
@@ -70,16 +73,19 @@ def tableau_walk(params: WhitneyParams, k: int, length: int) -> list:
     if count > cap:
         raise EnumerationTooLarge(f"{count} tableaux exceeds cap {cap}")
     weights = whitney_values(params, k)
-    sums = [ZERO] * (length + 1)
-    # (product, number of columns, least length the next column may take)
-    stack = [(ONE, 0, 0)]
-    while stack:
-        prod, columns, least = stack.pop()
-        sums[columns] = sums[columns] + prod
-        if columns < length:
-            stack.extend((prod * weights[c], columns + 1, c)
-                         for c in range(least, k + 1))
-    return sums
+
+    def tableaux():
+        """(number of columns, product) of every tableau, depth first."""
+        # (product, number of columns, least length the next column may take)
+        stack = [(ONE, 0, 0)]
+        while stack:
+            prod, columns, least = stack.pop()
+            yield columns, prod
+            if columns < length:
+                stack.extend((prod * weights[c], columns + 1, c)
+                             for c in range(least, k + 1))
+
+    return poly_sums(tableaux(), length + 1)
 
 
 def convolution_tables(params: WhitneyParams, nmax: int, spmax: int) -> tuple:
@@ -133,47 +139,53 @@ def convolution_second(table, shifted, s: int, p: int, t: int) -> bool:
     return lhs == poly_sum(map(mul, xs, ys))
 
 
-def convolution_check(table, shifted, nmax: int, spmax: int) -> list:
-    """``(identity, cell, ok)`` for every cell of the two identities, in
+def convolution_check(table, shifted, nmax: int, spmax: int) -> tuple:
+    """``(counts, failed)`` over every cell of the two identities, in
     order: ``convolution_first`` at each n <= nmax, l <= n, j <= n-l,
-    then ``convolution_second`` at each s, p <= spmax, t <= s+p, with
-    ``cell`` the dict naming its parameters.  Reads the
+    then ``convolution_second`` at each s, p <= spmax, t <= s+p.
+    ``counts`` maps each identity to its number of cells, and ``failed``
+    lists ``(identity, cell)`` for each failed cell, ``cell`` the dict
+    naming its parameters; a passing cell makes no dict.  Reads the
     ``convolution_tables`` of (m, r) for nmax and spmax.
 
-    ``ok`` compares the two sides as integers at one point q = X = 2^B,
-    each entry packed once (``qcore.pack_at_point``).  B is 2 bits over
-    the largest, over the cells, of sum |coefficients| of the left side
-    plus the sum over the pairs of the products of their sum
+    Each cell compares the two sides as integers at one point q = X =
+    2^B, each entry packed once (``qcore.pack_at_point``).  B is 2 bits
+    over the largest, over the cells, of sum |coefficients| of the left
+    side plus the sum over the pairs of the products of their sum
     |coefficients|, which bounds every coefficient of the difference of
     the two sides; so each cell is a few integer products and one exact
     comparison.  An entry with a negative exponent, which no W* has,
     fails every cell that reads it.
     """
-    cells = [("convolution_first", {"n": n, "l": l, "j": j}, _first_sides,
-              (n, l, j))
-             for n in range(nmax + 1) for l in range(n + 1)
-             for j in range(n - l + 1)]
-    cells += [("convolution_second", {"s": s, "p": p, "t": t},
-               _second_sides, (s, p, t))
-              for s in range(spmax + 1) for p in range(spmax + 1)
-              for t in range(s + p + 1)]
+    # (identity, names of its parameters, its sides, its cells' parameters)
+    identities = (
+        ("convolution_first", ("n", "l", "j"), _first_sides,
+         [(n, l, j) for n in range(nmax + 1) for l in range(n + 1)
+          for j in range(n - l + 1)]),
+        ("convolution_second", ("s", "p", "t"), _second_sides,
+         [(s, p, t) for s in range(spmax + 1) for p in range(spmax + 1)
+          for t in range(s + p + 1)]))
 
     def at_one(rows):
         return [[sum(map(abs, x.coeffs)) for x in row] for row in rows]
 
     ones = at_one(table), [at_one(rows) for rows in shifted]
     bound = 0
-    for _, _, sides, args in cells:
-        lhs, xs, ys = sides(*ones, *args)
-        bound = max(bound, lhs + sum(map(mul, xs, ys)))
+    for _, _, sides, cells in identities:
+        for args in cells:
+            lhs, xs, ys = sides(*ones, *args)
+            bound = max(bound, lhs + sum(map(mul, xs, ys)))
 
     def at_point(rows):
         return [pack_at_point(bound, row)[1] for row in rows]
 
     points = at_point(table), [at_point(rows) for rows in shifted]
-    out = []
-    for identity, cell, sides, args in cells:
-        lhs, xs, ys = sides(*points, *args)
-        out.append((identity, cell, lhs is not None and None not in xs
-                    and None not in ys and lhs == sum(map(mul, xs, ys))))
-    return out
+    counts, failed = {}, []
+    for identity, names, sides, cells in identities:
+        counts[identity] = len(cells)
+        for args in cells:
+            lhs, xs, ys = sides(*points, *args)
+            if (lhs is None or None in xs or None in ys
+                    or lhs != sum(map(mul, xs, ys))):
+                failed.append((identity, dict(zip(names, args))))
+    return counts, failed

@@ -7,9 +7,16 @@ claimed to have been checked on, and can be overridden from a JSON config.
 
 ``run_suite`` reads a request once and is its only gate: before any suite
 starts it checks the grid, reads its qvals, bounds the tableau total and
-refuses a grid whose polynomials may reach a degree over
-``whitney.MAX_DEGREE``, from the CLI and from Python alike.  Each suite
-takes the completed grid and keeps only its cells.  A suite builds the
+the horizontal generating function's work, and refuses a grid whose
+polynomials may reach a degree over ``whitney.MAX_DEGREE``, from the CLI
+and from Python alike.  Each suite takes the completed grid and keeps
+only its cells.  A suite counts them per identity in bulk, by the size of
+each family's grid (``SuiteResult.add``), and builds a cell's parameter
+dict, ``str(q)`` and side texts only when that cell fails
+(``SuiteResult.fail``), in cell order: a passing cell costs its
+comparison alone.  The recurrences, explicit, genfun and symmetric
+suites read W, and W* by one shift, from one ``whitney.w_table`` per
+(m, r).  A suite builds the
 inputs its routes and checks share, and no route or check builds them
 itself: per (m, r) the explicit suite's qcalculus.RouteValues, every
 column generating function and h_complete cell from one pass of
@@ -40,9 +47,9 @@ from types import SimpleNamespace
 
 from . import hankel as hk
 from . import qcalculus, series, symm
-from .qcore import NonExactDivision
+from .qcore import ZERO, NonExactDivision
 from .whitney import (WhitneyParams, check_degree, horizontal_pass,
-                      row_degree, vertical_pass, w, w_star)
+                      row_degree, vertical_pass, w_table)
 
 SUITES = ("recurrences", "explicit", "genfun", "symmetric", "convolution",
           "hankel", "all")
@@ -70,23 +77,31 @@ Failure.__doc__ = "A failed cell: its parameters, identity and two sides."
 
 
 class SuiteResult(SimpleNamespace):
-    """A suite's name, cell count and failed cells, compared by all three.
-    A namespace, not a dataclass, for the reason given at
+    """A suite's name, its cell count per identity (``counts``) and its
+    failed cells, compared by all three; ``cells`` is the sum of the
+    counts.  A namespace, not a dataclass, for the reason given at
     ``whitney.WhitneyParams``."""
 
-    def __init__(self, suite: str, cells: int = 0, failures=None):
-        super().__init__(suite=suite, cells=cells,
+    def __init__(self, suite: str, counts=None, failures=None):
+        super().__init__(suite=suite, counts={} if counts is None else counts,
                          failures=[] if failures is None else failures)
+
+    @property
+    def cells(self) -> int:
+        return sum(self.counts.values())
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, condition: bool, params: dict, identity: str,
-              lhs="", rhs=""):
-        self.cells += 1
-        if not condition:
-            self.failures.append(Failure(params, identity, str(lhs), str(rhs)))
+    def add(self, identity: str, cells: int) -> None:
+        """Count `cells` more cells of `identity`, passed or failed."""
+        self.counts[identity] = self.counts.get(identity, 0) + cells
+
+    def fail(self, params: dict, identity: str, lhs="", rhs="") -> None:
+        """Record a failed cell, which ``add`` counts, with the texts of its
+        two sides."""
+        self.failures.append(Failure(params, identity, str(lhs), str(rhs)))
 
 
 def _is_int(x) -> bool:
@@ -189,6 +204,11 @@ def _families(g):
             yield WhitneyParams(m, r), {"m": m, "r": r}
 
 
+def _triangle_cells(nmax: int) -> int:
+    """The cells (n, k), 0 <= k <= n <= nmax, of a triangle."""
+    return (nmax + 1) * (nmax + 2) // 2
+
+
 def suite_recurrences(g: dict) -> SuiteResult:
     """Vertical and horizontal recurrences against the triangular route."""
     res = SuiteResult("recurrences")
@@ -197,16 +217,16 @@ def suite_recurrences(g: dict) -> SuiteResult:
         # W[n,k] is vertical[k-1][n-k] and horizontal[n][k]
         vertical = [vertical_pass(p, k, nmax - 1) for k in range(nmax)]
         horizontal = [horizontal_pass(p, n) for n in range(nmax + 1)]
-        for n in range(nmax + 1):
-            for k in range(n + 1):
-                expected = w(p, n, k)
-                if n >= 1 and k >= 1:
-                    got = vertical[k - 1][n - k]
-                    res.check(got == expected, {**base, "n": n, "k": k},
-                              "vertical", got, expected)
-                got = horizontal[n][k]
-                res.check(got == expected, {**base, "n": n, "k": k},
-                          "horizontal", got, expected)
+        for n, row in enumerate(w_table(p, nmax)):
+            for k, expected in enumerate(row):
+                if n and k and vertical[k - 1][n - k] != expected:
+                    res.fail({**base, "n": n, "k": k}, "vertical",
+                             vertical[k - 1][n - k], expected)
+                if horizontal[n][k] != expected:
+                    res.fail({**base, "n": n, "k": k}, "horizontal",
+                             horizontal[n][k], expected)
+        res.add("vertical", _triangle_cells(nmax - 1))
+        res.add("horizontal", _triangle_cells(nmax))
     return res
 
 
@@ -220,22 +240,24 @@ def suite_explicit(g: dict) -> SuiteResult:
     a remainder, the numerator or head and W times the normalizer.
     """
     res = SuiteResult("explicit")
+    nmax = g["nmax"]
     for p, base in _families(g):
-        shared = qcalculus.RouteValues.build(p, g["nmax"], g["nmax"])
-        for n in range(g["nmax"] + 1):
+        shared = qcalculus.RouteValues.build(p, nmax, nmax)
+        for n, row in enumerate(w_table(p, nmax)):
             heads = qcalculus.newton_heads(shared, n)
-            for k in range(n + 1):
-                expected = w(p, n, k)
+            for k, expected in enumerate(row):
                 target = expected * shared.norms[k]
-                cell = {**base, "n": n, "k": k}
                 numerator = qcalculus.explicit_numerator(shared, n, k)
-                for identity, got in (("explicit", numerator),
-                                      ("newton", heads[k])):
-                    if got == target:
-                        res.check(True, cell, identity)
-                    else:
-                        res.check(False, cell, identity, *_failed_sides(
-                            shared, k, got, expected, target))
+                if numerator != target:
+                    res.fail({**base, "n": n, "k": k}, "explicit",
+                             *_failed_sides(shared, k, numerator, expected,
+                                            target))
+                if heads[k] != target:
+                    res.fail({**base, "n": n, "k": k}, "newton",
+                             *_failed_sides(shared, k, heads[k], expected,
+                                            target))
+        res.add("explicit", _triangle_cells(nmax))
+        res.add("newton", _triangle_cells(nmax))
     return res
 
 
@@ -260,20 +282,24 @@ def suite_genfun(g: dict) -> SuiteResult:
     xs = {t - r - j * m for t in g["t"] for m in g["m"] for r in g["r"]
           for j in range(nh)}
     q_ints = [series.q_int_parts(qv, xs) for qv in qvals]
+    nmax = g["nmax_genfun"]
+    kmax = min(g["kmax_genfun"], nmax)
     for p, base in _families(g):
-        nmax = g["nmax_genfun"]
-        columns = series.rational_gf_columns(p, min(g["kmax_genfun"], nmax),
-                                             nmax)
-        for k, psi in enumerate(columns):
-            for n in range(nmax + 1):
-                expected = w(p, n, k)
-                res.check(psi[n] == expected, {**base, "n": n, "k": k},
-                          "rational_gf", psi[n], expected)
+        table = w_table(p, nmax)
+        for k, psi in enumerate(series.rational_gf_columns(p, kmax, nmax)):
+            for n, row in enumerate(table):
+                expected = row[k] if k <= n else ZERO
+                if psi[n] != expected:
+                    res.fail({**base, "n": n, "k": k}, "rational_gf", psi[n],
+                             expected)
+        res.add("rational_gf", (kmax + 1) * (nmax + 1))
         negf = g["nmax_egf"]
         egf = series.egf_check(p, negf, min(g["kmax_genfun"], negf))
         for k, column in enumerate(egf):
+            res.add("egf", len(column))
             for n, ok in enumerate(column):
-                res.check(ok, {**base, "n": n, "k": k}, "egf")
+                if not ok:
+                    res.fail({**base, "n": n, "k": k}, "egf")
         falling = [[series.horizontal_falling(p, t, parts, nh)
                     for parts in q_ints] for t in g["t"]]
         for n in range(nh + 1):
@@ -281,9 +307,10 @@ def suite_genfun(g: dict) -> SuiteResult:
             for t, t_falling, t_powers in zip(g["t"], falling, powers):
                 for qv, row, fall, power in zip(qvals, rows, t_falling,
                                                 t_powers):
-                    ok = series.horizontal_gf_check(row, fall, power[n])
-                    res.check(ok, {**base, "n": n, "t": t, "q": str(qv)},
-                              "horizontal_gf")
+                    if not series.horizontal_gf_check(row, fall, power[n]):
+                        res.fail({**base, "n": n, "t": t, "q": str(qv)},
+                                 "horizontal_gf")
+        res.add("horizontal_gf", (nh + 1) * len(g["t"]) * len(qvals))
     return res
 
 
@@ -303,6 +330,32 @@ def _check_tableau_total(g: dict) -> int:
     return count
 
 
+# The most horizontal generating function work, in units of one cell times
+# one |t| (``_check_genfun_work``), that run_suite admits.  On a 2-vCPU
+# Xeon with CPython 3.11, the genfun suite took 3.7 s on t = -3..599 (117
+# million units), 9.2 s on t = -3..783, the longest such range under the
+# budget, and 39 s on 150 t of 4,000 (194 million), each t near the
+# largest that MAX_DEGREE admits, where a unit costs the most.
+GENFUN_WORK_BUDGET = 2 * 10 ** 8
+
+
+def _check_genfun_work(g: dict) -> int:
+    """The genfun suite's horizontal generating function work on grid `g`:
+    its cells, |t| |qvals| (nmax_horizontal + 1) |m| |r|, times the largest
+    |t| (at least 1), since each cell's integers grow with |t|.  Raises
+    ValueError when that is over GENFUN_WORK_BUDGET."""
+    cells = (len(g["t"]) * len(g["qvals"]) * (g["nmax_horizontal"] + 1)
+             * len(g["m"]) * len(g["r"]))
+    top = max([1, *map(abs, g["t"])])
+    work = cells * top
+    if work > GENFUN_WORK_BUDGET:
+        raise ValueError(
+            f"request too large: {cells} horizontal generating function "
+            f"cells at |t| up to {top} are {work} units of work, over the "
+            f"budget GENFUN_WORK_BUDGET = {GENFUN_WORK_BUDGET}")
+    return work
+
+
 def suite_symmetric(g: dict) -> SuiteResult:
     """Symmetric-function and tableau routes against the normalized values."""
     res = SuiteResult("symmetric")
@@ -311,15 +364,18 @@ def suite_symmetric(g: dict) -> SuiteResult:
         # entry n-k of row k of either is W*[n,k]
         h_rows = list(symm.h_prefixes(symm.whitney_values(p, nmax), nmax))
         walks = [symm.tableau_walk(p, k, nmax - k) for k in range(nmax + 1)]
-        for n in range(nmax + 1):
-            for k in range(n + 1):
-                expected = w_star(p, n, k)
-                got = h_rows[k][n - k]
-                res.check(got == expected, {**base, "n": n, "k": k},
-                          "h_complete", got, expected)
-                got = walks[k][n - k]
-                res.check(got == expected, {**base, "n": n, "k": k},
-                          "tableau", got, expected)
+        shifts = [-row_degree(p.m, p.r, k) for k in range(nmax + 1)]
+        for n, row in enumerate(w_table(p, nmax)):
+            for k, x in enumerate(row):
+                expected = x.shift(shifts[k])
+                if h_rows[k][n - k] != expected:
+                    res.fail({**base, "n": n, "k": k}, "h_complete",
+                             h_rows[k][n - k], expected)
+                if walks[k][n - k] != expected:
+                    res.fail({**base, "n": n, "k": k}, "tableau",
+                             walks[k][n - k], expected)
+        res.add("h_complete", _triangle_cells(nmax))
+        res.add("tableau", _triangle_cells(nmax))
     return res
 
 
@@ -329,8 +385,11 @@ def suite_convolution(g: dict) -> SuiteResult:
     nmax, sp = g["nmax_conv"], g["spmax_conv"]
     for p, base in _families(g):
         tables = symm.convolution_tables(p, nmax, sp)
-        for identity, cell, ok in symm.convolution_check(*tables, nmax, sp):
-            res.check(ok, {**base, **cell}, identity)
+        counts, failed = symm.convolution_check(*tables, nmax, sp)
+        for identity, cells in counts.items():
+            res.add(identity, cells)
+        for identity, cell in failed:
+            res.fail({**base, **cell}, identity)
     return res
 
 
@@ -349,12 +408,15 @@ def suite_hankel(g: dict) -> SuiteResult:
             dets = hk.leading_dets(rows, closed)
             lu = hk.lu_product(family)
             for n in range(nmax + 1):
-                res.check(dets[n] == closed[n][0],
-                          {**base, "s": s, "n": n}, "hankel_transform")
-                res.check(hk.lu_check(n + 1, rows, dets[n], lu),
-                          {**base, "s": s, "n": n}, "lu_factorization")
-                res.check(hk.classical_hankel_check(p.m, p.r, s, n),
-                          {**base, "s": s, "n": n}, "classical_hankel")
+                if dets[n] != closed[n][0]:
+                    res.fail({**base, "s": s, "n": n}, "hankel_transform")
+                if not hk.lu_check(n + 1, rows, dets[n], lu):
+                    res.fail({**base, "s": s, "n": n}, "lu_factorization")
+                if not hk.classical_hankel_check(p.m, p.r, s, n):
+                    res.fail({**base, "s": s, "n": n}, "classical_hankel")
+            for identity in ("hankel_transform", "lu_factorization",
+                             "classical_hankel"):
+                res.add(identity, nmax + 1)
     return res
 
 
@@ -398,13 +460,16 @@ def _max_degree(names, g: dict) -> int:
 def run_suite(name: str, grid: dict = None) -> list:
     """Run one suite (or all) on one reading of grid: a SuiteResult each.
     Before the first starts, raises KeyError for an unknown suite,
-    ValueError for a bad grid or one over ``whitney.check_degree``, and
-    symm.EnumerationTooLarge for a symmetric suite over the tableau cap."""
+    ValueError for a bad grid, one over ``whitney.check_degree`` or a
+    genfun suite over GENFUN_WORK_BUDGET, and symm.EnumerationTooLarge for
+    a symmetric suite over the tableau cap."""
     if name != "all" and name not in _SUITE_FUNCS:
         raise KeyError(f"unknown suite {name!r}")
     names = list(_SUITE_FUNCS) if name == "all" else [name]
     g = _check_grid(grid)
     if "symmetric" in names:
         _check_tableau_total(g)
+    if "genfun" in names:
+        _check_genfun_work(g)
     check_degree(_max_degree(names, g))
     return [_SUITE_FUNCS[s](g) for s in names]

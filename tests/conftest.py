@@ -15,9 +15,10 @@ identities, the shift of the Hankel U factor, the Hankel closed forms,
 the prefactor of the column generating functions, the last sum of each
 tableau walk, the falling factors of the horizontal generating
 function, the alternating q-binomial sum of the explicit route, the
-normalizer of the EGF check, and the base of the Newton route's operator
+normalizer of the EGF check, the base of the Newton route's operator
 product, in two forms: one whose heads still divide by the normalizer
-and one whose heads leave a remainder.  Each is the mutation of one route, and
+and one whose heads leave a remainder, and the expected product of the
+classical Hankel corollary.  Each is the mutation of one route, and
 ``test_faults.py`` checks that together they fail every identity the
 suites check.  ``record_products`` counts the products that take one of
 the ring's product paths, and ``count_operators`` the ring's products
@@ -33,11 +34,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations_with_replacement, repeat
 from math import comb, factorial, prod
+from operator import floordiv
 
 import pytest
 
 from qwhitney import (LaurentPoly, WhitneyParams, hankel, qcalculus,
-                      q_binomial_alternating_sum, q_binomial_row, q_int,
+                      q_binomial_alternating_sum, q_binomial_rows, q_int,
                       q_int_mul_add, qcore, series, symm, w_star, whitney)
 from qwhitney.qcore import ONE, ZERO
 
@@ -143,14 +145,14 @@ def random_laurent(rng: random.Random, max_terms=5, exp_range=(-4, 6),
 def q_binomial_transform(g, n: int):
     """Forward transform f_n = sum_k [n k]_q g_k, for n' = 0..n."""
     g = list(g)
-    return [sum((c * x for c, x in zip(q_binomial_row(j), g)), ZERO)
+    return [sum((c * x for c, x in zip(q_binomial_rows(j)[-1], g)), ZERO)
             for j in range(n + 1)]
 
 
 def q_binomial_inverse(f, n: int):
     """Inverse transform g_n = sum_k (-1)^(n-k) q^C(n-k,2) [n k]_q f_k."""
     f = list(f)
-    return [q_binomial_alternating_sum(f[:j + 1], 1, q_binomial_row(j))
+    return [q_binomial_alternating_sum(f[:j + 1], 1, q_binomial_rows(j)[-1])
             for j in range(n + 1)]
 
 
@@ -179,7 +181,7 @@ def gauss_product_check(n: int) -> bool:
 
     Both sides are compared as coefficient lists in x.
     """
-    lhs = [c.shift(comb(k, 2)) for k, c in enumerate(q_binomial_row(n))]
+    lhs = [c.shift(comb(k, 2)) for k, c in enumerate(q_binomial_rows(n)[-1])]
     rhs = [ONE]
     for i in range(n):
         qi = ONE.shift(i)
@@ -368,6 +370,23 @@ def perturb_newton_remainder():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qcalculus, "q_diff_heads",
                    lambda values, qbase_exp: right(values, qbase_exp + 1))
+        yield
+
+
+@contextmanager
+def perturb_classical_product():
+    """The expected product prod_k (m(s+k)+r)^k of the classical Hankel
+    corollary runs to k = n+1, one factor too far; the integer
+    determinant it is compared with is kept."""
+    def one_too_many(m, r, s, n):
+        params = WhitneyParams(m, r)
+        rows = [[whitney.classical_w(params, s + i + j, s + j)
+                 for j in range(n + 1)] for i in range(n + 1)]
+        expected = prod((m * (s + k) + r) ** k for k in range(n + 2))
+        return hankel.bareiss(rows, floordiv)[0] == expected
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "classical_hankel_check", one_too_many)
         yield
 
 

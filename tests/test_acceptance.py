@@ -13,7 +13,7 @@ from conftest import (classical_whitney_recurrence, gauss_product_check,
                       perturb_recurrence, power, q_binomial_inverse,
                       q_binomial_transform, stirling2_enum)
 from qwhitney import (RouteValues, WhitneyParams, cli, classical_hankel_check,
-                      q_binomial_alternating_sum, q_binomial_row,
+                      q_binomial_alternating_sum, q_binomial_rows,
                       q_diff_heads, q_int, w, w_star, whitney_explicit,
                       h_prefixes, tableau_walk)
 from qwhitney import verify
@@ -69,7 +69,7 @@ def test_criterion_4_q_difference_operator():
                             heads = q_diff_heads(values, b)
                             ok = ok and heads[k] == \
                                 q_binomial_alternating_sum(
-                                    values, b, q_binomial_row(k, b))
+                                    values, b, q_binomial_rows(k, b)[-1])
     report(4, "q-difference operator: recursive vs explicit", ok)
 
 

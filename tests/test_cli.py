@@ -597,6 +597,37 @@ class TestSizeLimit:
         with pytest.raises(symm.EnumerationTooLarge, match=r"^9 \* \(2\^42 "):
             total({"nmax_tableau": 41})
 
+    def test_genfun_work(self):
+        # horizontal generating function cells |t| |qvals| (nh + 1) |m| |r|
+        # times the largest |t| (at least 1)
+        def work(grid):
+            return verify._check_genfun_work(verify._check_grid(grid))
+
+        assert work(None) == 16 * 4 * 9 * 9 * 12
+        assert work({"t": [0]}) == work({"t": [1]}) == 4 * 9 * 9
+        assert work({"t": []}) == work({"qvals": []}) == 0
+        assert work({"qvals": ["2"] * 100}) == 16 * 100 * 81 * 12
+        assert work({"t": list(range(-3, 600))}) == 603 * 4 * 81 * 599
+        assert work({"t": [4000] * 150}) == 150 * 4 * 81 * 4000
+        with pytest.raises(ValueError, match=(
+                r"^request too large: 972972 horizontal generating function "
+                r"cells at \|t\| up to 2999 are 2917943028 units of work, "
+                r"over the budget GENFUN_WORK_BUDGET = 200000000$")):
+            work({"t": list(range(-3, 3000))})
+
+    # A long t or qvals list passes the degree bound, since each value is
+    # within MAX_DEGREE; t = -3..2999 ran past 100 s before this bound.
+    @pytest.mark.parametrize("suite", ["genfun", "all"])
+    def test_oversized_genfun_grid_refused_first(self, no_verify_work,
+                                                 tmp_path, capsys, suite):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"t": list(range(-3, 3000))}))
+        rc, out = run(["verify", "--suite", suite, "--grid", str(path)])
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "error: request too large: 972972 horizontal generating "
+            "function cells")
+
     def test_grid_within_bound_runs(self, tmp_path):
         # the bound covers only the suites a request runs
         path = tmp_path / "grid.json"
@@ -696,7 +727,7 @@ class TestDigitLimit:
 
 class TestInternalError:
     @pytest.mark.parametrize("module, name, error, suite", [
-        (qcalculus, "q_binomial_row", NonExactDivision, "explicit"),
+        (qcalculus, "q_binomial_rows", NonExactDivision, "explicit"),
         (verify, "horizontal_pass", InternalNonLaurent, "recurrences"),
     ])
     def test_exit_three_in_one_line(self, monkeypatch, capsys, small_grid,
@@ -718,7 +749,7 @@ class TestOutOfMemory:
         # not a failed identity (exit 1); the stub allocates nothing.
         def exhausted(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(qcalculus, "q_binomial_row", exhausted)
+        monkeypatch.setattr(qcalculus, "q_binomial_rows", exhausted)
         rc, out = run(["verify", "--suite", "explicit", "--grid", small_grid])
         assert rc == 2 and out == ""
         err = capsys.readouterr().err

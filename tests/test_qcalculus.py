@@ -6,7 +6,7 @@ import pytest
 from conftest import classical_whitney_recurrence, poly, power
 from qwhitney import (RouteValues, WhitneyParams,
                       newton_coefficients, q_binomial_alternating_sum,
-                      q_binomial_row, q_diff_heads, q_int, q_power_table, w,
+                      q_binomial_rows, q_diff_heads, q_int, q_power_table, w,
                       whitney_explicit)
 from qwhitney import qcalculus, verify
 from qwhitney.qcore import ONE, ZERO
@@ -33,7 +33,7 @@ class TestPowerTable:
         shared = RouteValues.build(p, 6, 3)
         assert len(shared.powers) == 7
         assert shared.powers[5][3] == power(q_int(7), 5)
-        assert shared.rows == [q_binomial_row(k, 2) for k in range(4)]
+        assert shared.rows == q_binomial_rows(3, 2)
 
 
 class TestOnePassHeads:
@@ -50,7 +50,7 @@ class TestOnePassHeads:
                             assert heads == [q_diff_heads(values[:k + 1], b)[k]
                                              for k in range(6)]
                             assert heads == [q_binomial_alternating_sum(
-                                values[:k + 1], b, q_binomial_row(k, b))
+                                values[:k + 1], b, q_binomial_rows(k, b)[-1])
                                 for k in range(6)]
 
     def test_negative_order_rejected(self):
@@ -74,17 +74,19 @@ class TestQDifference:
             values = power_values(2, 3, 1, 0, x)
             assert q_diff_heads(values, 1) == values
             assert q_binomial_alternating_sum(
-                values, 1, q_binomial_row(0)) == values[0]
+                values, 1, q_binomial_rows(0)[-1]) == values[0]
 
     def test_constant_annihilated(self):
         values = power_values(0, 0, 1, 1, 0)
         assert q_diff_heads(values, 1)[1] == ZERO
-        assert q_binomial_alternating_sum(values, 1, q_binomial_row(1)) == ZERO
+        assert q_binomial_alternating_sum(
+            values, 1, q_binomial_rows(1)[-1]) == ZERO
 
     def test_first_difference_of_q_int(self):
         values = power_values(0, 1, 1, 1, 0)
         assert q_diff_heads(values, 1)[1] == ONE
-        assert q_binomial_alternating_sum(values, 1, q_binomial_row(1)) == ONE
+        assert q_binomial_alternating_sum(
+            values, 1, q_binomial_rows(1)[-1]) == ONE
 
     def test_routes_agree_spot_grid(self):
         for k in range(5):
@@ -96,7 +98,7 @@ class TestQDifference:
                                 values = power_values(c, n, h, k, x)
                                 assert q_diff_heads(values, b)[k] == \
                                     q_binomial_alternating_sum(
-                                        values, b, q_binomial_row(k, b))
+                                        values, b, q_binomial_rows(k, b)[-1])
 
 
 class TestExplicitFormula:

@@ -13,7 +13,7 @@ from conftest import (gauss_product_check, poly, q_binomial_inverse,
                       q_binomial_transform, q_factorial, random_laurent)
 from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
                       NonExactDivision, laurent_div_q_ints, laurent_exact_div,
-                      q_binomial_row, q_int, q_int_mul_add)
+                      q_binomial_rows, q_int, q_int_mul_add)
 import qwhitney
 from qwhitney import qcore
 from qwhitney.qcore import ONE, ZERO, poly_sum
@@ -159,35 +159,37 @@ class TestQFactorial:
 
 class TestQBinomial:
     def test_edge_cases(self):
-        assert q_binomial_row(5)[0] == q_binomial_row(5)[5] == ONE
+        row = q_binomial_rows(5)[5]
+        assert row[0] == row[5] == ONE
 
     def test_four_choose_two(self):
-        assert q_binomial_row(4)[2] == \
+        assert q_binomial_rows(4)[4][2] == \
             poly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
 
     def test_base_exponent(self):
-        assert q_binomial_row(2, 2)[1] == poly({0: 1, 2: 1})
+        assert q_binomial_rows(2, 2)[2][1] == poly({0: 1, 2: 1})
 
     def test_value_at_one(self):
-        for n in range(11):
-            for b in (1, 2, 3):
-                row = q_binomial_row(n, b)
+        for b in (1, 2, 3):
+            for n, row in enumerate(q_binomial_rows(10, b)):
                 for k in range(n + 1):
                     assert row[k].eval(Fraction(1)) == comb(n, k)
 
     def test_pascal_identity(self):
+        rows = q_binomial_rows(10)
         for n in range(1, 11):
-            row, above = q_binomial_row(n), q_binomial_row(n - 1) + [ZERO]
+            row, above = rows[n], rows[n - 1] + [ZERO]
             for k in range(1, n + 1):
                 assert row[k] == above[k - 1] + above[k].shift(k)
 
 
 class TestQBinomialRow:
     def test_matches_factorial_quotient(self):
-        # the old formula: [n]! / ([j]! [n-j]!) in base q, then q -> q^b
-        for n in range(13):
-            for b in (1, 2, 3):
-                row = q_binomial_row(n, b)
+        # the closed formula: [n]! / ([j]! [n-j]!) in base q, then q -> q^b
+        for b in (1, 2, 3):
+            rows = q_binomial_rows(12, b)
+            assert len(rows) == 13
+            for n, row in enumerate(rows):
                 assert len(row) == n + 1
                 for j, entry in enumerate(row):
                     quotient = laurent_exact_div(
@@ -197,7 +199,7 @@ class TestQBinomialRow:
 
     def test_negative_row_rejected(self):
         with pytest.raises(ValueError):
-            q_binomial_row(-1)
+            q_binomial_rows(-1)
 
 
 class TestExactDivision:
@@ -387,7 +389,7 @@ class TestGaussProduct:
 
     def test_expanded_coefficient(self):
         # x^2 coefficient of (1+x)(1+xq)(1+xq^2) is q + q^2 + q^3
-        assert q_binomial_row(3)[2].shift(comb(2, 2)) == \
+        assert q_binomial_rows(3)[3][2].shift(comb(2, 2)) == \
             poly({1: 1, 2: 1, 3: 1})
 
     def test_up_to_ten(self):

@@ -5,7 +5,8 @@ and ``verify.SuiteResult`` is a ``types.SimpleNamespace``, not dataclasses:
 ``dataclasses`` imports ``inspect``, and with it ``ast``, ``dis`` and
 ``tokenize``, in every process that imports the package.  These tests pin
 that, and the behaviour the dataclasses had: the repr, field equality,
-and for ``SuiteResult`` unhashability and a failure list of its own.
+and for ``SuiteResult`` unhashability and a failure list and cell counts
+of its own.
 """
 
 import copy
@@ -59,8 +60,9 @@ def test_validation_messages(make, message):
      "HankelSpec(params=WhitneyParams(m=1, r=2), s=3, n=4)"),
     (Failure({"m": 1}, "vertical", "1", "2"),
      "Failure(params={'m': 1}, identity='vertical', lhs='1', rhs='2')"),
-    (SuiteResult("hankel", 3),
-     "SuiteResult(suite='hankel', cells=3, failures=[])"),
+    (SuiteResult("hankel", {"lu_factorization": 3}),
+     "SuiteResult(suite='hankel', counts={'lu_factorization': 3}, "
+     "failures=[])"),
 ])
 def test_repr(value, text):
     assert repr(value) == text
@@ -97,16 +99,32 @@ def test_failure_and_suite_result_compare_by_fields():
     assert Failure({"n": 1}, "egf", "a", "b")._asdict() == {
         "params": {"n": 1}, "identity": "egf", "lhs": "a", "rhs": "b"}
     res = SuiteResult("genfun")
-    res.check(False, {"n": 1}, "egf", 1, 2)
-    assert res == SuiteResult("genfun", 1, [Failure({"n": 1}, "egf", "1", "2")])
-    assert res != SuiteResult("genfun", 1)
+    res.add("egf", 1)
+    res.fail({"n": 1}, "egf", 1, 2)
+    assert res == SuiteResult("genfun", {"egf": 1},
+                              [Failure({"n": 1}, "egf", "1", "2")])
+    assert res != SuiteResult("genfun", {"egf": 1})
+    assert res != SuiteResult("genfun", {"rational_gf": 1},
+                              [Failure({"n": 1}, "egf", "1", "2")])
     with pytest.raises(TypeError):
         hash(res)
 
 
+def test_cells_sum_the_counts_of_each_identity():
+    res = SuiteResult("recurrences")
+    assert res.cells == 0 and res.counts == {}
+    res.add("vertical", 3)
+    res.add("horizontal", 4)
+    res.add("vertical", 2)
+    assert res.counts == {"vertical": 5, "horizontal": 4}
+    assert res.cells == 9 and res.ok
+
+
 def test_each_suite_result_has_its_own_failures():
     a, b = SuiteResult("recurrences"), SuiteResult("recurrences")
-    a.check(False, {}, "vertical")
-    assert a.failures and not b.failures
+    a.add("vertical", 1)
+    a.fail({}, "vertical")
+    assert a.failures and not b.failures and not b.counts
     assert SuiteResult("x").failures is not SuiteResult("x").failures
+    assert SuiteResult("x").counts is not SuiteResult("x").counts
     assert not a.ok and b.ok and b.cells == 0

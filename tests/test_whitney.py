@@ -6,9 +6,9 @@ import pytest
 from conftest import (bell_enum, classical_whitney_recurrence,
                       count_operators, poly, power, record_products,
                       stirling2_enum)
-from qwhitney import (WhitneyParams, classical_w, horizontal_pass, q_int,
-                      qcalculus, r_dowling, verify, vertical_pass, w, w_star,
-                      w_table)
+from qwhitney import (WhitneyParams, classical_w, horizontal_pass,
+                      q_binomial_rows, q_int, qcalculus, qcore, r_dowling,
+                      verify, vertical_pass, w, w_star, w_table)
 from qwhitney.qcore import ONE, ZERO
 
 P11 = WhitneyParams(1, 1)
@@ -193,6 +193,43 @@ class TestProductPaths:
         monkeypatch.setattr(qcalculus, "laurent_div_q_ints", counted)
         assert verify.run_suite("explicit")[0].ok
         assert divisions == []
+
+    # The q-Pascal rows are one triangle built by shifted additions; built
+    # by the ratio of neighbouring entries they took 45 products and 45
+    # divisions per (m, r) at kmax 9.
+    def test_route_values_build_divides_nothing(self, monkeypatch):
+        divisions = []
+        for module in (qcore, qcalculus):
+            divide = module.laurent_div_q_ints
+
+            def counted(x, a_list, divide=divide):
+                divisions.append(len(a_list))
+                return divide(x, a_list)
+
+            monkeypatch.setattr(module, "laurent_div_q_ints", counted)
+        calls = count_operators(monkeypatch)
+        rows = q_binomial_rows(9, 2)
+        assert calls["__mul__"] == calls["__add__"] == 0
+        for p in PARAM_GRID:
+            assert qcalculus.RouteValues.build(p, 9, 9).rows == \
+                q_binomial_rows(9, p.m)
+        assert divisions == [] and rows[9][0] == rows[9][9] == ONE
+
+    # Each suite counts its cells per identity, in bulk: 12,420 in all.
+    def test_default_grid_cell_counts(self):
+        counts = {res.suite: res.counts for res in verify.run_suite("all")}
+        assert counts == {
+            "recurrences": {"vertical": 405, "horizontal": 495},
+            "explicit": {"explicit": 495, "newton": 495},
+            "genfun": {"rational_gf": 702, "egf": 594,
+                       "horizontal_gf": 5184},
+            "symmetric": {"h_complete": 405, "tableau": 405},
+            "convolution": {"convolution_first": 756,
+                            "convolution_second": 1944},
+            "hankel": {"hankel_transform": 180, "lu_factorization": 180,
+                       "classical_hankel": 180},
+        }
+        assert sum(sum(c.values()) for c in counts.values()) == 12420
 
     def test_lu_product_skips_the_zero_halves(self, monkeypatch):
         calls = count_operators(monkeypatch)
