@@ -10,9 +10,10 @@ parameters and their side texts.
 
 The tableau-walk, horizontal-falling, alternating-sum, EGF-normalizer,
 Newton-base and classical-product faults reach route code that no other
-fault reaches, and each fails its one identity alone: the alternating q-binomial sum is
-read by the explicit route only, since the EGF check forms its own at
-one integer point, and the operator product by the Newton route only.
+fault reaches, and each fails its one identity alone: the alternating
+q-binomial sum is read by the explicit route only, since the EGF check
+forms its own at one integer point, and the operator product by the
+Newton route only.
 The Newton-remainder fault reads the base q^b of
 ``qcalculus.q_diff_heads`` as q^(b+1), so that its Newton heads leave a
 remainder on division by the normalizer.  A division that raises is a

@@ -208,12 +208,12 @@ class TestProductPaths:
 
             monkeypatch.setattr(module, "laurent_div_q_ints", counted)
         calls = count_operators(monkeypatch)
-        rows = q_binomial_rows(9, 2)
+        q_binomial_rows(9, 2)
         assert calls["__mul__"] == calls["__add__"] == 0
         for p in PARAM_GRID:
             assert qcalculus.RouteValues.build(p, 9, 9).rows == \
                 q_binomial_rows(9, p.m)
-        assert divisions == [] and rows[9][0] == rows[9][9] == ONE
+        assert divisions == []
 
     # Each suite counts its cells per identity, in bulk: 12,420 in all.
     def test_default_grid_cell_counts(self):
