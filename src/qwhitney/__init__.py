@@ -7,14 +7,13 @@ transform of the normalized values.
 """
 
 from .qcore import (LaurentPoly, DivisionByZero, EvalAtZero, NonExactDivision,
-                    laurent_div_q_ints, laurent_exact_div,
-                    q_binomial_alternating_sum, q_binomial_rows, q_int,
-                    q_int_mul_add)
+                    laurent_div_q_ints, laurent_exact_div, q_binomial_rows,
+                    q_int, q_int_mul_add)
 from .whitney import (InternalNonLaurent, WhitneyParams, classical_w,
                       horizontal_pass, r_dowling, vertical_pass, w, w_star,
                       w_table)
-from .qcalculus import (RouteValues, newton_coefficients, q_diff_heads,
-                        q_power_table, whitney_explicit)
+from .qcalculus import (q_binomial_alternating_sum, q_diff_heads,
+                        q_power_table)
 from .series import horizontal_gf_check, rational_gf_columns
 from .symm import (EnumerationTooLarge, convolution_check, convolution_first,
                    convolution_second, convolution_tables, h_prefixes,

@@ -226,9 +226,19 @@ def _read_grid(path):
     """The document of a verify --grid file; None without one."""
     if not path:
         return None
+    limit = sys.get_int_max_str_digits()
+
+    def parse_int(text):
+        # int() refuses such a literal with the interpreter's own advice
+        if limit and len(text.lstrip("-")) > limit:
+            raise ValueError(f"grid file {path} has an integer of over "
+                             f"{limit} digits, more than the interpreter "
+                             f"converts from text")
+        return int(text)
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
         except RecursionError:
             raise ValueError(f"grid file {path} is nested too deeply") from None
 

@@ -1,13 +1,10 @@
-"""Exact arithmetic foundation: Laurent polynomials in q, q-integers,
-Gaussian binomials, and the alternating q-binomial sum.
+"""Exact arithmetic foundation: Laurent polynomials in q, q-integers and
+Gaussian binomials.
 
 Gaussian binomials come as one q-Pascal triangle (:func:`q_binomial_rows`),
 built in base q by shifted additions alone, with no product and no division,
-and stretched to base q^b.  The alternating q-binomial sum
-(:func:`q_binomial_alternating_sum`) is the q-binomial inversion, and the
-expanded q-difference operator: applied to the values f(x), f(x+h), ...,
-f(x+kh) it is the order-k difference that ``qcalculus`` also takes as an
-operator product.
+and stretched to base q^b.  ``qcalculus`` sums a row against the values of
+a function in its alternating q-binomial sum.
 
 Every value in the library is either a :class:`LaurentPoly` or an exact
 rational (``fractions.Fraction``).  Nothing here ever touches floating
@@ -60,7 +57,6 @@ from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, islice, repeat
-from math import comb
 from operator import add, mul, neg, sub
 
 
@@ -554,17 +550,3 @@ def q_binomial_rows(kmax: int, b: int = 1) -> list:
         rows.append(row)
     return [[x.stretch(b) for x in row] for row in rows]
 
-
-def q_binomial_alternating_sum(values, b: int, row) -> LaurentPoly:
-    """sum_{j=0}^{k} (-1)^(k-j) q^(b C(k-j,2)) [k j]_{q^b} values[j], where
-    k = len(values) - 1 and ``row`` is row k of ``q_binomial_rows``.
-
-    With values[j] = f(x + jh) this is the expanded q-difference operator
-    of order k at x; it is also the q-binomial inversion.  Both take their
-    sums from here.  Even and odd k-j are summed apart, then subtracted:
-    a negated binomial would send its products to byte slots.
-    """
-    k = len(values) - 1
-    terms = [binom.shift(b * comb(k - j, 2)) * value
-             for j, (binom, value) in enumerate(zip(row, values))]
-    return poly_sum(terms[k % 2::2]) - poly_sum(terms[1 - k % 2::2])

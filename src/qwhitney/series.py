@@ -27,7 +27,7 @@ from operator import mul
 
 from .qcore import ZERO, pack_at_point, q_int
 from .symm import h_prefixes, whitney_values
-from .whitney import WhitneyParams, normalizer_factors, row_degree, w
+from .whitney import WhitneyParams, normalizer_factors, row_degree
 
 
 def rational_gf_columns(params: WhitneyParams, kmax: int, N: int) -> list:
@@ -47,10 +47,13 @@ def rational_gf_columns(params: WhitneyParams, kmax: int, N: int) -> list:
             for k, h in enumerate(prefixes)]
 
 
-def egf_check(params: WhitneyParams, nmax: int, kmax: int) -> list:
+def egf_check(params: WhitneyParams, rows, kmax: int) -> list:
     """ok[k][n], k <= kmax, n <= nmax: does the z^n numerator of the
     column EGF, sum_j (-1)^(k-j) q^(m C(k-j,2)) [k j]_{q^m} [jm+r]_q^n,
     equal W[n,k]_q prod_{j=1..k} [jm]_q (``normalizer_factors``)?
+
+    ``rows`` holds the rows n = 0..nmax of W, as ``whitney.w_table`` gives
+    them; an entry past the end of its row is 0.
 
     Both sides are integers at q = X = 2^B: [a]_X = (X^a - 1)/(X - 1),
     Gaussian binomials by their product formula, terms rolled with n,
@@ -61,7 +64,7 @@ def egf_check(params: WhitneyParams, nmax: int, kmax: int) -> list:
     """
     (m, r), out = params, []
     for k in range(kmax + 1):
-        column = [w(params, n, k) for n in range(nmax + 1)]
+        column = [row[k] if k < len(row) else ZERO for row in rows]
         factors = normalizer_factors(params, k)
         bound = max(sum(comb(k, j) * (j * m + r) ** n for j in range(k + 1))
                     + sum(map(abs, v.coeffs)) * prod(factors)
@@ -83,16 +86,17 @@ def egf_check(params: WhitneyParams, nmax: int, kmax: int) -> list:
     return out
 
 
-def horizontal_row(params: WhitneyParams, n: int, qval: Fraction) -> tuple:
-    """The values W[n,k]_q at q = qval for k = 0..n, as integer numerators
-    over one denominator: ``(nums, den)`` with W[n,k]_q = nums[k] / den.
+def horizontal_row(row, qval: Fraction) -> tuple:
+    """The values at q = qval of row n of W, the entries W[n,k]_q, k =
+    0..n, as integer numerators over one denominator: ``(nums, den)`` with
+    W[n,k]_q = nums[k] / den.
 
     With q = a/b, W[n,k] has exponents 0 <= lo..hi, so its value is
     N a^lo / b^hi and den, the lcm of the entries' denominators, is b^H
     for the row's top degree H.
     """
     a, b = qval.numerator, qval.denominator
-    parts = [w(params, n, k).value_parts(a, b) for k in range(n + 1)]
+    parts = [x.value_parts(a, b) for x in row]
     den = lcm(*(d for _, d in parts))
     return [num * (den // d) for num, d in parts], den
 
@@ -136,7 +140,7 @@ def horizontal_powers(t: int, qval: Fraction, nmax: int) -> list:
 def horizontal_gf_check(row: tuple, falling: tuple, power: tuple) -> bool:
     """Does sum_k W[n,k]_q [t-r|m]_{k,q} = [t]_q^n hold at q = qval?
 
-    ``row`` is ``horizontal_row(params, n, qval)``, ``falling`` is
+    ``row`` is ``horizontal_row`` of row n at qval, ``falling`` is
     ``horizontal_falling`` at t and qval for some kmax >= n, and
     ``power`` is entry n of ``horizontal_powers(t, qval, nmax)``.  Checked
     in integers: with W[n,k] = nums_k / D, the falling factors fnums_k / F

@@ -16,16 +16,19 @@ dict, ``str(q)`` and side texts only when that cell fails
 (``SuiteResult.fail``), in cell order: a passing cell costs its
 comparison alone.  The recurrences, explicit, genfun and symmetric
 suites read W, and W* by one shift, from one ``whitney.w_table`` per
-(m, r).  A suite builds the
+(m, r); the genfun suite's reaches the largest of its three row bounds
+and serves its EGF and horizontal cells too.  A suite builds the
 inputs its routes and checks share, and no route or check builds them
-itself: per (m, r) the explicit suite's qcalculus.RouteValues, every
-column generating function and h_complete cell from one pass of
+itself: per (m, r) the explicit suite's values of [x+r]_q^n at the
+nodes x = jm, its q-Pascal rows and its normalizers, every column
+generating function and h_complete cell from one pass of
 symm.h_prefixes, every EGF cell from one series.egf_check, and the
 vertical, horizontal and tableau cells from one pass per column, row or
 walk, read in (n, k) order.  The horizontal generating function's row
 values, falling factors and powers of [t]_q enter as integer parts, each
 built once per (n, q) or (t, q), the falling factors' [x]_q once per q.
-The explicit suite multiplies out: the explicit numerator and the Newton
+The explicit suite calls both forms of the q-difference operator
+(``qcalculus``) and multiplies out: the alternating sum and the Newton
 head of each cell are compared with W times the normalizer of its
 column, and only a failed cell divides, for its side texts, so a
 division that leaves a remainder is a failed cell, not an error.  The
@@ -43,13 +46,16 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from types import SimpleNamespace
 
 from . import hankel as hk
 from . import qcalculus, series, symm
-from .qcore import ZERO, NonExactDivision
+from .qcore import (ONE, ZERO, NonExactDivision, laurent_div_q_ints,
+                    q_binomial_rows, q_int)
 from .whitney import (WhitneyParams, check_degree, horizontal_pass,
-                      row_degree, vertical_pass, w_table)
+                      normalizer_factors, row_degree, vertical_pass, w_table)
 
 SUITES = ("recurrences", "explicit", "genfun", "symmetric", "convolution",
           "hankel", "all")
@@ -233,40 +239,47 @@ def suite_recurrences(g: dict) -> SuiteResult:
 def suite_explicit(g: dict) -> SuiteResult:
     """Explicit q-difference formula and Newton coefficients vs recurrence.
 
-    Each cell multiplies out: the explicit numerator and the Newton head
-    of column k must equal W[n,k] times the normalizer ``norms[k]``, which
-    holds exactly when their quotients are W.  Only a failed cell divides,
-    for its side texts: the quotient and W, or, where the division leaves
-    a remainder, the numerator or head and W times the normalizer.
+    Per (m, r) both forms of the q-difference operator read the values of
+    [x+r]_q^n at the nodes x = 0, m, ..., nmax m; the alternating sum reads
+    row k of the q-Pascal triangle in base q^m too.  Each cell multiplies
+    out: the alternating sum and the Newton head of column k must equal
+    W[n,k] times the normalizer [k]_{q^m}! [m]_q^k = prod_{j<=k} [jm]_q
+    (``norms[k]``, each one q-integer product from the last), which holds
+    exactly when their quotients are W.  Only a failed cell divides, for
+    its side texts: the quotient and W, or, where the division leaves a
+    remainder, the sum or head and W times the normalizer.
     """
     res = SuiteResult("explicit")
     nmax = g["nmax"]
     for p, base in _families(g):
-        shared = qcalculus.RouteValues.build(p, nmax, nmax)
+        powers = qcalculus.q_power_table(p.r, p.m, nmax + 1, nmax)
+        rows = q_binomial_rows(nmax, p.m)
+        norms = list(accumulate(map(q_int, normalizer_factors(p, nmax)), mul,
+                                initial=ONE))
         for n, row in enumerate(w_table(p, nmax)):
-            heads = qcalculus.newton_heads(shared, n)
+            heads = qcalculus.q_diff_heads(powers[n][:n + 1], p.m)
             for k, expected in enumerate(row):
-                target = expected * shared.norms[k]
-                numerator = qcalculus.explicit_numerator(shared, n, k)
+                target = expected * norms[k]
+                numerator = qcalculus.q_binomial_alternating_sum(
+                    powers[n][:k + 1], p.m, rows[k])
                 if numerator != target:
                     res.fail({**base, "n": n, "k": k}, "explicit",
-                             *_failed_sides(shared, k, numerator, expected,
+                             *_failed_sides(p, k, numerator, expected,
                                             target))
                 if heads[k] != target:
                     res.fail({**base, "n": n, "k": k}, "newton",
-                             *_failed_sides(shared, k, heads[k], expected,
-                                            target))
+                             *_failed_sides(p, k, heads[k], expected, target))
         res.add("explicit", _triangle_cells(nmax))
         res.add("newton", _triangle_cells(nmax))
     return res
 
 
-def _failed_sides(shared, k: int, got, expected, target) -> tuple:
+def _failed_sides(params, k: int, got, expected, target) -> tuple:
     """The two sides a failed explicit or Newton cell of column k reports:
     ``got`` over the normalizer and W, or, where that division leaves a
     remainder, ``got`` and W times the normalizer (``target``)."""
     try:
-        return qcalculus.normalized(shared, got, k), expected
+        return laurent_div_q_ints(got, normalizer_factors(params, k)), expected
     except NonExactDivision:
         return got, target
 
@@ -282,19 +295,19 @@ def suite_genfun(g: dict) -> SuiteResult:
     xs = {t - r - j * m for t in g["t"] for m in g["m"] for r in g["r"]
           for j in range(nh)}
     q_ints = [series.q_int_parts(qv, xs) for qv in qvals]
-    nmax = g["nmax_genfun"]
+    nmax, negf = g["nmax_genfun"], g["nmax_egf"]
     kmax = min(g["kmax_genfun"], nmax)
     for p, base in _families(g):
-        table = w_table(p, nmax)
+        table = w_table(p, max(nmax, negf, nh))
         for k, psi in enumerate(series.rational_gf_columns(p, kmax, nmax)):
-            for n, row in enumerate(table):
+            for n, row in enumerate(table[:nmax + 1]):
                 expected = row[k] if k <= n else ZERO
                 if psi[n] != expected:
                     res.fail({**base, "n": n, "k": k}, "rational_gf", psi[n],
                              expected)
         res.add("rational_gf", (kmax + 1) * (nmax + 1))
-        negf = g["nmax_egf"]
-        egf = series.egf_check(p, negf, min(g["kmax_genfun"], negf))
+        egf = series.egf_check(p, table[:negf + 1],
+                               min(g["kmax_genfun"], negf))
         for k, column in enumerate(egf):
             res.add("egf", len(column))
             for n, ok in enumerate(column):
@@ -303,7 +316,7 @@ def suite_genfun(g: dict) -> SuiteResult:
         falling = [[series.horizontal_falling(p, t, parts, nh)
                     for parts in q_ints] for t in g["t"]]
         for n in range(nh + 1):
-            rows = [series.horizontal_row(p, n, qv) for qv in qvals]
+            rows = [series.horizontal_row(table[n], qv) for qv in qvals]
             for t, t_falling, t_powers in zip(g["t"], falling, powers):
                 for qv, row, fall, power in zip(qvals, rows, t_falling,
                                                 t_powers):

@@ -38,9 +38,11 @@ from operator import floordiv
 
 import pytest
 
-from qwhitney import (LaurentPoly, WhitneyParams, hankel, qcalculus,
-                      q_binomial_alternating_sum, q_binomial_rows, q_int,
-                      q_int_mul_add, qcore, series, symm, w_star, whitney)
+from qwhitney import (LaurentPoly, WhitneyParams, hankel,
+                      laurent_div_q_ints, qcalculus,
+                      q_binomial_alternating_sum, q_binomial_rows,
+                      q_diff_heads, q_int, q_int_mul_add, q_power_table,
+                      qcore, series, symm, w_star, whitney)
 from qwhitney.qcore import ONE, ZERO
 
 
@@ -154,6 +156,27 @@ def q_binomial_inverse(f, n: int):
     f = list(f)
     return [q_binomial_alternating_sum(f[:j + 1], 1, q_binomial_rows(j)[-1])
             for j in range(n + 1)]
+
+
+def operator_rows(params: WhitneyParams, nmax: int) -> tuple:
+    """Rows n = 0..nmax of W from each form of the q-difference operator,
+    (explicit, newton): the alternating sum and the operator product's
+    heads over the values and q-Pascal rows the explicit suite reads,
+    each divided by the normalizer of its column."""
+    m = params.m
+    powers = q_power_table(params.r, m, nmax + 1, nmax)
+    rows = q_binomial_rows(nmax, m)
+
+    def normalized(x, k):
+        return laurent_div_q_ints(x, whitney.normalizer_factors(params, k))
+
+    explicit = [[normalized(q_binomial_alternating_sum(values[:k + 1], m,
+                                                       rows[k]), k)
+                 for k in range(n + 1)] for n, values in enumerate(powers)]
+    newton = [[normalized(d, k)
+               for k, d in enumerate(q_diff_heads(values[:n + 1], m))]
+              for n, values in enumerate(powers)]
+    return explicit, newton
 
 
 def a_tableaux(k: int, length: int):
@@ -317,8 +340,8 @@ def perturb_horizontal_falling():
 
 @contextmanager
 def perturb_alternating_sum():
-    """The alternating q-binomial sum is negated for k >= 1 where
-    ``qcalculus`` reads it, in the explicit route's numerator.  The Newton
+    """The alternating q-binomial sum is negated for k >= 1 where the
+    explicit suite reads it, in the explicit route's numerator.  The Newton
     route takes the operator product instead, and the EGF check forms its
     sum at one integer point."""
     right = qcalculus.q_binomial_alternating_sum
@@ -346,8 +369,9 @@ def perturb_egf_normalizer():
 @contextmanager
 def perturb_newton_base():
     """The factor (E_h - q^(bj)) of the Newton route's operator product
-    becomes (E_h - q^(b(j+1))) where ``qcalculus`` reads
-    ``q_diff_heads``; the explicit route's alternating sum is kept."""
+    becomes (E_h - q^(b(j+1))) where the explicit suite reads
+    ``qcalculus.q_diff_heads``; the explicit route's alternating sum is
+    kept."""
     def shifted(values, qbase_exp):
         heads = [values[0]]
         for j in range(len(values) - 1):

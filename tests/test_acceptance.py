@@ -10,12 +10,13 @@ import json
 from operator import floordiv
 
 from conftest import (classical_whitney_recurrence, gauss_product_check,
-                      perturb_recurrence, power, q_binomial_inverse,
-                      q_binomial_transform, stirling2_enum)
-from qwhitney import (RouteValues, WhitneyParams, cli, classical_hankel_check,
+                      operator_rows, perturb_recurrence, power,
+                      q_binomial_inverse, q_binomial_transform,
+                      stirling2_enum)
+from qwhitney import (WhitneyParams, cli, classical_hankel_check,
                       q_binomial_alternating_sum, q_binomial_rows,
-                      q_diff_heads, q_int, w, w_star, whitney_explicit,
-                      h_prefixes, tableau_walk)
+                      q_diff_heads, q_int, w, w_star, h_prefixes,
+                      tableau_walk)
 from qwhitney import verify
 from qwhitney.hankel import bareiss
 
@@ -30,14 +31,14 @@ def report(num: int, name: str, ok: bool):
 def test_criterion_1_route_equivalence():
     ok = True
     for p in PARAM_GRID:
-        shared = RouteValues.build(p, 9, 9)
+        explicit, _ = operator_rows(p, 9)
         # row k of the h pass and walk k give W*[n,k] at entry n-k, n <= 8
         weights = [q_int(p.m * i + p.r) for i in range(9)]
         h_rows = list(h_prefixes(weights, 8))
         walks = [tableau_walk(p, k, 8 - k) for k in range(9)]
         for n in range(10):
             for k in range(n + 1):
-                ok = ok and whitney_explicit(shared, n, k) == w(p, n, k)
+                ok = ok and explicit[n][k] == w(p, n, k)
                 if n <= 8:
                     star = w_star(p, n, k)
                     ok = ok and h_rows[k][n - k] == star

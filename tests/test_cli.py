@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import perturb_recurrence, poly
-from qwhitney import cli, qcalculus, symm, verify
+from qwhitney import cli, symm, verify
 from qwhitney import whitney
 from qwhitney.hankel import HankelSpec, degree_bound
 from qwhitney.qcore import NonExactDivision
@@ -311,6 +311,17 @@ class TestVerifyCommand:
         assert rc == 2 and out == ""
         assert (capsys.readouterr().err
                 == f"error: grid file {path} is nested too deeply\n")
+
+    def test_grid_integer_over_the_digit_limit(self, tmp_path, capsys):
+        # json.load's int() would refuse it with the interpreter's advice
+        # to call sys.set_int_max_str_digits
+        path = tmp_path / "grid.json"
+        path.write_text('{"nmax": ' + "9" * (LIMIT + 1) + "}")
+        rc, out = run(["verify", "--suite", "all", "--grid", str(path)])
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: grid file {path} has an integer of over {LIMIT} digits, "
+            f"more than the interpreter converts from text\n")
 
     def test_one_reading_per_run(self, monkeypatch, small_grid):
         # run_suite reads a request once for all six suites: one check of
@@ -727,7 +738,7 @@ class TestDigitLimit:
 
 class TestInternalError:
     @pytest.mark.parametrize("module, name, error, suite", [
-        (qcalculus, "q_binomial_rows", NonExactDivision, "explicit"),
+        (verify, "q_binomial_rows", NonExactDivision, "explicit"),
         (verify, "horizontal_pass", InternalNonLaurent, "recurrences"),
     ])
     def test_exit_three_in_one_line(self, monkeypatch, capsys, small_grid,
@@ -749,7 +760,7 @@ class TestOutOfMemory:
         # not a failed identity (exit 1); the stub allocates nothing.
         def exhausted(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(qcalculus, "q_binomial_rows", exhausted)
+        monkeypatch.setattr(verify, "q_binomial_rows", exhausted)
         rc, out = run(["verify", "--suite", "explicit", "--grid", small_grid])
         assert rc == 2 and out == ""
         err = capsys.readouterr().err

@@ -3,11 +3,9 @@ from math import comb
 
 import pytest
 
-from conftest import classical_whitney_recurrence, poly, power
-from qwhitney import (RouteValues, WhitneyParams,
-                      newton_coefficients, q_binomial_alternating_sum,
-                      q_binomial_rows, q_diff_heads, q_int, q_power_table, w,
-                      whitney_explicit)
+from conftest import classical_whitney_recurrence, operator_rows, poly, power
+from qwhitney import (WhitneyParams, q_binomial_alternating_sum,
+                      q_binomial_rows, q_diff_heads, q_int, q_power_table, w)
 from qwhitney import qcalculus, verify
 from qwhitney.qcore import ONE, ZERO
 
@@ -29,11 +27,14 @@ class TestPowerTable:
                     assert values == tuple(power_values(r, n, m, 6, 0))
 
     def test_route_values(self):
-        p = WhitneyParams(2, 1)
-        shared = RouteValues.build(p, 6, 3)
-        assert len(shared.powers) == 7
-        assert shared.powers[5][3] == power(q_int(7), 5)
-        assert shared.rows == q_binomial_rows(3, 2)
+        # the values the explicit suite reads for (m, r) = (2, 1), nodes
+        # x = 0, 2, 4, 6: [x+1]_q^n, and the q-Pascal rows in base q^2
+        table = q_power_table(1, 2, 4, 6)
+        assert len(table) == 7 and len(table[5]) == 4
+        assert table[5][3] == power(q_int(7), 5)
+        rows = q_binomial_rows(3, 2)
+        assert [len(row) for row in rows] == [1, 2, 3, 4]
+        assert rows[3][1] == q_binomial_rows(3)[3][1].stretch(2)
 
 
 class TestOnePassHeads:
@@ -58,14 +59,13 @@ class TestOnePassHeads:
             q_diff_heads([], 1)
 
     def test_shared_values_give_the_same_cells(self):
-        # one RouteValues for rows 0..7 serves every row of both routes
+        # one power table and one q-Pascal triangle for rows 0..7 serve
+        # every row of both forms
         for p in PARAM_GRID:
-            shared = RouteValues.build(p, 7, 7)
+            explicit, newton = operator_rows(p, 7)
             for n in range(8):
-                newton = newton_coefficients(shared, n)
-                assert newton == [w(p, n, k) for k in range(n + 1)]
-                assert [whitney_explicit(shared, n, k)
-                        for k in range(n + 1)] == newton
+                assert newton[n] == [w(p, n, k) for k in range(n + 1)]
+                assert explicit[n] == newton[n]
 
 
 class TestQDifference:
@@ -102,59 +102,54 @@ class TestQDifference:
 
 
 class TestExplicitFormula:
+    # the alternating sum over [k]_{q^m}! [m]_q^k
     def test_hand_value(self):
-        shared = RouteValues.build(WhitneyParams(1, 1), 2, 1)
-        assert whitney_explicit(shared, 2, 1) == poly({1: 2, 2: 1})
+        explicit, _ = operator_rows(WhitneyParams(1, 1), 2)
+        assert explicit[2][1] == poly({1: 2, 2: 1})
 
     def test_column_zero(self):
         for p in PARAM_GRID:
-            shared = RouteValues.build(p, 4, 0)
+            explicit, _ = operator_rows(p, 4)
             for n in range(5):
-                assert whitney_explicit(shared, n, 0) == power(q_int(p.r), n)
+                assert explicit[n][0] == power(q_int(p.r), n)
 
     def test_diagonal(self):
         for p in PARAM_GRID:
-            shared = RouteValues.build(p, 4, 4)
+            explicit, _ = operator_rows(p, 4)
             for n in range(5):
                 exp = p.m * comb(n, 2) + n * p.r
-                assert whitney_explicit(shared, n, n) == ONE.shift(exp)
+                assert explicit[n][n] == ONE.shift(exp)
 
     def test_matches_recurrence(self):
         for p in PARAM_GRID:
-            shared = RouteValues.build(p, 7, 7)
+            explicit, _ = operator_rows(p, 7)
             for n in range(8):
-                for k in range(n + 1):
-                    assert whitney_explicit(shared, n, k) == w(p, n, k)
+                assert explicit[n] == [w(p, n, k) for k in range(n + 1)]
 
     def test_classical_limit(self):
         # at q=1 this is the classical alternating-sum formula
         for p in PARAM_GRID:
-            shared = RouteValues.build(p, 7, 7)
+            explicit, _ = operator_rows(p, 7)
             for n in range(8):
                 for k in range(n + 1):
-                    v = whitney_explicit(shared, n, k).eval(Fraction(1))
+                    v = explicit[n][k].eval(Fraction(1))
                     assert v == classical_whitney_recurrence(p.m, p.r, n, k)
-
-    def test_invalid_range_rejected(self):
-        shared = RouteValues.build(WhitneyParams(1, 1), 2, 2)
-        with pytest.raises(ValueError):
-            whitney_explicit(shared, 1, 2)
 
 
 class TestNewtonCoefficients:
+    # the operator product's heads over [k]_{q^m}! [m]_q^k
     def test_degree_zero(self):
-        shared = RouteValues.build(WhitneyParams(1, 1), 0, 0)
-        assert newton_coefficients(shared, 0) == [ONE]
+        _, newton = operator_rows(WhitneyParams(1, 1), 0)
+        assert newton == [[ONE]]
 
     def test_row_two(self):
-        got = newton_coefficients(RouteValues.build(WhitneyParams(1, 1), 2, 2),
-                                  2)
-        assert got == [ONE, poly({1: 2, 2: 1}), ONE.shift(3)]
+        _, newton = operator_rows(WhitneyParams(1, 1), 2)
+        assert newton[2] == [ONE, poly({1: 2, 2: 1}), ONE.shift(3)]
 
     def test_matches_recurrence(self):
         p = WhitneyParams(2, 0)
-        assert newton_coefficients(RouteValues.build(p, 3, 3), 3) == \
-            [w(p, 3, k) for k in range(4)]
+        _, newton = operator_rows(p, 3)
+        assert newton[3] == [w(p, 3, k) for k in range(4)]
 
 
 class TestRouteIndependence:

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import (classical_egf_coeffs, perturb_recurrence, poly, power,
                       q_factorial)
-from qwhitney import series, verify
+from qwhitney import verify
 from qwhitney import (WhitneyParams, horizontal_gf_check, q_int,
-                      rational_gf_columns, w)
+                      rational_gf_columns, w, w_table)
 from qwhitney.qcore import ONE, ZERO
 from qwhitney.series import (egf_check, horizontal_falling, horizontal_powers,
                              horizontal_row, q_int_parts)
@@ -29,7 +29,7 @@ def falling_at(p, t, qv, kmax):
 def cell_parts(p, n, t, qv):
     """The row, falling factors and power horizontal_gf_check reads for the
     cell (n, t) at q = qv, built for that cell alone."""
-    return (horizontal_row(p, n, qv), falling_at(p, t, qv, n),
+    return (horizontal_row(w_table(p, n)[n], qv), falling_at(p, t, qv, n),
             horizontal_powers(t, qv, n)[n])
 
 
@@ -96,49 +96,48 @@ class TestColumnsByPrefix:
 
 
 class TestEGF:
-    # egf_check(p, nmax, kmax)[k][n] asks whether the numerator of the
+    # egf_check(p, rows, kmax)[k][n] asks whether the numerator of the
     # column EGF's z^n coefficient over [n]_q! [k]_{q^m}! [m]_q^k equals
     # W[n,k] times that normalizer, as integers at one point q = 2^B.  The
-    # check reads W through series.w, so a test hands it other values.
+    # check reads W from the rows it is given, so a test hands it other
+    # values.
 
     @staticmethod
-    def verdict(monkeypatch, p, n, k, value):
+    def verdict(p, n, k, value):
         """egf_check's verdict on cell (n, k) with W[n,k] read as value."""
-        right = series.w
-        with monkeypatch.context() as mp:
-            mp.setattr(series, "w", lambda params, i, j: value
-                       if (i, j) == (n, k) else right(params, i, j))
-            return egf_check(p, n, k)[k][n]
+        rows = [[w(p, i, j) for j in range(k + 1)] for i in range(n + 1)]
+        rows[n][k] = value
+        return egf_check(p, rows, k)[k][n]
 
-    def test_column_zero(self, monkeypatch):
+    def test_column_zero(self):
         # column 0's numerator is [r]_q^n, over the empty normalizer
         for p in PARAM_GRID:
-            assert egf_check(p, 5, 0) == [[True] * 6]
+            assert egf_check(p, w_table(p, 5), 0) == [[True] * 6]
             for n in range(6):
-                assert self.verdict(monkeypatch, p, n, 0,
+                assert self.verdict(p, n, 0,
                                     power(q_int(p.r), n))
-                assert self.verdict(monkeypatch, p, n, 0,
+                assert self.verdict(p, n, 0,
                                     power(q_int(p.r + 1), n)) == (n == 0)
 
-    def test_hand_coefficient(self, monkeypatch):
+    def test_hand_coefficient(self):
         # W_{1,1}[2,1] = 2q + q^2 by hand
-        assert egf_check(P11, 3, 1)[1][2]
+        assert egf_check(P11, w_table(P11, 3), 1)[1][2]
         for value, ok in ((poly({1: 2, 2: 1}), True),
                           (poly({1: 2, 2: 2}), False),
                           (poly({1: 1, 2: 1}), False)):
-            assert self.verdict(monkeypatch, P11, 2, 1, value) == ok
+            assert self.verdict(P11, 2, 1, value) == ok
 
-    def test_low_coefficients_vanish(self, monkeypatch):
+    def test_low_coefficients_vanish(self):
         # for n < k the numerator is 0, so only W[n,k] = 0 passes
         p = WhitneyParams(2, 1)
-        assert egf_check(p, 6, 2)[2][:2] == [True, True]
+        assert egf_check(p, w_table(p, 6), 2)[2][:2] == [True, True]
         for n in range(2):
-            assert not self.verdict(monkeypatch, p, n, 2, ONE)
+            assert not self.verdict(p, n, 2, ONE)
 
     def test_matches_recurrence(self):
         # one call per (m, r) serves every column
         for p in PARAM_GRID:
-            assert egf_check(p, 8, 3) == [[True] * 9] * 4
+            assert egf_check(p, w_table(p, 8), 3) == [[True] * 9] * 4
 
     def test_normalizer_is_the_q_factorial_product(self):
         # [k]_{q^m}! [m]_q^k, formed here from q_factorial and a power
@@ -148,13 +147,13 @@ class TestEGF:
                             start=ONE) == \
                     q_factorial(k).stretch(p.m) * power(q_int(p.m), k)
 
-    def test_classical_limit_against_series_expansion(self, monkeypatch):
+    def test_classical_limit_against_series_expansion(self):
         # at q=1 the column EGF is e^(rt)(e^(mt)-1)^k / (k! m^k): the W the
         # check accepts has that z^n coefficient times n! as its q=1
         # value, and that value as a constant, which agrees at q = 1
         # alone, fails wherever W is not constant
         for p in PARAM_GRID:
-            ok = egf_check(p, 8, 3)
+            ok = egf_check(p, w_table(p, 8), 3)
             for k in range(4):
                 expected = classical_egf_coeffs(p.m, p.r, k, 8)
                 for n in range(9):
@@ -163,9 +162,9 @@ class TestEGF:
                     assert v.eval(Fraction(1)) == expected[n] * factorial(n)
                     if p.m == 2 and len(v.coeffs) > 1:
                         flat = poly({0: sum(v.coeffs)})
-                        assert not self.verdict(monkeypatch, p, n, k, flat)
+                        assert not self.verdict(p, n, k, flat)
 
-    def test_exact_in_every_coefficient(self, monkeypatch):
+    def test_exact_in_every_coefficient(self):
         # W[n,k] off by +-1 in a single coefficient, one past either end
         # too, or shifted by q either way fails its cell, also where the
         # changed W has a negative lowest exponent (r >= 1 keeps every
@@ -180,7 +179,7 @@ class TestEGF:
                                 for d in (1, -1)]
                     assert any(c.min_exp() < 0 for c in changed)
                     for c in changed:
-                        assert not self.verdict(monkeypatch, p, n, k, c)
+                        assert not self.verdict(p, n, k, c)
 
     def test_suite_failure_texts(self):
         # a failed egf cell names its (m, r, n, k) and carries no side
@@ -216,7 +215,7 @@ class TestHorizontalGF:
 
     def test_given_row_matches_computed_row(self):
         for qv in (Fraction(2), Fraction(-3, 5)):
-            row = horizontal_row(P11, 4, qv)
+            row = horizontal_row(w_table(P11, 4)[4], qv)
             nums, den = row
             assert [Fraction(x, den) for x in nums] == \
                 [w(P11, 4, k).eval(qv) for k in range(5)]
@@ -250,7 +249,7 @@ class TestHorizontalGF:
                     fnums, fden = falling
                     powers = horizontal_powers(t, qv, 6)
                     for n in range(7):
-                        row = horizontal_row(p, n, qv)
+                        row = horizontal_row(w_table(p, n)[n], qv)
                         nums, den = row
                         bad = ([x + den for x in nums], den)
                         assert horizontal_gf_check(row, falling, powers[n])
@@ -260,7 +259,7 @@ class TestHorizontalGF:
                         assert (horizontal_gf_check(bad, falling, powers[n])
                                 == (lhs == q_int(t).eval(qv) ** n))
                     assert not horizontal_gf_check(
-                        horizontal_row(p, 6, qv),
+                        horizontal_row(w_table(p, 6)[6], qv),
                         ([f + fden for f in fnums], fden), powers[6])
 
     def test_suite_verdicts_match_unshared_checks(self):
@@ -357,7 +356,7 @@ class TestHorizontalAgainstFractions:
                             self.falling(p, t, q)
                     verdicts = self.oracle(p, q)
                     for n in range(self.NMAX + 1):
-                        nums, den = row = horizontal_row(p, n, q)
+                        nums, den = row = horizontal_row(w_table(p, n)[n], q)
                         assert [Fraction(x, den) for x in nums] == \
                             [self.value(w(p, n, k), q) for k in range(n + 1)]
                         for t in self.TS:

@@ -7,8 +7,8 @@ from conftest import (bell_enum, classical_whitney_recurrence,
                       count_operators, poly, power, record_products,
                       stirling2_enum)
 from qwhitney import (WhitneyParams, classical_w, horizontal_pass,
-                      q_binomial_rows, q_int, qcalculus, qcore, r_dowling,
-                      verify, vertical_pass, w, w_star, w_table)
+                      q_binomial_rows, q_int, qcore, r_dowling, verify,
+                      vertical_pass, w, w_star, w_table)
 from qwhitney.qcore import ONE, ZERO
 
 P11 = WhitneyParams(1, 1)
@@ -182,24 +182,12 @@ class TestProductPaths:
 
     # A clean explicit cell multiplies W by its normalizer and compares;
     # only a failed cell divides.  Dividing every cell took 990 divisions.
+    # Its q-Pascal rows are one triangle built by shifted additions, with
+    # no product or sum; built by the ratio of neighbouring entries they
+    # took 45 products and 45 divisions per (m, r) at kmax 9.
     def test_clean_explicit_suite_divides_nothing(self, monkeypatch):
         divisions = []
-        divide = qcalculus.laurent_div_q_ints
-
-        def counted(x, a_list):
-            divisions.append(len(a_list))
-            return divide(x, a_list)
-
-        monkeypatch.setattr(qcalculus, "laurent_div_q_ints", counted)
-        assert verify.run_suite("explicit")[0].ok
-        assert divisions == []
-
-    # The q-Pascal rows are one triangle built by shifted additions; built
-    # by the ratio of neighbouring entries they took 45 products and 45
-    # divisions per (m, r) at kmax 9.
-    def test_route_values_build_divides_nothing(self, monkeypatch):
-        divisions = []
-        for module in (qcore, qcalculus):
+        for module in (qcore, verify):
             divide = module.laurent_div_q_ints
 
             def counted(x, a_list, divide=divide):
@@ -207,13 +195,11 @@ class TestProductPaths:
                 return divide(x, a_list)
 
             monkeypatch.setattr(module, "laurent_div_q_ints", counted)
+        assert verify.run_suite("explicit")[0].ok
+        assert divisions == []
         calls = count_operators(monkeypatch)
         q_binomial_rows(9, 2)
         assert calls["__mul__"] == calls["__add__"] == 0
-        for p in PARAM_GRID:
-            assert qcalculus.RouteValues.build(p, 9, 9).rows == \
-                q_binomial_rows(9, p.m)
-        assert divisions == []
 
     # Each suite counts its cells per identity, in bulk: 12,420 in all.
     def test_default_grid_cell_counts(self):
