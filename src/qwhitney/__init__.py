@@ -9,9 +9,8 @@ transform of the normalized values.
 from .qcore import (LaurentPoly, DivisionByZero, EvalAtZero, NonExactDivision,
                     laurent_div_q_ints, laurent_exact_div, q_binomial_rows,
                     q_int, q_int_mul_add)
-from .whitney import (InternalNonLaurent, WhitneyParams, classical_w,
-                      horizontal_pass, r_dowling, vertical_pass, w, w_star,
-                      w_table)
+from .whitney import (WhitneyParams, horizontal_pass, r_dowling, vertical_pass,
+                      w, w_star, w_table)
 from .qcalculus import (q_binomial_alternating_sum, q_diff_heads,
                         q_power_table)
 from .series import horizontal_gf_check, rational_gf_columns
@@ -19,7 +18,7 @@ from .symm import (EnumerationTooLarge, convolution_check, convolution_first,
                    convolution_second, convolution_tables, h_prefixes,
                    tableau_walk)
 from .hankel import (HankelSpec, classical_hankel_check, degree_bound,
-                     det_exact, hankel_closed_forms, hankel_factors,
-                     hankel_matrix, leading_dets, lu_check)
+                     hankel_closed_forms, hankel_matrix, leading_dets,
+                     lu_check)
 
 __version__ = "0.1.0"

@@ -7,8 +7,8 @@ straight to JSON text (``LaurentPoly.to_json``) and every document is
 composed from those texts; the bytes are those of ``json.dumps`` on the
 pair lists.  Exit codes: 0 success or all identities pass, 1 identity
 failure, 2 usage error, 3 internal arithmetic error (an exact division
-that left a remainder or a value that left the Laurent ring: a bug in the
-library, reported in one line, never as an identity failure).
+that left a remainder or a division by zero: a bug in the library,
+reported in one line, never as an identity failure).
 
 ``main(argv, out=...)`` may be called many times in one process: the
 argparse parser is built on the first call and reused, since a parse keeps
@@ -42,8 +42,8 @@ from . import verify
 from .hankel import (HankelSpec, degree_bound, hankel_closed_forms,
                      hankel_matrix, leading_dets)
 from .qcore import DivisionByZero, LaurentPoly, NonExactDivision
-from .whitney import (InternalNonLaurent, WhitneyParams, check_degree,
-                      r_dowling, row_degree, w, w_star, w_table)
+from .whitney import (WhitneyParams, check_degree, r_dowling, row_degree, w,
+                      w_star, w_table)
 
 
 def _params(args, row: int, *counts: str) -> WhitneyParams:
@@ -397,7 +397,7 @@ def main(argv=None, out=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonExactDivision, InternalNonLaurent, DivisionByZero) as exc:
+    except (NonExactDivision, DivisionByZero) as exc:
         # a broken invariant of the library, not a failed identity
         print(f"error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)

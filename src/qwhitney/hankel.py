@@ -7,10 +7,12 @@ fraction-free elimination loop, ``bareiss``, computes both this
 determinant over the Laurent ring and its q=1 corollary over the ints; it
 keeps every interior division exact.  Its pivots are the leading minors
 (Sylvester's identity), so one elimination of the largest matrix of a
-family gives the determinant of every smaller order (``leading_dets``),
-and one L*U product (``lu_product``) gives every order's product as a
-leading block.  ``hankel_closed_forms`` gives every order's closed form,
-with the list of a whose [a]_q multiply to it, from one prefix product.
+family gives the determinant of every smaller order (``leading_minors``),
+in either ring.  Each check of a family returns one verdict per order:
+``lu_check`` from one L*U product, ``classical_hankel_check`` from one
+integer elimination of the family matrix's q=1 image.
+``hankel_closed_forms`` gives every order's closed form, with the list of
+a whose [a]_q multiply to it, from one prefix product.
 
 Each Bareiss division is by the previous pivot, a leading minor, which
 the theorem says is the closed form of its order.  ``leading_dets`` takes
@@ -31,7 +33,7 @@ from operator import floordiv
 from .qcore import (DivisionByZero, LaurentPoly, NonExactDivision, ONE,
                     ZERO, laurent_div_q_ints, laurent_exact_div, poly_sum,
                     q_int)
-from .whitney import WhitneyParams, classical_w, row_degree, w_star
+from .whitney import WhitneyParams, row_degree, w_star
 
 
 class HankelSpec(namedtuple("HankelSpec", "params s n")):
@@ -107,10 +109,14 @@ def bareiss(rows, exact_div) -> tuple:
     return (a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]), minors
 
 
-def det_exact(rows) -> LaurentPoly:
-    """Determinant of a square matrix of LaurentPoly entries by Bareiss
-    elimination, every division by ``laurent_exact_div``."""
-    return bareiss(rows, laurent_exact_div)[0]
+def leading_minors(rows, exact_div) -> list:
+    """The determinants of the leading blocks of orders 1..len(rows) of a
+    square matrix, from one ``bareiss`` pass with ``exact_div``: each is a
+    pivot.  Each order past the first zero pivot is eliminated on its own
+    block."""
+    _, minors = bareiss(rows, exact_div)
+    return minors + [bareiss(tuple(row[:k] for row in rows[:k]), exact_div)[0]
+                     for k in range(len(minors) + 1, len(rows) + 1)]
 
 
 def _divides_to_one(x: LaurentPoly, factors: tuple) -> bool:
@@ -131,8 +137,7 @@ def leading_dets(rows, closed_forms) -> list:
     divides to 1, any other by ``laurent_exact_div``; both are checked
     first, so the quotients do not depend on the closed forms.  Only the
     orders below len(rows) are checked, since the last pivot divides
-    nothing.  An order past the first zero pivot is ``det_exact`` of its
-    leading block."""
+    nothing."""
     factor_lists = {closed: factors
                     for closed, factors in closed_forms[:len(rows) - 1]
                     if _divides_to_one(closed, factors)}
@@ -143,30 +148,23 @@ def leading_dets(rows, closed_forms) -> list:
             return laurent_exact_div(x, b)
         return laurent_div_q_ints(x, factors)
 
-    _, minors = bareiss(rows, divide)
-    return minors + [det_exact(tuple(row[:k] for row in rows[:k]))
-                     for k in range(len(minors) + 1, len(rows) + 1)]
-
-
-def hankel_factors(spec: HankelSpec) -> tuple:
-    """The a, each m(s+k)+r repeated k times for k = 0..n, whose product
-    of [a]_q is the closed form."""
-    m, r, s = spec.params.m, spec.params.r, spec.s
-    return tuple(m * (s + k) + r for k in range(spec.n + 1) for _ in range(k))
+    return leading_minors(rows, divide)
 
 
 def hankel_closed_forms(spec: HankelSpec) -> list:
     """``(closed form, factors)`` for each order n'+1, n' = 0..spec.n, of
-    spec's family: factors is hankel_factors at n', the first C(n'+1, 2)
-    entries of spec's, and the closed form prod_{k<=n'} [m(s+k)+r]_q^k is
-    the product of their [a]_q, one sliding-window product per
+    spec's family: factors lists the a, each m(s+k)+r repeated k times for
+    k = 0..n', whose [a]_q multiply to the closed form
+    prod_{k<=n'} [m(s+k)+r]_q^k, one sliding-window product per
     q-integer."""
-    factors = hankel_factors(spec)
-    forms, product = [], ONE
-    for n in range(spec.n + 1):
-        for a in factors[comb(n, 2):comb(n + 1, 2)]:
+    m, r, s = spec.params.m, spec.params.r, spec.s
+    forms, product, factors = [], ONE, ()
+    for k in range(spec.n + 1):
+        a = m * (s + k) + r
+        for _ in range(k):
             product = product * q_int(a)
-        forms.append((product, factors[:comb(n + 1, 2)]))
+        factors += (a,) * k
+        forms.append((product, factors))
     return forms
 
 
@@ -187,47 +185,38 @@ def lu_factors(spec: HankelSpec) -> tuple:
     return lower, upper
 
 
-def lu_product(spec: HankelSpec) -> tuple:
-    """``(L*U, diagonal)`` for the factors of ``lu_factors(spec)``, where
-    diagonal[k] = prod_{i<=k} L[i][i] U[i][i].
-
-    L is lower and U upper triangular, so the leading (k+1)-block of L*U
-    is the product of their leading blocks and diagonal[k] is its
-    determinant: one product serves every order up to spec.n + 1.  Entry
-    (i, j) is one ``poly_sum`` over k <= min(i, j), the nonzero halves."""
+def lu_check(spec: HankelSpec, rows, dets) -> list:
+    """ok[n], n = 0..spec.n: does L*U, for ``lu_factors(spec)``, reproduce
+    the leading (n+1)-block of the Hankel matrix ``rows``, with dets[n],
+    that block's determinant, equal to prod_{i<=n} L[i][i] U[i][i]?  L and
+    U are triangular, so one L*U product serves every order; entry (i, j)
+    is one ``poly_sum`` over k <= min(i, j), the nonzero halves."""
     lower, upper = lu_factors(spec)
-    diagonal, acc = [], ONE
-    for k in range(spec.n + 1):
-        acc = acc * lower[k][k] * upper[k][k]
-        diagonal.append(acc)
     size = range(spec.n + 1)
     product = tuple(tuple(poly_sum(lower[i][k] * upper[k][j]
                                    for k in range(min(i, j) + 1))
                           for j in size) for i in size)
-    return product, diagonal
+    ok, same, diagonal = [], True, ONE
+    for n in size:  # block n+1 adds row n and column n to block n
+        same = same and all(product[n][j] == rows[n][j]
+                            and product[j][n] == rows[j][n]
+                            for j in range(n + 1))
+        diagonal = diagonal * lower[n][n] * upper[n][n]
+        ok.append(same and dets[n] == diagonal)
+    return ok
 
 
-def lu_check(order: int, rows, det: LaurentPoly, lu: tuple) -> bool:
-    """Does L*U reproduce the leading order x order block of the Hankel
-    matrix ``rows`` entrywise, with ``det``, that block's determinant,
-    equal to the product of the diagonals?
+def classical_hankel_check(spec: HankelSpec, rows) -> list:
+    """ok[n], n = 0..spec.n: the q=1 corollary det(W_{m,r}(s+i+j, s+j)) =
+    prod_{k<=n} (m(s+k)+r)^k at order n+1.
 
-    ``lu`` is ``lu_product`` of the family of ``rows`` at that order or
-    larger; only leading blocks are compared."""
-    product, diagonal = lu
-    return (tuple(row[:order] for row in product[:order])
-            == tuple(row[:order] for row in rows[:order])
-            and det == diagonal[order - 1])
-
-
-def classical_hankel_check(m: int, r: int, s: int, n: int) -> bool:
-    """q=1 corollary: det(W_{m,r}(s+i+j, s+j)) = prod_k (m(s+k)+r)^k.
-
-    W* and W differ by a power of q, so their q=1 entries agree."""
-    params = WhitneyParams(m, r)
-    rows = [[classical_w(params, s + i + j, s + j) for j in range(n + 1)]
-            for i in range(n + 1)]
-    expected = 1
-    for k in range(n + 1):
+    ``rows`` is ``hankel_matrix(spec)``.  W* and W differ by a power of q,
+    so the q=1 image of an entry is the sum of its coefficients; one
+    integer elimination of that image gives every order's determinant."""
+    m, r, s = spec.params.m, spec.params.r, spec.s
+    ints = [[sum(x.coeffs) for x in row] for row in rows]
+    ok, expected = [], 1
+    for k, det in enumerate(leading_minors(ints, floordiv)):
         expected *= (m * (s + k) + r) ** k
-    return bareiss(rows, floordiv)[0] == expected
+        ok.append(det == expected)
+    return ok

@@ -6,14 +6,14 @@ two mismatched polynomials.  Grids default to the ranges each identity is
 claimed to have been checked on, and can be overridden from a JSON config.
 
 ``run_suite`` reads a request once and is its only gate: before any suite
-starts it checks the grid, reads its qvals, bounds the tableau total and
-the horizontal generating function's work, and refuses a grid whose
-polynomials may reach a degree over ``whitney.MAX_DEGREE``, from the CLI
-and from Python alike.  Each suite takes the completed grid and keeps
-only its cells.  A suite counts them per identity in bulk, by the size of
-each family's grid (``SuiteResult.add``), and builds a cell's parameter
-dict, ``str(q)`` and side texts only when that cell fails
-(``SuiteResult.fail``), in cell order: a passing cell costs its
+starts it checks the grid, reads its qvals, bounds the tableau total,
+refuses a grid whose polynomials may reach a degree over
+``whitney.MAX_DEGREE``, and bounds the horizontal generating function's
+work, from the CLI and from Python alike.  Each suite takes the completed
+grid and keeps only its cells.  A suite counts them per identity in bulk,
+by the size of each family's grid (``SuiteResult.add``), and builds a
+cell's parameter dict, ``str(q)`` and side texts only when that cell
+fails (``SuiteResult.fail``), in cell order: a passing cell costs its
 comparison alone.  The recurrences, explicit, genfun and symmetric
 suites read W, and W* by one shift, from one ``whitney.w_table`` per
 (m, r); the genfun suite's reaches the largest of its three row bounds
@@ -36,8 +36,9 @@ convolution cells read W* tables built once per (m, r), each cell
 compared as integers at one point (``symm.convolution_check``), as the
 EGF cells are (``series.egf_check``).  The hankel suite builds each
 (m, r, s) family's largest matrix, its determinants of every order (one
-elimination), its closed forms (one prefix product) and its L*U product
-once, and each order reads its leading block.
+elimination), and its closed forms (one prefix product) once; the L*U
+check (one product) and the classical check (one integer elimination of
+the matrix's q=1 image) each return a verdict per order.
 """
 
 from __future__ import annotations
@@ -343,29 +344,35 @@ def _check_tableau_total(g: dict) -> int:
     return count
 
 
-# The most horizontal generating function work, in units of one cell times
-# one |t| (``_check_genfun_work``), that run_suite admits.  On a 2-vCPU
-# Xeon with CPython 3.11, the genfun suite took 3.7 s on t = -3..599 (117
-# million units), 9.2 s on t = -3..783, the longest such range under the
-# budget, and 39 s on 150 t of 4,000 (194 million), each t near the
-# largest that MAX_DEGREE admits, where a unit costs the most.
-GENFUN_WORK_BUDGET = 2 * 10 ** 8
+# The most horizontal generating function work, in squared bits, that
+# run_suite admits, and the fixed cost of one cell.  Fitted to the sweep in
+# CHANGES.md (2-vCPU Xeon, CPython 3.11): a unit took 0.5-1.5 ps on every
+# grid of over 10^12 units, so a request at the budget takes 15-45 s.
+GENFUN_WORK_BUDGET = 3 * 10 ** 13
+GENFUN_CELL_WORK = 10 ** 6
 
 
 def _check_genfun_work(g: dict) -> int:
-    """The genfun suite's horizontal generating function work on grid `g`:
-    its cells, |t| |qvals| (nmax_horizontal + 1) |m| |r|, times the largest
-    |t| (at least 1), since each cell's integers grow with |t|.  Raises
-    ValueError when that is over GENFUN_WORK_BUDGET."""
-    cells = (len(g["t"]) * len(g["qvals"]) * (g["nmax_horizontal"] + 1)
-             * len(g["m"]) * len(g["r"]))
-    top = max([1, *map(abs, g["t"])])
-    work = cells * top
+    """The genfun suite's horizontal generating function work on grid `g`,
+    in squared bits: per (t, q), (nmax_horizontal + 1) |m| |r| cells, each
+    GENFUN_CELL_WORK plus a product of integers of about (|t| + D) b and
+    (nmax_horizontal |t| + D) b bits, the row values and [t]_q^n by the
+    falling factors, where D is the top degree of row nmax_horizontal at
+    the largest m and r and b adds the bit lengths of q's numerator and
+    denominator.  Raises ValueError when that is over GENFUN_WORK_BUDGET."""
+    nh = g["nmax_horizontal"]
+    rows = (nh + 1) * len(g["m"]) * len(g["r"])
+    degree = row_degree(max(g["m"]), max(g["r"]), nh)
+    bits = [q.numerator.bit_length() + q.denominator.bit_length()
+            for q in g["qvals"]]
+    cells = rows * len(g["t"]) * len(bits)
+    sizes = sum((abs(t) + degree) * (nh * abs(t) + degree) for t in g["t"])
+    work = rows * sizes * sum(b * b for b in bits) + cells * GENFUN_CELL_WORK
     if work > GENFUN_WORK_BUDGET:
         raise ValueError(
             f"request too large: {cells} horizontal generating function "
-            f"cells at |t| up to {top} are {work} units of work, over the "
-            f"budget GENFUN_WORK_BUDGET = {GENFUN_WORK_BUDGET}")
+            f"cells are {work} units of work, over the budget "
+            f"GENFUN_WORK_BUDGET = {GENFUN_WORK_BUDGET}")
     return work
 
 
@@ -419,16 +426,17 @@ def suite_hankel(g: dict) -> SuiteResult:
             rows = hk.hankel_matrix(family)
             closed = hk.hankel_closed_forms(family)
             dets = hk.leading_dets(rows, closed)
-            lu = hk.lu_product(family)
+            verdicts = {
+                "hankel_transform": [det == form for det, (form, _)
+                                     in zip(dets, closed)],
+                "lu_factorization": hk.lu_check(family, rows, dets),
+                "classical_hankel": hk.classical_hankel_check(family, rows),
+            }
             for n in range(nmax + 1):
-                if dets[n] != closed[n][0]:
-                    res.fail({**base, "s": s, "n": n}, "hankel_transform")
-                if not hk.lu_check(n + 1, rows, dets[n], lu):
-                    res.fail({**base, "s": s, "n": n}, "lu_factorization")
-                if not hk.classical_hankel_check(p.m, p.r, s, n):
-                    res.fail({**base, "s": s, "n": n}, "classical_hankel")
-            for identity in ("hankel_transform", "lu_factorization",
-                             "classical_hankel"):
+                for identity, ok in verdicts.items():
+                    if not ok[n]:
+                        res.fail({**base, "s": s, "n": n}, identity)
+            for identity in verdicts:
                 res.add(identity, nmax + 1)
     return res
 
@@ -482,7 +490,7 @@ def run_suite(name: str, grid: dict = None) -> list:
     g = _check_grid(grid)
     if "symmetric" in names:
         _check_tableau_total(g)
+    check_degree(_max_degree(names, g))
     if "genfun" in names:
         _check_genfun_work(g)
-    check_degree(_max_degree(names, g))
     return [_SUITE_FUNCS[s](g) for s in names]

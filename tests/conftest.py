@@ -17,15 +17,17 @@ tableau walk, the falling factors of the horizontal generating
 function, the alternating q-binomial sum of the explicit route, the
 normalizer of the EGF check, the base of the Newton route's operator
 product, in two forms: one whose heads still divide by the normalizer
-and one whose heads leave a remainder, and the expected product of the
-classical Hankel corollary.  Each is the mutation of one route, and
-``test_faults.py`` checks that together they fail every identity the
-suites check.  ``record_products`` counts the products that take one of
-the ring's product paths, and ``count_operators`` the ring's products
-and sums.  ``poly``, ``power`` and ``q_factorial`` build test values
-the library itself never needs.  ``multiset_sum`` enumerates the
-A-tableaux of one cell on its own (``a_tableaux``), with no prefix
-shared between cells or tableaux: the oracle of the tableau walk.
+and one whose heads leave a remainder, the expected product of the
+classical Hankel corollary, the last determinant of the shared Hankel
+elimination, and the values of the truncated-series step.  Each is the
+mutation of one route, and ``test_faults.py`` checks that together they
+fail every identity the suites check.  ``record_products`` counts the
+products that take one of the ring's product paths, and
+``count_operators`` the ring's products and sums.  ``poly``, ``power``
+and ``q_factorial`` build test values the library itself never needs.
+``multiset_sum`` enumerates the A-tableaux of one cell on its own
+(``a_tableaux``), with no prefix shared between cells or tableaux: the
+oracle of the tableau walk.
 """
 
 import random
@@ -401,16 +403,48 @@ def perturb_newton_remainder():
 def perturb_classical_product():
     """The expected product prod_k (m(s+k)+r)^k of the classical Hankel
     corollary runs to k = n+1, one factor too far; the integer
-    determinant it is compared with is kept."""
-    def one_too_many(m, r, s, n):
-        params = WhitneyParams(m, r)
-        rows = [[whitney.classical_w(params, s + i + j, s + j)
-                 for j in range(n + 1)] for i in range(n + 1)]
-        expected = prod((m * (s + k) + r) ** k for k in range(n + 2))
-        return hankel.bareiss(rows, floordiv)[0] == expected
+    determinants it is compared with are kept."""
+    def one_too_many(spec, rows):
+        m, r, s = spec.params.m, spec.params.r, spec.s
+        ints = [[sum(x.coeffs) for x in row] for row in rows]
+        dets = hankel.leading_minors(ints, floordiv)
+        return [det == prod((m * (s + k) + r) ** k for k in range(n + 2))
+                for n, det in enumerate(dets)]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hankel, "classical_hankel_check", one_too_many)
+        yield
+
+
+@contextmanager
+def perturb_last_minor():
+    """The last determinant of every ``hankel.leading_minors`` call is
+    negated: the one elimination that both the Laurent and the integer
+    Hankel determinants come from."""
+    right = hankel.leading_minors
+
+    def negated(rows, exact_div):
+        dets = right(rows, exact_div)
+        return dets[:-1] + [-dets[-1]]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "leading_minors", negated)
+        yield
+
+
+@contextmanager
+def perturb_h_prefixes():
+    """Each value enters ``symm.h_prefixes`` as q x instead of x, where the
+    symmetric suite and, through the name it imported, the column
+    generating functions read it."""
+    right = symm.h_prefixes
+
+    def shifted(values, d):
+        return right([x.shift(1) for x in values], d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symm, "h_prefixes", shifted)
+        mp.setattr(series, "h_prefixes", shifted)
         yield
 
 

@@ -13,7 +13,8 @@ from conftest import (classical_whitney_recurrence, gauss_product_check,
                       operator_rows, perturb_recurrence, power,
                       q_binomial_inverse, q_binomial_transform,
                       stirling2_enum)
-from qwhitney import (WhitneyParams, cli, classical_hankel_check,
+from qwhitney import (HankelSpec, WhitneyParams, cli, classical_hankel_check,
+                      hankel_matrix,
                       q_binomial_alternating_sum, q_binomial_rows,
                       q_diff_heads, q_int, w, w_star, h_prefixes,
                       tableau_walk)
@@ -97,11 +98,10 @@ def test_criterion_7_classical_limits():
             ok = ok and int(w(p10, n, k).eval(1)) == stirling2_enum(n, k)
     ok = ok and stirling2_enum(4, 2) == 7
     ok = ok and bareiss([[1, 1, 1], [0, 1, 3], [0, 1, 7]], floordiv)[0] == 4
-    ok = ok and classical_hankel_check(1, 0, 0, 2)
-    for p in PARAM_GRID:
-        for s in range(4):
-            for n in range(5):
-                ok = ok and classical_hankel_check(p.m, p.r, s, n)
+    for p, s, n in [(WhitneyParams(1, 0), 0, 2),
+                    *((p, s, 4) for p in PARAM_GRID for s in range(4))]:
+        spec = HankelSpec(p, s, n)
+        ok = ok and all(classical_hankel_check(spec, hankel_matrix(spec)))
     report(7, "classical q=1 limits", ok)
 
 

@@ -17,8 +17,7 @@ from conftest import perturb_recurrence, poly
 from qwhitney import cli, symm, verify
 from qwhitney import whitney
 from qwhitney.hankel import HankelSpec, degree_bound
-from qwhitney.qcore import NonExactDivision
-from qwhitney.whitney import InternalNonLaurent
+from qwhitney.qcore import NonExactDivision, q_int
 
 
 def run(argv):
@@ -609,22 +608,63 @@ class TestSizeLimit:
             total({"nmax_tableau": 41})
 
     def test_genfun_work(self):
-        # horizontal generating function cells |t| |qvals| (nh + 1) |m| |r|
-        # times the largest |t| (at least 1)
+        # per (t, q): (nh + 1) |m| |r| cells of (|t| + D) (nh |t| + D) b^2
+        # squared bits and GENFUN_CELL_WORK each, with D the top degree of
+        # row nh at the largest m and r and b the bit lengths of q's
+        # numerator and denominator added
         def work(grid):
             return verify._check_genfun_work(verify._check_grid(grid))
 
-        assert work(None) == 16 * 4 * 9 * 9 * 12
-        assert work({"t": [0]}) == work({"t": [1]}) == 4 * 9 * 9
+        def sizes(ts, nh, degree):
+            return sum((abs(t) + degree) * (nh * abs(t) + degree)
+                       for t in ts)
+
+        cell = verify.GENFUN_CELL_WORK
+        ts = range(-3, 13)
+        # D = 3 C(8, 2) + 2 * 8; qvals 2, 1/2, 3/5 and -2: b = 3, 3, 5, 3
+        assert work(None) == 81 * (sizes(ts, 8, 100) * 52 + 64 * cell)
+        assert work({"t": [0]}) == 81 * (100 ** 2 * 52 + 4 * cell)
         assert work({"t": []}) == work({"qvals": []}) == 0
-        assert work({"qvals": ["2"] * 100}) == 16 * 100 * 81 * 12
-        assert work({"t": list(range(-3, 600))}) == 603 * 4 * 81 * 599
-        assert work({"t": [4000] * 150}) == 150 * 4 * 81 * 4000
+        assert work({"qvals": ["2"] * 100}) == \
+            81 * (sizes(ts, 8, 100) * 9 * 100 + 1600 * cell)
+        # D = 3 C(50, 2) + 2 * 50
+        assert work({"nmax_horizontal": 50}) == \
+            51 * 9 * (sizes(ts, 50, 3775) * 52 + 64 * cell)
+        # q reads as 13717421/109739369 in lowest terms: b = 24 + 27
+        assert work({"t": [1000], "qvals": ["123456789/987654321"]}) == \
+            81 * (1100 * 8100 * 51 ** 2 + cell)
         with pytest.raises(ValueError, match=(
                 r"^request too large: 972972 horizontal generating function "
-                r"cells at \|t\| up to 2999 are 2917943028 units of work, "
-                r"over the budget GENFUN_WORK_BUDGET = 200000000$")):
+                r"cells are 321264780224544 units of work, over the budget "
+                r"GENFUN_WORK_BUDGET = 30000000000000$")):
             work({"t": list(range(-3, 3000))})
+
+    # Each cell's integers grow with the row degree at nmax_horizontal and
+    # with the bits of q: the first two grids ran for minutes.  The rest
+    # ran in 0.3-9 s and stay admitted.
+    @pytest.mark.parametrize("grid, refused", [
+        ({"t": [1000] * 80, "qvals": ["123456789/987654321"] * 4}, True),
+        ({"nmax_horizontal": 50, "qvals": ["3/5"] * 100}, True),
+        ({}, False),
+        ({"nmax_horizontal": 50}, False),
+        ({"t": list(range(-3, 600))}, False),
+        ({"t": list(range(-3, 784))}, False),
+        ({"t": [4000] * 20}, False),
+        ({"qvals": ["2"] * 1000}, False),
+    ])
+    def test_genfun_work_weighs_row_degree_and_q_bits(self, no_verify_work,
+                                                      tmp_path, capsys, grid,
+                                                      refused):
+        if not refused:
+            verify._check_genfun_work(verify._check_grid(grid))
+            return
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        start = time.perf_counter()
+        rc, out = run(["verify", "--suite", "genfun", "--grid", str(path)])
+        assert time.perf_counter() - start < 1
+        assert rc == 2 and out == ""
+        assert "GENFUN_WORK_BUDGET" in capsys.readouterr().err
 
     # A long t or qvals list passes the degree bound, since each value is
     # within MAX_DEGREE; t = -3..2999 ran past 100 s before this bound.
@@ -739,7 +779,6 @@ class TestDigitLimit:
 class TestInternalError:
     @pytest.mark.parametrize("module, name, error, suite", [
         (verify, "q_binomial_rows", NonExactDivision, "explicit"),
-        (verify, "horizontal_pass", InternalNonLaurent, "recurrences"),
     ])
     def test_exit_three_in_one_line(self, monkeypatch, capsys, small_grid,
                                     module, name, error, suite):
@@ -752,6 +791,34 @@ class TestInternalError:
         assert err.startswith("error: internal error: ")
         assert "planted" in err and "Traceback" not in err
         assert len(err.splitlines()) == 1
+
+
+class TestRouteLeavesTheRing:
+    """A route whose values leave the polynomial ring, here through a
+    weight q^-1 [a]_q, fails its cells with their witnesses: no W has a
+    negative exponent, so the comparison alone catches it."""
+
+    GRID = {"m": [1], "r": [0], "nmax": 4}
+
+    @pytest.fixture
+    def weight_over_q(self, monkeypatch):
+        monkeypatch.setattr(whitney, "q_int", lambda a: q_int(a).shift(-1))
+
+    def test_failed_cells(self, weight_over_q):
+        (res,) = verify.run_suite("recurrences", self.GRID)
+        assert res.counts == {"vertical": 10, "horizontal": 15}
+        assert len(res.failures) == 16
+        assert {f.identity for f in res.failures} == {"vertical",
+                                                      "horizontal"}
+
+    def test_exit_one_with_the_report(self, weight_over_q, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(self.GRID))
+        rc, out = run(["verify", "--suite", "recurrences", "--grid",
+                       str(path)])
+        report = json.loads(out.splitlines()[-1])
+        assert rc == 1 and report["cells"] == 25
+        assert len(report["failures"]) == 16
 
 
 class TestOutOfMemory:

@@ -14,6 +14,13 @@ fault reaches, and each fails its one identity alone: the alternating
 q-binomial sum is read by the explicit route only, since the EGF check
 forms its own at one integer point, and the operator product by the
 Newton route only.
+The last-minor fault negates the last determinant of each call of
+``hankel.leading_minors``, the one elimination that reads every order of
+a family's q-matrix and of its q=1 image, so it fails the Hankel
+transform, its classical corollary and, through the determinant the L*U
+check compares, the LU factorization: 24 cells of GRID, the largest
+order of each family.  The h-prefixes fault fails ``h_complete`` and
+``rational_gf`` together, since both read one truncated-series pass.
 The Newton-remainder fault reads the base q^b of
 ``qcalculus.q_diff_heads`` as q^(b+1), so that its Newton heads leave a
 remainder on division by the normalizer.  A division that raises is a
@@ -33,7 +40,8 @@ from math import prod
 from conftest import (perturb_alternating_sum, perturb_classical_product,
                       perturb_closed_form, perturb_convolution_shift,
                       perturb_egf_normalizer,
-                      perturb_gf_prefactor, perturb_horizontal_falling,
+                      perturb_gf_prefactor, perturb_h_prefixes,
+                      perturb_horizontal_falling, perturb_last_minor,
                       perturb_newton_base, perturb_newton_remainder,
                       perturb_recurrence, perturb_route_weight,
                       perturb_tableau_walk, perturb_u_factor)
@@ -61,6 +69,8 @@ FAULTS = {
     "newton_base": perturb_newton_base,
     "newton_remainder": perturb_newton_remainder,
     "classical_product": perturb_classical_product,
+    "last_minor": perturb_last_minor,
+    "h_prefixes": perturb_h_prefixes,
 }
 
 
@@ -94,6 +104,9 @@ def test_kill_matrix():
         "newton_base": {"newton"},
         "newton_remainder": {"newton"},
         "classical_product": {"classical_hankel"},
+        "last_minor": {"hankel_transform", "classical_hankel",
+                       "lu_factorization"},
+        "h_prefixes": {"h_complete", "rational_gf"},
     }
 
 
@@ -130,6 +143,10 @@ REPORTS = {
                             "4c043a15eca8b372b378f8a4503a3fa9"),
     "classical_product": (1, "59dd4aaeb34a1c42bc535d268cdec354"
                              "47783a2789e6fc38bb0a35fdefd16da7"),
+    "last_minor": (1, "35bd9fbb3763cc0ac0dcecf2c645bcf7"
+                      "196d58bee8f104d6e0c780559f599bdb"),
+    "h_prefixes": (1, "e2416cb193b41cc6b4172fb9572410ce"
+                      "4451751f9f82c99a821f1fc5466731f6"),
 }
 
 
@@ -159,3 +176,13 @@ def test_a_division_that_raises_is_a_failed_cell():
         assert f.identity == "newton" and k >= 2
         norm = prod(map(q_int, normalizer_factors(p, k)), start=ONE)
         assert f.rhs == str(w(p, n, k) * norm)
+
+
+def test_last_minor_fails_the_largest_order_only():
+    # Every order of a family is read from one elimination, so negating
+    # its last determinant fails each Hankel identity at the family's
+    # largest order alone: 8 families of GRID, 3 identities each.
+    with perturb_last_minor():
+        res = verify.run_suite("hankel", GRID)[0]
+    assert len(res.failures) == 24
+    assert {f.params["n"] for f in res.failures} == {GRID["nmax_hankel"]}

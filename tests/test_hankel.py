@@ -9,11 +9,11 @@ from conftest import (closed_forms_times_2, det_cofactor, power,
                       perturb_recurrence, perturb_u_factor, poly,
                       random_laurent, stirling2_enum)
 from qwhitney import (HankelSpec, WhitneyParams,
-                      classical_hankel_check, degree_bound, det_exact,
-                      hankel_closed_forms, hankel_factors, hankel_matrix,
-                      leading_dets, lu_check, q_int, w_star)
+                      classical_hankel_check, degree_bound,
+                      hankel_closed_forms, hankel_matrix, leading_dets,
+                      lu_check, q_int, w_star)
 from qwhitney import cli, hankel, qcalculus, qcore, verify
-from qwhitney.hankel import bareiss, lu_factors, lu_product
+from qwhitney.hankel import bareiss, leading_minors, lu_factors
 from qwhitney.qcore import ONE, ZERO, laurent_exact_div
 
 P11 = WhitneyParams(1, 1)
@@ -25,6 +25,11 @@ def block(rows, order):
     return tuple(row[:order] for row in rows[:order])
 
 
+def det_of(rows):
+    """The determinant of a square Laurent matrix by one elimination."""
+    return bareiss(rows, laurent_exact_div)[0]
+
+
 def transform_holds(spec):
     """Does the determinant of spec's own matrix equal its closed form?"""
     closed = hankel_closed_forms(spec)
@@ -32,9 +37,16 @@ def transform_holds(spec):
 
 
 def lu_holds(spec):
-    """lu_check on spec's own matrix, determinant and L*U product."""
+    """lu_check on spec's own matrix and determinants, at every order."""
     rows = hankel_matrix(spec)
-    return lu_check(spec.n + 1, rows, det_exact(rows), lu_product(spec))
+    return all(lu_check(spec, rows, leading_minors(rows, laurent_exact_div)))
+
+
+def classical_holds(m, r, s, n):
+    """classical_hankel_check on the family (m, r, s) to order n+1, at
+    every order."""
+    spec = HankelSpec(WhitneyParams(m, r), s, n)
+    return all(classical_hankel_check(spec, hankel_matrix(spec)))
 
 
 class TestSpec:
@@ -66,12 +78,12 @@ class TestMatrix:
 
 class TestDeterminant:
     def test_order_one(self):
-        assert det_exact(((q_int(3),),)) == q_int(3)
+        assert det_of(((q_int(3),),)) == q_int(3)
 
     def test_two_by_two_hand_value(self):
         for p in PARAM_GRID:
             mat = hankel_matrix(HankelSpec(p, 0, 1))
-            assert det_exact(mat) == q_int(p.m + p.r)
+            assert det_of(mat) == q_int(p.m + p.r)
 
     def test_bareiss_matches_cofactor_random(self):
         rng = random.Random(11)
@@ -81,10 +93,10 @@ class TestDeterminant:
                     tuple(random_laurent(rng, 3, (0, 2), (-4, 4))
                           for _ in range(order))
                     for _ in range(order))
-                assert det_exact(mat) == det_cofactor(mat)
+                assert det_of(mat) == det_cofactor(mat)
 
     def test_zero_pivot_falls_back(self):
-        assert det_exact(((ZERO, ONE), (ONE, ZERO))) == -ONE
+        assert det_of(((ZERO, ONE), (ONE, ZERO))) == -ONE
 
     def test_zero_pivots_need_no_cofactor(self):
         rng = random.Random(5)
@@ -107,7 +119,7 @@ class TestDeterminant:
         expected = [det_cofactor(mat) for mat in mats]
         assert expected[2] == ZERO
         assert not any(x.is_zero() for x in expected[:2])
-        assert [det_exact(mat) for mat in mats] == expected
+        assert [det_of(mat) for mat in mats] == expected
 
     def test_int_zero_pivots(self):
         rows = [[0, 2, 1], [0, 0, 3], [4, 1, 1]]  # both pivots need a swap
@@ -119,7 +131,7 @@ class TestDeterminant:
             for s in range(3):
                 for n in range(4):
                     mat = hankel_matrix(HankelSpec(p, s, n))
-                    assert det_exact(mat) == det_cofactor(mat)
+                    assert det_of(mat) == det_cofactor(mat)
 
 
 class TestLeadingDets:
@@ -136,7 +148,7 @@ class TestLeadingDets:
             for order in range(1, 7):
                 lead = block(mat, order)
                 assert lead == hankel_matrix(HankelSpec(p, s, order - 1))
-                assert dets[order - 1] == minors[order - 1] == det_exact(lead)
+                assert dets[order - 1] == minors[order - 1] == det_of(lead)
                 if order <= 4:
                     assert dets[order - 1] == det_cofactor(lead)
 
@@ -161,20 +173,22 @@ class TestLeadingDets:
         rows[1][:2] = [x.shift(1) for x in rows[0][:2]]
         mid_zero = tuple(map(tuple, rows))
         fallbacks = []
-        det_exact_ = hankel.det_exact
+        bareiss_ = hankel.bareiss
 
-        def counted(rows):
+        def counted(rows, exact_div):
             fallbacks.append(len(rows))
-            return det_exact_(rows)
+            return bareiss_(rows, exact_div)
 
-        monkeypatch.setattr(hankel, "det_exact", counted)
+        monkeypatch.setattr(hankel, "bareiss", counted)
         for mat, pivots in ((lead_zero, 1), (mid_zero, 2)):
-            fallbacks.clear()
             _, minors = bareiss(mat, laurent_exact_div)
             assert len(minors) == pivots and minors[-1] == ZERO
+            fallbacks.clear()
             # no closed forms: these are not Hankel matrices
             dets = leading_dets(mat, [])
-            assert fallbacks == list(range(pivots + 1, 5))
+            # one pass over the matrix, then one per order past the zero
+            # pivot, each on its own leading block
+            assert fallbacks == [4, *range(pivots + 1, 5)]
             assert dets == [det_cofactor(block(mat, k)) for k in range(1, 5)]
 
     def test_singular_column_stops_the_pivots(self):
@@ -211,8 +225,10 @@ class TestLU:
         lower, upper = lu_factors(HankelSpec(P11, 0, 1))
         assert lower == ((ONE, ZERO), (q_int(1), ONE))
         assert upper == ((ONE, ONE), (ZERO, q_int(2)))
-        assert lu_product(HankelSpec(P11, 0, 1)) == \
-            (hankel_matrix(HankelSpec(P11, 0, 1)), [ONE, q_int(2)])
+        spec = HankelSpec(P11, 0, 1)
+        mat = hankel_matrix(spec)
+        assert lu_check(spec, mat, [ONE, q_int(2)]) == [True, True]
+        assert lu_check(spec, mat, [ONE, q_int(2) + ONE]) == [True, False]
 
     def test_upper_diagonal_closed_form(self):
         for p in PARAM_GRID:
@@ -235,14 +251,23 @@ class TestLUProduct:
             for s in range(3):
                 family = HankelSpec(p, s, 4)
                 mat = hankel_matrix(family)
-                lu = lu_product(family)
                 dets = leading_dets(mat, hankel_closed_forms(family))
+                assert lu_check(family, mat, dets) == [True] * 5
                 for n in range(5):
-                    product, diagonal = lu_product(HankelSpec(p, s, n))
-                    assert block(lu[0], n + 1) == product
-                    assert lu[1][:n + 1] == diagonal
-                    assert lu_check(n + 1, mat, dets[n], lu)
-                    assert not lu_check(n + 1, mat, dets[n] + ONE, lu)
+                    spec = HankelSpec(p, s, n)
+                    assert lu_check(spec, block(mat, n + 1),
+                                    dets[:n + 1]) == [True] * (n + 1)
+                    # a determinant off by one fails its own order alone
+                    wrong = dets[:n] + [dets[n] + ONE] + dets[n + 1:]
+                    assert lu_check(family, mat, wrong) == \
+                        [k != n for k in range(5)]
+
+    def test_an_entry_fails_every_block_that_holds_it(self):
+        family = HankelSpec(WhitneyParams(2, 1), 1, 3)
+        mat = [list(row) for row in hankel_matrix(family)]
+        dets = leading_minors(mat, laurent_exact_div)
+        mat[1][2] = mat[1][2] + ONE
+        assert lu_check(family, mat, dets) == [True, True, False, False]
 
     def test_suite_lu_cells_fail_under_a_factor_fault(self):
         grid = {"m": [1, 2], "r": [0, 1], "smax_hankel": 1, "nmax_hankel": 3}
@@ -312,7 +337,9 @@ class TestFactoredPivots:
                 for n, (closed, factors) in enumerate(forms):
                     expected = expected * power(q_int(p.m * (s + n) + p.r), n)
                     assert closed == expected == product(factors)
-                    assert factors == hankel_factors(HankelSpec(p, s, n))
+                    assert factors == tuple(p.m * (s + k) + p.r
+                                            for k in range(n + 1)
+                                            for _ in range(k))
                     assert len(factors) == n * (n + 1) // 2
                     assert forms[:n + 1] == \
                         hankel_closed_forms(HankelSpec(p, s, n))
@@ -431,18 +458,33 @@ class TestClassical:
         rows = [[stirling2_enum(1, 1), stirling2_enum(2, 2)],
                 [stirling2_enum(2, 1), stirling2_enum(3, 2)]]
         assert bareiss(rows, floordiv)[0] == 2
-        assert classical_hankel_check(1, 0, 1, 1)
+        assert classical_holds(1, 0, 1, 1)
 
     def test_stirling_triangle_det(self):
         rows = [[1, 1, 1], [0, 1, 3], [0, 1, 7]]
         assert bareiss(rows, floordiv)[0] == 4
-        assert classical_hankel_check(1, 0, 0, 2)
+        assert classical_holds(1, 0, 0, 2)
 
     def test_hand_value(self):
-        assert classical_hankel_check(2, 1, 0, 1)
+        assert classical_holds(2, 1, 0, 1)
 
     def test_grid(self):
         for p in PARAM_GRID:
             for s in range(4):
+                family = HankelSpec(p, s, 4)
+                mat = hankel_matrix(family)
+                assert classical_hankel_check(family, mat) == [True] * 5
                 for n in range(5):
-                    assert classical_hankel_check(p.m, p.r, s, n)
+                    spec = HankelSpec(p, s, n)
+                    assert classical_hankel_check(spec, block(mat, n + 1)) \
+                        == [True] * (n + 1)
+
+    def test_a_wrong_last_entry_fails_the_last_order_alone(self):
+        # entry (n, n) lies in the largest leading block only; its q=1
+        # image is one more, which moves that block's determinant by the
+        # minor of the order below, not 0
+        family = HankelSpec(WhitneyParams(1, 1), 2, 3)
+        mat = [list(row) for row in hankel_matrix(family)]
+        mat[3][3] = mat[3][3] + ONE
+        assert classical_hankel_check(family, mat) == \
+            [True, True, True, False]
