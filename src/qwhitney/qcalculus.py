@@ -7,6 +7,13 @@ list of values.  For f(x) = [x+r]_q^n at x = 0 with h = b = m every value
 stays inside the Laurent ring, and the order-k value over the normalizer
 [k]_{q^m}! [m]_q^k is W_{m,r}[n,k]_q.
 
+Both forms work on integers at one point q = X = 2^B, B = ``bits``: each
+value and Gaussian binomial is a polynomial packed there
+(``qcore.pack_at_point``), and a power q^e is a shift left by B e bits.
+A caller that sets B from a bound on the coefficients of the results
+compares them exactly as integers, and reads one back as a polynomial by
+``qcore.unpack_at_point``.
+
 The operator is computed two ways.  ``q_diff_heads`` applies the factors
 one at a time to the values and keeps the head after each pass, so one
 pass gives every order up to k: the Newton route.
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .qcore import ONE, LaurentPoly, poly_sum, q_int
+from .qcore import ONE, q_int
 
 
 def q_power_table(offset: int, step: int, count: int, nmax: int) -> list:
@@ -40,35 +47,38 @@ def q_power_table(offset: int, step: int, count: int, nmax: int) -> list:
     return table
 
 
-def q_diff_heads(values, qbase_exp: int) -> list:
+def q_diff_heads(values, b: int, bits: int) -> list:
     """The q-differences of orders 0..k at x via the operator product, from
-    the k+1 values f(x), f(x+h), ..., f(x+kh).
+    the k+1 values f(x), f(x+h), ..., f(x+kh) as integers at q = 2^bits.
 
     Applies one factor (E_h - q^(bj)) per j = 0..k-1 (the factors commute),
     each pass turning the list g into g(x+h) - q^(bj) g(x) one entry
-    shorter; the head of the list after j passes is the order-j difference
-    at x.  O(k^2) subtractions in all.
+    shorter, q^(bj) a shift by bits*b*j; the head of the list after j
+    passes is the order-j difference at x.  O(k^2) subtractions in all.
     """
     if not values:
         raise ValueError("operator order must be >= 0")
     heads = [values[0]]
     for j in range(len(values) - 1):
-        values = [upper - lower.shift(qbase_exp * j)
+        shift = bits * b * j
+        values = [upper - (lower << shift)
                   for lower, upper in zip(values, values[1:])]
         heads.append(values[0])
     return heads
 
 
-def q_binomial_alternating_sum(values, b: int, row) -> LaurentPoly:
-    """sum_{j=0}^{k} (-1)^(k-j) q^(b C(k-j,2)) [k j]_{q^b} values[j], where
-    k = len(values) - 1 and ``row`` is row k of ``qcore.q_binomial_rows``.
+def q_binomial_alternating_sum(values, b: int, row, bits: int) -> int:
+    """sum_{j=0}^{k} (-1)^(k-j) q^(b C(k-j,2)) [k j]_{q^b} values[j] at
+    q = 2^bits, where k = len(values) - 1 and ``row`` is row k of
+    ``qcore.q_binomial_rows``, values and row as integers at that point.
 
     With values[j] = f(x + jh) this is the expanded q-difference operator
-    of order k at x; it is also the q-binomial inversion.  Even and odd
-    k-j are summed apart, then subtracted: a negated binomial would send
-    its products to byte slots.
+    of order k at x; it is also the q-binomial inversion.  Each term is
+    one integer product.
     """
     k = len(values) - 1
-    terms = [binom.shift(b * comb(k - j, 2)) * value
-             for j, (binom, value) in enumerate(zip(row, values))]
-    return poly_sum(terms[k % 2::2]) - poly_sum(terms[1 - k % 2::2])
+    total = 0
+    for j, (binom, value) in enumerate(zip(row, values)):
+        term = (binom << bits * b * comb(k - j, 2)) * value
+        total = total - term if (k - j) % 2 else total + term
+    return total

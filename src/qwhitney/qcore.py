@@ -4,7 +4,7 @@ Gaussian binomials.
 Gaussian binomials come as one q-Pascal triangle (:func:`q_binomial_rows`),
 built in base q by shifted additions alone, with no product and no division,
 and stretched to base q^b.  ``qcalculus`` sums a row against the values of
-a function in its alternating q-binomial sum.
+a function in its alternating q-binomial sum, all packed at one point.
 
 Every value in the library is either a :class:`LaurentPoly` or an exact
 rational (``fractions.Fraction``).  Nothing here ever touches floating
@@ -34,8 +34,10 @@ addition of the fused step, is one aligned ``map(add)`` in a working list
 each of several sums (the tableau walk's, one per length) into one list
 per sum, each trimmed once, and :func:`poly_sum` is its case of one sum.
 :func:`pack_at_point` gives polynomials as integers at one point q = 2^B,
-B set from a coefficient bound, where the EGF and convolution checks
-compare their two sides.
+B set from a coefficient bound, where the explicit, Newton, EGF and
+convolution checks compare their two sides; :func:`unpack_at_point`
+reads such an integer back as the polynomial of its balanced digits, the
+decoder the byte-slot Kronecker product reads its slots with.
 Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
 integer numerator and denominator; ``eval`` puts them in one Fraction, and
@@ -368,22 +370,39 @@ def _pack(c: tuple, width: int) -> int:
                                          else blank for x in c), "little")
 
 
-def pack_at_point(bound: int, polys) -> tuple:
+def pack_at_point(bound: int, polys, lo: int = 0) -> tuple:
     """``(bits, values)``: B = bits, the least multiple of 8 at least 2
-    bits over ``bound``, and each of ``polys`` at q = X = 2^B as one int,
-    packed in B-bit slots (``_pack``, no Horner pass), or None for one
-    with a negative exponent.  ``bound`` is at least every coefficient of
-    ``polys`` in absolute value.
+    bits over ``bound``, and each of ``polys`` times q^-lo at q = X = 2^B
+    as one int, packed in B-bit slots (``_pack``, no Horner pass), or None
+    for one with an exponent under lo.  ``bound`` is at least every
+    coefficient of ``polys`` in absolute value.
 
     Two polynomials whose difference has every coefficient at most
     ``bound`` in absolute value are then equal exactly when their values
     at X are: every coefficient of a nonzero difference is under X/4, so
     its top term outweighs all its lower terms together.
+    ``unpack_at_point`` reads such a value back.
     """
     width = (bound.bit_length() + 9) // 8
     bits = 8 * width
-    return bits, [0 if not p._c else None if p._lo < 0
-                  else _pack(p._c, width) << bits * p._lo for p in polys]
+    return bits, [0 if not p._c else None if p._lo < lo
+                  else _pack(p._c, width) << bits * (p._lo - lo)
+                  for p in polys]
+
+
+def unpack_at_point(bits: int, value: int, lo: int = 0) -> LaurentPoly:
+    """The polynomial q^lo P, P with nonnegative exponents and value the
+    int ``value`` at q = X = 2^B, B = ``bits`` a multiple of 8, whose
+    coefficients are balanced digits in [-X/2, X/2) (``_balanced_digits``).
+
+    This inverts ``pack_at_point`` at the same lo on every polynomial it
+    packs: their coefficients are under X/4 in absolute value, and a value
+    has one writing in balanced digits.  |value| < X^(n-1)/2 for
+    n = bitlen(|value|) // B + 2, so n digits write it.
+    """
+    width = bits // 8
+    return _trimmed(lo, _balanced_digits(
+        value, width, abs(value).bit_length() // bits + 2))
 
 
 # Unsigned machine words for Kronecker slots, narrowest first, as
@@ -418,17 +437,25 @@ def _mul_kronecker_bytes(a: tuple, b: tuple) -> tuple:
 
     A product coefficient is a sum of min(len) terms, so it is smaller in
     absolute value than 2^(bits(a) + bits(b) + bitlen(min(len))); one more
-    sign bit makes every slot a balanced digit in [-2^(w-1), 2^(w-1)).
-    Adding 2^(w-1) to every slot turns the signed product into plain
-    unsigned slots, which are read back and re-centred.
+    sign bit makes every slot a balanced digit (``_balanced_digits``).
     """
     bits = (_coeff_bits(a) + _coeff_bits(b)
             + min(len(a), len(b)).bit_length() + 1)
     width = (bits + 7) // 8
-    n = len(a) + len(b) - 1
+    return _balanced_digits(_pack(a, width) * _pack(b, width), width,
+                            len(a) + len(b) - 1)
+
+
+def _balanced_digits(x: int, width: int, n: int) -> tuple:
+    """The n digits d_i in [-2^(w-1), 2^(w-1)), w = 8*width, of
+    x = sum_i d_i 2^(w i), for an x that n such digits can write.
+
+    Adding 2^(w-1) to every slot turns them into plain unsigned slots,
+    which are read back and re-centred.
+    """
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    buf = (_pack(a, width) * _pack(b, width) + bias).to_bytes(n * width, "little")
+    buf = (x + bias).to_bytes(n * width, "little")
     return tuple(int.from_bytes(buf[i:i + width], "little") - half
                  for i in range(0, n * width, width))
 

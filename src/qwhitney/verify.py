@@ -28,13 +28,14 @@ walk, read in (n, k) order.  The horizontal generating function's row
 values, falling factors and powers of [t]_q enter as integer parts, each
 built once per (n, q) or (t, q), the falling factors' [x]_q once per q.
 The explicit suite calls both forms of the q-difference operator
-(``qcalculus``) and multiplies out: the alternating sum and the Newton
-head of each cell are compared with W times the normalizer of its
-column, and only a failed cell divides, for its side texts, so a
-division that leaves a remainder is a failed cell, not an error.  The
-convolution cells read W* tables built once per (m, r), each cell
-compared as integers at one point (``symm.convolution_check``), as the
-EGF cells are (``series.egf_check``).  The hankel suite builds each
+(``qcalculus``) on integers at one point q = 2^B per (m, r) and
+multiplies out: the alternating sum and the Newton head of each cell
+are compared there with W times the normalizer of its column, and only
+a failed cell reads its side back as a polynomial and divides, for its
+side texts, so a division that leaves a remainder is a failed cell, not
+an error.  The convolution cells read W* tables built once per (m, r),
+each cell compared as integers at one point (``symm.convolution_check``),
+as the EGF cells are (``series.egf_check``).  The hankel suite builds each
 (m, r, s) family's largest matrix, its determinants of every order (one
 elimination), and its closed forms (one prefix product) once; the L*U
 check (one product) and the classical check (one integer elimination of
@@ -47,14 +48,15 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul
 from types import SimpleNamespace
 
 from . import hankel as hk
 from . import qcalculus, series, symm
-from .qcore import (ONE, ZERO, NonExactDivision, laurent_div_q_ints,
-                    q_binomial_rows, q_int)
+from .qcore import (ONE, ZERO, LaurentPoly, NonExactDivision,
+                    laurent_div_q_ints, pack_at_point, q_binomial_rows, q_int,
+                    unpack_at_point)
 from .whitney import (WhitneyParams, check_degree, horizontal_pass,
                       normalizer_factors, row_degree, vertical_pass, w_table)
 
@@ -246,43 +248,71 @@ def suite_explicit(g: dict) -> SuiteResult:
     out: the alternating sum and the Newton head of column k must equal
     W[n,k] times the normalizer [k]_{q^m}! [m]_q^k = prod_{j<=k} [jm]_q
     (``norms[k]``, each one q-integer product from the last), which holds
-    exactly when their quotients are W.  Only a failed cell divides, for
-    its side texts: the quotient and W, or, where the division leaves a
-    remainder, the sum or head and W times the normalizer.
+    exactly when their quotients are W.
+
+    Every side is an integer at one point q = 2^B
+    (``qcore.pack_at_point``): the q-Pascal rows and normalizers are
+    packed once per (m, r), the values and W once per row n, the last two
+    times q^-lo for the least exponent lo any of them has.  B comes from
+    one bound on the coefficients of both sides: 2^nmax times the largest
+    L1 norm of the values, which are in row nmax (a pass of the operator
+    product at most doubles it, and row k of the q-Pascal triangle sums
+    to 2^k at q = 1), plus the largest L1(W) times L1 of its normalizer.
+    It covers every packed coefficient too, since L1(N_k) = k! m^k is at
+    most (nmax m + r)^nmax.  So a cell passes exactly when its
+    polynomials are equal.  Only a failed cell reads its side back as a
+    polynomial (``qcore.unpack_at_point``) and divides, for its side
+    texts: the quotient and W, or, where the division leaves a remainder,
+    the sum or head and W times the normalizer.
     """
     res = SuiteResult("explicit")
     nmax = g["nmax"]
     for p, base in _families(g):
+        table = w_table(p, nmax)
         powers = qcalculus.q_power_table(p.r, p.m, nmax + 1, nmax)
-        rows = q_binomial_rows(nmax, p.m)
         norms = list(accumulate(map(q_int, normalizer_factors(p, nmax)), mul,
                                 initial=ONE))
-        for n, row in enumerate(w_table(p, nmax)):
-            heads = qcalculus.q_diff_heads(powers[n][:n + 1], p.m)
+        sizes = list(map(_l1, norms))
+        bound = (2 ** nmax * max(map(_l1, powers[-1]))
+                 + max(max(map(mul, map(_l1, row), sizes)) for row in table))
+        lo = min(map(LaurentPoly.min_exp,
+                     filter(None, chain(*powers, *table))), default=0)
+        bits, norms_x = pack_at_point(bound, norms)
+        rows = [pack_at_point(bound, row)[1]
+                for row in q_binomial_rows(nmax, p.m)]
+        for n, row in enumerate(table):
+            values = pack_at_point(bound, powers[n][:n + 1], lo)[1]
+            heads = qcalculus.q_diff_heads(values, p.m, bits)
+            row_x = pack_at_point(bound, row, lo)[1]
             for k, expected in enumerate(row):
-                target = expected * norms[k]
+                target = row_x[k] * norms_x[k]
                 numerator = qcalculus.q_binomial_alternating_sum(
-                    powers[n][:k + 1], p.m, rows[k])
-                if numerator != target:
-                    res.fail({**base, "n": n, "k": k}, "explicit",
-                             *_failed_sides(p, k, numerator, expected,
-                                            target))
-                if heads[k] != target:
-                    res.fail({**base, "n": n, "k": k}, "newton",
-                             *_failed_sides(p, k, heads[k], expected, target))
+                    values[:k + 1], p.m, rows[k], bits)
+                for identity, got in (("explicit", numerator),
+                                      ("newton", heads[k])):
+                    if got != target:
+                        res.fail({**base, "n": n, "k": k}, identity,
+                                 *_failed_sides(
+                                     p, k, unpack_at_point(bits, got, lo),
+                                     expected, norms[k]))
         res.add("explicit", _triangle_cells(nmax))
         res.add("newton", _triangle_cells(nmax))
     return res
 
 
-def _failed_sides(params, k: int, got, expected, target) -> tuple:
+def _l1(x) -> int:
+    """The sum of the absolute values of the coefficients of x."""
+    return sum(map(abs, x.coeffs))
+
+
+def _failed_sides(params, k: int, got, expected, norm) -> tuple:
     """The two sides a failed explicit or Newton cell of column k reports:
-    ``got`` over the normalizer and W, or, where that division leaves a
-    remainder, ``got`` and W times the normalizer (``target``)."""
+    ``got`` over the normalizer ``norm`` and W, or, where that division
+    leaves a remainder, ``got`` and W times the normalizer."""
     try:
         return laurent_div_q_ints(got, normalizer_factors(params, k)), expected
     except NonExactDivision:
-        return got, target
+        return got, expected * norm
 
 
 def suite_genfun(g: dict) -> SuiteResult:
@@ -456,7 +486,8 @@ def _max_degree(names, g: dict) -> int:
     on the completed grid `g`, at its largest m and r: per suite the top
     degree of the largest triangle row it reads, or, where larger, what it
     builds apart from the rows: genfun's [t]_q and [t-r-jm]_q, j <
-    nmax_horizontal, and the hankel suite's minors and elimination steps
+    nmax_horizontal, the explicit suite's values [m nmax + r]_q^nmax, and
+    the hankel suite's minors and elimination steps
     (``hankel.degree_bound`` of its largest family, which covers its
     rows)."""
     m, r = max(g["m"]), max(g["r"])
@@ -464,7 +495,9 @@ def _max_degree(names, g: dict) -> int:
     # convolution suite reads rows n+1 and s+p.
     degrees = {
         "recurrences": row_degree(m, r, g["nmax"] + 1),
-        "explicit": row_degree(m, r, g["nmax"]),
+        # [m nmax + r]_q^nmax, the largest value, has the degree of W[nmax,
+        # nmax] times its normalizer
+        "explicit": g["nmax"] * (m * g["nmax"] + r - 1),
         "genfun": max(row_degree(m, r, max(g["nmax_genfun"], g["nmax_egf"],
                                            g["nmax_horizontal"])),
                       max(map(abs, g["t"]), default=0) + r

@@ -23,8 +23,11 @@ elimination, and the values of the truncated-series step.  Each is the
 mutation of one route, and ``test_faults.py`` checks that together they
 fail every identity the suites check.  ``record_products`` counts the
 products that take one of the ring's product paths, and
-``count_operators`` the ring's products and sums.  ``poly``, ``power``
-and ``q_factorial`` build test values the library itself never needs.
+``count_operators`` the ring's products and sums.  ``diff_heads`` and
+``alternating_sum`` read the two forms of the q-difference operator,
+which work on integers at one point, back as polynomials.  ``poly``,
+``power`` and ``q_factorial`` build test values the library itself never
+needs.
 ``multiset_sum`` enumerates the A-tableaux of one cell on its own
 (``a_tableaux``), with no prefix shared between cells or tableaux: the
 oracle of the tableau walk.
@@ -156,15 +159,50 @@ def q_binomial_transform(g, n: int):
 def q_binomial_inverse(f, n: int):
     """Inverse transform g_n = sum_k (-1)^(n-k) q^C(n-k,2) [n k]_q f_k."""
     f = list(f)
-    return [q_binomial_alternating_sum(f[:j + 1], 1, q_binomial_rows(j)[-1])
+    return [alternating_sum(f[:j + 1], 1, q_binomial_rows(j)[-1])
             for j in range(n + 1)]
+
+
+def l1(p: LaurentPoly) -> int:
+    """The sum of the absolute values of the coefficients of p."""
+    return sum(map(abs, p.coeffs))
+
+
+def at_point(values) -> tuple:
+    """``(bound, bits, ints, lo)``: the polynomial values packed at one
+    point q = 2^bits times q^-lo, lo their least exponent.  The bound,
+    2^k times the largest L1 norm of the k+1 values (at least 1), covers
+    every coefficient of the values, of row k of the q-Pascal triangle in
+    any base, and of both forms of the order-k operator on them."""
+    bound = 2 ** (len(values) - 1) * max(1, *map(l1, values))
+    lo = min((v.min_exp() for v in values if v), default=0)
+    bits, ints = qcore.pack_at_point(bound, values, lo)
+    return bound, bits, ints, lo
+
+
+def diff_heads(values, b: int) -> list:
+    """``qcalculus.q_diff_heads`` on polynomial values: each head of the
+    operator product, read back from its integer at the point."""
+    _, bits, ints, lo = at_point(values)
+    return [qcore.unpack_at_point(bits, x, lo)
+            for x in q_diff_heads(ints, b, bits)]
+
+
+def alternating_sum(values, b: int, row) -> LaurentPoly:
+    """``qcalculus.q_binomial_alternating_sum`` on polynomial values and a
+    q-Pascal row, read back from its integer at the point."""
+    bound, bits, ints, lo = at_point(values)
+    row_ints = qcore.pack_at_point(bound, row)[1]
+    return qcore.unpack_at_point(
+        bits, q_binomial_alternating_sum(ints, b, row_ints, bits), lo)
 
 
 def operator_rows(params: WhitneyParams, nmax: int) -> tuple:
     """Rows n = 0..nmax of W from each form of the q-difference operator,
     (explicit, newton): the alternating sum and the operator product's
     heads over the values and q-Pascal rows the explicit suite reads,
-    each divided by the normalizer of its column."""
+    each read back as a polynomial and divided by the normalizer of its
+    column."""
     m = params.m
     powers = q_power_table(params.r, m, nmax + 1, nmax)
     rows = q_binomial_rows(nmax, m)
@@ -172,11 +210,10 @@ def operator_rows(params: WhitneyParams, nmax: int) -> tuple:
     def normalized(x, k):
         return laurent_div_q_ints(x, whitney.normalizer_factors(params, k))
 
-    explicit = [[normalized(q_binomial_alternating_sum(values[:k + 1], m,
-                                                       rows[k]), k)
+    explicit = [[normalized(alternating_sum(values[:k + 1], m, rows[k]), k)
                  for k in range(n + 1)] for n, values in enumerate(powers)]
     newton = [[normalized(d, k)
-               for k, d in enumerate(q_diff_heads(values[:n + 1], m))]
+               for k, d in enumerate(diff_heads(values[:n + 1], m))]
               for n, values in enumerate(powers)]
     return explicit, newton
 
@@ -348,8 +385,8 @@ def perturb_alternating_sum():
     sum at one integer point."""
     right = qcalculus.q_binomial_alternating_sum
 
-    def negated(values, b, row):
-        total = right(values, b, row)
+    def negated(values, b, row, bits):
+        total = right(values, b, row, bits)
         return -total if len(values) > 1 else total
 
     with pytest.MonkeyPatch.context() as mp:
@@ -374,10 +411,10 @@ def perturb_newton_base():
     becomes (E_h - q^(b(j+1))) where the explicit suite reads
     ``qcalculus.q_diff_heads``; the explicit route's alternating sum is
     kept."""
-    def shifted(values, qbase_exp):
+    def shifted(values, b, bits):
         heads = [values[0]]
         for j in range(len(values) - 1):
-            values = [upper - lower.shift(qbase_exp * (j + 1))
+            values = [upper - (lower << bits * b * (j + 1))
                       for lower, upper in zip(values, values[1:])]
             heads.append(values[0])
         return heads
@@ -395,7 +432,7 @@ def perturb_newton_remainder():
     right = qcalculus.q_diff_heads
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qcalculus, "q_diff_heads",
-                   lambda values, qbase_exp: right(values, qbase_exp + 1))
+                   lambda values, b, bits: right(values, b + 1, bits))
         yield
 
 

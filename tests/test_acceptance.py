@@ -9,15 +9,14 @@ import io
 import json
 from operator import floordiv
 
-from conftest import (classical_whitney_recurrence, gauss_product_check,
+from conftest import (alternating_sum, classical_whitney_recurrence,
+                      diff_heads, gauss_product_check,
                       operator_rows, perturb_recurrence, power,
                       q_binomial_inverse, q_binomial_transform,
                       stirling2_enum)
 from qwhitney import (HankelSpec, WhitneyParams, cli, classical_hankel_check,
-                      hankel_matrix,
-                      q_binomial_alternating_sum, q_binomial_rows,
-                      q_diff_heads, q_int, w, w_star, h_prefixes,
-                      tableau_walk)
+                      hankel_matrix, q_binomial_rows, q_int, w, w_star,
+                      h_prefixes, tableau_walk)
 from qwhitney import verify
 from qwhitney.hankel import bareiss
 
@@ -68,9 +67,9 @@ def test_criterion_4_q_difference_operator():
                             # f(x) = [x + c]_q^n at x, x+h, ..., x+kh
                             values = [power(q_int(x + i * h + c), n)
                                       for i in range(k + 1)]
-                            heads = q_diff_heads(values, b)
+                            heads = diff_heads(values, b)
                             ok = ok and heads[k] == \
-                                q_binomial_alternating_sum(
+                                alternating_sum(
                                     values, b, q_binomial_rows(k, b)[-1])
     report(4, "q-difference operator: recursive vs explicit", ok)
 

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import perturb_recurrence, poly
-from qwhitney import cli, symm, verify
+from qwhitney import cli, qcore, symm, verify
 from qwhitney import whitney
 from qwhitney.hankel import HankelSpec, degree_bound
 from qwhitney.qcore import NonExactDivision, q_int
@@ -468,6 +468,9 @@ class TestSizeLimit:
         # [t]_q alone: the rows stay small
         ("genfun", {"t": [100000]}),
         ("all", {"t": [100000]}),
+        # row 91 reaches degree 4,095, but [91]_q^91 reaches 8,190: it ran
+        # for minutes when the gate read the row alone
+        ("explicit", {"m": [1], "r": [0], "nmax": 91}),
     ])
     def test_oversized_grid_refused(self, no_verify_work, tmp_path, capsys,
                                     suite, grid):
@@ -479,7 +482,10 @@ class TestSizeLimit:
         assert err.startswith("error: request too large: ")
         assert f"MAX_DEGREE = {whitney.MAX_DEGREE}" in err
 
-    # Row degree m*C(N,2) + r*N at m = 2, r = 1: each suite's largest row N.
+    # Row degree m*C(N,2) + r*N at m = 2, r = 1: each suite's largest row N,
+    # and for the explicit suite the degree N (mN + r - 1) of [mN + r]_q^N
+    # at N = nmax.  The ids of the explicit cases keep their former row
+    # degrees, so the test names stay stable.
     GRID = {"m": [1, 2], "r": [0, 1], "nmax": 5, "nmax_genfun": 4,
             "nmax_egf": 7, "nmax_horizontal": 3, "nmax_tableau": 6,
             "nmax_conv": 3, "spmax_conv": 4, "smax_hankel": 1,
@@ -487,7 +493,7 @@ class TestSizeLimit:
 
     @pytest.mark.parametrize("suite, grid, degree", [
         ("recurrences", GRID, 36),  # row nmax+1 = 6
-        ("explicit", GRID, 25),  # row 5
+        pytest.param("explicit", GRID, 50, id="explicit-grid1-25"),  # 5 * 10
         ("genfun", GRID, 49),  # row nmax_egf = 7
         ("symmetric", GRID, 36),  # row 6
         ("convolution", GRID, 64),  # row 2 * spmax_conv = 8
@@ -497,7 +503,8 @@ class TestSizeLimit:
         # 2 C(41,2) (2*41+1-1), over row 81 (6561)
         pytest.param("hankel", {**GRID, "nmax_hankel": 40}, 134480,
                      id="hankel-grid7-269001"),
-        ("explicit", {**GRID, "nmax_hankel": 40}, 25),
+        pytest.param("explicit", {**GRID, "nmax_hankel": 40}, 50,
+                     id="explicit-grid8-25"),
         # rows 0 and 1 only, r = 0 and no t (an empty m or r list is
         # refused: test_empty_parameter_list_refused)
         ("all", {**GRID, "m": [1], "r": [0], "t": [],
@@ -505,7 +512,8 @@ class TestSizeLimit:
                                   "nmax_horizontal", "nmax_tableau",
                                   "nmax_conv", "spmax_conv", "smax_hankel",
                                   "nmax_hankel"), 0)}, 0),
-        ("explicit", {"nmax": 20}, 610),  # default m, r: 3 and 2
+        # default m, r: 3 and 2, 20 (3*20 + 2 - 1)
+        pytest.param("explicit", {"nmax": 20}, 1220, id="explicit-grid10-610"),
         # 2 C(8,2) (3*10+2-1), over row 17 (442)
         pytest.param("all", {"nmax_hankel": 7}, 1736, id="all-grid11-3536"),
         # [t]_q and [t-r-jm]_q, j < nmax_horizontal: |t| + r + m*3
@@ -523,11 +531,41 @@ class TestSizeLimit:
         assert admitted(["verify", "--suite", suite, "--grid", str(path)]) \
             == (degree <= whitney.MAX_DEGREE)
 
+    # Families off both grids: the largest m and r are not those of either.
+    OFF_GRID = {"m": [1, 4, 7], "r": [0, 3, 10], "nmax": 7,
+                "nmax_tableau": 5, "nmax_genfun": 6, "nmax_egf": 6,
+                "nmax_horizontal": 4, "kmax_genfun": 3, "t": [-5, 0, 3, 11],
+                "qvals": ["2", "-1/3"], "nmax_conv": 4, "spmax_conv": 3,
+                "smax_hankel": 2, "nmax_hankel": 3}
+
+    @pytest.mark.parametrize("grid", [None, GRID, OFF_GRID],
+                             ids=["default", "GRID", "off-grid"])
+    @pytest.mark.parametrize("suite", list(verify._SUITE_FUNCS))
+    def test_gate_covers_every_polynomial_built(self, monkeypatch, suite,
+                                                grid):
+        # Every polynomial a passing suite builds, its rows too (in an
+        # empty row cache), has its exponents within the degree the gate
+        # checks.  The explicit suite's [m nmax + r]_q^nmax reaches about
+        # twice the top degree of row nmax.
+        reached = [0]
+        build = qcore._poly
+
+        def recorded(lo, c):
+            if c:
+                reached[0] = max(reached[0], -lo, lo + len(c) - 1)
+            return build(lo, c)
+
+        monkeypatch.setattr(whitney, "_tables", {})
+        monkeypatch.setattr(qcore, "_poly", recorded)
+        assert verify.run_suite(suite, grid)[0].ok
+        assert 0 < reached[0] <= verify._max_degree(
+            [suite], verify._check_grid(grid))
+
     def test_run_suite_refuses_oversized_grid(self, no_verify_work):
-        # the library path is gated too: row 61, which the recurrences
-        # suite reads, reaches 3 C(61,2) + 2*61 at m = 3, r = 2
+        # the library path is gated too: the explicit suite's [3*60+2]_q^60
+        # reaches 60 (3*60 + 2 - 1) at m = 3, r = 2
         with pytest.raises(ValueError, match=(
-                r"^request too large: its polynomials may reach degree 5612,"
+                r"^request too large: its polynomials may reach degree 10860,"
                 r" over the limit MAX_DEGREE = 4096$")):
             verify.run_suite("all", {"nmax": 60})
 

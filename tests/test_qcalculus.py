@@ -3,9 +3,10 @@ from math import comb
 
 import pytest
 
-from conftest import classical_whitney_recurrence, operator_rows, poly, power
-from qwhitney import (WhitneyParams, q_binomial_alternating_sum,
-                      q_binomial_rows, q_diff_heads, q_int, q_power_table, w)
+from conftest import (alternating_sum, classical_whitney_recurrence,
+                      diff_heads, operator_rows, poly, power)
+from qwhitney import (WhitneyParams, q_binomial_rows, q_diff_heads, q_int,
+                      q_power_table, w)
 from qwhitney import qcalculus, verify
 from qwhitney.qcore import ONE, ZERO
 
@@ -47,16 +48,16 @@ class TestOnePassHeads:
                     for n in (0, 2, 4):
                         for x in (-1, 0, 2):
                             values = power_values(c, n, h, 5, x)
-                            heads = q_diff_heads(values, b)
-                            assert heads == [q_diff_heads(values[:k + 1], b)[k]
+                            heads = diff_heads(values, b)
+                            assert heads == [diff_heads(values[:k + 1], b)[k]
                                              for k in range(6)]
-                            assert heads == [q_binomial_alternating_sum(
+                            assert heads == [alternating_sum(
                                 values[:k + 1], b, q_binomial_rows(k, b)[-1])
                                 for k in range(6)]
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            q_diff_heads([], 1)
+            q_diff_heads([], 1, 8)
 
     def test_shared_values_give_the_same_cells(self):
         # one power table and one q-Pascal triangle for rows 0..7 serve
@@ -72,20 +73,20 @@ class TestQDifference:
     def test_order_zero_is_identity(self):
         for x in (-2, 0, 3):
             values = power_values(2, 3, 1, 0, x)
-            assert q_diff_heads(values, 1) == values
-            assert q_binomial_alternating_sum(
+            assert diff_heads(values, 1) == values
+            assert alternating_sum(
                 values, 1, q_binomial_rows(0)[-1]) == values[0]
 
     def test_constant_annihilated(self):
         values = power_values(0, 0, 1, 1, 0)
-        assert q_diff_heads(values, 1)[1] == ZERO
-        assert q_binomial_alternating_sum(
+        assert diff_heads(values, 1)[1] == ZERO
+        assert alternating_sum(
             values, 1, q_binomial_rows(1)[-1]) == ZERO
 
     def test_first_difference_of_q_int(self):
         values = power_values(0, 1, 1, 1, 0)
-        assert q_diff_heads(values, 1)[1] == ONE
-        assert q_binomial_alternating_sum(
+        assert diff_heads(values, 1)[1] == ONE
+        assert alternating_sum(
             values, 1, q_binomial_rows(1)[-1]) == ONE
 
     def test_routes_agree_spot_grid(self):
@@ -96,8 +97,8 @@ class TestQDifference:
                         for n in (0, 2, 3):
                             for x in (-1, 0, 2):
                                 values = power_values(c, n, h, k, x)
-                                assert q_diff_heads(values, b)[k] == \
-                                    q_binomial_alternating_sum(
+                                assert diff_heads(values, b)[k] == \
+                                    alternating_sum(
                                         values, b, q_binomial_rows(k, b)[-1])
 
 
@@ -174,3 +175,36 @@ class TestRouteIndependence:
         res = verify.run_suite("explicit", self.GRID)[0]
         assert res.cells == 2 * self.CELLS
         assert [f.identity for f in res.failures] == ["newton"] * self.CELLS
+
+
+class TestValuesBelowQToTheZero:
+    """A value with a negative exponent, in the power table or in W, is
+    packed at the family's least exponent: its cells fail on their
+    merits, with exact side texts, and nothing raises."""
+
+    GRID = {"m": [1, 2], "r": [1], "nmax": 3}
+
+    def test_power_table_values(self, monkeypatch):
+        # every value of row n is q^-n times the true one, so each cell of
+        # rows 1..3 fails both identities with q^-n W against W
+        monkeypatch.setattr(qcalculus, "q_int", lambda a: q_int(a).shift(-1))
+        res = verify.run_suite("explicit", self.GRID)[0]
+        assert res.cells == 2 * 2 * 10
+        assert len(res.failures) == 2 * 2 * 9
+        for f in res.failures:
+            p = WhitneyParams(f.params["m"], f.params["r"])
+            n, k = f.params["n"], f.params["k"]
+            assert (f.lhs, f.rhs) == (str(w(p, n, k).shift(-n)),
+                                      str(w(p, n, k)))
+
+    def test_w_values(self, monkeypatch):
+        right = verify.w_table
+        monkeypatch.setattr(verify, "w_table", lambda p, nmax: [
+            [x.shift(-1) for x in row] for row in right(p, nmax)])
+        res = verify.run_suite("explicit", self.GRID)[0]
+        assert len(res.failures) == res.cells == 2 * 2 * 10
+        for f in res.failures:
+            p = WhitneyParams(f.params["m"], f.params["r"])
+            n, k = f.params["n"], f.params["k"]
+            assert (f.lhs, f.rhs) == (str(w(p, n, k)),
+                                      str(w(p, n, k).shift(-1)))

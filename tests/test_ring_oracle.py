@@ -11,7 +11,8 @@ for nonnegative operands whose slot bound fits one, bytes otherwise.  Sums
 and differences are checked with overlapping and disjoint supports and
 with ends that cancel.  The two q-integer kernels, the fused step
 [a]_q p + q^e q of the triangle and the division by a product of
-q-integers, are checked the same way.
+q-integers, are checked the same way, and so are the integers of
+polynomials at one point q = 2^B and their balanced-digit reading.
 """
 
 from fractions import Fraction
@@ -288,3 +289,43 @@ def test_q_int_mul_add(p, a, q, e, cancel):
                                 if lo < k < hi})
         q = (expected - product).shift(-e)
     assert q_int_mul_add(p, a, q, e) == expected
+
+
+@st.composite
+def bounded_polys(draw):
+    """(bound, polys): signed polynomials with nonnegative exponents whose
+    coefficients lie in -bound..bound, the ends of that range likeliest."""
+    bound = draw(st.one_of(st.integers(1, 300), st.integers(1, BIG)))
+    coeff = st.one_of(st.sampled_from([bound, -bound, 0]),
+                      st.integers(-bound, bound))
+    one = st.builds(lambda cs, lo: poly(dict(enumerate(cs, lo))),
+                    st.lists(coeff, max_size=40), st.integers(0, 30))
+    return bound, draw(st.lists(one, min_size=1, max_size=4))
+
+
+@given(bounded_polys(), st.integers(-30, 30), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pack_and_unpack_at_point(case, lo, data):
+    # Each polynomial's integer is its value at q = X = 2^B, and the
+    # balanced-digit decoder gives the polynomial back, times q^lo at an
+    # offset lo; so does it for any digits in [-X/2, X/2).
+    bound, polys = case
+    bits, values = qcore.pack_at_point(bound, polys)
+    x = 2 ** bits
+    for p, value in zip(polys, values):
+        p_lo, p_sympy = to_sympy(p)
+        assert value == (p_sympy.eval(x) * x ** p_lo if p else 0)
+        assert qcore.unpack_at_point(bits, value) == p
+        assert qcore.unpack_at_point(bits, value, lo) == p.shift(lo)
+    assert qcore.pack_at_point(bound, [p.shift(lo) for p in polys], lo) \
+        == (bits, values)
+    # a top digit of +-1 over lower digits at the other end of the range
+    # gives a value under X^d / 2 that still takes d + 1 digits
+    digits = data.draw(st.one_of(
+        st.lists(st.one_of(st.sampled_from([x // 2 - 1, -x // 2]),
+                           st.integers(-x // 2, x // 2 - 1)), max_size=12),
+        st.builds(lambda d, top: [-x // 2 if top > 0 else x // 2 - 1] * d
+                  + [top], st.integers(1, 6), st.sampled_from([1, -1]))))
+    wide = poly(dict(enumerate(digits)))
+    assert qcore.unpack_at_point(bits, sum(
+        c * x ** e for e, c in enumerate(digits))) == wide

@@ -133,13 +133,14 @@ class TestProductPaths:
             poly({0: 3, 1: 7, 2: 2})
         assert kronecker == [(2, 2)]
 
-    @pytest.mark.parametrize("suite", ["recurrences", "symmetric", "genfun",
-                                       "convolution"])
+    @pytest.mark.parametrize("suite", ["recurrences", "explicit", "symmetric",
+                                       "genfun", "convolution"])
     def test_suite_needs_no_kronecker_product(self, kronecker, suite):
         # The Horner routes multiply by one [a]_q per step, and the tableau
-        # and h weights are q-integers: each product has a run on one side.
-        # The EGF, horizontal GF and convolution checks multiply integers,
-        # not polynomials.
+        # and h weights are q-integers: each product has a run on one side,
+        # as has each step of the explicit suite's power table and
+        # normalizers.  The explicit, Newton, EGF, horizontal GF and
+        # convolution checks multiply integers, not polynomials.
         assert verify.run_suite(suite)[0].ok
         assert kronecker == []
 
