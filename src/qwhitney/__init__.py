@@ -11,8 +11,7 @@ from .qcore import (LaurentPoly, DivisionByZero, EvalAtZero, NonExactDivision,
                     q_int, q_int_mul_add)
 from .whitney import (WhitneyParams, horizontal_pass, r_dowling, vertical_pass,
                       w, w_star, w_table)
-from .qcalculus import (q_binomial_alternating_sum, q_diff_heads,
-                        q_power_table)
+from .qcalculus import q_binomial_terms, q_diff_heads
 from .series import horizontal_gf_check, rational_gf_columns
 from .symm import (EnumerationTooLarge, convolution_check, convolution_first,
                    convolution_second, convolution_tables, h_prefixes,

@@ -8,43 +8,27 @@ stays inside the Laurent ring, and the order-k value over the normalizer
 [k]_{q^m}! [m]_q^k is W_{m,r}[n,k]_q.
 
 Both forms work on integers at one point q = X = 2^B, B = ``bits``: each
-value and Gaussian binomial is a polynomial packed there
-(``qcore.pack_at_point``), and a power q^e is a shift left by B e bits.
-A caller that sets B from a bound on the coefficients of the results
-compares them exactly as integers, and reads one back as a polynomial by
-``qcore.unpack_at_point``.
+value and Gaussian binomial is a polynomial at that point, and a power
+q^e is a shift left by B e bits.  A caller that sets B from a bound on the
+coefficients of the results compares them exactly as integers, and reads
+one back as a polynomial by ``qcore.unpack_at_point``.
 
 The operator is computed two ways.  ``q_diff_heads`` applies the factors
 one at a time to the values and keeps the head after each pass, so one
 pass gives every order up to k: the Newton route.
-``q_binomial_alternating_sum`` expands the product into the alternating
-q-binomial sum over the q-Pascal row ``qcore.q_binomial_rows``: the
-explicit route, and the q-binomial inversion.  The two forms share only
-the values of f, from ``q_power_table``, so a fault in one cannot hide in
+``q_binomial_terms`` expands the product into the terms of the
+alternating q-binomial sum over the q-Pascal row
+``qcore.q_binomial_rows``, whose total is the explicit route and the
+q-binomial inversion.  For f(x) = [x+r]_q^n term j is a multiple of
+[jm+r]_q^n, so the caller rolls it to the next n by one q-integer product
+at the point (``qcore.mul_q_int_at_point``), as it rolls the values.  The
+two forms share only the values of f, so a fault in one cannot hide in
 both.
 """
 
 from __future__ import annotations
 
 from math import comb
-
-from .qcore import ONE, q_int
-
-
-def q_power_table(offset: int, step: int, count: int, nmax: int) -> list:
-    """The values of [x + offset]_q ** n at the count nodes
-    x = 0, step, ..., (count-1) step, one tuple per n = 0..nmax.
-
-    Row n is row n-1 times [x + offset]_q node by node: a sliding-window
-    product, never a power.
-    """
-    bases = [q_int(i * step + offset) for i in range(count)]
-    values = (ONE,) * count
-    table = [values]
-    for _ in range(nmax):
-        values = tuple(v * a for v, a in zip(values, bases))
-        table.append(values)
-    return table
 
 
 def q_diff_heads(values, b: int, bits: int) -> list:
@@ -67,18 +51,19 @@ def q_diff_heads(values, b: int, bits: int) -> list:
     return heads
 
 
-def q_binomial_alternating_sum(values, b: int, row, bits: int) -> int:
-    """sum_{j=0}^{k} (-1)^(k-j) q^(b C(k-j,2)) [k j]_{q^b} values[j] at
-    q = 2^bits, where k = len(values) - 1 and ``row`` is row k of
-    ``qcore.q_binomial_rows``, values and row as integers at that point.
+def q_binomial_terms(values, b: int, row, bits: int) -> list:
+    """The terms (-1)^(k-j) q^(b C(k-j,2)) [k j]_{q^b} values[j],
+    j = 0..k, at q = 2^bits, where k = len(values) - 1 and ``row`` is row
+    k of ``qcore.q_binomial_rows``, values and row as integers at that
+    point.
 
-    With values[j] = f(x + jh) this is the expanded q-difference operator
-    of order k at x; it is also the q-binomial inversion.  Each term is
-    one integer product.
+    With values[j] = f(x + jh) their sum is the expanded q-difference
+    operator of order k at x; it is also the q-binomial inversion.  Each
+    term is one integer product.
     """
     k = len(values) - 1
-    total = 0
+    terms = []
     for j, (binom, value) in enumerate(zip(row, values)):
         term = (binom << bits * b * comb(k - j, 2)) * value
-        total = total - term if (k - j) % 2 else total + term
-    return total
+        terms.append(-term if (k - j) % 2 else term)
+    return terms

@@ -3,8 +3,9 @@ Gaussian binomials.
 
 Gaussian binomials come as one q-Pascal triangle (:func:`q_binomial_rows`),
 built in base q by shifted additions alone, with no product and no division,
-and stretched to base q^b.  ``qcalculus`` sums a row against the values of
-a function in its alternating q-binomial sum, all packed at one point.
+and stretched to base q^b.  ``qcalculus`` weighs the values of a function
+by a row in the terms of its alternating q-binomial sum, all as integers
+at one point.
 
 Every value in the library is either a :class:`LaurentPoly` or an exact
 rational (``fractions.Fraction``).  Nothing here ever touches floating
@@ -35,9 +36,12 @@ each of several sums (the tableau walk's, one per length) into one list
 per sum, each trimmed once, and :func:`poly_sum` is its case of one sum.
 :func:`pack_at_point` gives polynomials as integers at one point q = 2^B,
 B set from a coefficient bound, where the explicit, Newton, EGF and
-convolution checks compare their two sides; :func:`unpack_at_point`
-reads such an integer back as the polynomial of its balanced digits, the
-decoder the byte-slot Kronecker product reads its slots with.
+convolution checks compare their two sides; :func:`mul_q_int_at_point`
+multiplies such an integer by [a]_X with shifts and adds alone, which is
+how the explicit suite rolls its values and terms from n to n+1 and the
+EGF check its terms; :func:`unpack_at_point` reads such an integer back
+as the polynomial of its balanced digits, the decoder the byte-slot
+Kronecker product reads its slots with.
 Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
 integer numerator and denominator; ``eval`` puts them in one Fraction, and
@@ -388,6 +392,28 @@ def pack_at_point(bound: int, polys, lo: int = 0) -> tuple:
     return bits, [0 if not p._c else None if p._lo < lo
                   else _pack(p._c, width) << bits * (p._lo - lo)
                   for p in polys]
+
+
+def mul_q_int_at_point(x: int, a: int, bits: int) -> int:
+    """x [a]_X at X = 2^bits, for an int x and a >= 0, by shifts and adds.
+
+    [a]_X = 1 + X + ... + X^(a-1), read from the top bit of a down:
+    [2c] = [c] (1 + X^c) and [2c+1] = 1 + X [2c], so at most 2 bitlen(a)
+    shifted additions, each linear in the size of x, and no general
+    product.  ValueError for a < 0.
+    """
+    if a < 0:
+        raise ValueError("q-integer index must be >= 0")
+    if not a:
+        return 0
+    y, c = x, 1
+    for bit in bin(a)[3:]:
+        y += y << bits * c
+        c *= 2
+        if bit == "1":
+            y = x + (y << bits)
+            c += 1
+    return y
 
 
 def unpack_at_point(bits: int, value: int, lo: int = 0) -> LaurentPoly:

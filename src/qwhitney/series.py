@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, lcm, prod
 from operator import mul
 
-from .qcore import ZERO, pack_at_point, q_int
+from .qcore import ZERO, mul_q_int_at_point, pack_at_point, q_int
 from .symm import h_prefixes, whitney_values
 from .whitney import WhitneyParams, normalizer_factors, row_degree
 
@@ -55,12 +55,13 @@ def egf_check(params: WhitneyParams, rows, kmax: int) -> list:
     ``rows`` holds the rows n = 0..nmax of W, as ``whitney.w_table`` gives
     them; an entry past the end of its row is 0.
 
-    Both sides are integers at q = X = 2^B: [a]_X = (X^a - 1)/(X - 1),
-    Gaussian binomials by their product formula, terms rolled with n,
-    W[n,k](X) packed by ``qcore.pack_at_point`` from the q = 1 bound
-    sum_j C(k,j) (jm+r)^n + sum |W[n,k]| prod jm on the coefficients of
-    the two sides' difference in column k, so the difference vanishes at
-    X only if it is 0.  A W with a negative exponent fails outright.
+    Both sides are integers at q = X = 2^B: Gaussian binomials by their
+    product formula, terms rolled with n and the normalizer built up by
+    q-integer products at the point (``qcore.mul_q_int_at_point``, shifts
+    and adds), W[n,k](X) packed by ``qcore.pack_at_point`` from the q = 1
+    bound sum_j C(k,j) (jm+r)^n + sum |W[n,k]| prod jm on the coefficients
+    of the two sides' difference in column k, so the difference vanishes
+    at X only if it is 0.  A W with a negative exponent fails outright.
     """
     (m, r), out = params, []
     for k in range(kmax + 1):
@@ -71,17 +72,18 @@ def egf_check(params: WhitneyParams, rows, kmax: int) -> list:
                     for n, v in enumerate(column))
         bits, packed = pack_at_point(bound, column)
         binom, terms, ok = 1, [], []
-        x1 = (1 << bits) - 1  # X - 1, and [a]_X = (X^a - 1) / (X - 1)
         for j in range(k + 1):  # [k j]_{X^m} by its product formula
             terms.append((-1) ** (k - j) * binom << bits * m * comb(k - j, 2))
             binom = (binom * ((1 << bits * m * (k - j)) - 1)
                      // ((1 << bits * m * (j + 1)) - 1))
-        norm = prod(((1 << bits * a) - 1) // x1 for a in factors)
-        for v in packed:  # term j times [jm+r]_X^n
-            lhs = sum(terms)
-            terms = [((t << bits * (j * m + r)) - t) // x1
-                     for j, t in enumerate(terms)]
-            ok.append(v is not None and lhs == v * norm)
+        norm = 1
+        for a in factors:
+            norm = mul_q_int_at_point(norm, a, bits)
+        for n, v in enumerate(packed):  # term j times [jm+r]_X^n
+            if n:
+                terms = [mul_q_int_at_point(t, j * m + r, bits)
+                         for j, t in enumerate(terms)]
+            ok.append(v is not None and sum(terms) == v * norm)
         out.append(ok)
     return out
 

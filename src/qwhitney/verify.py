@@ -19,8 +19,9 @@ suites read W, and W* by one shift, from one ``whitney.w_table`` per
 (m, r); the genfun suite's reaches the largest of its three row bounds
 and serves its EGF and horizontal cells too.  A suite builds the
 inputs its routes and checks share, and no route or check builds them
-itself: per (m, r) the explicit suite's values of [x+r]_q^n at the
-nodes x = jm, its q-Pascal rows and its normalizers, every column
+itself: per (m, r) the explicit suite's q-Pascal rows and normalizers,
+and its values of [x+r]_q^n at the nodes x = jm, rolled with n as
+integers at one point by shifts and adds, every column
 generating function and h_complete cell from one pass of
 symm.h_prefixes, every EGF cell from one series.egf_check, and the
 vertical, horizontal and tableau cells from one pass per column, row or
@@ -28,14 +29,16 @@ walk, read in (n, k) order.  The horizontal generating function's row
 values, falling factors and powers of [t]_q enter as integer parts, each
 built once per (n, q) or (t, q), the falling factors' [x]_q once per q.
 The explicit suite calls both forms of the q-difference operator
-(``qcalculus``) on integers at one point q = 2^B per (m, r) and
-multiplies out: the alternating sum and the Newton head of each cell
-are compared there with W times the normalizer of its column, and only
-a failed cell reads its side back as a polynomial and divides, for its
-side texts, so a division that leaves a remainder is a failed cell, not
-an error.  The convolution cells read W* tables built once per (m, r),
-each cell compared as integers at one point (``symm.convolution_check``),
-as the EGF cells are (``series.egf_check``).  The hankel suite builds each
+(``qcalculus``) on integers at one point q = 2^B per (m, r), B set by
+``explicit_bound``, and multiplies out: the alternating sum, whose terms
+for column k are formed once at n = k and rolled with n, and the Newton
+head of each cell are compared there with W times the normalizer of its
+column, and only a failed cell reads its side back as a polynomial and
+divides, for its side texts, so a division that leaves a remainder is a
+failed cell, not an error.  The convolution cells read W* tables built
+once per (m, r), each cell compared as integers at one point
+(``symm.convolution_check``), as the EGF cells are
+(``series.egf_check``).  The hankel suite builds each
 (m, r, s) family's largest matrix, its determinants of every order (one
 elimination), and its closed forms (one prefix product) once; the L*U
 check (one product) and the classical check (one integer elimination of
@@ -55,8 +58,8 @@ from types import SimpleNamespace
 from . import hankel as hk
 from . import qcalculus, series, symm
 from .qcore import (ONE, ZERO, LaurentPoly, NonExactDivision,
-                    laurent_div_q_ints, pack_at_point, q_binomial_rows, q_int,
-                    unpack_at_point)
+                    laurent_div_q_ints, mul_q_int_at_point, pack_at_point,
+                    q_binomial_rows, q_int, unpack_at_point)
 from .whitney import (WhitneyParams, check_degree, horizontal_pass,
                       normalizer_factors, row_degree, vertical_pass, w_table)
 
@@ -242,26 +245,26 @@ def suite_recurrences(g: dict) -> SuiteResult:
 def suite_explicit(g: dict) -> SuiteResult:
     """Explicit q-difference formula and Newton coefficients vs recurrence.
 
-    Per (m, r) both forms of the q-difference operator read the values of
-    [x+r]_q^n at the nodes x = 0, m, ..., nmax m; the alternating sum reads
-    row k of the q-Pascal triangle in base q^m too.  Each cell multiplies
-    out: the alternating sum and the Newton head of column k must equal
-    W[n,k] times the normalizer [k]_{q^m}! [m]_q^k = prod_{j<=k} [jm]_q
-    (``norms[k]``, each one q-integer product from the last), which holds
-    exactly when their quotients are W.
+    Per (m, r) both forms of the q-difference operator read the values
+    V_j^n = [jm+r]_q^n at the nodes x = jm, j <= n; the alternating sum
+    reads row k of the q-Pascal triangle in base q^m too.  Each cell
+    multiplies out: the alternating sum and the Newton head of column k
+    must equal W[n,k] times the normalizer [k]_{q^m}! [m]_q^k =
+    prod_{j<=k} [jm]_q (``norms[k]``, each one q-integer product from the
+    last), which holds exactly when their quotients are W.
 
-    Every side is an integer at one point q = 2^B
-    (``qcore.pack_at_point``): the q-Pascal rows and normalizers are
-    packed once per (m, r), the values and W once per row n, the last two
-    times q^-lo for the least exponent lo any of them has.  B comes from
-    one bound on the coefficients of both sides: 2^nmax times the largest
-    L1 norm of the values, which are in row nmax (a pass of the operator
-    product at most doubles it, and row k of the q-Pascal triangle sums
-    to 2^k at q = 1), plus the largest L1(W) times L1 of its normalizer.
-    It covers every packed coefficient too, since L1(N_k) = k! m^k is at
-    most (nmax m + r)^nmax.  So a cell passes exactly when its
-    polynomials are equal.  Only a failed cell reads its side back as a
-    polynomial (``qcore.unpack_at_point``) and divides, for its side
+    Every side is an integer at one point q = X = 2^B, B set by
+    ``explicit_bound``, so a cell passes exactly when its polynomials are
+    equal.  The q-Pascal rows and normalizers are packed once per (m, r)
+    (``qcore.pack_at_point``), each W once, times X^-lo for the least
+    exponent lo <= 0 of any W.  The values start at X^-lo and are rolled
+    row by row, each times [jm+r]_X (``qcore.mul_q_int_at_point``, shifts
+    and adds).  Column k's terms of the alternating sum
+    (``qcalculus.q_binomial_terms``) are formed once, at n = k, and rolled
+    the same way, term j times [jm+r]_X; cell (n, k) adds them up.  The
+    Newton heads of row n are one pass over its values
+    (``qcalculus.q_diff_heads``).  Only a failed cell reads its side back
+    as a polynomial (``qcore.unpack_at_point``) and divides, for its side
     texts: the quotient and W, or, where the division leaves a remainder,
     the sum or head and W times the normalizer.
     """
@@ -269,26 +272,30 @@ def suite_explicit(g: dict) -> SuiteResult:
     nmax = g["nmax"]
     for p, base in _families(g):
         table = w_table(p, nmax)
-        powers = qcalculus.q_power_table(p.r, p.m, nmax + 1, nmax)
         norms = list(accumulate(map(q_int, normalizer_factors(p, nmax)), mul,
                                 initial=ONE))
-        sizes = list(map(_l1, norms))
-        bound = (2 ** nmax * max(map(_l1, powers[-1]))
-                 + max(max(map(mul, map(_l1, row), sizes)) for row in table))
-        lo = min(map(LaurentPoly.min_exp,
-                     filter(None, chain(*powers, *table))), default=0)
+        bound = explicit_bound(p, table, norms)
+        lo = min(chain((0,), map(LaurentPoly.min_exp,
+                                  filter(None, chain(*table)))))
         bits, norms_x = pack_at_point(bound, norms)
         rows = [pack_at_point(bound, row)[1]
                 for row in q_binomial_rows(nmax, p.m)]
+        nodes = [j * p.m + p.r for j in range(nmax + 1)]
+        values, columns = [1 << -lo * bits] * (nmax + 1), []
         for n, row in enumerate(table):
-            values = pack_at_point(bound, powers[n][:n + 1], lo)[1]
-            heads = qcalculus.q_diff_heads(values, p.m, bits)
+            if n:
+                values = [mul_q_int_at_point(v, a, bits)
+                          for v, a in zip(values, nodes)]
+                columns = [[mul_q_int_at_point(t, a, bits)
+                            for t, a in zip(terms, nodes)]
+                           for terms in columns]
+            columns.append(qcalculus.q_binomial_terms(values[:n + 1], p.m,
+                                                      rows[n], bits))
+            heads = qcalculus.q_diff_heads(values[:n + 1], p.m, bits)
             row_x = pack_at_point(bound, row, lo)[1]
             for k, expected in enumerate(row):
                 target = row_x[k] * norms_x[k]
-                numerator = qcalculus.q_binomial_alternating_sum(
-                    values[:k + 1], p.m, rows[k], bits)
-                for identity, got in (("explicit", numerator),
+                for identity, got in (("explicit", sum(columns[k])),
                                       ("newton", heads[k])):
                     if got != target:
                         res.fail({**base, "n": n, "k": k}, identity,
@@ -298,6 +305,27 @@ def suite_explicit(g: dict) -> SuiteResult:
         res.add("explicit", _triangle_cells(nmax))
         res.add("newton", _triangle_cells(nmax))
     return res
+
+
+def explicit_bound(params, table, norms) -> int:
+    """A bound on every coefficient of both sides of every explicit and
+    Newton cell of rows 0..nmax of W (``table``), and of their difference,
+    whatever the signs the routes give their terms:
+    2^nmax (m nmax + r)^nmax plus the largest L1(W[n,k]) L1(norms[k]).
+
+    The first part bounds the L1 norm of each sum and head: L1([a]_q^n) =
+    a^n is largest at the last node and row, the terms of the alternating
+    sum weigh the values by row k of the q-Pascal triangle, which sums to
+    2^k at q = 1, and a pass of the operator product at most doubles the
+    L1 norm.  The second bounds W times its normalizer.  It covers every
+    packed coefficient too: the q-Pascal rows' are at most 2^nmax, and
+    L1(N_k) = k! m^k is at most (nmax m + r)^nmax.
+    """
+    m, r = params.m, params.r
+    nmax = len(table) - 1
+    sizes = list(map(_l1, norms))
+    return (2 ** nmax * (m * nmax + r) ** nmax
+            + max(max(map(mul, map(_l1, row), sizes)) for row in table))
 
 
 def _l1(x) -> int:

@@ -24,10 +24,11 @@ mutation of one route, and ``test_faults.py`` checks that together they
 fail every identity the suites check.  ``record_products`` counts the
 products that take one of the ring's product paths, and
 ``count_operators`` the ring's products and sums.  ``diff_heads`` and
-``alternating_sum`` read the two forms of the q-difference operator,
-which work on integers at one point, back as polynomials.  ``poly``,
-``power`` and ``q_factorial`` build test values the library itself never
-needs.
+``alternating_terms`` read the two forms of the q-difference operator,
+which work on integers at one point, back as polynomials, over the
+values of ``q_power_table`` (``operator_sides``).  ``poly``, ``power``,
+``q_factorial`` and ``q_power_table`` build test values the library
+itself never needs.
 ``multiset_sum`` enumerates the A-tableaux of one cell on its own
 (``a_tableaux``), with no prefix shared between cells or tableaux: the
 oracle of the tableau walk.
@@ -44,9 +45,8 @@ from operator import floordiv
 import pytest
 
 from qwhitney import (LaurentPoly, WhitneyParams, hankel,
-                      laurent_div_q_ints, qcalculus,
-                      q_binomial_alternating_sum, q_binomial_rows,
-                      q_diff_heads, q_int, q_int_mul_add, q_power_table,
+                      laurent_div_q_ints, qcalculus, q_binomial_rows,
+                      q_binomial_terms, q_diff_heads, q_int, q_int_mul_add,
                       qcore, series, symm, w_star, whitney)
 from qwhitney.qcore import ONE, ZERO
 
@@ -188,34 +188,65 @@ def diff_heads(values, b: int) -> list:
             for x in q_diff_heads(ints, b, bits)]
 
 
-def alternating_sum(values, b: int, row) -> LaurentPoly:
-    """``qcalculus.q_binomial_alternating_sum`` on polynomial values and a
-    q-Pascal row, read back from its integer at the point."""
+def alternating_terms(values, b: int, row) -> list:
+    """``qcalculus.q_binomial_terms`` on polynomial values and a q-Pascal
+    row: each term of the alternating sum, read back from its integer at
+    the point."""
     bound, bits, ints, lo = at_point(values)
     row_ints = qcore.pack_at_point(bound, row)[1]
-    return qcore.unpack_at_point(
-        bits, q_binomial_alternating_sum(ints, b, row_ints, bits), lo)
+    return [qcore.unpack_at_point(bits, x, lo)
+            for x in q_binomial_terms(ints, b, row_ints, bits)]
+
+
+def alternating_sum(values, b: int, row) -> LaurentPoly:
+    """The alternating q-binomial sum on polynomial values and a q-Pascal
+    row: the sum of its terms (``alternating_terms``)."""
+    return sum(alternating_terms(values, b, row), ZERO)
+
+
+def q_power_table(offset: int, step: int, count: int, nmax: int) -> list:
+    """The values of [x + offset]_q ** n at the count nodes
+    x = 0, step, ..., (count-1) step, one tuple per n = 0..nmax.
+
+    Row n is row n-1 times [x + offset]_q node by node: a sliding-window
+    product, never a power.  The polynomials the explicit suite rolls as
+    integers at one point.
+    """
+    bases = [q_int(i * step + offset) for i in range(count)]
+    values = (ONE,) * count
+    table = [values]
+    for _ in range(nmax):
+        values = tuple(v * a for v, a in zip(values, bases))
+        table.append(values)
+    return table
+
+
+def operator_sides(params: WhitneyParams, nmax: int) -> tuple:
+    """Rows n = 0..nmax of each form of the q-difference operator,
+    (sums, heads): the alternating sum and the operator product's heads
+    over the values and q-Pascal rows the explicit suite reads, each read
+    back as a polynomial.  Cell (n, k) of either is W[n,k] times the
+    normalizer of column k."""
+    m = params.m
+    powers = q_power_table(params.r, m, nmax + 1, nmax)
+    rows = q_binomial_rows(nmax, m)
+    sums = [[alternating_sum(values[:k + 1], m, rows[k])
+             for k in range(n + 1)] for n, values in enumerate(powers)]
+    heads = [diff_heads(values[:n + 1], m)
+             for n, values in enumerate(powers)]
+    return sums, heads
 
 
 def operator_rows(params: WhitneyParams, nmax: int) -> tuple:
     """Rows n = 0..nmax of W from each form of the q-difference operator,
-    (explicit, newton): the alternating sum and the operator product's
-    heads over the values and q-Pascal rows the explicit suite reads,
-    each read back as a polynomial and divided by the normalizer of its
-    column."""
-    m = params.m
-    powers = q_power_table(params.r, m, nmax + 1, nmax)
-    rows = q_binomial_rows(nmax, m)
+    (explicit, newton): ``operator_sides``, each cell divided by the
+    normalizer of its column."""
+    def normalized(side):
+        return [[laurent_div_q_ints(x, whitney.normalizer_factors(params, k))
+                 for k, x in enumerate(row)] for row in side]
 
-    def normalized(x, k):
-        return laurent_div_q_ints(x, whitney.normalizer_factors(params, k))
-
-    explicit = [[normalized(alternating_sum(values[:k + 1], m, rows[k]), k)
-                 for k in range(n + 1)] for n, values in enumerate(powers)]
-    newton = [[normalized(d, k)
-               for k, d in enumerate(diff_heads(values[:n + 1], m))]
-              for n, values in enumerate(powers)]
-    return explicit, newton
+    sums, heads = operator_sides(params, nmax)
+    return normalized(sums), normalized(heads)
 
 
 def a_tableaux(k: int, length: int):
@@ -379,18 +410,18 @@ def perturb_horizontal_falling():
 
 @contextmanager
 def perturb_alternating_sum():
-    """The alternating q-binomial sum is negated for k >= 1 where the
-    explicit suite reads it, in the explicit route's numerator.  The Newton
-    route takes the operator product instead, and the EGF check forms its
-    sum at one integer point."""
-    right = qcalculus.q_binomial_alternating_sum
+    """Each term of the alternating q-binomial sum is negated for k >= 1
+    where the explicit suite reads them, so the explicit route's numerator
+    is.  The Newton route takes the operator product instead, and the EGF
+    check forms its terms at one integer point."""
+    right = qcalculus.q_binomial_terms
 
     def negated(values, b, row, bits):
-        total = right(values, b, row, bits)
-        return -total if len(values) > 1 else total
+        terms = right(values, b, row, bits)
+        return [-t for t in terms] if len(values) > 1 else terms
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qcalculus, "q_binomial_alternating_sum", negated)
+        mp.setattr(qcalculus, "q_binomial_terms", negated)
         yield
 
 

@@ -544,22 +544,34 @@ class TestSizeLimit:
     def test_gate_covers_every_polynomial_built(self, monkeypatch, suite,
                                                 grid):
         # Every polynomial a passing suite builds, its rows too (in an
-        # empty row cache), has its exponents within the degree the gate
-        # checks.  The explicit suite's [m nmax + r]_q^nmax reaches about
-        # twice the top degree of row nmax.
-        reached = [0]
-        build = qcore._poly
+        # empty row cache), has its exponents within the degree D the gate
+        # checks.  The explicit suite rolls its values [jm+r]_q^n and the
+        # terms of its alternating sums as integers at one point q = 2^B
+        # per family, not as polynomials: each has bit length at most
+        # B (D - lo + 1), where lo = 0 since no W of a passing grid has a
+        # negative exponent.  The largest, [m nmax + r]_X^nmax, reaches
+        # about twice the top degree of row nmax.
+        reached, widths = [0], []
+        build, roll = qcore._poly, verify.mul_q_int_at_point
 
         def recorded(lo, c):
             if c:
                 reached[0] = max(reached[0], -lo, lo + len(c) - 1)
             return build(lo, c)
 
+        def rolled(x, a, bits):
+            y = roll(x, a, bits)
+            widths.append((bits, abs(y).bit_length()))
+            return y
+
         monkeypatch.setattr(whitney, "_tables", {})
         monkeypatch.setattr(qcore, "_poly", recorded)
+        monkeypatch.setattr(verify, "mul_q_int_at_point", rolled)
         assert verify.run_suite(suite, grid)[0].ok
-        assert 0 < reached[0] <= verify._max_degree(
-            [suite], verify._check_grid(grid))
+        degree = verify._max_degree([suite], verify._check_grid(grid))
+        assert 0 < reached[0] <= degree
+        assert bool(widths) == (suite == "explicit")
+        assert all(width <= bits * (degree + 1) for bits, width in widths)
 
     def test_run_suite_refuses_oversized_grid(self, no_verify_work):
         # the library path is gated too: the explicit suite's [3*60+2]_q^60

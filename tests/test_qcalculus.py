@@ -1,14 +1,19 @@
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
-from conftest import (alternating_sum, classical_whitney_recurrence,
-                      diff_heads, operator_rows, poly, power)
+from conftest import (alternating_sum, alternating_terms,
+                      classical_whitney_recurrence, diff_heads, l1,
+                      operator_rows, operator_sides, poly, power,
+                      q_power_table)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from qwhitney import (WhitneyParams, q_binomial_rows, q_diff_heads, q_int,
-                      q_power_table, w)
-from qwhitney import qcalculus, verify
+                      w, w_table)
+from qwhitney import qcalculus, qcore, verify
 from qwhitney.qcore import ONE, ZERO
+from qwhitney.whitney import normalizer_factors
 
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
 
@@ -159,9 +164,9 @@ class TestRouteIndependence:
     CELLS = 4 * sum(n + 1 for n in range(5))
 
     def test_newton_cell_survives_a_broken_alternating_sum(self, monkeypatch):
-        alternating = qcalculus.q_binomial_alternating_sum
-        monkeypatch.setattr(qcalculus, "q_binomial_alternating_sum",
-                            lambda *args: -alternating(*args))
+        terms = qcalculus.q_binomial_terms
+        monkeypatch.setattr(qcalculus, "q_binomial_terms",
+                            lambda *args: [-t for t in terms(*args)])
         res = verify.run_suite("explicit", self.GRID)[0]
         assert res.cells == 2 * self.CELLS
         assert [f.identity for f in res.failures] == \
@@ -178,23 +183,27 @@ class TestRouteIndependence:
 
 
 class TestValuesBelowQToTheZero:
-    """A value with a negative exponent, in the power table or in W, is
-    packed at the family's least exponent: its cells fail on their
-    merits, with exact side texts, and nothing raises."""
+    """A W with a negative exponent is packed at the family's least
+    exponent, and the values and terms are rolled from there; a value
+    rolled off by a power of q, or a W below q^0, fails its cells on
+    their merits, with exact side texts, and nothing raises."""
 
     GRID = {"m": [1, 2], "r": [1], "nmax": 3}
 
-    def test_power_table_values(self, monkeypatch):
-        # every value of row n is q^-n times the true one, so each cell of
-        # rows 1..3 fails both identities with q^-n W against W
-        monkeypatch.setattr(qcalculus, "q_int", lambda a: q_int(a).shift(-1))
+    def test_rolled_values(self, monkeypatch):
+        # every roll multiplies by q [a]_q, so every value and term of row
+        # n is q^n times the true one, and each cell of rows 1..3 fails
+        # both identities with q^n W against W
+        right = qcore.mul_q_int_at_point
+        monkeypatch.setattr(verify, "mul_q_int_at_point",
+                            lambda x, a, bits: right(x, a, bits) << bits)
         res = verify.run_suite("explicit", self.GRID)[0]
         assert res.cells == 2 * 2 * 10
         assert len(res.failures) == 2 * 2 * 9
         for f in res.failures:
             p = WhitneyParams(f.params["m"], f.params["r"])
             n, k = f.params["n"], f.params["k"]
-            assert (f.lhs, f.rhs) == (str(w(p, n, k).shift(-n)),
+            assert (f.lhs, f.rhs) == (str(w(p, n, k).shift(n)),
                                       str(w(p, n, k)))
 
     def test_w_values(self, monkeypatch):
@@ -208,3 +217,98 @@ class TestValuesBelowQToTheZero:
             n, k = f.params["n"], f.params["k"]
             assert (f.lhs, f.rhs) == (str(w(p, n, k)),
                                       str(w(p, n, k).shift(-1)))
+
+
+
+def undoubled_bound(params, table, norms):
+    """``verify.explicit_bound`` without its 2^nmax factor: a planted
+    fault, too small for the sums and heads of every sign."""
+    m, r, nmax = params.m, params.r, len(table) - 1
+    return ((m * nmax + r) ** nmax
+            + max(l1(x) * l1(norm) for row in table
+                  for x, norm in zip(row, norms)))
+
+
+def sign_free_heads(values, b: int) -> list:
+    """The heads of the operator product with every pass an addition,
+    g(x+h) + q^(bj) g(x): coefficient by coefficient at least as large, in
+    absolute value, as the heads of any choice of signs."""
+    heads = [values[0]]
+    for j in range(len(values) - 1):
+        values = [upper + lower.shift(b * j)
+                  for lower, upper in zip(values, values[1:])]
+        heads.append(values[0])
+    return heads
+
+
+def uncovered_cells(params, nmax: int, bound_of) -> list:
+    """The cells (n, k), n <= nmax, of one family whose sides the bound
+    ``bound_of(params, table, norms)`` does not cover.
+
+    The sides are the alternating sum, the Newton head and W[n,k] N_k,
+    each read back as a polynomial through the decoders of ``conftest``.
+    A cell is covered when every coefficient of each side, and of each
+    side's difference from W N_k, is within the bound, and when so is the
+    L1 norm of W N_k plus that of the sum's terms, or of the sign-free
+    head: any signs the routes could give the same terms and passes then
+    leave a difference within the bound too.
+    """
+    m = params.m
+    table = w_table(params, nmax)
+    norms = [prod(map(q_int, normalizer_factors(params, k)), start=ONE)
+             for k in range(nmax + 1)]
+    bound = bound_of(params, table, norms)
+    sums, heads = operator_sides(params, nmax)
+    powers = q_power_table(params.r, m, nmax + 1, nmax)
+    rows = q_binomial_rows(nmax, m)
+    uncovered = []
+    for n, values in enumerate(powers):
+        free = sign_free_heads(values[:n + 1], m)
+        for k in range(n + 1):
+            target = table[n][k] * norms[k]
+            sides = (sums[n][k], heads[n][k], target,
+                     sums[n][k] - target, heads[n][k] - target)
+            terms = alternating_terms(values[:k + 1], m, rows[k])
+            widest = max(max(map(abs, x.coeffs), default=0) for x in sides)
+            reach = max(sum(map(l1, terms)), l1(free[k])) + l1(target)
+            if max(widest, reach) > bound:
+                uncovered.append((n, k))
+    return uncovered
+
+
+families = st.builds(WhitneyParams, st.integers(1, 12), st.integers(0, 15))
+
+
+class TestExplicitBound:
+    """``verify.explicit_bound`` sets the point at which the explicit suite
+    compares both forms of every cell; the comparison is exact only if the
+    bound covers both sides and their difference."""
+
+    @given(families, st.integers(0, 5))
+    @example(WhitneyParams(12, 15), 5)
+    @example(WhitneyParams(1, 0), 5)
+    @example(WhitneyParams(2, 9), 4)
+    @settings(max_examples=20, deadline=None)
+    def test_bound_covers_every_side(self, params, nmax):
+        assert uncovered_cells(params, nmax, verify.explicit_bound) == []
+
+    @given(families, st.integers(2, 5))
+    @example(WhitneyParams(1, 0), 2)
+    @settings(max_examples=20, deadline=None)
+    def test_planted_bound_is_caught(self, params, nmax):
+        # without 2^nmax the bound no longer covers the terms at n = k =
+        # nmax, whose L1 norms sum to sum_j C(nmax, j) (jm+r)^nmax
+        assert uncovered_cells(params, nmax, undoubled_bound)
+
+    def test_suite_reads_the_bound(self, monkeypatch):
+        calls, right = [], verify.explicit_bound
+
+        def recorded(params, table, norms):
+            calls.append((params, len(table), len(norms)))
+            return right(params, table, norms)
+
+        monkeypatch.setattr(verify, "explicit_bound", recorded)
+        assert verify.run_suite("explicit", {"m": [2], "r": [0, 3],
+                                             "nmax": 4})[0].ok
+        assert calls == [(WhitneyParams(2, 0), 5, 5),
+                         (WhitneyParams(2, 3), 5, 5)]

@@ -12,7 +12,8 @@ and differences are checked with overlapping and disjoint supports and
 with ends that cancel.  The two q-integer kernels, the fused step
 [a]_q p + q^e q of the triangle and the division by a product of
 q-integers, are checked the same way, and so are the integers of
-polynomials at one point q = 2^B and their balanced-digit reading.
+polynomials at one point q = 2^B, their balanced-digit reading and the
+shift-and-add product by a q-integer there.
 """
 
 from fractions import Fraction
@@ -329,3 +330,30 @@ def test_pack_and_unpack_at_point(case, lo, data):
     wide = poly(dict(enumerate(digits)))
     assert qcore.unpack_at_point(bits, sum(
         c * x ** e for e, c in enumerate(digits))) == wide
+
+
+# Indices a of [a]_q for the product at one point: 0, 1, and each power of
+# two up to 256 with its neighbours, where the top-down shift-and-add
+# pass changes its number of steps.
+Q_INT_INDICES = sorted({0, 1} | {x for e in range(1, 9)
+                                 for x in (2 ** e - 1, 2 ** e, 2 ** e + 1)})
+
+
+@given(bounded_polys(), st.one_of(st.sampled_from(Q_INT_INDICES),
+                                  st.integers(0, 300)),
+       st.one_of(st.just(0), st.integers(1, BIG)))
+@settings(max_examples=80, deadline=None)
+def test_mul_q_int_at_point(case, a, slack):
+    # The integer of p at q = X times [a]_X is the integer of p [a]_q
+    # there, the product by sympy, at any B that holds both; slack widens B.
+    _, polys = case
+    p = polys[0]
+    product = oracle_product(q_int(a), p)
+    bound = max([1, *map(abs, p.coeffs), *map(abs, product.coeffs)]) + slack
+    bits, (x, expected) = qcore.pack_at_point(bound, [p, product])
+    assert qcore.mul_q_int_at_point(x, a, bits) == expected
+
+
+def test_mul_q_int_at_point_refuses_a_negative_index():
+    with pytest.raises(ValueError):
+        qcore.mul_q_int_at_point(5, -1, 8)

@@ -138,9 +138,10 @@ class TestProductPaths:
     def test_suite_needs_no_kronecker_product(self, kronecker, suite):
         # The Horner routes multiply by one [a]_q per step, and the tableau
         # and h weights are q-integers: each product has a run on one side,
-        # as has each step of the explicit suite's power table and
-        # normalizers.  The explicit, Newton, EGF, horizontal GF and
-        # convolution checks multiply integers, not polynomials.
+        # as has each step of the explicit suite's normalizers.  The
+        # explicit, Newton, EGF, horizontal GF and convolution checks
+        # multiply integers, not polynomials, and the explicit suite
+        # rolls its values [jm+r]_q^n as integers too.
         assert verify.run_suite(suite)[0].ok
         assert kronecker == []
 
