@@ -13,9 +13,8 @@ from .whitney import (WhitneyParams, horizontal_pass, r_dowling, vertical_pass,
                       w, w_star, w_table)
 from .qcalculus import q_binomial_terms, q_diff_heads
 from .series import horizontal_gf_check, rational_gf_columns
-from .symm import (EnumerationTooLarge, convolution_check, convolution_first,
-                   convolution_second, convolution_tables, h_prefixes,
-                   tableau_walk)
+from .symm import (EnumerationTooLarge, convolution_check, convolution_tables,
+                   h_prefixes, tableau_walk)
 from .hankel import (HankelSpec, classical_hankel_check, degree_bound,
                      hankel_closed_forms, hankel_matrix, leading_dets,
                      lu_check)

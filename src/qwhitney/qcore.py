@@ -34,26 +34,28 @@ addition of the fused step, is one aligned ``map(add)`` in a working list
 (``_add_into``), a difference one ``map(sub)``.  :func:`poly_sums` adds
 each of several sums (the tableau walk's, one per length) into one list
 per sum, each trimmed once, and :func:`poly_sum` is its case of one sum.
-:func:`pack_at_point` gives polynomials as integers at one point q = 2^B,
-B set from a coefficient bound, where the explicit, Newton, EGF and
-convolution checks compare their two sides; :func:`mul_q_int_at_point`
-multiplies such an integer by [a]_X with shifts and adds alone, which is
-how the explicit suite rolls its values and terms from n to n+1 and the
-EGF check its terms; :func:`unpack_at_point` reads such an integer back
-as the polynomial of its balanced digits, the decoder the byte-slot
-Kronecker product reads its slots with.
+:func:`pack_at_point` gives polynomials with no negative exponent as
+integers at one point q = 2^B, B set from a coefficient bound, where the
+explicit, Newton, EGF and convolution checks compare their two sides;
+:func:`mul_q_int_at_point` multiplies such an integer by [a]_X with
+shifts and adds alone, which is how the explicit suite rolls its values
+and terms from n to n+1 and the EGF check its terms;
+:func:`unpack_at_point` reads such an integer back as the polynomial of
+its balanced digits, the decoder the byte-slot Kronecker product reads
+its slots with.
 Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
 integer numerator and denominator; ``eval`` puts them in one Fraction, and
 a caller summing many values at one q can cross-multiply the integers
 instead.
-``to_json`` renders a polynomial straight to the JSON text of its
-``to_pairs`` form, byte-identical to ``json.dumps`` of the pairs.  When the
-exponents lie in 0..8,191 and no interior coefficient is zero (as in the
-triangle entries), the text is one ``%`` of the coefficient tuple into a
-slice of a shared exponent template ``'[0, "%d"], [1, "%d"], ...'``, built
-on first use in power-of-two sizes up to that 8,192-exponent cap; anything
-else takes a per-coefficient fallback.
+``to_json`` renders a polynomial straight to the JSON text of its sorted
+[exponent, coefficient-as-decimal-string] pairs, byte-identical to
+``json.dumps`` of the pairs.  When the exponents lie in 0..8,191 and no
+interior coefficient is zero (as in the triangle entries), the text is
+one ``%`` of the coefficient tuple into a slice of a shared exponent
+template ``'[0, "%d"], [1, "%d"], ...'``, built on first use in
+power-of-two sizes up to that 8,192-exponent cap; anything else takes a
+per-coefficient fallback.
 """
 
 from __future__ import annotations
@@ -101,9 +103,6 @@ class LaurentPoly:
     @property
     def terms(self) -> dict:
         return {e: c for e, c in enumerate(self._c, self._lo) if c}
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     def min_exp(self) -> int:
         if not self._c:
@@ -217,13 +216,10 @@ class LaurentPoly:
             raise EvalAtZero("cannot evaluate a Laurent polynomial at q=0")
         return Fraction(*self.value_parts(a.numerator, a.denominator))
 
-    def to_pairs(self) -> list:
-        """JSON form: sorted [exponent, coefficient-as-decimal-string] pairs."""
-        return [[e, str(c)] for e, c in enumerate(self._c, self._lo) if c]
-
     def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_pairs())``, without the
-        intermediate pair lists.
+        """The text of ``json.dumps`` of the sorted [exponent,
+        coefficient-as-decimal-string] pairs of the nonzero terms, without
+        the intermediate pair lists.
 
         For exponents lo..hi with 0 <= lo and hi < ``_JSON_TEMPLATE_MAX`` and
         no zero coefficient, the pairs are the template slice for lo..hi, so
@@ -374,12 +370,12 @@ def _pack(c: tuple, width: int) -> int:
                                          else blank for x in c), "little")
 
 
-def pack_at_point(bound: int, polys, lo: int = 0) -> tuple:
+def pack_at_point(bound: int, polys) -> tuple:
     """``(bits, values)``: B = bits, the least multiple of 8 at least 2
-    bits over ``bound``, and each of ``polys`` times q^-lo at q = X = 2^B
-    as one int, packed in B-bit slots (``_pack``, no Horner pass), or None
-    for one with an exponent under lo.  ``bound`` is at least every
-    coefficient of ``polys`` in absolute value.
+    bits over ``bound``, and each of ``polys`` at q = X = 2^B as one int,
+    packed in B-bit slots (``_pack``, no Horner pass), or None for one
+    with a negative exponent.  ``bound`` is at least every coefficient of
+    ``polys`` in absolute value.
 
     Two polynomials whose difference has every coefficient at most
     ``bound`` in absolute value are then equal exactly when their values
@@ -389,9 +385,8 @@ def pack_at_point(bound: int, polys, lo: int = 0) -> tuple:
     """
     width = (bound.bit_length() + 9) // 8
     bits = 8 * width
-    return bits, [0 if not p._c else None if p._lo < lo
-                  else _pack(p._c, width) << bits * (p._lo - lo)
-                  for p in polys]
+    return bits, [0 if not p._c else None if p._lo < 0
+                  else _pack(p._c, width) << bits * p._lo for p in polys]
 
 
 def mul_q_int_at_point(x: int, a: int, bits: int) -> int:
@@ -416,18 +411,18 @@ def mul_q_int_at_point(x: int, a: int, bits: int) -> int:
     return y
 
 
-def unpack_at_point(bits: int, value: int, lo: int = 0) -> LaurentPoly:
-    """The polynomial q^lo P, P with nonnegative exponents and value the
-    int ``value`` at q = X = 2^B, B = ``bits`` a multiple of 8, whose
+def unpack_at_point(bits: int, value: int) -> LaurentPoly:
+    """The polynomial with nonnegative exponents and value the int
+    ``value`` at q = X = 2^B, B = ``bits`` a multiple of 8, whose
     coefficients are balanced digits in [-X/2, X/2) (``_balanced_digits``).
 
-    This inverts ``pack_at_point`` at the same lo on every polynomial it
-    packs: their coefficients are under X/4 in absolute value, and a value
-    has one writing in balanced digits.  |value| < X^(n-1)/2 for
+    This inverts ``pack_at_point`` on every polynomial it packs: their
+    coefficients are under X/4 in absolute value, and a value has one
+    writing in balanced digits.  |value| < X^(n-1)/2 for
     n = bitlen(|value|) // B + 2, so n digits write it.
     """
     width = bits // 8
-    return _trimmed(lo, _balanced_digits(
+    return _trimmed(0, _balanced_digits(
         value, width, abs(value).bit_length() // bits + 2))
 
 
@@ -527,9 +522,9 @@ def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     one scaled row of b per quotient coefficient.  Raises NonExactDivision
     if no exact quotient exists, DivisionByZero if b = 0.
     """
-    if b.is_zero():
+    if not b:
         raise DivisionByZero("division by zero polynomial")
-    if a.is_zero():
+    if not a:
         return ZERO
     bc = b._c
     lb, lead = len(bc), bc[0]

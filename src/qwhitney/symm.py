@@ -16,8 +16,8 @@ compares every cell of both as integers at one point q = 2^B, each entry
 packed once, with B set from q = 1 values so that each integer equality
 is an exact polynomial equality (``qcore.pack_at_point``, shared with
 ``series.egf_check``), and returns the cell count of each identity and
-its failed cells only; ``convolution_first`` and ``convolution_second``
-check one cell as polynomials.  Both read a cell's terms from one place per identity.
+its failed cells only.  It reads a cell's terms from one place per
+identity, ``_first_sides`` and ``_second_sides``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import comb
 from operator import mul
 
-from .qcore import ONE, ZERO, pack_at_point, poly_sum, poly_sums, q_int
+from .qcore import ONE, ZERO, pack_at_point, poly_sums, q_int
 from .whitney import WhitneyParams, row_degree, w_table
 
 
@@ -124,25 +124,12 @@ def _second_sides(table, shifted, s: int, p: int, t: int) -> tuple:
             [shifted[k][p][t - k] for k in ks])
 
 
-def convolution_first(table, shifted, n: int, l: int, j: int) -> bool:
-    """W*[n+1, l+j+1]_q = sum_{k=0}^{n} W*_{m,r}[k,l]_q W*_{m,r+m(l+1)}[n-k,j]_q?
-    Reads ``convolution_tables`` of (m, r); l+j <= n.  Only k = l..n-j is
-    summed (``_first_sides``)."""
-    lhs, xs, ys = _first_sides(table, shifted, n, l, j)
-    return lhs == poly_sum(map(mul, xs, ys))
-
-
-def convolution_second(table, shifted, s: int, p: int, t: int) -> bool:
-    """W*[s+p,t]_q = sum_{k=max(0,t-p)}^{min(t,s)} W*[s,k]_q W*_{m,r+mk}[p,t-k]_q?
-    Reads ``convolution_tables`` of (m, r); t <= s+p."""
-    lhs, xs, ys = _second_sides(table, shifted, s, p, t)
-    return lhs == poly_sum(map(mul, xs, ys))
-
-
 def convolution_check(table, shifted, nmax: int, spmax: int) -> tuple:
     """``(counts, failed)`` over every cell of the two identities, in
-    order: ``convolution_first`` at each n <= nmax, l <= n, j <= n-l,
-    then ``convolution_second`` at each s, p <= spmax, t <= s+p.
+    order: the first, W*[n+1, l+j+1]_q = sum_k W*_{m,r}[k,l]_q
+    W*_{m,r+m(l+1)}[n-k,j]_q, at each n <= nmax, l <= n, j <= n-l, then
+    the second, W*[s+p,t]_q = sum_k W*[s,k]_q W*_{m,r+mk}[p,t-k]_q, at
+    each s, p <= spmax, t <= s+p.
     ``counts`` maps each identity to its number of cells, and ``failed``
     lists ``(identity, cell)`` for each failed cell, ``cell`` the dict
     naming its parameters; a passing cell makes no dict.  Reads the

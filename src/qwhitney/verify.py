@@ -51,15 +51,15 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import mul
 from types import SimpleNamespace
 
 from . import hankel as hk
 from . import qcalculus, series, symm
-from .qcore import (ONE, ZERO, LaurentPoly, NonExactDivision,
-                    laurent_div_q_ints, mul_q_int_at_point, pack_at_point,
-                    q_binomial_rows, q_int, unpack_at_point)
+from .qcore import (ONE, ZERO, NonExactDivision, laurent_div_q_ints,
+                    mul_q_int_at_point, pack_at_point, q_binomial_rows,
+                    q_int, unpack_at_point)
 from .whitney import (WhitneyParams, check_degree, horizontal_pass,
                       normalizer_factors, row_degree, vertical_pass, w_table)
 
@@ -256,13 +256,13 @@ def suite_explicit(g: dict) -> SuiteResult:
     Every side is an integer at one point q = X = 2^B, B set by
     ``explicit_bound``, so a cell passes exactly when its polynomials are
     equal.  The q-Pascal rows and normalizers are packed once per (m, r)
-    (``qcore.pack_at_point``), each W once, times X^-lo for the least
-    exponent lo <= 0 of any W.  The values start at X^-lo and are rolled
-    row by row, each times [jm+r]_X (``qcore.mul_q_int_at_point``, shifts
-    and adds).  Column k's terms of the alternating sum
-    (``qcalculus.q_binomial_terms``) are formed once, at n = k, and rolled
-    the same way, term j times [jm+r]_X; cell (n, k) adds them up.  The
-    Newton heads of row n are one pass over its values
+    (``qcore.pack_at_point``), and each W once; a W with a negative
+    exponent, which no W has, packs as None and fails both its cells.
+    The values start at 1 and are rolled row by row, each times [jm+r]_X
+    (``qcore.mul_q_int_at_point``, shifts and adds).  Column k's terms of
+    the alternating sum (``qcalculus.q_binomial_terms``) are formed once,
+    at n = k, and rolled the same way, term j times [jm+r]_X; cell (n, k)
+    adds them up.  The Newton heads of row n are one pass over its values
     (``qcalculus.q_diff_heads``).  Only a failed cell reads its side back
     as a polynomial (``qcore.unpack_at_point``) and divides, for its side
     texts: the quotient and W, or, where the division leaves a remainder,
@@ -275,13 +275,11 @@ def suite_explicit(g: dict) -> SuiteResult:
         norms = list(accumulate(map(q_int, normalizer_factors(p, nmax)), mul,
                                 initial=ONE))
         bound = explicit_bound(p, table, norms)
-        lo = min(chain((0,), map(LaurentPoly.min_exp,
-                                  filter(None, chain(*table)))))
         bits, norms_x = pack_at_point(bound, norms)
         rows = [pack_at_point(bound, row)[1]
                 for row in q_binomial_rows(nmax, p.m)]
         nodes = [j * p.m + p.r for j in range(nmax + 1)]
-        values, columns = [1 << -lo * bits] * (nmax + 1), []
+        values, columns = [1] * (nmax + 1), []
         for n, row in enumerate(table):
             if n:
                 values = [mul_q_int_at_point(v, a, bits)
@@ -292,15 +290,15 @@ def suite_explicit(g: dict) -> SuiteResult:
             columns.append(qcalculus.q_binomial_terms(values[:n + 1], p.m,
                                                       rows[n], bits))
             heads = qcalculus.q_diff_heads(values[:n + 1], p.m, bits)
-            row_x = pack_at_point(bound, row, lo)[1]
-            for k, expected in enumerate(row):
-                target = row_x[k] * norms_x[k]
+            row_x = pack_at_point(bound, row)[1]
+            for k, (expected, x) in enumerate(zip(row, row_x)):
+                target = None if x is None else x * norms_x[k]
                 for identity, got in (("explicit", sum(columns[k])),
                                       ("newton", heads[k])):
                     if got != target:
                         res.fail({**base, "n": n, "k": k}, identity,
                                  *_failed_sides(
-                                     p, k, unpack_at_point(bits, got, lo),
+                                     p, k, unpack_at_point(bits, got),
                                      expected, norms[k]))
         res.add("explicit", _triangle_cells(nmax))
         res.add("newton", _triangle_cells(nmax))

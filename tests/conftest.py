@@ -6,17 +6,21 @@ structures, the classical recurrence is iterated q-free over plain
 integers, classical EGFs are expanded by rational series arithmetic, and
 determinants by cofactor expansion.  The q-binomial transform, its
 inverse and the Gauss product check test the q-Pascal rows and the
-alternating q-binomial sum.
+alternating q-binomial sum.  ``convolution_first`` and
+``convolution_second`` check one cell of each convolution identity as
+polynomials, over the full k range of its sum, and ``pairs`` is the JSON
+form that ``to_json`` and the CLI's tables write.
 
 The planted faults live here too, as context managers that patch the
 library for their duration only: the recurrence weight, the weight of
-the vertical and horizontal routes, the shift of the convolution
-identities, the shift of the Hankel U factor, the Hankel closed forms,
-the prefactor of the column generating functions, the last sum of each
-tableau walk, the falling factors of the horizontal generating
-function, the alternating q-binomial sum of the explicit route, the
-normalizer of the EGF check, the base of the Newton route's operator
-product, in two forms: one whose heads still divide by the normalizer
+the vertical and horizontal routes, the shift of each of those two
+routes alone, the shift of the convolution identities, the last term of
+each convolution identity's sum, the shift of the Hankel U factor, the
+Hankel closed forms, the prefactor of the column generating functions,
+the last sum of each tableau walk, the falling factors of the horizontal
+generating function, the alternating q-binomial sum of the explicit
+route, the normalizer of the EGF check, the base of the Newton route's
+operator product, in two forms: one whose heads still divide by the normalizer
 and one whose heads leave a remainder, the expected product of the
 classical Hankel corollary, the last determinant of the shared Hankel
 elimination, and the values of the truncated-series step.  Each is the
@@ -47,7 +51,7 @@ import pytest
 from qwhitney import (LaurentPoly, WhitneyParams, hankel,
                       laurent_div_q_ints, qcalculus, q_binomial_rows,
                       q_binomial_terms, q_diff_heads, q_int, q_int_mul_add,
-                      qcore, series, symm, w_star, whitney)
+                      qcore, series, symm, verify, w_star, whitney)
 from qwhitney.qcore import ONE, ZERO
 
 
@@ -58,6 +62,13 @@ def poly(terms: dict) -> LaurentPoly:
     for e, x in terms.items():
         c[e - lo] = x
     return qcore._trimmed(lo, c)
+
+
+def pairs(p: LaurentPoly) -> list:
+    """The sorted [exponent, coefficient-as-decimal-string] pairs of the
+    nonzero terms of p, whose ``json.dumps`` is ``p.to_json()``."""
+    lo = p.min_exp() if p else 0
+    return [[e, str(c)] for e, c in enumerate(p.coeffs, lo) if c]
 
 
 def power(p: LaurentPoly, n: int) -> LaurentPoly:
@@ -129,7 +140,7 @@ def det_cofactor(rows) -> LaurentPoly:
             return rs[0][0]
         acc = ZERO
         for j, entry in enumerate(rs[0]):
-            if entry.is_zero():
+            if not entry:
                 continue
             minor = [row[:j] + row[j + 1:] for row in rs[1:]]
             term = entry * rec(minor)
@@ -169,14 +180,16 @@ def l1(p: LaurentPoly) -> int:
 
 
 def at_point(values) -> tuple:
-    """``(bound, bits, ints, lo)``: the polynomial values packed at one
-    point q = 2^bits times q^-lo, lo their least exponent.  The bound,
-    2^k times the largest L1 norm of the k+1 values (at least 1), covers
-    every coefficient of the values, of row k of the q-Pascal triangle in
-    any base, and of both forms of the order-k operator on them."""
+    """``(bound, bits, ints, lo)``: the polynomial values times q^-lo, lo
+    their least exponent, packed at one point q = 2^bits.  The bound, 2^k
+    times the largest L1 norm of the k+1 values (at least 1), covers every
+    coefficient of the values, of row k of the q-Pascal triangle in any
+    base, and of both forms of the order-k operator on them; both forms
+    are linear in the values, so their results at the point are q^-lo
+    times the true ones."""
     bound = 2 ** (len(values) - 1) * max(1, *map(l1, values))
     lo = min((v.min_exp() for v in values if v), default=0)
-    bits, ints = qcore.pack_at_point(bound, values, lo)
+    bits, ints = qcore.pack_at_point(bound, [v.shift(-lo) for v in values])
     return bound, bits, ints, lo
 
 
@@ -184,7 +197,7 @@ def diff_heads(values, b: int) -> list:
     """``qcalculus.q_diff_heads`` on polynomial values: each head of the
     operator product, read back from its integer at the point."""
     _, bits, ints, lo = at_point(values)
-    return [qcore.unpack_at_point(bits, x, lo)
+    return [qcore.unpack_at_point(bits, x).shift(lo)
             for x in q_diff_heads(ints, b, bits)]
 
 
@@ -194,7 +207,7 @@ def alternating_terms(values, b: int, row) -> list:
     the point."""
     bound, bits, ints, lo = at_point(values)
     row_ints = qcore.pack_at_point(bound, row)[1]
-    return [qcore.unpack_at_point(bits, x, lo)
+    return [qcore.unpack_at_point(bits, x).shift(lo)
             for x in q_binomial_terms(ints, b, row_ints, bits)]
 
 
@@ -247,6 +260,31 @@ def operator_rows(params: WhitneyParams, nmax: int) -> tuple:
 
     sums, heads = operator_sides(params, nmax)
     return normalized(sums), normalized(heads)
+
+
+def _entry(rows, n: int, k: int) -> LaurentPoly:
+    """rows[n][k], or ZERO past the end of either list."""
+    return rows[n][k] if n < len(rows) and k < len(rows[n]) else ZERO
+
+
+def convolution_first(table, shifted, n: int, l: int, j: int) -> bool:
+    """W*[n+1, l+j+1]_q = sum_{k=0}^{n} W*_{m,r}[k,l]_q
+    W*_{m,r+m(l+1)}[n-k,j]_q, l+j <= n, as polynomials?  Reads the W* tables of
+    ``symm.convolution_tables`` (or tables of their values) and sums the
+    full k range, an entry past the end of a table read as 0."""
+    return table[n + 1][l + j + 1] == sum(
+        (_entry(table, k, l) * _entry(shifted[l + 1], n - k, j)
+         for k in range(n + 1)), ZERO)
+
+
+def convolution_second(table, shifted, s: int, p: int, t: int) -> bool:
+    """W*[s+p,t]_q = sum_{k=0}^{t} W*_{m,r}[s,k]_q W*_{m,r+mk}[p,t-k]_q,
+    t <= s+p, as polynomials?  Reads the tables as ``convolution_first``
+    does."""
+    return table[s + p][t] == sum(
+        (_entry(table, s, k) * _entry(shifted[k] if k < len(shifted) else (),
+                                      p, t - k)
+         for k in range(t + 1)), ZERO)
 
 
 def a_tableaux(k: int, length: int):
@@ -312,6 +350,45 @@ def perturb_route_weight():
 
 
 @contextmanager
+def perturb_vertical_shift():
+    """The vertical route's shift q^(mk+r) becomes q^(mk+r+1) where the
+    recurrences suite reads ``whitney.vertical_pass``; the horizontal
+    route is kept."""
+    def shifted(params, k, n):
+        m, r = params.m, params.r
+        weight = q_int(m * (k + 1) + r)
+        acc, out = ZERO, []
+        for j in range(k, n + 1):
+            acc = acc * weight + whitney.w(params, j, k)
+            out.append(acc.shift(m * k + r + 1))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "vertical_pass", shifted)
+        yield
+
+
+@contextmanager
+def perturb_horizontal_shift():
+    """The horizontal route's shift q^(m-r-mh) at each step becomes
+    q^(m-r-mh+1) where the recurrences suite reads
+    ``whitney.horizontal_pass``; the vertical route is kept."""
+    def shifted(params, n):
+        m, r = params.m, params.r
+        acc, out = ZERO, [ZERO] * (n + 1)
+        for h in range(n + 1, 0, -1):
+            entry = whitney.w(params, n + 1, h)
+            acc = (acc * q_int(m * h + r)
+                   + (entry if h % 2 else -entry)).shift(m - r - m * h + 1)
+            out[h - 1] = acc if h % 2 else -acc
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "horizontal_pass", shifted)
+        yield
+
+
+@contextmanager
 def perturb_convolution_shift():
     """The shifted parameter of both convolution identities gets one more
     unit of r.  A recurrence fault cannot reach these cells, since both
@@ -320,6 +397,33 @@ def perturb_convolution_shift():
         mp.setattr(symm, "WhitneyParams",
                    lambda m, r: WhitneyParams(m, r + 1))
         yield
+
+
+@contextmanager
+def _last_term_dropped(name: str):
+    """``symm.name``, a reader of one convolution identity's sides, with
+    the last term of the sum dropped."""
+    right = getattr(symm, name)
+
+    def short(*args):
+        lhs, xs, ys = right(*args)
+        return lhs, xs[:-1], ys[:-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symm, name, short)
+        yield
+
+
+def perturb_first_sides():
+    """The first convolution identity's sum loses its last term where
+    ``symm.convolution_check`` reads it; the second is kept."""
+    return _last_term_dropped("_first_sides")
+
+
+def perturb_second_sides():
+    """The second convolution identity's sum loses its last term where
+    ``symm.convolution_check`` reads it; the first is kept."""
+    return _last_term_dropped("_second_sides")
 
 
 @contextmanager

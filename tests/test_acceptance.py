@@ -89,7 +89,7 @@ def test_criterion_7_classical_limits():
     for p in PARAM_GRID:
         for n in range(9):
             for k in range(n + 1):
-                v = w(p, n, k).eval(1) if not w(p, n, k).is_zero() else 0
+                v = w(p, n, k).eval(1) if w(p, n, k) else 0
                 ok = ok and v == classical_whitney_recurrence(p.m, p.r, n, k)
     p10 = WhitneyParams(1, 0)
     for n in range(9):

@@ -14,6 +14,11 @@ fault reaches, and each fails its one identity alone: the alternating
 q-binomial sum is read by the explicit route only, since the EGF check
 forms its own at one integer point, and the operator product by the
 Newton route only.
+The vertical-shift and horizontal-shift faults each re-implement one pass
+of the recurrences suite with its power of q off by one, and the
+first-sides and second-sides faults drop the last term of one
+convolution identity's sum; each fails its one identity alone, where the
+route-weight and convolution-shift faults fail both of their pair.
 The last-minor fault negates the last determinant of each call of
 ``hankel.leading_minors``, the one elimination that reads every order of
 a family's q-matrix and of its q=1 image, so it fails the Hankel
@@ -39,12 +44,14 @@ from math import prod
 
 from conftest import (perturb_alternating_sum, perturb_classical_product,
                       perturb_closed_form, perturb_convolution_shift,
-                      perturb_egf_normalizer,
+                      perturb_egf_normalizer, perturb_first_sides,
                       perturb_gf_prefactor, perturb_h_prefixes,
-                      perturb_horizontal_falling, perturb_last_minor,
-                      perturb_newton_base, perturb_newton_remainder,
-                      perturb_recurrence, perturb_route_weight,
-                      perturb_tableau_walk, perturb_u_factor)
+                      perturb_horizontal_falling, perturb_horizontal_shift,
+                      perturb_last_minor, perturb_newton_base,
+                      perturb_newton_remainder, perturb_recurrence,
+                      perturb_route_weight, perturb_second_sides,
+                      perturb_tableau_walk, perturb_u_factor,
+                      perturb_vertical_shift)
 from qwhitney import WhitneyParams, cli, q_int, verify, w
 from qwhitney.qcore import ONE
 from qwhitney.whitney import normalizer_factors
@@ -71,6 +78,10 @@ FAULTS = {
     "classical_product": perturb_classical_product,
     "last_minor": perturb_last_minor,
     "h_prefixes": perturb_h_prefixes,
+    "vertical_shift": perturb_vertical_shift,
+    "horizontal_shift": perturb_horizontal_shift,
+    "first_sides": perturb_first_sides,
+    "second_sides": perturb_second_sides,
 }
 
 
@@ -107,6 +118,10 @@ def test_kill_matrix():
         "last_minor": {"hankel_transform", "classical_hankel",
                        "lu_factorization"},
         "h_prefixes": {"h_complete", "rational_gf"},
+        "vertical_shift": {"vertical"},
+        "horizontal_shift": {"horizontal"},
+        "first_sides": {"convolution_first"},
+        "second_sides": {"convolution_second"},
     }
 
 
@@ -147,6 +162,14 @@ REPORTS = {
                       "196d58bee8f104d6e0c780559f599bdb"),
     "h_prefixes": (1, "e2416cb193b41cc6b4172fb9572410ce"
                       "4451751f9f82c99a821f1fc5466731f6"),
+    "vertical_shift": (1, "a1e6611d8cf0081835cb03b6a916435f"
+                          "371e11360fc5f9ce2f178ae21a7f3cf2"),
+    "horizontal_shift": (1, "4baded0767776b21b422aee43728212f"
+                            "ae2cfc5c5d4e1ba1aa73d2796489383a"),
+    "first_sides": (1, "be56c69ab1d953d011b1e6a9b38e0e80"
+                       "113588a411cce2df05f515e01747d003"),
+    "second_sides": (1, "39792b85053f7796347186f2e75f22bb"
+                        "efcdbeb4859c8be5d6eda8c2a4918c20"),
 }
 
 
@@ -159,6 +182,19 @@ def test_golden_report(tmp_path, fault):
         rc = cli.main(["verify", "--suite", "all", "--grid", str(path)], out)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert (rc, digest) == REPORTS[fault]
+
+
+# Exit code and sha256 of the stdout of `verify --suite all` on the
+# default grid: 12,420 cells, all passing.
+DEFAULT_REPORT = (0, "c3b63eeb9e50827d236c35174dd97efd"
+                     "ff613e9681714293ed18699b4aa8ee89")
+
+
+def test_default_grid_report():
+    out = io.StringIO()
+    rc = cli.main(["verify", "--suite", "all"], out)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert (rc, digest) == DEFAULT_REPORT
 
 
 def test_a_division_that_raises_is_a_failed_cell():

@@ -118,7 +118,7 @@ class TestDeterminant:
         mats = (lead_zero, mid_zero, singular)
         expected = [det_cofactor(mat) for mat in mats]
         assert expected[2] == ZERO
-        assert not any(x.is_zero() for x in expected[:2])
+        assert all(expected[:2])
         assert [det_of(mat) for mat in mats] == expected
 
     def test_int_zero_pivots(self):

@@ -183,10 +183,10 @@ class TestRouteIndependence:
 
 
 class TestValuesBelowQToTheZero:
-    """A W with a negative exponent is packed at the family's least
-    exponent, and the values and terms are rolled from there; a value
-    rolled off by a power of q, or a W below q^0, fails its cells on
-    their merits, with exact side texts, and nothing raises."""
+    """A W with a negative exponent packs as None, and the values and
+    terms are rolled from 1; a value rolled off by a power of q, or a W
+    below q^0, fails its cells on their merits, with exact side texts,
+    and nothing raises."""
 
     GRID = {"m": [1, 2], "r": [1], "nmax": 3}
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (gauss_product_check, poly, q_binomial_inverse,
+from conftest import (gauss_product_check, pairs, poly, q_binomial_inverse,
                       q_binomial_transform, q_factorial, random_laurent)
 from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
                       NonExactDivision, laurent_div_q_ints, laurent_exact_div,
@@ -44,15 +44,15 @@ class TestLaurentPoly:
 
     def test_json_pairs_roundtrip(self):
         p = poly({2: 1, 0: 1})
-        assert p.to_pairs() == [[0, "1"], [2, "1"]]
-        assert poly({e: int(c) for e, c in p.to_pairs()}) == p
+        assert json.loads(p.to_json()) == pairs(p) == [[0, "1"], [2, "1"]]
+        assert poly({e: int(c) for e, c in pairs(p)}) == p
 
     @given(json_strategy)
     @example(ZERO)
     @example(poly({-7: -(2 ** 300 + 1), -6: 0, 0: 0, 3: 2 ** 310}))
     @settings(max_examples=200, deadline=None)
     def test_to_json_is_dumps_of_pairs(self, p):
-        assert p.to_json() == json.dumps(p.to_pairs())
+        assert p.to_json() == json.dumps(pairs(p))
 
     @pytest.mark.parametrize("lo, coeffs", [
         # top exponent at the template's bucket and cap edges
@@ -71,14 +71,14 @@ class TestLaurentPoly:
     ])
     def test_to_json_template_edges(self, lo, coeffs):
         p = poly(dict(enumerate(coeffs, lo)))
-        assert p.to_json() == json.dumps(p.to_pairs())
+        assert p.to_json() == json.dumps(pairs(p))
 
     def test_to_json_same_before_and_after_a_larger_template(self):
         qcore._json_template.cache_clear()
         small = poly({0: 3, 1: -2 ** 200, 2: 1})
         before = small.to_json()
         poly({8191: 1, 0: 1, **{e: e for e in range(1, 8191)}}).to_json()
-        assert small.to_json() == before == json.dumps(small.to_pairs())
+        assert small.to_json() == before == json.dumps(pairs(small))
 
     def test_shift_and_stretch(self):
         p = q_int(3)
@@ -102,8 +102,8 @@ class TestLaurentPoly:
 class TestSurface:
     # The ring is what the library calls: polynomial operands only, no
     # public constructor, and no method only tests would reach.
-    KEPT = {"terms", "is_zero", "min_exp", "max_exp", "shift", "stretch",
-            "coeffs", "value_parts", "eval", "to_pairs", "to_json"}
+    KEPT = {"terms", "min_exp", "max_exp", "shift", "stretch", "coeffs",
+            "value_parts", "eval", "to_json"}
     GONE = {"__init__", "__pow__", "__radd__", "__rsub__", "__rmul__"}
 
     @pytest.mark.parametrize("op", [lambda p: p * 3, lambda p: 3 * p,
@@ -225,7 +225,7 @@ class TestExactDivision:
         while checked < 50:
             a = random_laurent(rng)
             b = random_laurent(rng)
-            if b.is_zero():
+            if not b:
                 continue
             assert laurent_exact_div(a * b, b) == a
             checked += 1
@@ -342,7 +342,7 @@ class TestPackAtPoint:
                       for e in range(rng.randrange(1, 6))})
             p = poly({e: rng.randrange(-bound, bound) for e in range(5)})
             _, (a, b) = qcore.pack_at_point(bound, [p, p + d])
-            assert (a == b) == d.is_zero()
+            assert (a == b) == (not d)
 
 
 class TestEval:

@@ -57,7 +57,7 @@ class TestRationalGF:
     def test_low_coefficients_vanish(self):
         s = rational_gf_columns(WhitneyParams(2, 1), 3, 8)[3]
         for n in range(3):
-            assert s[n].is_zero()
+            assert not s[n]
 
     def test_matches_recurrence(self):
         for p in PARAM_GRID:

@@ -2,11 +2,11 @@ from math import comb
 
 import pytest
 
-from conftest import (a_tableaux, count_operators, multiset_sum,
+from conftest import (a_tableaux, convolution_first, convolution_second,
+                      count_operators, multiset_sum,
                       perturb_convolution_shift, poly, power)
 from qwhitney import series, symm, verify
 from qwhitney import (EnumerationTooLarge, WhitneyParams, convolution_check,
-                      convolution_first, convolution_second,
                       convolution_tables, h_prefixes, q_int, tableau_walk,
                       w_star)
 from qwhitney.qcore import ONE, ZERO

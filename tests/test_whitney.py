@@ -54,7 +54,7 @@ class TestTriangularRecurrence:
                 for k in range(n + 1):
                     v = w(p, n, k)
                     assert all(c > 0 for c in v.terms.values())
-                    if not v.is_zero():
+                    if v:
                         assert v.min_exp() >= 0
 
     def test_ehrenborg_special_case(self):
@@ -251,7 +251,7 @@ class TestStar:
             for n in range(11):
                 for k in range(n + 1):
                     v = w_star(p, n, k)
-                    if not v.is_zero():
+                    if v:
                         assert v.min_exp() >= 0
 
 
