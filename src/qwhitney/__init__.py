@@ -7,8 +7,8 @@ transform of the normalized values.
 """
 
 from .qcore import (LaurentPoly, DivisionByZero, EvalAtZero, NonExactDivision,
-                    laurent_div_q_ints, laurent_exact_div, q_binomial_rows,
-                    q_int, q_int_mul_add)
+                    laurent_div_q_ints, laurent_exact_div, q_int,
+                    q_int_mul_add)
 from .whitney import (WhitneyParams, horizontal_pass, r_dowling, vertical_pass,
                       w, w_star, w_table)
 from .qcalculus import q_binomial_terms, q_diff_heads

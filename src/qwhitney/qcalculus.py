@@ -17,13 +17,13 @@ The operator is computed two ways.  ``q_diff_heads`` applies the factors
 one at a time to the values and keeps the head after each pass, so one
 pass gives every order up to k: the Newton route.
 ``q_binomial_terms`` expands the product into the terms of the
-alternating q-binomial sum over the q-Pascal row
-``qcore.q_binomial_rows``, whose total is the explicit route and the
-q-binomial inversion.  For f(x) = [x+r]_q^n term j is a multiple of
-[jm+r]_q^n, so the caller rolls it to the next n by one q-integer product
-at the point (``qcore.mul_q_int_at_point``), as it rolls the values.  The
-two forms share only the values of f, so a fault in one cannot hide in
-both.
+alternating q-binomial sum over a q-Pascal row, which ``q_binomial_row``
+builds at the point from the row above by shifted additions; their total
+is the explicit route and the q-binomial inversion.  For
+f(x) = [x+r]_q^n term j is a multiple of [jm+r]_q^n, so the caller rolls
+it to the next n by one q-integer product at the point
+(``qcore.mul_q_int_at_point``), as it rolls the values.  The two forms
+share only the values of f, so a fault in one cannot hide in both.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ def q_diff_heads(values, b: int, bits: int) -> list:
 def q_binomial_terms(values, b: int, row, bits: int) -> list:
     """The terms (-1)^(k-j) q^(b C(k-j,2)) [k j]_{q^b} values[j],
     j = 0..k, at q = 2^bits, where k = len(values) - 1 and ``row`` is row
-    k of ``qcore.q_binomial_rows``, values and row as integers at that
-    point.
+    k of ``q_binomial_row``, values and row as integers at that point.
 
     With values[j] = f(x + jh) their sum is the expanded q-difference
     operator of order k at x; it is also the q-binomial inversion.  Each
@@ -67,3 +66,15 @@ def q_binomial_terms(values, b: int, row, bits: int) -> list:
         term = (binom << bits * b * comb(k - j, 2)) * value
         terms.append(-term if (k - j) % 2 else term)
     return terms
+
+
+def q_binomial_row(above, b: int, bits: int) -> list:
+    """Row k of the q-Pascal triangle in base q^b, [k j]_{q^b} for
+    j = 0..k, as integers at q = 2^bits, from row k-1 ``above`` ([] gives
+    row 0): [k j] = [k-1 j-1] + q^(bj) [k-1 j], one shifted addition per
+    inner entry and no product."""
+    if not above:
+        return [1]
+    return [1, *(left + (right << bits * b * j)
+                 for j, (left, right) in enumerate(zip(above, above[1:]), 1)),
+            1]

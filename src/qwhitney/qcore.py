@@ -1,11 +1,4 @@
-"""Exact arithmetic foundation: Laurent polynomials in q, q-integers and
-Gaussian binomials.
-
-Gaussian binomials come as one q-Pascal triangle (:func:`q_binomial_rows`),
-built in base q by shifted additions alone, with no product and no division,
-and stretched to base q^b.  ``qcalculus`` weighs the values of a function
-by a row in the terms of its alternating q-binomial sum, all as integers
-at one point.
+"""Exact arithmetic foundation: Laurent polynomials in q and q-integers.
 
 Every value in the library is either a :class:`LaurentPoly` or an exact
 rational (``fractions.Fraction``).  Nothing here ever touches floating
@@ -166,16 +159,6 @@ class LaurentPoly:
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by the monomial q^e."""
         return _poly(self._lo + e, self._c) if self._c else self
-
-    def stretch(self, b: int) -> "LaurentPoly":
-        """Substitute q -> q^b (b >= 1)."""
-        if b < 1:
-            raise ValueError("stretch factor must be positive")
-        if b == 1 or not self._c:
-            return self
-        out = [0] * ((len(self._c) - 1) * b + 1)
-        out[::b] = self._c
-        return _poly(self._lo * b, tuple(out))
 
     @property
     def coeffs(self) -> tuple:
@@ -574,27 +557,3 @@ def laurent_div_q_ints(x: LaurentPoly, a_list) -> LaurentPoly:
             raise NonExactDivision(f"[{a}]_q does not divide")
         del c[-a:]
     return _poly(lo, tuple(c) if sign > 0 else tuple(map(neg, c)))
-
-
-def q_binomial_rows(kmax: int, b: int = 1) -> list:
-    """Rows k = 0..kmax of the q-Pascal triangle, row k the list
-    [k j]_{q^b}, j = 0..k.
-
-    Built in base q by additions alone, [k j] = [k-1 j-1] + q^j [k-1 j],
-    each inner entry one shifted addition of its two neighbours above into
-    a working list (``_add_into``), then every entry stretched to base q^b.
-    """
-    if kmax < 0:
-        raise ValueError("q_binomial_rows requires kmax >= 0")
-    rows = [[ONE]]
-    for k in range(1, kmax + 1):
-        above, row = rows[-1], [ONE]
-        for j in range(1, k):
-            left, right = above[j - 1], above[j]
-            c = list(left._c)
-            row.append(_trimmed(_add_into(c, left._lo, right._c,
-                                          right._lo + j), c))
-        row.append(ONE)
-        rows.append(row)
-    return [[x.stretch(b) for x in row] for row in rows]
-

@@ -13,11 +13,12 @@ working list per length (``qcore.poly_sums``), with no sum polynomial
 built per tableau.  The two convolution identities read the W* tables of
 ``convolution_tables``, built once per (m, r).  ``convolution_check``
 compares every cell of both as integers at one point q = 2^B, each entry
-packed once, with B set from q = 1 values so that each integer equality
-is an exact polynomial equality (``qcore.pack_at_point``, shared with
-``series.egf_check``), and returns the cell count of each identity and
-its failed cells only.  It reads a cell's terms from one place per
-identity, ``_first_sides`` and ``_second_sides``.
+packed once, with B set from q = 1 values (``convolution_bound``) so
+that each integer equality is an exact polynomial equality
+(``qcore.pack_at_point``, shared with ``series.egf_check``), and returns
+the cell count of each identity and its failed cells only.  It reads a
+cell's terms from one place per identity, ``_first_sides`` and
+``_second_sides``.
 """
 
 from __future__ import annotations
@@ -124,6 +125,36 @@ def _second_sides(table, shifted, s: int, p: int, t: int) -> tuple:
             [shifted[k][p][t - k] for k in ks])
 
 
+def _identities(nmax: int, spmax: int) -> tuple:
+    """(identity, names of its parameters, its sides, its cells'
+    parameters) of each convolution identity, cells in order."""
+    return (
+        ("convolution_first", ("n", "l", "j"), _first_sides,
+         [(n, l, j) for n in range(nmax + 1) for l in range(n + 1)
+          for j in range(n - l + 1)]),
+        ("convolution_second", ("s", "p", "t"), _second_sides,
+         [(s, p, t) for s in range(spmax + 1) for p in range(spmax + 1)
+          for t in range(s + p + 1)]))
+
+
+def convolution_bound(table, shifted, nmax: int, spmax: int) -> int:
+    """A bound on every coefficient of both sides of every cell of the two
+    identities, and of their difference: the largest, over the cells, of
+    L1 of the left side plus the sum over the pairs of the products of
+    their L1 norms, read from the W* tables as ``convolution_check``
+    reads them."""
+    def at_one(rows):
+        return [[sum(map(abs, x.coeffs)) for x in row] for row in rows]
+
+    ones = at_one(table), [at_one(rows) for rows in shifted]
+    bound = 0
+    for _, _, sides, cells in _identities(nmax, spmax):
+        for args in cells:
+            lhs, xs, ys = sides(*ones, *args)
+            bound = max(bound, lhs + sum(map(mul, xs, ys)))
+    return bound
+
+
 def convolution_check(table, shifted, nmax: int, spmax: int) -> tuple:
     """``(counts, failed)`` over every cell of the two identities, in
     order: the first, W*[n+1, l+j+1]_q = sum_k W*_{m,r}[k,l]_q
@@ -136,39 +167,19 @@ def convolution_check(table, shifted, nmax: int, spmax: int) -> tuple:
     ``convolution_tables`` of (m, r) for nmax and spmax.
 
     Each cell compares the two sides as integers at one point q = X =
-    2^B, each entry packed once (``qcore.pack_at_point``).  B is 2 bits
-    over the largest, over the cells, of sum |coefficients| of the left
-    side plus the sum over the pairs of the products of their sum
-    |coefficients|, which bounds every coefficient of the difference of
-    the two sides; so each cell is a few integer products and one exact
-    comparison.  An entry with a negative exponent, which no W* has,
-    fails every cell that reads it.
+    2^B, each entry packed once (``qcore.pack_at_point``), B set by
+    ``convolution_bound``; so each cell is a few integer products and one
+    exact comparison.  An entry with a negative exponent, which no W*
+    has, fails every cell that reads it.
     """
-    # (identity, names of its parameters, its sides, its cells' parameters)
-    identities = (
-        ("convolution_first", ("n", "l", "j"), _first_sides,
-         [(n, l, j) for n in range(nmax + 1) for l in range(n + 1)
-          for j in range(n - l + 1)]),
-        ("convolution_second", ("s", "p", "t"), _second_sides,
-         [(s, p, t) for s in range(spmax + 1) for p in range(spmax + 1)
-          for t in range(s + p + 1)]))
-
-    def at_one(rows):
-        return [[sum(map(abs, x.coeffs)) for x in row] for row in rows]
-
-    ones = at_one(table), [at_one(rows) for rows in shifted]
-    bound = 0
-    for _, _, sides, cells in identities:
-        for args in cells:
-            lhs, xs, ys = sides(*ones, *args)
-            bound = max(bound, lhs + sum(map(mul, xs, ys)))
+    bound = convolution_bound(table, shifted, nmax, spmax)
 
     def at_point(rows):
         return [pack_at_point(bound, row)[1] for row in rows]
 
     points = at_point(table), [at_point(rows) for rows in shifted]
     counts, failed = {}, []
-    for identity, names, sides, cells in identities:
+    for identity, names, sides, cells in _identities(nmax, spmax):
         counts[identity] = len(cells)
         for args in cells:
             lhs, xs, ys = sides(*points, *args)

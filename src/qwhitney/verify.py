@@ -19,8 +19,8 @@ suites read W, and W* by one shift, from one ``whitney.w_table`` per
 (m, r); the genfun suite's reaches the largest of its three row bounds
 and serves its EGF and horizontal cells too.  A suite builds the
 inputs its routes and checks share, and no route or check builds them
-itself: per (m, r) the explicit suite's q-Pascal rows and normalizers,
-and its values of [x+r]_q^n at the nodes x = jm, rolled with n as
+itself: per (m, r) the explicit suite's normalizers, and its q-Pascal
+rows and values of [x+r]_q^n at the nodes x = jm, rolled with n as
 integers at one point by shifts and adds, every column
 generating function and h_complete cell from one pass of
 symm.h_prefixes, every EGF cell from one series.egf_check, and the
@@ -58,8 +58,8 @@ from types import SimpleNamespace
 from . import hankel as hk
 from . import qcalculus, series, symm
 from .qcore import (ONE, ZERO, NonExactDivision, laurent_div_q_ints,
-                    mul_q_int_at_point, pack_at_point, q_binomial_rows,
-                    q_int, unpack_at_point)
+                    mul_q_int_at_point, pack_at_point, q_int,
+                    unpack_at_point)
 from .whitney import (WhitneyParams, check_degree, horizontal_pass,
                       normalizer_factors, row_degree, vertical_pass, w_table)
 
@@ -255,14 +255,16 @@ def suite_explicit(g: dict) -> SuiteResult:
 
     Every side is an integer at one point q = X = 2^B, B set by
     ``explicit_bound``, so a cell passes exactly when its polynomials are
-    equal.  The q-Pascal rows and normalizers are packed once per (m, r)
+    equal.  The normalizers are packed once per (m, r)
     (``qcore.pack_at_point``), and each W once; a W with a negative
     exponent, which no W has, packs as None and fails both its cells.
     The values start at 1 and are rolled row by row, each times [jm+r]_X
-    (``qcore.mul_q_int_at_point``, shifts and adds).  Column k's terms of
-    the alternating sum (``qcalculus.q_binomial_terms``) are formed once,
-    at n = k, and rolled the same way, term j times [jm+r]_X; cell (n, k)
-    adds them up.  The Newton heads of row n are one pass over its values
+    (``qcore.mul_q_int_at_point``, shifts and adds), and the q-Pascal
+    row is built from the row above (``qcalculus.q_binomial_row``, shifted
+    additions).  Column k's terms of the alternating sum
+    (``qcalculus.q_binomial_terms``) are formed once, at n = k, and rolled
+    like the values, term j times [jm+r]_X; cell (n, k) adds them up.  The
+    Newton heads of row n are one pass over its values
     (``qcalculus.q_diff_heads``).  Only a failed cell reads its side back
     as a polynomial (``qcore.unpack_at_point``) and divides, for its side
     texts: the quotient and W, or, where the division leaves a remainder,
@@ -276,10 +278,8 @@ def suite_explicit(g: dict) -> SuiteResult:
                                 initial=ONE))
         bound = explicit_bound(p, table, norms)
         bits, norms_x = pack_at_point(bound, norms)
-        rows = [pack_at_point(bound, row)[1]
-                for row in q_binomial_rows(nmax, p.m)]
         nodes = [j * p.m + p.r for j in range(nmax + 1)]
-        values, columns = [1] * (nmax + 1), []
+        values, binoms, columns = [1] * (nmax + 1), [], []
         for n, row in enumerate(table):
             if n:
                 values = [mul_q_int_at_point(v, a, bits)
@@ -287,8 +287,9 @@ def suite_explicit(g: dict) -> SuiteResult:
                 columns = [[mul_q_int_at_point(t, a, bits)
                             for t, a in zip(terms, nodes)]
                            for terms in columns]
+            binoms = qcalculus.q_binomial_row(binoms, p.m, bits)
             columns.append(qcalculus.q_binomial_terms(values[:n + 1], p.m,
-                                                      rows[n], bits))
+                                                      binoms, bits))
             heads = qcalculus.q_diff_heads(values[:n + 1], p.m, bits)
             row_x = pack_at_point(bound, row)[1]
             for k, (expected, x) in enumerate(zip(row, row_x)):
@@ -316,8 +317,8 @@ def explicit_bound(params, table, norms) -> int:
     sum weigh the values by row k of the q-Pascal triangle, which sums to
     2^k at q = 1, and a pass of the operator product at most doubles the
     L1 norm.  The second bounds W times its normalizer.  It covers every
-    packed coefficient too: the q-Pascal rows' are at most 2^nmax, and
-    L1(N_k) = k! m^k is at most (nmax m + r)^nmax.
+    coefficient at the point too: the q-Pascal rows' are at most 2^nmax,
+    and L1(N_k) = k! m^k is at most (nmax m + r)^nmax.
     """
     m, r = params.m, params.r
     nmax = len(table) - 1

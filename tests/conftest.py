@@ -5,11 +5,13 @@ computation paths: set partitions are enumerated as actual block
 structures, the classical recurrence is iterated q-free over plain
 integers, classical EGFs are expanded by rational series arithmetic, and
 determinants by cofactor expansion.  The q-binomial transform, its
-inverse and the Gauss product check test the q-Pascal rows and the
+inverse and the Gauss product check test the q-Pascal rows of
+``q_binomial_rows``, polynomials in base q stretched to base q^b, and the
 alternating q-binomial sum.  ``convolution_first`` and
 ``convolution_second`` check one cell of each convolution identity as
-polynomials, over the full k range of its sum, and ``pairs`` is the JSON
-form that ``to_json`` and the CLI's tables write.
+polynomials, over the full k range of its sum (``first_sides`` and
+``second_sides``), and ``pairs`` is the JSON form that ``to_json`` and
+the CLI's tables write.
 
 The planted faults live here too, as context managers that patch the
 library for their duration only: the recurrence weight, the weight of
@@ -19,20 +21,20 @@ each convolution identity's sum, the shift of the Hankel U factor, the
 Hankel closed forms, the prefactor of the column generating functions,
 the last sum of each tableau walk, the falling factors of the horizontal
 generating function, the alternating q-binomial sum of the explicit
-route, the normalizer of the EGF check, the base of the Newton route's
-operator product, in two forms: one whose heads still divide by the normalizer
-and one whose heads leave a remainder, the expected product of the
-classical Hankel corollary, the last determinant of the shared Hankel
-elimination, and the values of the truncated-series step.  Each is the
-mutation of one route, and ``test_faults.py`` checks that together they
-fail every identity the suites check.  ``record_products`` counts the
-products that take one of the ring's product paths, and
-``count_operators`` the ring's products and sums.  ``diff_heads`` and
-``alternating_terms`` read the two forms of the q-difference operator,
-which work on integers at one point, back as polynomials, over the
-values of ``q_power_table`` (``operator_sides``).  ``poly``, ``power``,
-``q_factorial`` and ``q_power_table`` build test values the library
-itself never needs.
+route, the shift of its q-Pascal step, the normalizer of the EGF check,
+the base of the Newton route's operator product, in two forms: one whose
+heads still divide by the normalizer and one whose heads leave a
+remainder, the expected product of the classical Hankel corollary, the
+last determinant of the shared Hankel elimination, and the values of the
+truncated-series step.  Each is the mutation of one route, and
+``test_faults.py`` checks that together they fail every identity the
+suites check.  ``record_products`` counts the products that take one of
+the ring's product paths, and ``count_operators`` the ring's products
+and sums.  ``diff_heads`` and ``alternating_terms`` read the two forms of
+the q-difference operator, which work on integers at one point, back as
+polynomials, over the values of ``q_power_table`` (``operator_sides``).
+``poly``, ``power``, ``q_factorial``, ``stretch``, ``q_binomial_rows``
+and ``q_power_table`` build test values the library itself never needs.
 ``multiset_sum`` enumerates the A-tableaux of one cell on its own
 (``a_tableaux``), with no prefix shared between cells or tableaux: the
 oracle of the tableau walk.
@@ -49,9 +51,9 @@ from operator import floordiv
 import pytest
 
 from qwhitney import (LaurentPoly, WhitneyParams, hankel,
-                      laurent_div_q_ints, qcalculus, q_binomial_rows,
-                      q_binomial_terms, q_diff_heads, q_int, q_int_mul_add,
-                      qcore, series, symm, verify, w_star, whitney)
+                      laurent_div_q_ints, qcalculus, q_binomial_terms,
+                      q_diff_heads, q_int, q_int_mul_add, qcore, series, symm,
+                      verify, w_star, whitney)
 from qwhitney.qcore import ONE, ZERO
 
 
@@ -78,6 +80,24 @@ def power(p: LaurentPoly, n: int) -> LaurentPoly:
 def q_factorial(n: int) -> LaurentPoly:
     """[n]_q! = [1]_q [2]_q ... [n]_q."""
     return prod(map(q_int, range(1, n + 1)), start=ONE)
+
+
+def stretch(p: LaurentPoly, b: int) -> LaurentPoly:
+    """p with q -> q^b, b >= 1."""
+    return poly({b * e: c for e, c in enumerate(p.coeffs, p.min_exp())}
+                if p else {})
+
+
+def q_binomial_rows(kmax: int, b: int = 1) -> list:
+    """Rows k = 0..kmax of the q-Pascal triangle as polynomials, row k the
+    list [k j]_{q^b}, j = 0..k: built in base q by
+    [k j] = [k-1 j-1] + q^j [k-1 j], then stretched to base q^b."""
+    rows = [[ONE]]
+    for k in range(1, kmax + 1):
+        above = rows[-1]
+        rows.append([ONE] + [above[j - 1] + above[j].shift(j)
+                             for j in range(1, k)] + [ONE])
+    return [[stretch(x, b) for x in row] for row in rows]
 
 
 def enumerate_set_partitions(n):
@@ -267,24 +287,39 @@ def _entry(rows, n: int, k: int) -> LaurentPoly:
     return rows[n][k] if n < len(rows) and k < len(rows[n]) else ZERO
 
 
+def first_sides(table, shifted, n: int, l: int, j: int) -> tuple:
+    """``(lhs, terms)`` of the first convolution identity at (n, l, j),
+    l+j <= n: W*[n+1, l+j+1]_q and the products W*_{m,r}[k,l]_q
+    W*_{m,r+m(l+1)}[n-k,j]_q, k = 0..n, whose sum it is.  Reads the W*
+    tables of ``symm.convolution_tables`` (or tables of their values), an
+    entry past the end of a table read as 0."""
+    return table[n + 1][l + j + 1], [
+        _entry(table, k, l) * _entry(shifted[l + 1], n - k, j)
+        for k in range(n + 1)]
+
+
+def second_sides(table, shifted, s: int, p: int, t: int) -> tuple:
+    """``(lhs, terms)`` of the second convolution identity at (s, p, t),
+    t <= s+p: W*[s+p,t]_q and the products W*_{m,r}[s,k]_q
+    W*_{m,r+mk}[p,t-k]_q, k = 0..t, read as ``first_sides`` reads them."""
+    return table[s + p][t], [
+        _entry(table, s, k) * _entry(shifted[k] if k < len(shifted) else (),
+                                     p, t - k)
+        for k in range(t + 1)]
+
+
 def convolution_first(table, shifted, n: int, l: int, j: int) -> bool:
     """W*[n+1, l+j+1]_q = sum_{k=0}^{n} W*_{m,r}[k,l]_q
-    W*_{m,r+m(l+1)}[n-k,j]_q, l+j <= n, as polynomials?  Reads the W* tables of
-    ``symm.convolution_tables`` (or tables of their values) and sums the
-    full k range, an entry past the end of a table read as 0."""
-    return table[n + 1][l + j + 1] == sum(
-        (_entry(table, k, l) * _entry(shifted[l + 1], n - k, j)
-         for k in range(n + 1)), ZERO)
+    W*_{m,r+m(l+1)}[n-k,j]_q, l+j <= n, as polynomials?"""
+    lhs, terms = first_sides(table, shifted, n, l, j)
+    return lhs == sum(terms, ZERO)
 
 
 def convolution_second(table, shifted, s: int, p: int, t: int) -> bool:
     """W*[s+p,t]_q = sum_{k=0}^{t} W*_{m,r}[s,k]_q W*_{m,r+mk}[p,t-k]_q,
-    t <= s+p, as polynomials?  Reads the tables as ``convolution_first``
-    does."""
-    return table[s + p][t] == sum(
-        (_entry(table, s, k) * _entry(shifted[k] if k < len(shifted) else (),
-                                      p, t - k)
-         for k in range(t + 1)), ZERO)
+    t <= s+p, as polynomials?"""
+    lhs, terms = second_sides(table, shifted, s, p, t)
+    return lhs == sum(terms, ZERO)
 
 
 def a_tableaux(k: int, length: int):
@@ -526,6 +561,25 @@ def perturb_alternating_sum():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qcalculus, "q_binomial_terms", negated)
+        yield
+
+
+@contextmanager
+def perturb_binomial_row():
+    """The shift q^(bj) of the q-Pascal step [k j] = [k-1 j-1] +
+    q^(bj) [k-1 j] becomes q^(b(j+1)) where the explicit suite reads
+    ``qcalculus.q_binomial_row``.  The EGF check forms its Gaussian
+    binomials by their product formula, and the Newton route reads none."""
+    def shifted(above, b, bits):
+        if not above:
+            return [1]
+        return [1, *(left + (right << bits * b * (j + 1))
+                     for j, (left, right) in enumerate(zip(above, above[1:]),
+                                                       1)),
+                1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcalculus, "q_binomial_row", shifted)
         yield
 
 

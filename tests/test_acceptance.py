@@ -12,10 +12,10 @@ from operator import floordiv
 from conftest import (alternating_sum, classical_whitney_recurrence,
                       diff_heads, gauss_product_check,
                       operator_rows, perturb_recurrence, power,
-                      q_binomial_inverse, q_binomial_transform,
-                      stirling2_enum)
+                      q_binomial_inverse, q_binomial_rows,
+                      q_binomial_transform, stirling2_enum)
 from qwhitney import (HankelSpec, WhitneyParams, cli, classical_hankel_check,
-                      hankel_matrix, q_binomial_rows, q_int, w, w_star,
+                      hankel_matrix, q_int, w, w_star,
                       h_prefixes, tableau_walk)
 from qwhitney import verify
 from qwhitney.hankel import bareiss

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pairs, perturb_recurrence, poly
-from qwhitney import cli, qcore, symm, verify
+from qwhitney import cli, qcalculus, qcore, symm, verify
 from qwhitney import whitney
 from qwhitney.hankel import HankelSpec, degree_bound
 from qwhitney.qcore import NonExactDivision, q_int
@@ -828,7 +828,7 @@ class TestDigitLimit:
 
 class TestInternalError:
     @pytest.mark.parametrize("module, name, error, suite", [
-        (verify, "q_binomial_rows", NonExactDivision, "explicit"),
+        (qcalculus, "q_binomial_row", NonExactDivision, "explicit"),
     ])
     def test_exit_three_in_one_line(self, monkeypatch, capsys, small_grid,
                                     module, name, error, suite):
@@ -877,7 +877,7 @@ class TestOutOfMemory:
         # not a failed identity (exit 1); the stub allocates nothing.
         def exhausted(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(verify, "q_binomial_rows", exhausted)
+        monkeypatch.setattr(qcalculus, "q_binomial_row", exhausted)
         rc, out = run(["verify", "--suite", "explicit", "--grid", small_grid])
         assert rc == 2 and out == ""
         err = capsys.readouterr().err

@@ -8,12 +8,13 @@ DeMillo, Lipton & Sayward 1978).  The whole report of each run is pinned
 too, by the sha256 of its text: the order of the failures, their witness
 parameters and their side texts.
 
-The tableau-walk, horizontal-falling, alternating-sum, EGF-normalizer,
-Newton-base and classical-product faults reach route code that no other
-fault reaches, and each fails its one identity alone: the alternating
-q-binomial sum is read by the explicit route only, since the EGF check
-forms its own at one integer point, and the operator product by the
-Newton route only.
+The tableau-walk, horizontal-falling, alternating-sum, binomial-row,
+EGF-normalizer, Newton-base and classical-product faults reach route
+code that no other fault reaches, and each fails its one identity alone:
+the alternating q-binomial sum and the q-Pascal rows it weighs the
+values by are read by the explicit route only, since the EGF check forms
+its own sum at one integer point, with Gaussian binomials by their
+product formula, and the operator product by the Newton route only.
 The vertical-shift and horizontal-shift faults each re-implement one pass
 of the recurrences suite with its power of q off by one, and the
 first-sides and second-sides faults drop the last term of one
@@ -42,16 +43,16 @@ import pytest
 
 from math import prod
 
-from conftest import (perturb_alternating_sum, perturb_classical_product,
-                      perturb_closed_form, perturb_convolution_shift,
-                      perturb_egf_normalizer, perturb_first_sides,
-                      perturb_gf_prefactor, perturb_h_prefixes,
-                      perturb_horizontal_falling, perturb_horizontal_shift,
-                      perturb_last_minor, perturb_newton_base,
-                      perturb_newton_remainder, perturb_recurrence,
-                      perturb_route_weight, perturb_second_sides,
-                      perturb_tableau_walk, perturb_u_factor,
-                      perturb_vertical_shift)
+from conftest import (perturb_alternating_sum, perturb_binomial_row,
+                      perturb_classical_product, perturb_closed_form,
+                      perturb_convolution_shift, perturb_egf_normalizer,
+                      perturb_first_sides, perturb_gf_prefactor,
+                      perturb_h_prefixes, perturb_horizontal_falling,
+                      perturb_horizontal_shift, perturb_last_minor,
+                      perturb_newton_base, perturb_newton_remainder,
+                      perturb_recurrence, perturb_route_weight,
+                      perturb_second_sides, perturb_tableau_walk,
+                      perturb_u_factor, perturb_vertical_shift)
 from qwhitney import WhitneyParams, cli, q_int, verify, w
 from qwhitney.qcore import ONE
 from qwhitney.whitney import normalizer_factors
@@ -72,6 +73,7 @@ FAULTS = {
     "tableau_walk": perturb_tableau_walk,
     "horizontal_falling": perturb_horizontal_falling,
     "alternating_sum": perturb_alternating_sum,
+    "binomial_row": perturb_binomial_row,
     "egf_normalizer": perturb_egf_normalizer,
     "newton_base": perturb_newton_base,
     "newton_remainder": perturb_newton_remainder,
@@ -111,6 +113,7 @@ def test_kill_matrix():
         "tableau_walk": {"tableau"},
         "horizontal_falling": {"horizontal_gf"},
         "alternating_sum": {"explicit"},
+        "binomial_row": {"explicit"},
         "egf_normalizer": {"egf"},
         "newton_base": {"newton"},
         "newton_remainder": {"newton"},
@@ -150,6 +153,8 @@ REPORTS = {
                               "490db56d7a2aef72905b511229821481"),
     "alternating_sum": (1, "5e5ba00f059f9931097064f686329e1e"
                            "7b81a76c56920f9910a4b5ccfc78374d"),
+    "binomial_row": (1, "27c3b29fbe44aaecb8ac877ae7a8e7bb"
+                        "df80fc827ecaac38713227c59a08e2a8"),
     "egf_normalizer": (1, "36238923d9ed618e197c338a43ae78e6"
                           "185a4a4148e20514bb65e0c338f0b17c"),
     "newton_base": (1, "d161f6197eb3fc78c3b54a171875c765"

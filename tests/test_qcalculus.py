@@ -6,11 +6,10 @@ import pytest
 from conftest import (alternating_sum, alternating_terms,
                       classical_whitney_recurrence, diff_heads, l1,
                       operator_rows, operator_sides, poly, power,
-                      q_power_table)
+                      q_binomial_rows, q_power_table, stretch)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from qwhitney import (WhitneyParams, q_binomial_rows, q_diff_heads, q_int,
-                      w, w_table)
+from qwhitney import WhitneyParams, q_diff_heads, q_int, w, w_table
 from qwhitney import qcalculus, qcore, verify
 from qwhitney.qcore import ONE, ZERO
 from qwhitney.whitney import normalizer_factors
@@ -40,7 +39,7 @@ class TestPowerTable:
         assert table[5][3] == power(q_int(7), 5)
         rows = q_binomial_rows(3, 2)
         assert [len(row) for row in rows] == [1, 2, 3, 4]
-        assert rows[3][1] == q_binomial_rows(3)[3][1].stretch(2)
+        assert rows[3][1] == stretch(q_binomial_rows(3)[3][1], 2)
 
 
 class TestOnePassHeads:

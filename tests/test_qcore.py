@@ -10,12 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (gauss_product_check, pairs, poly, q_binomial_inverse,
-                      q_binomial_transform, q_factorial, random_laurent)
+                      q_binomial_rows, q_binomial_transform, q_factorial,
+                      random_laurent, stretch)
 from qwhitney import (LaurentPoly, DivisionByZero, EvalAtZero,
                       NonExactDivision, laurent_div_q_ints, laurent_exact_div,
-                      q_binomial_rows, q_int, q_int_mul_add)
+                      q_int, q_int_mul_add)
 import qwhitney
-from qwhitney import qcore
+from qwhitney import qcalculus, qcore
 from qwhitney.qcore import ONE, ZERO, poly_sum
 
 laurent_strategy = st.dictionaries(
@@ -80,10 +81,8 @@ class TestLaurentPoly:
         poly({8191: 1, 0: 1, **{e: e for e in range(1, 8191)}}).to_json()
         assert small.to_json() == before == json.dumps(pairs(small))
 
-    def test_shift_and_stretch(self):
-        p = q_int(3)
-        assert p.shift(2) == poly({2: 1, 3: 1, 4: 1})
-        assert p.stretch(2) == poly({0: 1, 2: 1, 4: 1})
+    def test_shift(self):
+        assert q_int(3).shift(2) == poly({2: 1, 3: 1, 4: 1})
 
     @given(laurent_strategy, laurent_strategy, laurent_strategy)
     @settings(max_examples=60, deadline=None)
@@ -102,9 +101,10 @@ class TestLaurentPoly:
 class TestSurface:
     # The ring is what the library calls: polynomial operands only, no
     # public constructor, and no method only tests would reach.
-    KEPT = {"terms", "min_exp", "max_exp", "shift", "stretch", "coeffs",
-            "value_parts", "eval", "to_json"}
-    GONE = {"__init__", "__pow__", "__radd__", "__rsub__", "__rmul__"}
+    KEPT = {"terms", "min_exp", "max_exp", "shift", "coeffs", "value_parts",
+            "eval", "to_json"}
+    GONE = {"__init__", "__pow__", "__radd__", "__rsub__", "__rmul__",
+            "stretch"}
 
     @pytest.mark.parametrize("op", [lambda p: p * 3, lambda p: 3 * p,
                                     lambda p: p + 1, lambda p: 1 - p])
@@ -118,6 +118,8 @@ class TestSurface:
         assert not self.GONE & set(vars(LaurentPoly))
         assert not hasattr(qwhitney, "q_factorial")
         assert not hasattr(qcore, "q_factorial")
+        assert not hasattr(qwhitney, "q_binomial_rows")
+        assert not hasattr(qcore, "q_binomial_rows")
 
 
 class TestQInt:
@@ -157,49 +159,81 @@ class TestQFactorial:
             assert q_factorial(n).eval(Fraction(1)) == factorial(n)
 
 
+def pascal_rows(kmax: int, b: int, bits: int) -> list:
+    """Rows 0..kmax of the q-Pascal triangle in base q^b as integers at
+    q = 2^bits, each from the last by ``qcalculus.q_binomial_row``."""
+    rows = [qcalculus.q_binomial_row([], b, bits)]
+    for _ in range(kmax):
+        rows.append(qcalculus.q_binomial_row(rows[-1], b, bits))
+    return rows
+
+
+def quotient(n: int, j: int, b: int) -> LaurentPoly:
+    """[n j]_{q^b} by the closed formula [n]! / ([j]! [n-j]!) in base q,
+    then q -> q^b."""
+    return stretch(laurent_exact_div(
+        q_factorial(n), q_factorial(j) * q_factorial(n - j)), b)
+
+
 class TestQBinomial:
+    # qcalculus.q_binomial_row at one point, read back as polynomials
     def test_edge_cases(self):
-        row = q_binomial_rows(5)[5]
-        assert row[0] == row[5] == ONE
+        row = pascal_rows(5, 1, 8)[5]
+        assert len(row) == 6 and row[0] == row[5] == 1
 
     def test_four_choose_two(self):
-        assert q_binomial_rows(4)[4][2] == \
+        assert qcore.unpack_at_point(8, pascal_rows(4, 1, 8)[4][2]) == \
             poly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
 
     def test_base_exponent(self):
-        assert q_binomial_rows(2, 2)[2][1] == poly({0: 1, 2: 1})
+        assert qcore.unpack_at_point(8, pascal_rows(2, 2, 8)[2][1]) == \
+            poly({0: 1, 2: 1})
 
     def test_value_at_one(self):
+        # at bits = 0 the point is q = 1, where [n k]_{q^b} is C(n, k)
         for b in (1, 2, 3):
+            for n, row in enumerate(pascal_rows(12, b, 0)):
+                assert row == [comb(n, k) for k in range(n + 1)]
             for n, row in enumerate(q_binomial_rows(10, b)):
-                for k in range(n + 1):
-                    assert row[k].eval(Fraction(1)) == comb(n, k)
+                assert [x.eval(Fraction(1)) for x in row] == \
+                    [comb(n, k) for k in range(n + 1)]
 
     def test_pascal_identity(self):
-        rows = q_binomial_rows(10)
-        for n in range(1, 11):
-            row, above = rows[n], rows[n - 1] + [ZERO]
-            for k in range(1, n + 1):
-                assert row[k] == above[k - 1] + above[k].shift(k)
+        # the mirrored step [n k] = q^(b(n-k)) [n-1 k-1] + [n-1 k], which
+        # neither the row builder nor the oracle takes
+        for b in (1, 2, 3):
+            rows = pascal_rows(10, b, 16)
+            oracle = q_binomial_rows(10, b)
+            for n in range(1, 11):
+                for k in range(1, n):
+                    assert rows[n][k] == \
+                        (rows[n - 1][k - 1] << 16 * b * (n - k)) \
+                        + rows[n - 1][k]
+                    assert oracle[n][k] == \
+                        oracle[n - 1][k - 1].shift(b * (n - k)) \
+                        + oracle[n - 1][k]
 
 
 class TestQBinomialRow:
     def test_matches_factorial_quotient(self):
-        # the closed formula: [n]! / ([j]! [n-j]!) in base q, then q -> q^b
+        # rows 0..12 in base q, q^2 and q^3 against the closed formula
+        # packed at the point, and the oracle's rows against it as
+        # polynomials
         for b in (1, 2, 3):
-            rows = q_binomial_rows(12, b)
-            assert len(rows) == 13
-            for n, row in enumerate(rows):
-                assert len(row) == n + 1
-                for j, entry in enumerate(row):
-                    quotient = laurent_exact_div(
-                        q_factorial(n), q_factorial(j) * q_factorial(n - j))
-                    assert entry == quotient.stretch(b)
-                    assert entry.eval(Fraction(1)) == comb(n, j)
+            bits = qcore.pack_at_point(2 ** 12, [])[0]
+            rows = pascal_rows(12, b, bits)
+            oracle = q_binomial_rows(12, b)
+            assert len(rows) == len(oracle) == 13
+            for n, (row, polys) in enumerate(zip(rows, oracle)):
+                quotients = [quotient(n, j, b) for j in range(n + 1)]
+                assert row == qcore.pack_at_point(2 ** 12, quotients)[1]
+                assert polys == quotients
 
-    def test_negative_row_rejected(self):
-        with pytest.raises(ValueError):
-            q_binomial_rows(-1)
+    def test_row_zero_from_nothing(self):
+        for b in (1, 2, 3):
+            for bits in (0, 8, 24):
+                assert qcalculus.q_binomial_row([], b, bits) == [1]
+                assert qcalculus.q_binomial_row([1], b, bits) == [1, 1]
 
 
 class TestExactDivision:

@@ -1,10 +1,12 @@
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (a_tableaux, convolution_first, convolution_second,
-                      count_operators, multiset_sum,
-                      perturb_convolution_shift, poly, power)
+                      count_operators, first_sides, l1, multiset_sum,
+                      perturb_convolution_shift, poly, power, second_sides)
 from qwhitney import series, symm, verify
 from qwhitney import (EnumerationTooLarge, WhitneyParams, convolution_check,
                       convolution_tables, h_prefixes, q_int, tableau_walk,
@@ -333,3 +335,83 @@ class TestConvolutions:
                         if literal != lhs:
                             literal_failures += 1
         assert literal_failures > 0
+
+
+def convolution_cells(nmax: int, spmax: int) -> list:
+    """(sides, parameters) of every cell that ``convolution_check`` reads
+    for nmax and spmax, the sides from the polynomial oracles."""
+    return ([(first_sides, (n, l, j)) for n in range(nmax + 1)
+             for l in range(n + 1) for j in range(n - l + 1)]
+            + [(second_sides, (s, p, t)) for s in range(spmax + 1)
+               for p in range(spmax + 1) for t in range(s + p + 1)])
+
+
+def uncovered_convolution_cells(params, nmax: int, spmax: int,
+                                bound_of) -> list:
+    """The parameters of each convolution cell of one family whose sides
+    the bound ``bound_of(table, shifted, nmax, spmax)`` does not cover.
+
+    The sides are the left side and the sum of its products, built as
+    polynomials by ``conftest``'s ``first_sides`` and ``second_sides``
+    over each cell's full k range.  A cell is covered when every
+    coefficient of each side, and of their difference, is within the
+    bound, and when so is the L1 norm of the left side plus those of the
+    products: any signs they could take then leave a difference within
+    the bound too.
+    """
+    tables = convolution_tables(params, nmax, spmax)
+    bound = bound_of(*tables, nmax, spmax)
+    uncovered = []
+    for sides, args in convolution_cells(nmax, spmax):
+        lhs, terms = sides(*tables, *args)
+        rhs = sum(terms, ZERO)
+        widest = max(max(map(abs, x.coeffs), default=0)
+                     for x in (lhs, rhs, lhs - rhs))
+        if max(widest, l1(lhs) + sum(map(l1, terms))) > bound:
+            uncovered.append(args)
+    return uncovered
+
+
+def right_side_bound(table, shifted, nmax, spmax):
+    """``symm.convolution_bound`` without the left side's L1 norm: a
+    planted fault, too small for every cell with a nonzero left side."""
+    return max(sum(map(l1, sides(table, shifted, *args)[1]))
+               for sides, args in convolution_cells(nmax, spmax))
+
+
+families = st.builds(WhitneyParams, st.integers(1, 12), st.integers(0, 15))
+
+
+class TestConvolutionBound:
+    """``symm.convolution_bound`` sets the point at which both convolution
+    identities compare their sides; the comparison is exact only if the
+    bound covers both sides and their difference."""
+
+    @given(families, st.integers(0, 3), st.integers(0, 3))
+    @example(WhitneyParams(12, 15), 3, 3)
+    @example(WhitneyParams(1, 0), 3, 3)
+    @settings(max_examples=20, deadline=None)
+    def test_bound_covers_every_side(self, params, nmax, spmax):
+        assert uncovered_convolution_cells(params, nmax, spmax,
+                                           symm.convolution_bound) == []
+
+    @given(families, st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_planted_bound_is_caught(self, params, nmax, spmax):
+        # at q = 1 both sides of a cell have one L1 norm, so the cell
+        # with the largest falls short by half
+        assert uncovered_convolution_cells(params, nmax, spmax,
+                                           right_side_bound)
+
+    def test_check_reads_the_bound(self, monkeypatch):
+        calls, right = [], symm.convolution_bound
+
+        def recorded(table, shifted, nmax, spmax):
+            calls.append((nmax, spmax))
+            return right(table, shifted, nmax, spmax)
+
+        monkeypatch.setattr(symm, "convolution_bound", recorded)
+        assert verify.run_suite("convolution", {"m": [2], "r": [0, 3],
+                                                "nmax_conv": 3,
+                                                "spmax_conv": 2})[0].ok
+        assert calls == [(3, 2), (3, 2)]

@@ -6,9 +6,9 @@ import pytest
 from conftest import (bell_enum, classical_whitney_recurrence,
                       count_operators, poly, power, record_products,
                       stirling2_enum)
-from qwhitney import (WhitneyParams, horizontal_pass,
-                      q_binomial_rows, q_int, qcore, r_dowling, verify,
-                      vertical_pass, w, w_star, w_table)
+from qwhitney import (WhitneyParams, horizontal_pass, q_int, qcalculus,
+                      qcore, r_dowling, verify, vertical_pass, w, w_star,
+                      w_table)
 from qwhitney.qcore import ONE, ZERO
 
 P11 = WhitneyParams(1, 1)
@@ -184,9 +184,10 @@ class TestProductPaths:
 
     # A clean explicit cell multiplies W by its normalizer and compares;
     # only a failed cell divides.  Dividing every cell took 990 divisions.
-    # Its q-Pascal rows are one triangle built by shifted additions, with
-    # no product or sum; built by the ratio of neighbouring entries they
-    # took 45 products and 45 divisions per (m, r) at kmax 9.
+    # Its q-Pascal rows are rolled at the point by shifted integer
+    # additions, with no polynomial product or sum; built by the ratio of
+    # neighbouring entries they took 45 products and 45 divisions per
+    # (m, r) at kmax 9.
     def test_clean_explicit_suite_divides_nothing(self, monkeypatch):
         divisions = []
         for module in (qcore, verify):
@@ -200,7 +201,9 @@ class TestProductPaths:
         assert verify.run_suite("explicit")[0].ok
         assert divisions == []
         calls = count_operators(monkeypatch)
-        q_binomial_rows(9, 2)
+        row = []
+        for _ in range(10):
+            row = qcalculus.q_binomial_row(row, 2, 8)
         assert calls["__mul__"] == calls["__add__"] == 0
 
     # Each suite counts its cells per identity, in bulk: 12,420 in all.
