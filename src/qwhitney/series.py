@@ -15,16 +15,17 @@ column EGF is checked in integers at one point q = 2^B (``egf_check``),
 B set by ``egf_bound``.
 
 The horizontal generating function is checked in integers: at q = a/b a
-row of values, the falling factors and [t]_q^n each become integer
-numerators over one denominator (``LaurentPoly.value_parts``), and the
-identity is compared cross-multiplied, with no Fraction per cell.
+row of values and [t]_q^n each become integer numerators over one
+denominator (``LaurentPoly.value_parts``), the falling factors are summed
+by Horner's rule from a table of [x]_q as integer pairs, one per q, and
+the identity is compared cross-multiplied, with no Fraction per cell and
+every integer sized by the cell's own row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm, prod
-from operator import mul
 
 from .qcore import ZERO, mul_q_int_at_point, pack_at_point, q_int
 from .symm import h_prefixes, whitney_values
@@ -119,29 +120,6 @@ def q_int_parts(qval: Fraction, xs) -> dict:
     return {x: q_int(x).value_parts(a, b) for x in xs}
 
 
-def horizontal_falling(params: WhitneyParams, t: int, q_ints: dict,
-                       kmax: int) -> tuple:
-    """The falling factors [t-r|m]_{k,q} = prod_{j<k} [t-r-jm]_q at one q
-    for k = 0..kmax, which do not depend on n, as integer numerators over
-    one denominator: ``(nums, den)`` with [t-r|m]_{k,q} = nums[k] / den.
-
-    ``q_ints`` is ``q_int_parts`` at that q for a set of x holding every
-    t-r-jm, j < kmax.  den is the denominator a^A b^B of the last
-    product; a factor [0]_q makes every later numerator 0.
-    """
-    m, r = params.m, params.r
-    factors = [q_ints[t - r - j * m] for j in range(kmax)]
-    # nums[k] = (prod_{j<k} num_j) (prod_{j>=k} den_j)
-    nums = [1] * (kmax + 1)
-    for k in range(kmax - 1, -1, -1):
-        nums[k] = nums[k + 1] * factors[k][1]
-    den, head = nums[0], 1
-    for k, (num, _) in enumerate(factors, 1):
-        head *= num
-        nums[k] *= head
-    return nums, den
-
-
 def horizontal_powers(t: int, qval: Fraction, nmax: int) -> list:
     """[t]_q^n at q = qval for n = 0..nmax as integer pairs: the n-th
     powers of the two parts ``LaurentPoly.value_parts`` gives for [t]_q."""
@@ -149,16 +127,23 @@ def horizontal_powers(t: int, qval: Fraction, nmax: int) -> list:
     return [(tnum ** n, tden ** n) for n in range(nmax + 1)]
 
 
-def horizontal_gf_check(row: tuple, falling: tuple, power: tuple) -> bool:
+def horizontal_gf_check(params: WhitneyParams, t: int, row: tuple,
+                        q_ints: dict, power: tuple) -> bool:
     """Does sum_k W[n,k]_q [t-r|m]_{k,q} = [t]_q^n hold at q = qval?
 
-    ``row`` is ``horizontal_row`` of row n at qval, ``falling`` is
-    ``horizontal_falling`` at t and qval for some kmax >= n, and
-    ``power`` is entry n of ``horizontal_powers(t, qval, nmax)``.  Checked
-    in integers: with W[n,k] = nums_k / D, the falling factors fnums_k / F
-    and [t]_q^n = P / E, the identity times the nonzero D F E reads
-    sum_k nums_k fnums_k E = P D F.  The falling factors may involve
-    q-integers of negative arguments.
+    ``row`` is ``horizontal_row`` of row n at qval, ``q_ints`` is
+    ``q_int_parts`` at qval for a set of x holding every t-r-jm, j < n,
+    and ``power`` is entry n of ``horizontal_powers(t, qval, nmax)``.
+    With W[n,k] = nums_k / D, [t-r-km]_q = a_k / b_k and [t]_q^n = P / E,
+    Horner's rule from k = n-1 down to 0 forms acc, the sum times D d for
+    d = b_0 ... b_{n-1}, in integers sized by row n, and the identity times
+    the nonzero D d E reads acc E = P D d.  The factors may be q-integers
+    of negative arguments; a factor [0]_q zeroes every later term.
     """
-    (nums, den), (fnums, fden), (pnum, pden) = row, falling, power
-    return sum(map(mul, nums, fnums)) * pden == pnum * den * fden
+    (nums, den), (pnum, pden), (m, r) = row, power, params
+    acc, d = nums[-1], 1
+    for k in range(len(nums) - 2, -1, -1):
+        a, b = q_ints[t - r - k * m]
+        d *= b
+        acc = nums[k] * d + a * acc
+    return acc * pden == pnum * den * d

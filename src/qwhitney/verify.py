@@ -26,8 +26,9 @@ generating function and h_complete cell from one pass of
 symm.h_prefixes, every EGF cell from one series.egf_check, and the
 vertical, horizontal and tableau cells from one pass per column, row or
 walk, read in (n, k) order.  The horizontal generating function's row
-values, falling factors and powers of [t]_q enter as integer parts, each
-built once per (n, q) or (t, q), the falling factors' [x]_q once per q.
+values and powers of [t]_q enter as integer parts, built once per (n, q)
+or (t, q), and its falling factors' [x]_q once per q; each cell sums its
+row against them by Horner's rule (``series.horizontal_gf_check``).
 The explicit suite calls both forms of the q-difference operator
 (``qcalculus``) on integers at one point q = 2^B per (m, r), B set by
 ``explicit_bound``, and multiplies out: the alternating sum, whose terms
@@ -371,14 +372,11 @@ def suite_genfun(g: dict) -> SuiteResult:
             for n, ok in enumerate(column):
                 if not ok:
                     res.fail({**base, "n": n, "k": k}, "egf")
-        falling = [[series.horizontal_falling(p, t, parts, nh)
-                    for parts in q_ints] for t in g["t"]]
         for n in range(nh + 1):
             rows = [series.horizontal_row(table[n], qv) for qv in qvals]
-            for t, t_falling, t_powers in zip(g["t"], falling, powers):
-                for qv, row, fall, power in zip(qvals, rows, t_falling,
-                                                t_powers):
-                    if not series.horizontal_gf_check(row, fall, power[n]):
+            for t, t_powers in zip(g["t"], powers):
+                for qv, row, ints, pw in zip(qvals, rows, q_ints, t_powers):
+                    if not series.horizontal_gf_check(p, t, row, ints, pw[n]):
                         res.fail({**base, "n": n, "t": t, "q": str(qv)},
                                  "horizontal_gf")
         res.add("horizontal_gf", (nh + 1) * len(g["t"]) * len(qvals))
@@ -413,10 +411,10 @@ def _check_genfun_work(g: dict) -> int:
     """The genfun suite's horizontal generating function work on grid `g`,
     in squared bits: per (t, q), (nmax_horizontal + 1) |m| |r| cells, each
     GENFUN_CELL_WORK plus a product of integers of about (|t| + D) b and
-    (nmax_horizontal |t| + D) b bits, the row values and [t]_q^n by the
-    falling factors, where D is the top degree of row nmax_horizontal at
-    the largest m and r and b adds the bit lengths of q's numerator and
-    denominator.  Raises ValueError when that is over GENFUN_WORK_BUDGET."""
+    (nmax_horizontal |t| + D) b bits, the largest of the top row's Horner
+    sum, where D is the top degree of row nmax_horizontal at the largest
+    m and r and b adds the bit lengths of q's numerator and denominator.
+    Raises ValueError when that is over GENFUN_WORK_BUDGET."""
     nh = g["nmax_horizontal"]
     rows = (nh + 1) * len(g["m"]) * len(g["r"])
     degree = row_degree(max(g["m"]), max(g["r"]), nh)
@@ -510,28 +508,30 @@ _SUITE_FUNCS = {
 
 def _max_degree(names, g: dict) -> int:
     """The largest degree the polynomials of the suites `names` may reach
-    on the completed grid `g`, at its largest m and r: per suite the top
-    degree of the largest triangle row it reads, or, where larger, what it
-    builds apart from the rows: genfun's [t]_q and [t-r-jm]_q, j <
-    nmax_horizontal, the explicit suite's values [m nmax + r]_q^nmax, and
-    the hankel suite's minors and elimination steps
-    (``hankel.degree_bound`` of its largest family, which covers its
-    rows)."""
+    on the completed grid `g`, at its largest m and r: per suite that of
+    the largest triangle row n it reads or of its weight [mn+r]_q, or,
+    where larger, what it builds apart from the rows: genfun's [t]_q and
+    [t-r-jm]_q, j < nmax_horizontal, the explicit suite's values
+    [m nmax + r]_q^nmax, and the hankel suite's minors and elimination
+    steps (``hankel.degree_bound`` of its largest family)."""
     m, r = max(g["m"]), max(g["r"])
+
+    def row(n):
+        return max(row_degree(m, r, n), m * n + r - 1)
+
     # The recurrences suite's horizontal route reads row n+1; the
     # convolution suite reads rows n+1 and s+p.
     degrees = {
-        "recurrences": row_degree(m, r, g["nmax"] + 1),
+        "recurrences": row(g["nmax"] + 1),
         # [m nmax + r]_q^nmax, the largest value, has the degree of W[nmax,
         # nmax] times its normalizer
         "explicit": g["nmax"] * (m * g["nmax"] + r - 1),
-        "genfun": max(row_degree(m, r, max(g["nmax_genfun"], g["nmax_egf"],
-                                           g["nmax_horizontal"])),
+        "genfun": max(row(max(g["nmax_genfun"], g["nmax_egf"],
+                              g["nmax_horizontal"])),
                       max(map(abs, g["t"]), default=0) + r
                       + m * g["nmax_horizontal"]),
-        "symmetric": row_degree(m, r, g["nmax_tableau"]),
-        "convolution": row_degree(m, r, max(g["nmax_conv"] + 1,
-                                            2 * g["spmax_conv"])),
+        "symmetric": row(g["nmax_tableau"]),
+        "convolution": row(max(g["nmax_conv"] + 1, 2 * g["spmax_conv"])),
         "hankel": hk.degree_bound(hk.HankelSpec(
             WhitneyParams(m, r), g["smax_hankel"], g["nmax_hankel"])),
     }

@@ -537,13 +537,13 @@ def perturb_horizontal_falling():
     """The falling factors of the horizontal generating function are read
     at t+1 instead of t, from a table of [x]_q that holds x+1 for every x
     the grid asks for; its row values and powers of [t]_q are kept."""
-    right, parts = series.horizontal_falling, series.q_int_parts
+    right, parts = series.horizontal_gf_check, series.q_int_parts
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "q_int_parts",
                    lambda qval, xs: parts(qval, [x + 1 for x in xs]))
-        mp.setattr(series, "horizontal_falling",
-                   lambda params, t, q_ints, kmax: right(params, t + 1,
-                                                         q_ints, kmax))
+        mp.setattr(series, "horizontal_gf_check",
+                   lambda params, t, row, q_ints, power: right(
+                       params, t + 1, row, q_ints, power))
         yield
 
 

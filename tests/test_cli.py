@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pairs, perturb_recurrence, poly
-from qwhitney import cli, qcalculus, qcore, symm, verify
+from qwhitney import cli, hankel, qcalculus, qcore, symm, verify
 from qwhitney import whitney
 from qwhitney.hankel import HankelSpec, degree_bound
 from qwhitney.qcore import NonExactDivision, q_int
@@ -362,6 +362,89 @@ class TestVerifyCommand:
         assert {"params", "identity", "lhs", "rhs"} <= set(first)
 
 
+def built_within_gate(suite, grid):
+    """Run one suite on grid, in an empty row cache, and require it to pass
+    with every polynomial it builds, its rows too, within the degree D the
+    gate checks.  The explicit suite rolls its values [jm+r]_q^n and the
+    terms of its alternating sums as integers at one point q = 2^B per
+    family, not as polynomials: each must have bit length at most
+    B (D - lo + 1), where lo = 0 since no W of a passing grid has a
+    negative exponent.  The largest, [m nmax + r]_X^nmax, reaches about
+    twice the top degree of row nmax.  Returns the largest degree built,
+    D, and the (B, bit length) of each value rolled at a point."""
+    reached, widths = [0], []
+    build, roll = qcore._poly, verify.mul_q_int_at_point
+
+    def recorded(lo, c):
+        if c:
+            reached[0] = max(reached[0], -lo, lo + len(c) - 1)
+        return build(lo, c)
+
+    def rolled(x, a, bits):
+        y = roll(x, a, bits)
+        widths.append((bits, abs(y).bit_length()))
+        return y
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(whitney, "_tables", {})
+        mp.setattr(qcore, "_poly", recorded)
+        mp.setattr(verify, "mul_q_int_at_point", rolled)
+        assert verify.run_suite(suite, grid)[0].ok
+    degree = verify._max_degree([suite], verify._check_grid(grid))
+    assert reached[0] <= degree
+    assert all(width <= bits * (degree + 1) for bits, width in widths)
+    return reached[0], degree, widths
+
+
+def hankel_families_within_bound(grid):
+    """Run the hankel suite on grid, in an empty row cache, and require
+    every polynomial each (m, r, s) family builds, from its matrix on, to
+    be within ``hankel.degree_bound`` of that family."""
+    families, build, matrix = [], qcore._poly, hankel.hankel_matrix
+
+    def recorded(lo, c):
+        if c and families:
+            families[-1][1] = max(families[-1][1], -lo, lo + len(c) - 1)
+        return build(lo, c)
+
+    def opened(spec):
+        families.append([spec, 0])
+        return matrix(spec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(whitney, "_tables", {})
+        mp.setattr(qcore, "_poly", recorded)
+        mp.setattr(hankel, "hankel_matrix", opened)
+        assert verify.run_suite("hankel", grid)[0].ok
+    assert families
+    for spec, reached in families:
+        assert reached <= degree_bound(spec), spec
+
+
+# The largest sizes one_family_grids draws.
+ONE_FAMILY_SIZES = {
+    "nmax": 5, "nmax_tableau": 5, "nmax_genfun": 6, "nmax_egf": 6,
+    "nmax_horizontal": 5, "kmax_genfun": 4, "nmax_conv": 3, "spmax_conv": 3,
+    "smax_hankel": 2, "nmax_hankel": 3,
+}
+
+
+@st.composite
+def one_family_grids(draw):
+    """A grid of one family, m in 1..12 and r in 0..15, with small sizes
+    per suite, a t list that holds a negative t, and one q that is not an
+    integer."""
+    grid = {key: draw(st.integers(0, top))
+            for key, top in ONE_FAMILY_SIZES.items()}
+    negative = draw(st.integers(-20, -1))
+    ts = draw(st.lists(st.integers(-20, 30), max_size=3))
+    q = draw(st.fractions(-3, 3, max_denominator=9)
+             .filter(lambda q: q.denominator > 1))
+    return {**grid, "m": [draw(st.integers(1, 12))],
+            "r": [draw(st.integers(0, 15))], "t": [negative, *ts],
+            "qvals": [str(q)]}
+
+
 class TestSizeLimit:
     @pytest.fixture
     def no_ring_work(self, monkeypatch):
@@ -521,6 +604,11 @@ class TestSizeLimit:
         ("genfun", {**GRID, "t": [100000]}, 100007),
         ("recurrences", {**GRID, "t": [100000]}, 36),
         ("genfun", {"t": [4000]}, 4026),  # default m, r, nmax_horizontal
+        # rows 1 and 0 alone, but the weight [m+r]_q read with them:
+        # m + r - 1 over the row degree, r or 0
+        ("recurrences", {"m": [3], "r": [0], "nmax": 0}, 2),
+        ("recurrences", {"m": [5000], "nmax": 0}, 5001),
+        ("symmetric", {"m": [5000], "nmax_tableau": 1}, 5001),
     ])
     def test_verify_max_degree(self, admitted, tmp_path, suite, grid,
                                degree):
@@ -541,37 +629,26 @@ class TestSizeLimit:
     @pytest.mark.parametrize("grid", [None, GRID, OFF_GRID],
                              ids=["default", "GRID", "off-grid"])
     @pytest.mark.parametrize("suite", list(verify._SUITE_FUNCS))
-    def test_gate_covers_every_polynomial_built(self, monkeypatch, suite,
-                                                grid):
-        # Every polynomial a passing suite builds, its rows too (in an
-        # empty row cache), has its exponents within the degree D the gate
-        # checks.  The explicit suite rolls its values [jm+r]_q^n and the
-        # terms of its alternating sums as integers at one point q = 2^B
-        # per family, not as polynomials: each has bit length at most
-        # B (D - lo + 1), where lo = 0 since no W of a passing grid has a
-        # negative exponent.  The largest, [m nmax + r]_X^nmax, reaches
-        # about twice the top degree of row nmax.
-        reached, widths = [0], []
-        build, roll = qcore._poly, verify.mul_q_int_at_point
-
-        def recorded(lo, c):
-            if c:
-                reached[0] = max(reached[0], -lo, lo + len(c) - 1)
-            return build(lo, c)
-
-        def rolled(x, a, bits):
-            y = roll(x, a, bits)
-            widths.append((bits, abs(y).bit_length()))
-            return y
-
-        monkeypatch.setattr(whitney, "_tables", {})
-        monkeypatch.setattr(qcore, "_poly", recorded)
-        monkeypatch.setattr(verify, "mul_q_int_at_point", rolled)
-        assert verify.run_suite(suite, grid)[0].ok
-        degree = verify._max_degree([suite], verify._check_grid(grid))
-        assert 0 < reached[0] <= degree
+    def test_gate_covers_every_polynomial_built(self, suite, grid):
+        reached, _, widths = built_within_gate(suite, grid)
+        assert reached > 0
         assert bool(widths) == (suite == "explicit")
-        assert all(width <= bits * (degree + 1) for bits, width in widths)
+
+    # The identities are claimed for every m >= 1 and r >= 0, not only on
+    # the fixed grids.
+    @given(grid=one_family_grids())
+    @example(grid={**ONE_FAMILY_SIZES, "m": [2], "r": [9],
+                   "t": [-7, 0, 13], "qvals": ["-3/5"]})
+    @example(grid={**ONE_FAMILY_SIZES, "m": [7], "r": [0],
+                   "t": [-1, 7], "qvals": ["1/2"]})
+    @example(grid={**ONE_FAMILY_SIZES, "m": [12], "r": [15],
+                   "t": [-20, 3, 27], "qvals": ["7/3"]})
+    @settings(max_examples=15, deadline=None)
+    def test_every_identity_off_the_grid(self, grid):
+        assert all(res.ok for res in verify.run_suite("all", grid))
+        for suite in verify._SUITE_FUNCS:
+            built_within_gate(suite, grid)
+        hankel_families_within_bound(grid)
 
     def test_run_suite_refuses_oversized_grid(self, no_verify_work):
         # the library path is gated too: the explicit suite's [3*60+2]_q^60

@@ -32,6 +32,10 @@ The Newton-remainder fault reads the base q^b of
 remainder on division by the normalizer.  A division that raises is a
 failed cell whose sides are the head and W times the normalizer, so the
 run still exits 1 with its report.
+
+Each fault also runs once on one family off both the default and the
+kill grid, where it must fail some cell, so that no fault reaches its
+route only on the grid its kill set was measured on.
 """
 
 import contextlib
@@ -126,6 +130,23 @@ def test_kill_matrix():
         "first_sides": {"convolution_first"},
         "second_sides": {"convolution_second"},
     }
+
+
+# One family off both the default and the kill grid, r > m, with GRID's
+# sizes and a t at which a falling factor [t-r-jm]_q is [0]_q (12 = 7 + 5).
+OFF_GRID = {**GRID, "m": [5], "r": [7], "t": [-1, 2, 5, 12]}
+
+
+def test_off_grid_family_passes():
+    assert all(res.ok for res in verify.run_suite("all", OFF_GRID))
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_fault_fails_off_grid(fault):
+    # the identities it fails here are not pinned
+    with FAULTS[fault]():
+        results = verify.run_suite("all", OFF_GRID)
+    assert any(res.failures for res in results)
 
 
 # Exit code and sha256 of the stdout of `verify --suite all` on GRID,

@@ -14,26 +14,43 @@ from qwhitney import series, verify
 from qwhitney import (WhitneyParams, horizontal_gf_check, q_int,
                       rational_gf_columns, w, w_table)
 from qwhitney.qcore import ONE, ZERO
-from qwhitney.series import (egf_check, horizontal_falling, horizontal_powers,
-                             horizontal_row, q_int_parts)
+from qwhitney.series import (egf_check, horizontal_powers, horizontal_row,
+                             q_int_parts)
 from qwhitney.whitney import normalizer_factors
 
 P11 = WhitneyParams(1, 1)
 PARAM_GRID = [WhitneyParams(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
 
 
-def falling_at(p, t, qv, kmax):
-    """horizontal_falling at t and q = qv, from a table of [x]_q holding
-    that cell's factors alone."""
-    xs = [t - p.r - j * p.m for j in range(kmax)]
-    return horizontal_falling(p, t, q_int_parts(qv, xs), kmax)
+def factor_table(p, t, qv, kmax):
+    """q_int_parts at q = qv for the falling factors [t-r-jm]_q, j < kmax,
+    and no other x."""
+    return q_int_parts(qv, [t - p.r - j * p.m for j in range(kmax)])
 
 
 def cell_parts(p, n, t, qv):
-    """The row, falling factors and power horizontal_gf_check reads for the
-    cell (n, t) at q = qv, built for that cell alone."""
-    return (horizontal_row(w_table(p, n)[n], qv), falling_at(p, t, qv, n),
-            horizontal_powers(t, qv, n)[n])
+    """The arguments of horizontal_gf_check for the cell (n, t) at q = qv:
+    its row, factor table and power, built for that cell alone."""
+    return (p, t, horizontal_row(w_table(p, n)[n], qv),
+            factor_table(p, t, qv, n), horizontal_powers(t, qv, n)[n])
+
+
+def falls_to(p, t, q_ints, k, n, value):
+    """Does horizontal_gf_check, reading its factors from q_ints, take the
+    falling factor [t-r|m]_{k,q} to be the Fraction value?  Over the unit
+    row of length n+1, W[n,j] = [j = k], its sum is that factor alone."""
+    row = ([0] * k + [1] + [0] * (n - k), 1)
+    return horizontal_gf_check(p, t, row, q_ints,
+                               (value.numerator, value.denominator))
+
+
+def fraction_falling(p, t, qv, kmax):
+    """The falling factors [t-r|m]_{k,q}, k <= kmax, at q = qv, as products
+    of LaurentPoly.eval Fractions."""
+    out = [Fraction(1)]
+    for j in range(kmax):
+        out.append(out[-1] * q_int(t - p.r - j * p.m).eval(qv))
+    return out
 
 
 def fraction_verdict(p, n, t, qv):
@@ -305,47 +322,78 @@ class TestHorizontalGF:
             assert [Fraction(x, den) for x in nums] == \
                 [w(P11, 4, k).eval(qv) for k in range(5)]
             for t in (-3, 0, 7):
-                _, falling, power = cell_parts(P11, 4, t, qv)
-                assert horizontal_gf_check(row, falling, power)
+                *_, table, power = cell_parts(P11, 4, t, qv)
+                assert horizontal_gf_check(P11, t, row, table, power)
                 # every value one too large, then one value at a time
-                assert not horizontal_gf_check(([x + den for x in nums], den),
-                                               falling, power)
+                assert not horizontal_gf_check(
+                    P11, t, ([x + den for x in nums], den), table, power)
                 for k in range(5):
                     bad = nums[:k] + [nums[k] + den] + nums[k + 1:]
-                    assert not horizontal_gf_check((bad, den), falling, power)
+                    assert not horizontal_gf_check(P11, t, (bad, den), table,
+                                                   power)
 
     def test_falling_factors(self):
         p = WhitneyParams(2, 1)
         for qv in (Fraction(2), Fraction(-3, 5)):
             for t in (-3, 0, 7):  # t = 7 reaches [0]_q at k = 4
-                nums, den = falling_at(p, t, qv, 5)
-                assert len(nums) == 6 and nums[0] == den
+                table = factor_table(p, t, qv, 5)
+                falling = [Fraction(1)]
                 for k in range(1, 6):
-                    assert Fraction(nums[k], den) == Fraction(nums[k - 1], den) \
-                        * q_int(t - 1 - 2 * (k - 1)).eval(qv)
-                assert (t == 7) == (nums[4] == nums[5] == 0)
+                    falling.append(falling[k - 1]
+                                   * q_int(t - 1 - 2 * (k - 1)).eval(qv))
+                assert (t == 7) == (falling[4] == falling[5] == 0)
+                for k, f in enumerate(falling):
+                    assert falls_to(p, t, table, k, 5, f)
+                    assert not falls_to(p, t, table, k, 5, f + 1)
 
     def test_given_falling_matches_computed_falling(self):
         for p in (P11, WhitneyParams(2, 1), WhitneyParams(3, 0)):
             for qv in (Fraction(2), Fraction(-3, 5)):
                 for t in (-3, 0, 7):
-                    # falling factors up to k = 6 serve every row n <= 6
-                    falling = falling_at(p, t, qv, 6)
-                    fnums, fden = falling
+                    # one table of the factors j < 6 serves every row n <= 6
+                    table = factor_table(p, t, qv, 6)
+                    falling = fraction_falling(p, t, qv, 6)
                     powers = horizontal_powers(t, qv, 6)
                     for n in range(7):
                         row = horizontal_row(w_table(p, n)[n], qv)
                         nums, den = row
                         bad = ([x + den for x in nums], den)
-                        assert horizontal_gf_check(row, falling, powers[n])
+                        assert horizontal_gf_check(p, t, row, table,
+                                                   powers[n])
                         # the bad row's verdict from Fractions
-                        lhs = sum(Fraction(x, den) * Fraction(f, fden)
-                                  for x, f in zip(bad[0], fnums))
-                        assert (horizontal_gf_check(bad, falling, powers[n])
+                        lhs = sum(Fraction(x, den) * f
+                                  for x, f in zip(bad[0], falling))
+                        assert (horizontal_gf_check(p, t, bad, table,
+                                                    powers[n])
                                 == (lhs == q_int(t).eval(qv) ** n))
+                    # every factor [x]_q one too large
                     assert not horizontal_gf_check(
-                        horizontal_row(w_table(p, 6)[6], qv),
-                        ([f + fden for f in fnums], fden), powers[6])
+                        p, t, horizontal_row(w_table(p, 6)[6], qv),
+                        {x: (a + b, b) for x, (a, b) in table.items()},
+                        powers[6])
+
+    def test_row_reads_only_its_own_factors(self):
+        # The check of row n reads [t-r-jm]_q for j < n alone, so its
+        # integers are sized by n: it passes on a table that holds just
+        # those factors, where a lookup of any j >= n raises KeyError, and
+        # it raises KeyError on a table without the factor j = n-1.
+        for p in (P11, WhitneyParams(2, 1), WhitneyParams(3, 5)):
+            for qv in (Fraction(2), Fraction(-3, 5)):
+                for t in (-3, 0, 7):
+                    powers = horizontal_powers(t, qv, 6)
+                    for n in range(7):
+                        row = horizontal_row(w_table(p, n)[n], qv)
+                        table = factor_table(p, t, qv, n)
+                        for j in range(n, n + 3):
+                            with pytest.raises(KeyError):
+                                table[t - p.r - j * p.m]
+                        assert horizontal_gf_check(p, t, row, table,
+                                                   powers[n])
+                        if n:
+                            del table[t - p.r - (n - 1) * p.m]
+                            with pytest.raises(KeyError):
+                                horizontal_gf_check(p, t, row, table,
+                                                    powers[n])
 
     def test_suite_verdicts_match_unshared_checks(self):
         grid = {"m": [1], "r": [1], "nmax_genfun": 0, "nmax_egf": 0,
@@ -432,13 +480,15 @@ class TestHorizontalAgainstFractions:
             failed = 0
             for p in PARAM_GRID:
                 for q in self.QVALS:
-                    falling = {t: falling_at(p, t, q, self.NMAX)
-                               for t in self.TS}
+                    tables = {t: factor_table(p, t, q, self.NMAX)
+                              for t in self.TS}
                     powers = {t: horizontal_powers(t, q, self.NMAX)
                               for t in self.TS}
-                    for t, (fnums, fden) in falling.items():
-                        assert [Fraction(x, fden) for x in fnums] == \
-                            self.falling(p, t, q)
+                    for t, table in tables.items():
+                        for k, f in enumerate(self.falling(p, t, q)):
+                            assert falls_to(p, t, table, k, self.NMAX, f)
+                            assert not falls_to(p, t, table, k, self.NMAX,
+                                                f + 1)
                     verdicts = self.oracle(p, q)
                     for n in range(self.NMAX + 1):
                         nums, den = row = horizontal_row(w_table(p, n)[n], q)
@@ -449,7 +499,7 @@ class TestHorizontalAgainstFractions:
                             assert horizontal_gf_check(
                                 *cell_parts(p, n, t, q)) == ok
                             assert horizontal_gf_check(
-                                row, falling[t], powers[t][n]) == ok
+                                p, t, row, tables[t], powers[t][n]) == ok
                             failed += not ok
         assert bool(failed) == perturbed
 
