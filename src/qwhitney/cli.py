@@ -236,11 +236,13 @@ def _read_grid(path):
                              f"converts from text")
         return int(text)
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_int=parse_int)
         except RecursionError:
             raise ValueError(f"grid file {path} is nested too deeply") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"grid file {path}: {exc}") from None
 
 
 def cmd_verify(args, out) -> int:

@@ -9,9 +9,10 @@ stays inside the Laurent ring, and the order-k value over the normalizer
 
 Both forms work on integers at one point q = X = 2^B, B = ``bits``: each
 value and Gaussian binomial is a polynomial at that point, and a power
-q^e is a shift left by B e bits.  A caller that sets B from a bound on the
-coefficients of the results compares them exactly as integers, and reads
-one back as a polynomial by ``qcore.unpack_at_point``.
+q^e is a shift left by B e bits.  A caller that sets B from
+``alternating_bound``, the one bound of the explicit, Newton and EGF
+cells, compares the results exactly as integers, and reads one back as a
+polynomial by ``qcore.unpack_at_point``.
 
 The operator is computed two ways.  ``q_diff_heads`` applies the factors
 one at a time to the values and keeps the head after each pass, so one
@@ -28,7 +29,9 @@ share only the values of f, so a fault in one cannot hide in both.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
+
+from .whitney import normalizer_factors
 
 
 def q_diff_heads(values, b: int, bits: int) -> list:
@@ -78,3 +81,20 @@ def q_binomial_row(above, b: int, bits: int) -> list:
     return [1, *(left + (right << bits * b * j)
                  for j, (left, right) in enumerate(zip(above, above[1:]), 1)),
             1]
+
+
+def alternating_bound(params, column, k: int) -> int:
+    """A bound on every coefficient of the alternating sum and Newton head
+    of order k over the values [jm+r]_q^n, n <= N = len(column) - 1, of
+    W[n,k] = column[n] times the normalizer, and of their differences,
+    whatever signs or powers of q a route gives: sum_{j<=k} C(k,j)
+    max(jm+r, 1)^N, term j's L1 norm at n = N (an operator pass at most
+    adds two neighbours' L1 norms), plus P_k max_n L1(column[n]), P_k =
+    k! m^k the normalizer's L1 norm.  max(., 1) keeps [0]_q^0 = 1.  W and,
+    in a column that holds a nonzero W, the normalizer are within it too.
+    """
+    m, r = params
+    return (sum(comb(k, j) * max(j * m + r, 1) ** (len(column) - 1)
+                for j in range(k + 1))
+            + prod(normalizer_factors(params, k))
+            * max(sum(map(abs, v.coeffs)) for v in column))

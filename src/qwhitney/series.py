@@ -12,7 +12,7 @@ The column generating functions of one (m, r) are built by prefix from
 product is column k-1's times 1/(1 - [mk+r]_q z), and its row of the h
 triangle holds exactly the N+1-k coefficients column k needs.  The
 column EGF is checked in integers at one point q = 2^B (``egf_check``),
-B set by ``egf_bound``.
+B set by ``qcalculus.alternating_bound``.
 
 The horizontal generating function is checked in integers: at q = a/b a
 row of values and [t]_q^n each become integer numerators over one
@@ -25,8 +25,9 @@ every integer sized by the cell's own row.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, lcm
 
+from .qcalculus import alternating_bound
 from .qcore import ZERO, mul_q_int_at_point, pack_at_point, q_int
 from .symm import h_prefixes, whitney_values
 from .whitney import WhitneyParams, normalizer_factors, row_degree
@@ -60,15 +61,16 @@ def egf_check(params: WhitneyParams, rows, kmax: int) -> list:
     Both sides are integers at q = X = 2^B: Gaussian binomials by their
     product formula, terms rolled with n and the normalizer built up by
     q-integer products at the point (``qcore.mul_q_int_at_point``, shifts
-    and adds), W[n,k](X) packed by ``qcore.pack_at_point`` from
-    ``egf_bound``, so the difference vanishes at X only if it is 0.  A W
-    with a negative exponent fails outright.
+    and adds), W[n,k](X) packed by ``qcore.pack_at_point`` from the
+    column's ``qcalculus.alternating_bound``, so the difference vanishes
+    at X only if it is 0.  A W with a negative exponent fails outright.
     """
     (m, r), out = params, []
     for k in range(kmax + 1):
         column = [row[k] if k < len(row) else ZERO for row in rows]
         factors = normalizer_factors(params, k)
-        bits, packed = pack_at_point(egf_bound(params, column, k), column)
+        bits, packed = pack_at_point(alternating_bound(params, column, k),
+                                     column)
         binom, terms, ok = 1, [], []
         for j in range(k + 1):  # [k j]_{X^m} by its product formula
             terms.append((-1) ** (k - j) * binom << bits * m * comb(k - j, 2))
@@ -84,19 +86,6 @@ def egf_check(params: WhitneyParams, rows, kmax: int) -> list:
             ok.append(v is not None and sum(terms) == v * norm)
         out.append(ok)
     return out
-
-
-def egf_bound(params: WhitneyParams, column, k: int) -> int:
-    """A bound on every coefficient of both sides of the EGF cells of
-    column k, W[n,k] for n = 0..len(column)-1, and of their difference,
-    whatever the signs of the numerator's terms: the largest, over n, of
-    sum_j C(k,j) (jm+r)^n + L1(W[n,k]) prod_{j=1..k} jm, the L1 norms of
-    the terms and of W times the normalizer (``normalizer_factors``)."""
-    m, r = params
-    size = prod(normalizer_factors(params, k))
-    return max(sum(comb(k, j) * (j * m + r) ** n for j in range(k + 1))
-               + sum(map(abs, v.coeffs)) * size
-               for n, v in enumerate(column))
 
 
 def horizontal_row(row, qval: Fraction) -> tuple:

@@ -30,13 +30,14 @@ values and powers of [t]_q enter as integer parts, built once per (n, q)
 or (t, q), and its falling factors' [x]_q once per q; each cell sums its
 row against them by Horner's rule (``series.horizontal_gf_check``).
 The explicit suite calls both forms of the q-difference operator
-(``qcalculus``) on integers at one point q = 2^B per (m, r), B set by
-``explicit_bound``, and multiplies out: the alternating sum, whose terms
-for column k are formed once at n = k and rolled with n, and the Newton
-head of each cell are compared there with W times the normalizer of its
-column, and only a failed cell reads its side back as a polynomial and
-divides, for its side texts, so a division that leaves a remainder is a
-failed cell, not an error.  The convolution cells read W* tables built
+(``qcalculus``) on integers at one point q = 2^B per (m, r), B the
+largest ``qcalculus.alternating_bound`` of its columns (the EGF check's
+bound), and multiplies out: the alternating sum, whose terms for column
+k are formed once at n = k and rolled with n, and the Newton head of
+each cell are compared there with W times the normalizer of its column,
+and only a failed cell reads its side back as a polynomial and divides,
+for its side texts, so a division that leaves a remainder is a failed
+cell, not an error.  The convolution cells read W* tables built
 once per (m, r), each cell compared as integers at one point
 (``symm.convolution_check``), as the EGF cells are
 (``series.egf_check``).  The hankel suite builds each
@@ -95,9 +96,8 @@ class SuiteResult(SimpleNamespace):
     counts.  A namespace, not a dataclass, for the reason given at
     ``whitney.WhitneyParams``."""
 
-    def __init__(self, suite: str, counts=None, failures=None):
-        super().__init__(suite=suite, counts={} if counts is None else counts,
-                         failures=[] if failures is None else failures)
+    def __init__(self, suite: str):
+        super().__init__(suite=suite, counts={}, failures=[])
 
     @property
     def cells(self) -> int:
@@ -254,8 +254,9 @@ def suite_explicit(g: dict) -> SuiteResult:
     prod_{j<=k} [jm]_q (``norms[k]``, each one q-integer product from the
     last), which holds exactly when their quotients are W.
 
-    Every side is an integer at one point q = X = 2^B, B set by
-    ``explicit_bound``, so a cell passes exactly when its polynomials are
+    Every side is an integer at one point q = X = 2^B, B set by the
+    largest ``qcalculus.alternating_bound`` of columns 0..nmax, each over
+    rows 0..nmax, so a cell passes exactly when its polynomials are
     equal.  The normalizers are packed once per (m, r)
     (``qcore.pack_at_point``), and each W once; a W with a negative
     exponent, which no W has, packs as None and fails both its cells.
@@ -277,7 +278,9 @@ def suite_explicit(g: dict) -> SuiteResult:
         table = w_table(p, nmax)
         norms = list(accumulate(map(q_int, normalizer_factors(p, nmax)), mul,
                                 initial=ONE))
-        bound = explicit_bound(p, table, norms)
+        bound = max(qcalculus.alternating_bound(
+            p, [row[k] if k < len(row) else ZERO for row in table], k)
+            for k in range(nmax + 1))
         bits, norms_x = pack_at_point(bound, norms)
         nodes = [j * p.m + p.r for j in range(nmax + 1)]
         values, binoms, columns = [1] * (nmax + 1), [], []
@@ -305,32 +308,6 @@ def suite_explicit(g: dict) -> SuiteResult:
         res.add("explicit", _triangle_cells(nmax))
         res.add("newton", _triangle_cells(nmax))
     return res
-
-
-def explicit_bound(params, table, norms) -> int:
-    """A bound on every coefficient of both sides of every explicit and
-    Newton cell of rows 0..nmax of W (``table``), and of their difference,
-    whatever the signs the routes give their terms:
-    2^nmax (m nmax + r)^nmax plus the largest L1(W[n,k]) L1(norms[k]).
-
-    The first part bounds the L1 norm of each sum and head: L1([a]_q^n) =
-    a^n is largest at the last node and row, the terms of the alternating
-    sum weigh the values by row k of the q-Pascal triangle, which sums to
-    2^k at q = 1, and a pass of the operator product at most doubles the
-    L1 norm.  The second bounds W times its normalizer.  It covers every
-    coefficient at the point too: the q-Pascal rows' are at most 2^nmax,
-    and L1(N_k) = k! m^k is at most (nmax m + r)^nmax.
-    """
-    m, r = params.m, params.r
-    nmax = len(table) - 1
-    sizes = list(map(_l1, norms))
-    return (2 ** nmax * (m * nmax + r) ** nmax
-            + max(max(map(mul, map(_l1, row), sizes)) for row in table))
-
-
-def _l1(x) -> int:
-    """The sum of the absolute values of the coefficients of x."""
-    return sum(map(abs, x.coeffs))
 
 
 def _failed_sides(params, k: int, got, expected, norm) -> tuple:

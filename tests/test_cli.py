@@ -322,6 +322,20 @@ class TestVerifyCommand:
             f"error: grid file {path} has an integer of over {LIMIT} digits, "
             f"more than the interpreter converts from text\n")
 
+    @pytest.mark.parametrize("data, reason", [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+        (b"{x", "Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)")])
+    def test_unreadable_grid_file_is_named(self, tmp_path, capsys, data,
+                                           reason):
+        # not UTF-8, and not JSON
+        path = tmp_path / "grid.json"
+        path.write_bytes(data)
+        rc, out = run(["verify", "--suite", "all", "--grid", str(path)])
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == f"error: grid file {path}: {reason}\n"
+
     def test_one_reading_per_run(self, monkeypatch, small_grid):
         # run_suite reads a request once for all six suites: one check of
         # the grid, one read of each q, one bound on the tableau total;

@@ -10,7 +10,7 @@ from conftest import (alternating_sum, alternating_terms,
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from qwhitney import WhitneyParams, q_diff_heads, q_int, w, w_table
-from qwhitney import qcalculus, qcore, verify
+from qwhitney import qcalculus, qcore, series, verify
 from qwhitney.qcore import ONE, ZERO
 from qwhitney.whitney import normalizer_factors
 
@@ -219,15 +219,6 @@ class TestValuesBelowQToTheZero:
 
 
 
-def undoubled_bound(params, table, norms):
-    """``verify.explicit_bound`` without its 2^nmax factor: a planted
-    fault, too small for the sums and heads of every sign."""
-    m, r, nmax = params.m, params.r, len(table) - 1
-    return ((m * nmax + r) ** nmax
-            + max(l1(x) * l1(norm) for row in table
-                  for x, norm in zip(row, norms)))
-
-
 def sign_free_heads(values, b: int) -> list:
     """The heads of the operator product with every pass an addition,
     g(x+h) + q^(bj) g(x): coefficient by coefficient at least as large, in
@@ -242,7 +233,8 @@ def sign_free_heads(values, b: int) -> list:
 
 def uncovered_cells(params, nmax: int, bound_of) -> list:
     """The cells (n, k), n <= nmax, of one family whose sides the bound
-    ``bound_of(params, table, norms)`` does not cover.
+    ``bound_of(params, column, k)`` of their column, rows 0..nmax, does
+    not cover.
 
     The sides are the alternating sum, the Newton head and W[n,k] N_k,
     each read back as a polynomial through the decoders of ``conftest``.
@@ -256,7 +248,8 @@ def uncovered_cells(params, nmax: int, bound_of) -> list:
     table = w_table(params, nmax)
     norms = [prod(map(q_int, normalizer_factors(params, k)), start=ONE)
              for k in range(nmax + 1)]
-    bound = bound_of(params, table, norms)
+    bounds = [bound_of(params, column, k)
+              for k, column in enumerate(columns(table, nmax))]
     sums, heads = operator_sides(params, nmax)
     powers = q_power_table(params.r, m, nmax + 1, nmax)
     rows = q_binomial_rows(nmax, m)
@@ -270,44 +263,139 @@ def uncovered_cells(params, nmax: int, bound_of) -> list:
             terms = alternating_terms(values[:k + 1], m, rows[k])
             widest = max(max(map(abs, x.coeffs), default=0) for x in sides)
             reach = max(sum(map(l1, terms)), l1(free[k])) + l1(target)
+            if max(widest, reach) > bounds[k]:
+                uncovered.append((n, k))
+    return uncovered
+
+
+def columns(table, kmax: int) -> list:
+    """Columns k = 0..kmax of the rows ``table`` of W, each with one entry
+    per row, 0 past the end of its row."""
+    return [[row[k] if k < len(row) else ZERO for row in table]
+            for k in range(kmax + 1)]
+
+
+def uncovered_egf_cells(params, nmax: int, kmax: int, bound_of) -> list:
+    """The cells (n, k), n <= nmax, k <= kmax, of one family whose sides
+    the bound ``bound_of(params, column, k)`` of their column does not
+    cover.
+
+    The sides are the numerator sum_j (-1)^(k-j) q^(m C(k-j,2))
+    [k j]_{q^m} [jm+r]_q^n and W[n,k] times the normalizer, both built as
+    polynomials from the q-Pascal rows of ``conftest``.  A cell is covered
+    when every coefficient of each side, and of their difference, is
+    within the bound, and when so is the L1 norm of W N_k plus those of
+    the numerator's terms: any signs the terms could take then leave a
+    difference within the bound too.
+    """
+    m, r = params
+    uncovered = []
+    for k, column in enumerate(columns(w_table(params, nmax), kmax)):
+        bound = bound_of(params, column, k)
+        norm = prod(map(q_int, normalizer_factors(params, k)), start=ONE)
+        binoms = q_binomial_rows(k, m)[-1]
+        for n, v in enumerate(column):
+            terms = [(b * power(q_int(j * m + r), n)).shift(m * comb(k - j, 2))
+                     for j, b in enumerate(binoms)]
+            lhs = sum((-t if (k - j) % 2 else t for j, t in enumerate(terms)),
+                      ZERO)
+            target = v * norm
+            widest = max(max(map(abs, x.coeffs), default=0)
+                         for x in (lhs, target, lhs - target))
+            reach = sum(map(l1, terms)) + l1(target)
             if max(widest, reach) > bound:
                 uncovered.append((n, k))
     return uncovered
 
 
+def unweighted_bound(params, column, k):
+    """``qcalculus.alternating_bound`` without its C(k,j) weights: a
+    planted fault, too small for the terms of every column k >= 3.  At
+    k = 2, m = 1, r = 0 it still covers them: the j = 0 term it keeps,
+    max(0, 1)^N = 1, makes up for the one missing weight C(2,1) - 1."""
+    m, r = params
+    return (sum(max(j * m + r, 1) ** (len(column) - 1) for j in range(k + 1))
+            + prod(normalizer_factors(params, k)) * max(map(l1, column)))
+
+
 families = st.builds(WhitneyParams, st.integers(1, 12), st.integers(0, 15))
 
 
-class TestExplicitBound:
-    """``verify.explicit_bound`` sets the point at which the explicit suite
-    compares both forms of every cell; the comparison is exact only if the
-    bound covers both sides and their difference."""
+class TestAlternatingBound:
+    """``qcalculus.alternating_bound`` sets the point at which the explicit
+    suite compares both forms of every cell, and the EGF check the two
+    sides of every cell of a column; each comparison is exact only if the
+    bound covers both sides and their difference.  A bound too small
+    still passes every clean suite, so these tests, not suite passes, are
+    the evidence that it is large enough.
+
+    The planted fault drops the C(k,j) weights; it is drawn with k >= 3,
+    as at k = 2, m = 1, r = 0 it covers every side (``unweighted_bound``).
+    """
 
     @given(families, st.integers(0, 5))
-    @example(WhitneyParams(12, 15), 5)
+    @example(WhitneyParams(1, 0), 0)
+    @example(WhitneyParams(1, 0), 1)
+    @example(WhitneyParams(1, 0), 2)
     @example(WhitneyParams(1, 0), 5)
+    @example(WhitneyParams(12, 15), 5)
     @example(WhitneyParams(2, 9), 4)
     @settings(max_examples=20, deadline=None)
-    def test_bound_covers_every_side(self, params, nmax):
-        assert uncovered_cells(params, nmax, verify.explicit_bound) == []
+    def test_bound_covers_every_explicit_side(self, params, nmax):
+        assert uncovered_cells(params, nmax,
+                               qcalculus.alternating_bound) == []
 
-    @given(families, st.integers(2, 5))
-    @example(WhitneyParams(1, 0), 2)
+    @given(families, st.integers(0, 6), st.integers(0, 4))
+    @example(WhitneyParams(1, 0), 0, 4)
+    @example(WhitneyParams(1, 0), 1, 4)
+    @example(WhitneyParams(1, 0), 2, 4)
+    @example(WhitneyParams(1, 0), 6, 4)
+    @example(WhitneyParams(12, 15), 6, 4)
+    @example(WhitneyParams(2, 9), 6, 4)
     @settings(max_examples=20, deadline=None)
-    def test_planted_bound_is_caught(self, params, nmax):
-        # without 2^nmax the bound no longer covers the terms at n = k =
-        # nmax, whose L1 norms sum to sum_j C(nmax, j) (jm+r)^nmax
-        assert uncovered_cells(params, nmax, undoubled_bound)
+    def test_bound_covers_every_egf_side(self, params, nmax, kmax):
+        assert uncovered_egf_cells(params, nmax, kmax,
+                                   qcalculus.alternating_bound) == []
+
+    @given(families, st.integers(3, 5))
+    @example(WhitneyParams(1, 0), 3)
+    @settings(max_examples=20, deadline=None)
+    def test_planted_bound_is_caught_explicit(self, params, nmax):
+        # without C(k,j) the bound of column 3 falls short of the terms
+        # at n = nmax, whose L1 norms sum to sum_j C(3,j) (jm+r)^nmax
+        assert uncovered_cells(params, nmax, unweighted_bound)
+
+    @given(families, st.integers(0, 6), st.integers(3, 4))
+    @example(WhitneyParams(1, 0), 0, 3)
+    @example(WhitneyParams(1, 0), 6, 3)
+    @settings(max_examples=20, deadline=None)
+    def test_planted_bound_is_caught_egf(self, params, nmax, kmax):
+        assert uncovered_egf_cells(params, nmax, kmax, unweighted_bound)
+
+    @staticmethod
+    def recorded_calls(monkeypatch, module) -> list:
+        """The (params, len(column), k) of each call of the bound where
+        ``module`` reads it, in call order."""
+        calls, right = [], qcalculus.alternating_bound
+
+        def recorded(params, column, k):
+            calls.append((params, len(column), k))
+            return right(params, column, k)
+
+        monkeypatch.setattr(module, "alternating_bound", recorded)
+        return calls
 
     def test_suite_reads_the_bound(self, monkeypatch):
-        calls, right = [], verify.explicit_bound
-
-        def recorded(params, table, norms):
-            calls.append((params, len(table), len(norms)))
-            return right(params, table, norms)
-
-        monkeypatch.setattr(verify, "explicit_bound", recorded)
+        # once per column 0..nmax of each family, over rows 0..nmax
+        calls = self.recorded_calls(monkeypatch, qcalculus)
         assert verify.run_suite("explicit", {"m": [2], "r": [0, 3],
                                              "nmax": 4})[0].ok
-        assert calls == [(WhitneyParams(2, 0), 5, 5),
-                         (WhitneyParams(2, 3), 5, 5)]
+        assert calls == [(WhitneyParams(2, r), 5, k)
+                         for r in (0, 3) for k in range(5)]
+
+    def test_egf_check_reads_the_bound(self, monkeypatch):
+        # once per column
+        calls = self.recorded_calls(monkeypatch, series)
+        p = WhitneyParams(3, 2)
+        assert series.egf_check(p, w_table(p, 5), 3) == [[True] * 6] * 4
+        assert calls == [(p, 6, k) for k in range(4)]

@@ -5,12 +5,9 @@ from operator import mul
 
 import pytest
 
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-
-from conftest import (classical_egf_coeffs, l1, perturb_recurrence, poly,
-                      power, q_binomial_rows, q_factorial, stretch)
-from qwhitney import series, verify
+from conftest import (classical_egf_coeffs, perturb_recurrence, poly, power,
+                      q_factorial, stretch)
+from qwhitney import verify
 from qwhitney import (WhitneyParams, horizontal_gf_check, q_int,
                       rational_gf_columns, w, w_table)
 from qwhitney.qcore import ONE, ZERO
@@ -217,88 +214,6 @@ class TestEGF:
         for f, (n, k) in zip(failures, wrong):
             assert f.params == {"m": 2, "r": 1, "n": n, "k": k}
             assert f.lhs == f.rhs == ""
-
-
-def uncovered_egf_cells(params, nmax: int, kmax: int, bound_of) -> list:
-    """The cells (n, k), n <= nmax, k <= kmax, of one family whose sides
-    the bound ``bound_of(params, column, k)`` of their column does not
-    cover.
-
-    The sides are the numerator sum_j (-1)^(k-j) q^(m C(k-j,2))
-    [k j]_{q^m} [jm+r]_q^n and W[n,k] times the normalizer, both built as
-    polynomials from the q-Pascal rows of ``conftest``.  A cell is covered
-    when every coefficient of each side, and of their difference, is
-    within the bound, and when so is the L1 norm of W N_k plus those of
-    the numerator's terms: any signs the terms could take then leave a
-    difference within the bound too.
-    """
-    m, r = params
-    table = w_table(params, nmax)
-    uncovered = []
-    for k in range(kmax + 1):
-        column = [row[k] if k < len(row) else ZERO for row in table]
-        bound = bound_of(params, column, k)
-        norm = prod(map(q_int, normalizer_factors(params, k)), start=ONE)
-        binoms = q_binomial_rows(k, m)[-1]
-        for n, v in enumerate(column):
-            terms = [(b * power(q_int(j * m + r), n)).shift(m * comb(k - j, 2))
-                     for j, b in enumerate(binoms)]
-            lhs = sum((-t if (k - j) % 2 else t for j, t in enumerate(terms)),
-                      ZERO)
-            target = v * norm
-            widest = max(max(map(abs, x.coeffs), default=0)
-                         for x in (lhs, target, lhs - target))
-            reach = sum(map(l1, terms)) + l1(target)
-            if max(widest, reach) > bound:
-                uncovered.append((n, k))
-    return uncovered
-
-
-def unweighted_egf_bound(params, column, k):
-    """``series.egf_bound`` without its C(k,j) weights: a planted fault,
-    too small for the numerator's terms of every column k >= 2."""
-    m, r = params
-    size = prod(normalizer_factors(params, k))
-    return max(sum((j * m + r) ** n for j in range(k + 1)) + l1(v) * size
-               for n, v in enumerate(column))
-
-
-families = st.builds(WhitneyParams, st.integers(1, 12), st.integers(0, 15))
-
-
-class TestEgfBound:
-    """``series.egf_bound`` sets the point at which the EGF check compares
-    the two sides of every cell of a column; the comparison is exact only
-    if the bound covers both sides and their difference."""
-
-    @given(families, st.integers(0, 6), st.integers(0, 4))
-    @example(WhitneyParams(12, 15), 6, 4)
-    @example(WhitneyParams(1, 0), 6, 4)
-    @settings(max_examples=20, deadline=None)
-    def test_bound_covers_every_side(self, params, nmax, kmax):
-        assert uncovered_egf_cells(params, nmax, kmax,
-                                   series.egf_bound) == []
-
-    @given(families, st.integers(0, 6), st.integers(2, 4))
-    @example(WhitneyParams(1, 0), 0, 2)
-    @settings(max_examples=20, deadline=None)
-    def test_planted_bound_is_caught(self, params, nmax, kmax):
-        # without C(k,j) the bound of column k >= 2 falls short of the
-        # numerator's terms at its last n, whose L1 norms sum to
-        # sum_j C(k,j) (jm+r)^n
-        assert uncovered_egf_cells(params, nmax, kmax, unweighted_egf_bound)
-
-    def test_check_reads_the_bound(self, monkeypatch):
-        calls, right = [], series.egf_bound
-
-        def recorded(params, column, k):
-            calls.append((params, len(column), k))
-            return right(params, column, k)
-
-        monkeypatch.setattr(series, "egf_bound", recorded)
-        p = WhitneyParams(3, 2)
-        assert egf_check(p, w_table(p, 5), 3) == [[True] * 6] * 4
-        assert calls == [(p, 6, k) for k in range(4)]
 
 
 class TestHorizontalGF:

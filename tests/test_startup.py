@@ -43,6 +43,18 @@ def test_cli_import_loads_every_module_and_not_dataclasses():
 P = WhitneyParams(1, 2)
 
 
+def suite_result(suite: str, counts=(), failed=()) -> SuiteResult:
+    """A SuiteResult built as a suite builds one: ``add`` for each
+    (identity, cells) of ``counts``, then ``fail`` for each (params,
+    identity, lhs, rhs) of ``failed``."""
+    res = SuiteResult(suite)
+    for identity, cells in counts:
+        res.add(identity, cells)
+    for cell in failed:
+        res.fail(*cell)
+    return res
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: WhitneyParams(0, 0), "m must be >= 1"),
     (lambda: WhitneyParams(m=1, r=-1), "r must be >= 0"),
@@ -60,7 +72,7 @@ def test_validation_messages(make, message):
      "HankelSpec(params=WhitneyParams(m=1, r=2), s=3, n=4)"),
     (Failure({"m": 1}, "vertical", "1", "2"),
      "Failure(params={'m': 1}, identity='vertical', lhs='1', rhs='2')"),
-    (SuiteResult("hankel", {"lu_factorization": 3}),
+    (suite_result("hankel", [("lu_factorization", 3)]),
      "SuiteResult(suite='hankel', counts={'lu_factorization': 3}, "
      "failures=[])"),
 ])
@@ -101,11 +113,11 @@ def test_failure_and_suite_result_compare_by_fields():
     res = SuiteResult("genfun")
     res.add("egf", 1)
     res.fail({"n": 1}, "egf", 1, 2)
-    assert res == SuiteResult("genfun", {"egf": 1},
-                              [Failure({"n": 1}, "egf", "1", "2")])
-    assert res != SuiteResult("genfun", {"egf": 1})
-    assert res != SuiteResult("genfun", {"rational_gf": 1},
-                              [Failure({"n": 1}, "egf", "1", "2")])
+    failed = [({"n": 1}, "egf", 1, 2)]
+    assert res == suite_result("genfun", [("egf", 1)], failed)
+    assert res.failures == [Failure({"n": 1}, "egf", "1", "2")]
+    assert res != suite_result("genfun", [("egf", 1)])
+    assert res != suite_result("genfun", [("rational_gf", 1)], failed)
     with pytest.raises(TypeError):
         hash(res)
 
