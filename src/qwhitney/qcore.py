@@ -35,7 +35,9 @@ shifts and adds alone, which is how the explicit suite rolls its values
 and terms from n to n+1 and the EGF check its terms;
 :func:`unpack_at_point` reads such an integer back as the polynomial of
 its balanced digits, the decoder the byte-slot Kronecker product reads
-its slots with.
+its slots with; :func:`unpack_words` reads a nonnegative integer at
+X = 2^64 back by its 64-bit words in one ``memoryview`` cast, which is
+how the triangle materializes the entries it builds there.
 Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
 integer numerator and denominator; ``eval`` puts them in one Fraction, and
@@ -413,6 +415,16 @@ def unpack_at_point(bits: int, value: int) -> LaurentPoly:
 # (array typecode, bytes); none on a big-endian host.
 _WORDS = (tuple((code, array(code).itemsize) for code in "BHIQ")
           if sys.byteorder == "little" else ())
+
+
+def unpack_words(value: int, lo: int) -> LaurentPoly:
+    """q^lo times the polynomial whose value at q = 2^64 is the int
+    ``value`` >= 0 and whose coefficients are its 64-bit words: one
+    ``memoryview`` cast of its bytes.  The cast is in native order, so
+    only a host with machine words (``_WORDS``) may call it."""
+    words = memoryview(value.to_bytes((value.bit_length() + 63) // 64 * 8,
+                                      "little")).cast("Q")
+    return _trimmed(lo, words.tolist())
 
 
 def _mul_kronecker(a: tuple, b: tuple) -> tuple:

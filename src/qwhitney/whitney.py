@@ -4,21 +4,36 @@ The triangular recurrence
 
     W[n,k] = q^(m(k-1)+r) W[n-1,k-1] + [mk+r]_q W[n-1,k]
 
-is the single authority, and the library carries no other: each entry is
-one ``qcore.q_int_mul_add`` pass over its two neighbours in the row above.
-One process-wide cache, ``_tables``, keeps the rows built so far for each
-(m, r).  Every request of a process shares it on purpose: a stream of
-single queries over a few (m, r) cells reads the same rows again and
-again.  The 234 requests of the queries benchmark at seed 3 take
-0.34-0.38 s of process time with the cache shared, against 0.94-1.01 s
-with it cleared before each request (2-vCPU Xeon, CPython 3.11).  The
-vertical and horizontal recurrences rebuild a whole column or row from
-the column to its left or the row below in one Horner pass, one product
-by a q-integer weight per cell.  They form their weights with ``q_int``,
-never through the triangle's step, so a fault in the step cannot cancel
-out of both sides of a cross-route check.  ``check_degree`` is the one
-size gate: every CLI command and ``verify.run_suite`` refuse a request
-whose polynomials may reach a degree over ``MAX_DEGREE`` through it.
+is the single authority, and the library carries no other.  It is applied
+in one of two forms.  An entry whose classical value w(n,k), its value at
+q = 1, is under 2^64 is built as one integer at X = 2^64: there it is the
+normalized W*[n,k] = W*[n-1,k-1] + [mk+r]_q W*[n-1,k], whose coefficients
+are nonnegative and sum to w(n,k), so each fits one 64-bit slot and no
+slot carries.  ``qcore.mul_q_int_at_point`` multiplies by [mk+r]_X with
+shifts and adds, and ``qcore.unpack_words`` reads the sum back into its
+LaurentPoly with one ``memoryview`` cast.  Both parents of such an entry
+are under 2^64 too, so they are at the point already.  Every other entry,
+and every entry on a big-endian host, is one ``qcore.q_int_mul_add`` pass
+over its two neighbours in the row above.  Both forms, and the row of
+classical values w(n,k) = (mk+r) w(n-1,k) + w(n-1,k-1) that picks between
+them, read the weights mk+r from ``_weights``.
+
+One process-wide cache, ``_tables``, keeps for each (m, r) the rows built
+so far as lists of LaurentPoly, and beside them only the last row's
+integers at X (None for an entry built by lists) and its classical
+values, from which the next row grows; all three move together, row by
+row.  Every request of a process shares it on purpose: a stream of single
+queries over a few (m, r) cells reads the same rows again and again.  The
+234 requests of the queries benchmark at seed 3 take 0.11-0.14 s of
+process time with the cache shared, against 0.31-0.40 s with it cleared
+before each request (2-vCPU Xeon, CPython 3.11).  The vertical and
+horizontal recurrences rebuild a whole column or row from the column to
+its left or the row below in one Horner pass, one product by a q-integer
+weight per cell.  They form their weights with ``q_int``, never through
+the triangle's step, so a fault in the step cannot cancel out of both
+sides of a cross-route check.  ``check_degree`` is the one size gate:
+every CLI command and ``verify.run_suite`` refuse a request whose
+polynomials may reach a degree over ``MAX_DEGREE`` through it.
 """
 
 from __future__ import annotations
@@ -26,7 +41,9 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .qcore import LaurentPoly, ONE, ZERO, poly_sum, q_int, q_int_mul_add
+from . import qcore
+from .qcore import (LaurentPoly, ONE, ZERO, mul_q_int_at_point, poly_sum,
+                    q_int, q_int_mul_add, unpack_words)
 
 
 class WhitneyParams(namedtuple("WhitneyParams", "m r")):
@@ -46,21 +63,44 @@ class WhitneyParams(namedtuple("WhitneyParams", "m r")):
         return super().__new__(cls, m, r)
 
 
-# Triangle cache keyed by (m, r); rows grown on demand.
+# Triangle cache keyed by (m, r): [rows, last row at X = 2^64, last row
+# at q = 1], grown on demand.
 _tables: dict = {}
+
+# An entry whose value at q = 1 is under this is built at X = 2^64.
+_WORD = 1 << 64
+
+
+def _weights(m: int, r: int, count: int) -> range:
+    """mk+r for k = 0..count-1: the weights [mk+r]_q of a triangle row."""
+    return range(r, m * count + r, m)
 
 
 def _rows(params: WhitneyParams, nmax: int) -> list:
     m, r = params.m, params.r
-    rows = _tables.get((m, r))
-    if rows is None:
-        rows = _tables[m, r] = [[ONE]]
+    table = _tables.get((m, r))
+    if table is None:
+        table = _tables[m, r] = [[[ONE]], [1], [1]]
+    rows, xs, ones = table
+    words = qcore._WORDS  # empty on a big-endian host: lists only
     while len(rows) <= nmax:
-        # padded so that W[n-1,-1] and W[n-1,n] read as zero
-        prev = [ZERO, *rows[-1], ZERO]
-        rows.append([q_int_mul_add(prev[k + 1], m * k + r, prev[k],
-                                   m * (k - 1) + r)
-                     for k in range(len(prev) - 1)])
+        # padded so that entries -1 and n of the row above read as zero
+        prev, up_x, up_1 = [ZERO, *rows[-1], ZERO], [0, *xs, 0], [0, *ones, 0]
+        row, xs, ones, lo = [], [], [], 0
+        for k, a in enumerate(_weights(m, r, len(rows) + 1)):
+            one = a * up_1[k + 1] + up_1[k]
+            if words and one < _WORD:
+                x = mul_q_int_at_point(up_x[k + 1], a, 64) + up_x[k]
+                row.append(unpack_words(x, lo))
+            else:
+                x = None
+                row.append(q_int_mul_add(prev[k + 1], a, prev[k],
+                                         m * (k - 1) + r))
+            xs.append(x)
+            ones.append(one)
+            lo += m * k + r  # row_degree(m, r, k + 1)
+        rows.append(row)
+        table[1:] = xs, ones
     return rows
 
 

@@ -11,7 +11,9 @@ alternating q-binomial sum.  ``convolution_first`` and
 ``convolution_second`` check one cell of each convolution identity as
 polynomials, over the full k range of its sum (``first_sides`` and
 ``second_sides``), and ``pairs`` is the JSON form that ``to_json`` and
-the CLI's tables write.
+the CLI's tables write.  ``list_rows`` builds the triangle with the
+engine's list step for every entry, the oracle of the entries it builds
+at q = 2^64.
 
 The planted faults live here too, as context managers that patch the
 library for their duration only: the recurrence weight, the weight of
@@ -359,18 +361,35 @@ def gauss_product_check(n: int) -> bool:
     return lhs == rhs
 
 
+def list_rows(m: int, r: int, nmax: int, heavier: int = 0) -> list:
+    """Rows 0..nmax of the (m, r) triangle, each entry one
+    ``q_int_mul_add`` step with the weight [mk+r+heavier]_q: the list
+    step alone, whatever an entry's size.  heavier = 1 is the fault of
+    ``perturb_recurrence``."""
+    rows = [[ONE]]
+    for _ in range(nmax):
+        prev = [ZERO, *rows[-1], ZERO]
+        rows.append([q_int_mul_add(prev[k + 1], m * k + r + heavier, prev[k],
+                                   m * (k - 1) + r)
+                     for k in range(len(prev) - 1)])
+    return rows
+
+
 @contextmanager
 def perturb_recurrence():
     """Deliberately break the triangular recurrence: its weight [mk+r]_q
     becomes [mk+r+1]_q, so every identity that is a theorem about the true
-    recurrence must fail.  The rows are built in an empty cache of their
-    own; the library's cache is back, untouched, on exit."""
-    def heavier(p, a, q, e):
-        return q_int_mul_add(p, a + 1, q, e)
+    recurrence must fail.  The fault patches ``whitney._weights``, which
+    both forms of the step and the row of values at q = 1 read, so an
+    entry built at q = 2^64 is sized by its faulted value.  The rows are
+    built in an empty cache of their own; the library's cache is back,
+    untouched, on exit."""
+    def heavier(m, r, count):
+        return range(r + 1, m * count + r + 1, m)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(whitney, "_tables", {})
-        mp.setattr(whitney, "q_int_mul_add", heavier)
+        mp.setattr(whitney, "_weights", heavier)
         yield
 
 

@@ -13,13 +13,14 @@ with ends that cancel.  The two q-integer kernels, the fused step
 [a]_q p + q^e q of the triangle and the division by a product of
 q-integers, are checked the same way, and so are the integers of
 polynomials at one point q = 2^B, their balanced-digit reading and the
-shift-and-add product by a q-integer there.
+shift-and-add product by a q-integer there, and the reading of an
+integer at q = 2^64 by its 64-bit words.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import poly, record_products
@@ -354,3 +355,23 @@ def test_mul_q_int_at_point(case, a, slack):
 def test_mul_q_int_at_point_refuses_a_negative_index():
     with pytest.raises(ValueError):
         qcore.mul_q_int_at_point(5, -1, 8)
+
+
+WORD_MAX = 2 ** 64 - 1
+
+
+@pytest.mark.skipif(not qcore._WORDS, reason="no machine words")
+@given(st.lists(st.one_of(st.sampled_from([0, 1, WORD_MAX]),
+                          st.integers(0, WORD_MAX)), max_size=40), offsets)
+@example([], 0)
+@example([7], 3)
+@example([WORD_MAX], -2)
+@example([0, WORD_MAX, 0, 5, 0], 1)
+@settings(max_examples=80, deadline=None)
+def test_unpack_words(slots, lo):
+    # The polynomial of an integer's 64-bit slots, each read on its own.
+    value = sum(s << 64 * i for i, s in enumerate(slots))
+    buf = value.to_bytes(8 * len(slots), "little")
+    expected = poly({lo + i // 8: int.from_bytes(buf[i:i + 8], "little")
+                     for i in range(0, len(buf), 8)})
+    assert qcore.unpack_words(value, lo) == expected

@@ -4,11 +4,11 @@ from math import comb
 import pytest
 
 from conftest import (bell_enum, classical_whitney_recurrence,
-                      count_operators, poly, power, record_products,
-                      stirling2_enum)
+                      count_operators, list_rows, perturb_recurrence, poly,
+                      power, record_products, stirling2_enum)
 from qwhitney import (WhitneyParams, horizontal_pass, q_int, qcalculus,
                       qcore, r_dowling, verify, vertical_pass, w, w_star,
-                      w_table)
+                      w_table, whitney)
 from qwhitney.qcore import ONE, ZERO
 
 P11 = WhitneyParams(1, 1)
@@ -85,6 +85,80 @@ class TestTable:
     def test_negative_nmax_rejected(self):
         with pytest.raises(ValueError):
             w_table(P11, -1)
+
+
+# Families whose rows cross 2^64 at q = 1, each to its nmax: their
+# entries near the corners are built at q = 2^64, the rest by lists.
+CROSSING = [(1, 0, 40), (3, 5, 30), (12, 15, 20)]
+
+
+def counted(monkeypatch, name):
+    """The number of calls of ``whitney.name`` while the monkeypatch
+    lasts, in a one-element list."""
+    calls, step = [0], getattr(whitney, name)
+
+    def call(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(whitney, name, call)
+    return calls
+
+
+class TestWordEntries:
+    """Entries under 2^64 at q = 1 are built at q = 2^64; every row must
+    equal the list step's, however the rows are grown."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(whitney, "_tables", {})
+
+    @pytest.mark.parametrize("m, r, nmax", CROSSING)
+    def test_one_call_equals_list_oracle(self, m, r, nmax):
+        assert w_table(WhitneyParams(m, r), nmax) == \
+            tuple(map(tuple, list_rows(m, r, nmax)))
+
+    @pytest.mark.parametrize("m, r, nmax", CROSSING)
+    def test_grown_across_the_boundary_equals_list_oracle(self, m, r, nmax):
+        p = WhitneyParams(m, r)
+        for n in range(3, nmax, 7):
+            w_table(p, n)
+        assert w_table(p, nmax) == tuple(map(tuple, list_rows(m, r, nmax)))
+
+    @pytest.mark.parametrize("m, r, nmax", CROSSING)
+    def test_without_words_every_entry_takes_the_list_step(
+            self, monkeypatch, m, r, nmax):
+        # A big-endian host has no machine words.
+        monkeypatch.setattr(qcore, "_WORDS", ())
+        steps = counted(monkeypatch, "q_int_mul_add")
+        assert w_table(WhitneyParams(m, r), nmax) == \
+            tuple(map(tuple, list_rows(m, r, nmax)))
+        assert steps[0] == (nmax + 1) * (nmax + 2) // 2 - 1
+
+    def test_interrupted_build_leaves_rows_that_grow_right(self, monkeypatch):
+        # The rows and the last row at X and at q = 1 move together, row
+        # by row, so a build cut off midway resumes from a consistent row.
+        m, r, nmax = CROSSING[0]
+        calls, unpack = [0], whitney.unpack_words
+
+        def failing_once(*args):
+            calls[0] += 1
+            if calls[0] == 300:
+                raise MemoryError
+            return unpack(*args)
+
+        monkeypatch.setattr(whitney, "unpack_words", failing_once)
+        p = WhitneyParams(m, r)
+        with pytest.raises(MemoryError):
+            w_table(p, nmax)
+        assert w_table(p, nmax) == tuple(map(tuple, list_rows(m, r, nmax)))
+
+    def test_faulted_weight_reaches_both_forms(self):
+        m, r, nmax = CROSSING[1]
+        with perturb_recurrence():
+            rows = w_table(WhitneyParams(m, r), nmax)
+        assert rows == tuple(map(tuple, list_rows(m, r, nmax, 1)))
+        assert rows != tuple(map(tuple, list_rows(m, r, nmax)))
 
 
 class TestVerticalRecurrence:
@@ -226,6 +300,25 @@ class TestProductPaths:
         calls = count_operators(monkeypatch)
         assert verify.run_suite("hankel")[0].ok
         assert 0 < calls["__mul__"] <= 4860
+
+    # Every entry of the default grid's triangles is under 2^64 at q = 1,
+    # so each is built at q = 2^64; a family crossing 2^64 takes both.
+    def test_default_grid_builds_every_entry_at_the_point(self, monkeypatch):
+        monkeypatch.setattr(whitney, "_tables", {})
+        lists = counted(monkeypatch, "q_int_mul_add")
+        points = counted(monkeypatch, "mul_q_int_at_point")
+        assert all(result.ok for result in verify.run_suite("all"))
+        assert lists[0] == 0
+        assert points[0] > 0
+
+    def test_crossing_family_takes_both_forms(self, monkeypatch):
+        monkeypatch.setattr(whitney, "_tables", {})
+        lists = counted(monkeypatch, "q_int_mul_add")
+        points = counted(monkeypatch, "mul_q_int_at_point")
+        m, r, nmax = CROSSING[0]
+        w_table(WhitneyParams(m, r), nmax)
+        assert lists[0] > 0
+        assert points[0] > 0
 
     def test_default_grid_needs_no_byte_slots(self, monkeypatch):
         # Every Kronecker product of the default grid has nonnegative
