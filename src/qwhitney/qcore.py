@@ -37,7 +37,8 @@ and terms from n to n+1 and the EGF check its terms;
 its balanced digits, the decoder the byte-slot Kronecker product reads
 its slots with; :func:`unpack_words` reads a nonnegative integer at
 X = 2^64 back by its 64-bit words in one ``memoryview`` cast, which is
-how the triangle materializes the entries it builds there.
+how the triangle reads back an entry it built there, on the entry's
+first read.
 Rational evaluation is a single integer Horner pass
 (``LaurentPoly.value_parts``), which gives the value at q = a/b as an
 integer numerator and denominator; ``eval`` puts them in one Fraction, and

@@ -10,28 +10,34 @@ q = 1, is under 2^64 is built as one integer at X = 2^64: there it is the
 normalized W*[n,k] = W*[n-1,k-1] + [mk+r]_q W*[n-1,k], whose coefficients
 are nonnegative and sum to w(n,k), so each fits one 64-bit slot and no
 slot carries.  ``qcore.mul_q_int_at_point`` multiplies by [mk+r]_X with
-shifts and adds, and ``qcore.unpack_words`` reads the sum back into its
-LaurentPoly with one ``memoryview`` cast.  Both parents of such an entry
-are under 2^64 too, so they are at the point already.  Every other entry,
-and every entry on a big-endian host, is one ``qcore.q_int_mul_add`` pass
-over its two neighbours in the row above.  Both forms, and the row of
-classical values w(n,k) = (mk+r) w(n-1,k) + w(n-1,k-1) that picks between
-them, read the weights mk+r from ``_weights``.
+shifts and adds.  Both parents of such an entry are under 2^64 too, so
+they are at the point already.  Every other entry, and every entry on a
+big-endian host, is one ``qcore.q_int_mul_add`` pass over its two
+neighbours in the row above.  Both forms, and the row of classical values
+w(n,k) = (mk+r) w(n-1,k) + w(n-1,k-1) that picks between them, read the
+weights mk+r from ``_weights``.
 
 One process-wide cache, ``_tables``, keeps for each (m, r) the rows built
-so far as lists of LaurentPoly, and beside them only the last row's
-integers at X (None for an entry built by lists) and its classical
-values, from which the next row grows; all three move together, row by
-row.  Every request of a process shares it on purpose: a stream of single
-queries over a few (m, r) cells reads the same rows again and again.  The
-234 requests of the queries benchmark at seed 3 take 0.11-0.14 s of
-process time with the cache shared, against 0.31-0.40 s with it cleared
-before each request (2-vCPU Xeon, CPython 3.11).  The vertical and
-horizontal recurrences rebuild a whole column or row from the column to
-its left or the row below in one Horner pass, one product by a q-integer
-weight per cell.  They form their weights with ``q_int``, never through
-the triangle's step, so a fault in the step cannot cancel out of both
-sides of a cross-route check.  ``check_degree`` is the one size gate:
+so far, and beside them only the last row's integers at X (None for an
+entry built by lists) and its classical values, from which the next row
+grows; all three move together, row by row.  A row's slot holds a
+LaurentPoly, or, for an entry built at X and not yet read, its integer x
+there.  The first read replaces x with ``qcore.unpack_words(x,
+row_degree(m, r, k))``, one ``memoryview`` cast, and a read that fails
+leaves x in place: ``w`` reads back the entry it returns, ``w_table`` and
+``r_dowling`` the rows they return, and the list step the two parents it
+reads.  The queries benchmark at seed 3 reads back 1,453 of the 5,308
+entries it builds at X (27%).  Every request of a process shares the cache
+on purpose: a stream of single queries over a few (m, r) cells reads the
+same rows again and again.  The 234 requests of the queries benchmark at
+seed 3 take a median 0.11 s of process time with the cache shared
+(0.11-0.17 s over 13 runs), against 0.21 s with it cleared before each
+request (0.20-0.34 s), on a 2-vCPU Xeon with CPython 3.11.  The vertical
+and horizontal recurrences rebuild a whole column or row from the column
+to its left or the row below in one Horner pass, one product by a
+q-integer weight per cell.  They form their weights with ``q_int``, never
+through the triangle's step, so a fault in the step cannot cancel out of
+both sides of a cross-route check.  ``check_degree`` is the one size gate:
 every CLI command and ``verify.run_suite`` refuse a request whose
 polynomials may reach a degree over ``MAX_DEGREE`` through it.
 """
@@ -64,7 +70,8 @@ class WhitneyParams(namedtuple("WhitneyParams", "m r")):
 
 
 # Triangle cache keyed by (m, r): [rows, last row at X = 2^64, last row
-# at q = 1], grown on demand.
+# at q = 1], grown on demand.  A row's entry built at X stays the int x
+# there until it is first read.
 _tables: dict = {}
 
 # An entry whose value at q = 1 is under this is built at X = 2^64.
@@ -85,37 +92,62 @@ def _rows(params: WhitneyParams, nmax: int) -> list:
     words = qcore._WORDS  # empty on a big-endian host: lists only
     while len(rows) <= nmax:
         # padded so that entries -1 and n of the row above read as zero
-        prev, up_x, up_1 = [ZERO, *rows[-1], ZERO], [0, *xs, 0], [0, *ones, 0]
-        row, xs, ones, lo = [], [], [], 0
+        # (_entry reads them so from the row itself)
+        up, up_x, up_1 = rows[-1], [0, *xs, 0], [0, *ones, 0]
+        row, xs, ones = [], [], []
         for k, a in enumerate(_weights(m, r, len(rows) + 1)):
             one = a * up_1[k + 1] + up_1[k]
             if words and one < _WORD:
                 x = mul_q_int_at_point(up_x[k + 1], a, 64) + up_x[k]
-                row.append(unpack_words(x, lo))
+                row.append(x)
             else:
                 x = None
-                row.append(q_int_mul_add(prev[k + 1], a, prev[k],
+                row.append(q_int_mul_add(_entry(up, k, m, r), a,
+                                         _entry(up, k - 1, m, r),
                                          m * (k - 1) + r))
             xs.append(x)
             ones.append(one)
-            lo += m * k + r  # row_degree(m, r, k + 1)
         rows.append(row)
         table[1:] = xs, ones
     return rows
+
+
+def _entry(row: list, k: int, m: int, r: int) -> LaurentPoly:
+    """Entry k of a cached row, ZERO outside it; an entry still at X is
+    read back and kept in its slot."""
+    if not 0 <= k < len(row):
+        return ZERO
+    x = row[k]
+    if isinstance(x, int):
+        x = row[k] = unpack_words(x, row_degree(m, r, k))
+    return x
+
+
+def _read(row: list, m: int, r: int) -> list:
+    """A cached row with every entry still at X read back in place, in one
+    pass with the running offset row_degree(m, r, k)."""
+    lo = 0
+    for k, x in enumerate(row):
+        if isinstance(x, int):
+            row[k] = unpack_words(x, lo)
+        lo += m * k + r  # row_degree(m, r, k + 1)
+    return row
 
 
 def w(params: WhitneyParams, n: int, k: int) -> LaurentPoly:
     """W_{m,r}[n,k]_q via the triangular recurrence; 0 out of range."""
     if n < 0 or k < 0 or n < k:
         return ZERO
-    return _rows(params, n)[n][k]
+    return _entry(_rows(params, n)[n], k, params.m, params.r)
 
 
 def w_table(params: WhitneyParams, nmax: int) -> tuple:
     """The full triangle up to row nmax: entry [n][k] is W_{m,r}[n,k]_q."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    return tuple(map(tuple, _rows(params, nmax)[:nmax + 1]))
+    m, r = params.m, params.r
+    return tuple(tuple(_read(row, m, r))
+                 for row in _rows(params, nmax)[:nmax + 1])
 
 
 def vertical_pass(params: WhitneyParams, k: int, n: int) -> list:
@@ -164,7 +196,7 @@ def r_dowling(params: WhitneyParams, n: int) -> LaurentPoly:
     ``poly_sum`` over the row."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return poly_sum(_rows(params, n)[n])
+    return poly_sum(_read(_rows(params, n)[n], params.m, params.r))
 
 
 def row_degree(m: int, r: int, n: int) -> int:

@@ -105,13 +105,16 @@ def counted(monkeypatch, name):
     return calls
 
 
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """An empty triangle cache while the test runs."""
+    monkeypatch.setattr(whitney, "_tables", {})
+
+
+@pytest.mark.usefixtures("empty_cache")
 class TestWordEntries:
     """Entries under 2^64 at q = 1 are built at q = 2^64; every row must
     equal the list step's, however the rows are grown."""
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(whitney, "_tables", {})
 
     @pytest.mark.parametrize("m, r, nmax", CROSSING)
     def test_one_call_equals_list_oracle(self, m, r, nmax):
@@ -136,8 +139,8 @@ class TestWordEntries:
         assert steps[0] == (nmax + 1) * (nmax + 2) // 2 - 1
 
     def test_interrupted_build_leaves_rows_that_grow_right(self, monkeypatch):
-        # The rows and the last row at X and at q = 1 move together, row
-        # by row, so a build cut off midway resumes from a consistent row.
+        # The 300th read-back falls in w_table's read of the built rows: a
+        # slot whose read-back fails keeps its integer at X.
         m, r, nmax = CROSSING[0]
         calls, unpack = [0], whitney.unpack_words
 
@@ -151,7 +154,32 @@ class TestWordEntries:
         p = WhitneyParams(m, r)
         with pytest.raises(MemoryError):
             w_table(p, nmax)
+        assert len(whitney._tables[m, r][0]) == nmax + 1
         assert w_table(p, nmax) == tuple(map(tuple, list_rows(m, r, nmax)))
+
+    @pytest.mark.parametrize("m, r, nmax", CROSSING)
+    def test_interrupted_list_step_leaves_rows_that_grow_right(
+            self, monkeypatch, m, r, nmax):
+        # The third read-back is of a parent a list step reads, so the
+        # build stops inside a row.  The rows and the last row at X and at
+        # q = 1 move together, row by row, so it resumes from a consistent
+        # row, whose slots are some read back and some still at X.
+        calls, unpack = [0], whitney.unpack_words
+
+        def failing_once(*args):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise MemoryError
+            return unpack(*args)
+
+        monkeypatch.setattr(whitney, "unpack_words", failing_once)
+        p = WhitneyParams(m, r)
+        with pytest.raises(MemoryError):
+            w(p, nmax, nmax // 2)
+        assert len(whitney._tables[m, r][0]) <= nmax
+        oracle = list_rows(m, r, nmax)
+        assert w(p, nmax, nmax // 2) == oracle[nmax][nmax // 2]
+        assert w_table(p, nmax) == tuple(map(tuple, oracle))
 
     def test_faulted_weight_reaches_both_forms(self):
         m, r, nmax = CROSSING[1]
@@ -159,6 +187,84 @@ class TestWordEntries:
             rows = w_table(WhitneyParams(m, r), nmax)
         assert rows == tuple(map(tuple, list_rows(m, r, nmax, 1)))
         assert rows != tuple(map(tuple, list_rows(m, r, nmax)))
+
+
+def classical_rows(m: int, r: int, nmax: int) -> list:
+    """Rows 0..nmax of the classical values w(n,k), the triangle at q = 1."""
+    rows = [[1]]
+    for n in range(1, nmax + 1):
+        up = [0, *rows[-1], 0]
+        rows.append([(m * k + r) * up[k + 1] + up[k] for k in range(n + 1)])
+    return rows
+
+
+def word_parents(m: int, r: int, nmax: int) -> set:
+    """The entries under 2^64 at q = 1 that a list step of rows 1..nmax
+    reads: a parent (n-1, k) or (n-1, k-1) of an entry at or over 2^64."""
+    ones = classical_rows(m, r, nmax)
+    return {(n - 1, j)
+            for n in range(1, nmax + 1) for k in range(n + 1)
+            if ones[n][k] >= 1 << 64
+            for j in (k - 1, k) if 0 <= j < n and ones[n - 1][j] < 1 << 64}
+
+
+@pytest.mark.usefixtures("empty_cache")
+class TestReadOnFirstUse:
+    """An entry built at q = 2^64 stays an integer there until it is
+    read: each reader reads back only the entries it returns, and the list
+    step only the parents it reads."""
+
+    def test_entry_reads_back_itself_alone(self, monkeypatch):
+        # Every entry of (1, 0) to row 20 is under 2^64 at q = 1.
+        assert max(classical_rows(1, 0, 20)[20]) < 1 << 64
+        unpacks = counted(monkeypatch, "unpack_words")
+        assert w(WhitneyParams(1, 0), 20, 7) == list_rows(1, 0, 20)[20][7]
+        assert unpacks[0] == 1
+
+    def test_row_sum_reads_back_its_row(self, monkeypatch):
+        unpacks = counted(monkeypatch, "unpack_words")
+        total = r_dowling(WhitneyParams(1, 0), 20)
+        assert unpacks[0] == 21
+        assert total == sum(list_rows(1, 0, 20)[20], ZERO)
+
+    def test_second_read_is_the_cached_entry(self, monkeypatch):
+        p = WhitneyParams(1, 0)
+        first = w(p, 20, 7)
+        unpacks = counted(monkeypatch, "unpack_words")
+        assert w(p, 20, 7) is first
+        assert unpacks[0] == 0
+        # the row sum reads back the row's other 20 entries, once
+        assert r_dowling(p, 20) == r_dowling(p, 20)
+        assert unpacks[0] == 20
+        assert w_table(p, 20)[20][7] is first
+
+    @pytest.mark.parametrize("m, r, nmax", CROSSING)
+    def test_list_entry_reads_back_only_word_parents(self, monkeypatch,
+                                                     m, r, nmax):
+        k = nmax // 2
+        assert classical_rows(m, r, nmax)[nmax][k] >= 1 << 64
+        parents = word_parents(m, r, nmax)
+        assert parents
+        unpacks = counted(monkeypatch, "unpack_words")
+        assert w(WhitneyParams(m, r), nmax, k) == \
+            list_rows(m, r, nmax)[nmax][k]
+        assert unpacks[0] == len(parents)
+
+    @pytest.mark.parametrize("m, r, nmax", CROSSING)
+    def test_reads_in_mixed_orders_equal_list_oracle(self, m, r, nmax):
+        # w past the 2^64 boundary, then row sums, then tables grown in
+        # steps of 7: each reads the rows the others left half read back.
+        p, oracle = WhitneyParams(m, r), list_rows(m, r, nmax)
+        ones = classical_rows(m, r, nmax)
+        top = nmax - 2
+        assert max(ones[top]) >= 1 << 64 > min(ones[top])
+        for k in range(0, top + 1, 3):
+            assert w(p, top, k) == oracle[top][k]
+        for n in range(nmax, 0, -5):
+            assert r_dowling(p, n) == sum(oracle[n], ZERO)
+        for n in range(3, nmax + 1, 7):
+            assert w_table(p, n) == tuple(map(tuple, oracle[:n + 1]))
+        assert w_table(p, nmax) == tuple(map(tuple, oracle))
 
 
 class TestVerticalRecurrence:
