@@ -396,7 +396,7 @@ def main(argv=None, out=None) -> int:
             # argparse before Python 3.13 reads --name=-- as an empty list
             raise ValueError("an option's value may not be --")
         return args.fn(args, out)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonExactDivision, DivisionByZero) as exc:
